@@ -54,14 +54,14 @@ T0 = enumerate_syt(small)[0]
 print("spectrum of (mu, T) on", small, "with mu = (1, 0):")
 for d in spectrum((1, 0), T0):
     print(f"  z_{d.index}: residue {d.zeta_residue}, eigenvalue {d.z_eigenvalue}")
-print("nonsymmetric norm:", nonsymmetric_norm((1, 0), T0).normalize())
+print("nonsymmetric norm:", nonsymmetric_norm((1, 0), T0))
 print()
 
 # a symmetric norm on the same shape: S = (0 | 1) is the minimal filling
 S_min = minimal_assignment(small)
 print("minimal assignment:", S_min)
-print("symmetric norm  :", symmetric_norm(S_min).normalize())
-print("n! * hook * extra:", minimal_norm(small).normalize())
+print("symmetric norm  :", symmetric_norm(S_min))
+print("n! * hook * extra:", minimal_norm(small))
 print()
 
 # ---------------------------------------------------------------------------
@@ -69,9 +69,9 @@ print()
 
 column = parse_multipartition("1,1")
 print("for the column (1,1) at r = 1:")
-print("  hook   =", hook_product(column).normalize())
-print("  extra  =", extra_product(column).normalize())
-print("  norm   =", minimal_norm(column).normalize())
+print("  hook   =", hook_product(column))
+print("  extra  =", extra_product(column))
+print("  norm   =", minimal_norm(column))
 print("  value at c0 = -1/2:",
       minimal_norm(column).evaluate(ParameterPoint(1, Fraction(-1, 2), [0])))
 print()

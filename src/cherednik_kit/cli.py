@@ -163,7 +163,7 @@ def cmd_norm_f(args, out) -> int:
     shape = parse_multipartition(args.shape, args.r)
     T = _tableau_from_args(args, shape)
     mu = _parse_mu(args.mu, shape.size)
-    value = nonsymmetric_norm(mu, T).normalize()
+    value = nonsymmetric_norm(mu, T)
     if args.format == "json":
         _emit_json(_envelope("norm-f", str(value)), out)
     else:
@@ -174,7 +174,7 @@ def cmd_norm_f(args, out) -> int:
 def cmd_norm_g(args, out) -> int:
     shape = parse_multipartition(args.shape, args.r)
     S = parse_assignment(args.values, shape)
-    value = symmetric_norm(S).normalize()
+    value = symmetric_norm(S)
     if args.format == "json":
         _emit_json(_envelope("norm-g", str(value)), out)
     else:
@@ -184,7 +184,7 @@ def cmd_norm_g(args, out) -> int:
 
 def cmd_norm_min(args, out) -> int:
     shape = parse_multipartition(args.shape, args.r)
-    value = minimal_norm(shape).normalize()
+    value = minimal_norm(shape)
     if args.format == "json":
         _emit_json(_envelope("norm-min", str(value)), out)
     else:
@@ -194,9 +194,9 @@ def cmd_norm_min(args, out) -> int:
 
 def cmd_hook(args, out) -> int:
     shape = parse_multipartition(args.shape, args.r)
-    h = hook_product(shape).normalize()
-    e = extra_product(shape).normalize()
-    m = minimal_norm(shape).normalize()
+    h = hook_product(shape)
+    e = extra_product(shape)
+    m = minimal_norm(shape)
     if args.format == "json":
         _emit_json(_envelope("hook", {"hook": str(h), "extra": str(e), "minimal_norm": str(m)}), out)
     else:
@@ -361,9 +361,15 @@ def cmd_params_convert(args, out) -> int:
 # parser
 
 
-def _add_format(p, default="text"):
-    p.add_argument("--format", choices=["text", "json", "tsv"], default=default,
+def _add_format(p, default="text", choices=("text", "json")):
+    p.add_argument("--format", choices=choices, default=default,
                    help="output format (default %(default)s)")
+
+
+def _non_negative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,19 +393,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(func=cmd_syt)
 
-    for name, handler, needs_mu in [("spectrum", cmd_spectrum, True),
-                                    ("norm-f", cmd_norm_f, True)]:
-        p = sub.add_parser(name, help={
-            "spectrum": "joint eigenvalues of the commuting family for (mu, T)",
-            "norm-f": "norm of the nonsymmetric eigenvector for (mu, T)",
-        }[name])
+    for name, handler, formats, help_text in [
+            ("spectrum", cmd_spectrum, ("text", "json", "tsv"),
+             "joint eigenvalues of the commuting family for (mu, T)"),
+            ("norm-f", cmd_norm_f, ("text", "json"),
+             "norm of the nonsymmetric eigenvector for (mu, T)")]:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--r", type=int, required=True)
         p.add_argument("--shape", required=True)
         p.add_argument("--mu", required=True, help="composition, comma list of length n")
         p.add_argument("--tableau", help="tableau text, rows '/' components '|'")
         p.add_argument("--tableau-index", type=int, default=0,
                        help="index into the syt enumeration (default 0)")
-        _add_format(p)
+        _add_format(p, choices=formats)
         p.set_defaults(func=handler)
 
     p = sub.add_parser("norm-g", help="norm of the symmetric eigenvector of a "
@@ -431,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--p", type=int, help="restrict to G(r,p,n) (p | r, n >= 3); "
                                          "forms then live over d_0..d_{r/p-1}")
     q.add_argument("--json", action="store_true", help="emit the bare JSON array")
-    _add_format(q)
+    _add_format(q, choices=("text", "json", "tsv"))
     q.set_defaults(func=cmd_aspherical_list)
     q = asub.add_parser("test", help="membership test for a parameter point")
     q.add_argument("--r", type=int, required=True)
@@ -469,7 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = osub.add_parser("verify", help="run the identity suite and report")
     q.add_argument("--r", type=int, required=True)
     q.add_argument("--n", type=int, required=True)
-    q.add_argument("--degree", type=int, default=2, help="degree cap (default 2)")
+    q.add_argument("--degree", type=_non_negative_int, default=2,
+                   help="degree cap (default 2)")
     q.add_argument("--seed", type=int, default=None,
                    help="RNG seed (default: CHEREDNIK_SEED or 0)")
     q.add_argument("--shape", help="restrict to one shape")

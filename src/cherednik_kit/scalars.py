@@ -6,15 +6,16 @@ with two types:
 
 - AffineForm: an affine-linear expression  k + a*c0 + sum_l b_l*d_l  with
   rational coefficients.
-- FactoredScalar: coefficient * product(AffineForm) / product(AffineForm),
-  kept factored exactly as the closed formulas produce it (zero loci and
-  cancellations stay exact and cheap; nothing is ever expanded).
+- FactoredScalar: coefficient * product(AffineForm ** multiplicity), the
+  factored form the closed formulas produce, canonical at construction:
+  factors are primitive forms with net signed multiplicities, constants live
+  in the coefficient (zero loci and cancellations stay exact and cheap;
+  nothing is ever expanded).
 
 All numbers are fractions.Fraction; no floating point anywhere.
 """
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
@@ -33,7 +34,10 @@ class PoleError(ZeroDivisionError):
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q' or 'p' into an exact Fraction."""
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational {text!r}") from None
 
 
 class ParameterPoint:
@@ -80,7 +84,7 @@ def random_point(r: int, rng: random.Random, bound: int = 10**6) -> ParameterPoi
 class AffineForm:
     """k + a*c0 + sum_l b_l * d_l with rational coefficients, d-index mod r."""
 
-    __slots__ = ("r", "const", "c0", "d")
+    __slots__ = ("r", "const", "c0", "d", "_hash")
 
     def __init__(self, r: int, const=0, c0=0, d: Mapping[int, object] | Sequence | None = None):
         if r < 1:
@@ -98,6 +102,7 @@ class AffineForm:
                     raise ValueError("d coefficient sequence must have length r")
                 coeffs = [Fraction(v) for v in d]
         self.d = tuple(coeffs)
+        self._hash = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -170,11 +175,10 @@ class AffineForm:
         if not nonzero:
             return self, Fraction(1)
         denom = lcm(*(c.denominator for c in nonzero))
-        numer = gcd(*(abs((c * denom).numerator) for c in nonzero))
-        scale = Fraction(numer, denom)
-        if nonzero[0] < 0:
-            scale = -scale
-        return self.scale(1 / scale), scale
+        ints = [c.numerator * (denom // c.denominator) for c in coeffs]
+        numer = gcd(*ints) if nonzero[0] > 0 else -gcd(*ints)
+        const, c0, *d = (x // numer for x in ints)
+        return AffineForm(self.r, const, c0, d), Fraction(numer, denom)
 
     def key(self) -> tuple:
         """Deterministic sort/equality key."""
@@ -184,7 +188,9 @@ class AffineForm:
         return isinstance(other, AffineForm) and self.key() == other.key()
 
     def __hash__(self):
-        return hash(self.key())
+        if self._hash is None:
+            self._hash = hash(self.key())
+        return self._hash
 
     def __str__(self):
         return render_affine(self)
@@ -223,25 +229,39 @@ def render_affine(f: AffineForm) -> str:
 
 
 class FactoredScalar:
-    """coefficient * prod(numerator factors) / prod(denominator factors).
+    """coefficient * prod(f ** m for f, m in factors.items()), kept canonical.
 
-    Factors are AffineForms; identically-zero factors are rejected.  A zero
-    scalar is represented by coefficient 0 with no factors.
+    `factors` maps primitive AffineForms (as `AffineForm.primitive` returns
+    them) to nonzero signed multiplicities.  Constant factors and primitive
+    scales fold into the coefficient on entry, so equal rational functions of
+    this shape have equal data.  A zero scalar has coefficient 0 and no
+    factors; identically-zero factors are rejected.  Instances are never
+    mutated after construction.
     """
 
-    __slots__ = ("r", "coefficient", "num", "den")
+    __slots__ = ("r", "coefficient", "factors")
 
     def __init__(self, r: int, coefficient=1, num: Iterable[AffineForm] = (),
                  den: Iterable[AffineForm] = ()):
-        self.r = r
-        self.coefficient = Fraction(coefficient)
-        self.num = tuple(num)
-        self.den = tuple(den)
-        for f in self.num + self.den:
-            if f.r != r:
-                raise ValueError("factor has wrong r")
-            if f.is_zero():
-                raise ValueError("identically zero factor")
+        coef = Fraction(coefficient)
+        factors: dict[AffineForm, int] = {}
+        for sign, forms in ((1, num), (-1, den)):
+            for f in forms:
+                if f.r != r:
+                    raise ValueError("factor has wrong r")
+                if f.is_zero():
+                    raise ValueError("identically zero factor")
+                prim, scale = f.primitive()
+                coef = coef * scale if sign > 0 else coef / scale
+                if not prim.is_constant():
+                    factors[prim] = factors.get(prim, 0) + sign
+        self._set(r, coef, factors)
+
+    def _set(self, r: int, coefficient: Fraction, factors: dict) -> "FactoredScalar":
+        """Store the data, dropping zero multiplicities and a zero scalar's factors."""
+        self.r, self.coefficient = r, coefficient
+        self.factors = {f: m for f, m in factors.items() if m} if coefficient else {}
+        return self
 
     @staticmethod
     def one(r: int) -> "FactoredScalar":
@@ -255,105 +275,76 @@ class FactoredScalar:
     def from_affine(f: AffineForm) -> "FactoredScalar":
         return FactoredScalar(f.r, 1, (f,))
 
+    def _expand(self, sign: int) -> tuple:
+        """Factors with sign * multiplicity > 0, sorted by `AffineForm.key`,
+        each repeated that many times."""
+        return tuple(f for f, m in sorted(self.factors.items(), key=lambda fm: fm[0].key())
+                     for _ in range(sign * m))
+
+    num = property(lambda self: self._expand(1), doc="Numerator factors (a tuple view).")
+    den = property(lambda self: self._expand(-1), doc="Denominator factors (a tuple view).")
+
     def is_zero(self) -> bool:
         return self.coefficient == 0
 
-    def __mul__(self, other):
+    def _coerce(self, other) -> "FactoredScalar":
         if isinstance(other, FactoredScalar):
             if other.r != self.r:
                 raise ValueError("mixed r")
-            return FactoredScalar(self.r, self.coefficient * other.coefficient,
-                                  self.num + other.num, self.den + other.den)
+            return other
         if isinstance(other, AffineForm):
-            return FactoredScalar(self.r, self.coefficient, self.num + (other,), self.den)
-        return FactoredScalar(self.r, self.coefficient * Fraction(other), self.num, self.den)
+            return FactoredScalar(self.r, 1, (other,))
+        return FactoredScalar(self.r, other)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        factors = dict(self.factors)
+        for f, m in other.factors.items():
+            factors[f] = factors.get(f, 0) + m
+        coefficient = self.coefficient * other.coefficient
+        return object.__new__(FactoredScalar)._set(self.r, coefficient, factors)
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "FactoredScalar":
         if self.coefficient == 0:
             raise ZeroDivisionError("reciprocal of zero scalar")
-        return FactoredScalar(self.r, 1 / self.coefficient, self.den, self.num)
+        factors = {f: -m for f, m in self.factors.items()}
+        return object.__new__(FactoredScalar)._set(self.r, 1 / self.coefficient, factors)
 
     def __truediv__(self, other):
-        if isinstance(other, FactoredScalar):
-            return self * other.reciprocal()
-        if isinstance(other, AffineForm):
-            return FactoredScalar(self.r, self.coefficient, self.num, self.den + (other,))
-        return FactoredScalar(self.r, self.coefficient / Fraction(other), self.num, self.den)
+        return self * self._coerce(other).reciprocal()
 
     def evaluate(self, p: ParameterPoint) -> Fraction:
+        """Exact value at p; PoleError where a net denominator factor vanishes."""
         if p.r != self.r:
             raise ValueError("point has wrong r")
-        for f in self.den:
-            if f.evaluate(p) == 0:
-                raise PoleError(f)
         value = self.coefficient
-        for f in self.den:
-            value /= f.evaluate(p)
-        for f in self.num:
-            value *= f.evaluate(p)
+        for f, m in self.factors.items():
+            v = f.evaluate(p)
+            if v == 0 and m < 0:
+                raise PoleError(f)
+            value *= v ** m
         return value
 
     def normalize(self) -> "FactoredScalar":
-        """Cancel proportional factor pairs, folding constants into the
-        coefficient; constant factors disappear.  Idempotent."""
-        coef = self.coefficient
-        num = Counter()
-        den = Counter()
-        for f in self.num:
-            if f.is_constant():
-                coef *= f.const
-                continue
-            prim, scale = f.primitive()
-            coef *= scale
-            num[prim.key()] += 1
-        for f in self.den:
-            if f.is_constant():
-                coef /= f.const
-                continue
-            prim, scale = f.primitive()
-            coef /= scale
-            den[prim.key()] += 1
-        for key in set(num) & set(den):
-            k = min(num[key], den[key])
-            num[key] -= k
-            den[key] -= k
-        if coef == 0:
-            return FactoredScalar(self.r, 0)
-
-        def rebuild(counter):
-            forms = []
-            for key, mult in sorted(counter.items()):
-                if mult <= 0:
-                    continue
-                r, const, c0, *dc = key
-                forms.extend([AffineForm(r, const, c0, dc)] * mult)
-            return tuple(forms)
-
-        return FactoredScalar(self.r, coef, rebuild(num), rebuild(den))
+        """The identity: a FactoredScalar is canonical from construction."""
+        return self
 
     def __eq__(self, other):
-        """Structural equality of normalized data."""
+        """Equal coefficients and factor multiplicities."""
         if not isinstance(other, FactoredScalar):
             return NotImplemented
-        a, b = self.normalize(), other.normalize()
-        return (a.coefficient == b.coefficient
-                and sorted(f.key() for f in a.num) == sorted(f.key() for f in b.num)
-                and sorted(f.key() for f in a.den) == sorted(f.key() for f in b.den))
+        return self.coefficient == other.coefficient and self.factors == other.factors
 
     def __hash__(self):
-        a = self.normalize()
-        return hash((a.coefficient, tuple(sorted(f.key() for f in a.num)),
-                     tuple(sorted(f.key() for f in a.den))))
+        return hash((self.coefficient, frozenset(self.factors.items())))
 
     def __str__(self):
-        a = self.normalize()
-        parts = [str(a.coefficient)]
-        parts += [f"({f})" for f in a.num]
-        out = " * ".join(parts)
-        if a.den:
-            out += " / " + " * ".join(f"({f})" for f in a.den)
+        out = " * ".join([str(self.coefficient)] + [f"({f})" for f in self.num])
+        den = self.den
+        if den:
+            out += " / " + " * ".join(f"({f})" for f in den)
         return out
 
     __repr__ = __str__
@@ -370,8 +361,8 @@ def proportional(a: FactoredScalar, b: FactoredScalar,
                  rng: random.Random | None = None) -> Optional[Fraction]:
     """Return the constant q with a = q*b as rational functions, else None.
 
-    Factors are irreducible (affine), so after normalization the quotient a/b
-    is constant exactly when its factor multisets cancel completely.  A
+    Factors are irreducible (affine) and scalars are canonical, so the
+    quotient a/b is constant exactly when it has no factors left.  A
     random-evaluation cross-check backs the multiset comparison; agreement at
     3 + (total factor count) non-pole points would pin down any rational
     function of this degree.
@@ -380,8 +371,8 @@ def proportional(a: FactoredScalar, b: FactoredScalar,
         return None
     if a.is_zero():
         return Fraction(0)
-    q = (a / b).normalize()
-    if q.num or q.den:
+    q = a / b
+    if q.factors:
         return None
     ratio = q.coefficient
     rng = rng or random.Random(20211115)

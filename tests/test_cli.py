@@ -142,6 +142,41 @@ class TestErrorHandling:
     def test_shape_r_mismatch(self, capsys):
         assert main(["norm-min", "--r", "2", "--shape", "1,1"]) == 1
 
+    def test_negative_degree_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "verify", "--r", "1", "--n", "2", "--degree", "-1"])
+        assert exc.value.code == 2
+
+    def test_zero_denominator_names_value(self, capsys):
+        assert main(["params", "convert", "--r", "1", "--c0", "1/0", "--d", "0",
+                     "--to", "gordon"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'1/0'" in err
+
+    @pytest.mark.parametrize("argv, code", [
+        (["partitions", "--r", "1", "--n", "2"], 2),
+        (["syt", "--r", "1", "--shape", "2"], 2),
+        (["spectrum", "--r", "1", "--shape", "1", "--mu", "3"], 0),
+        (["norm-f", "--r", "1", "--shape", "1", "--mu", "3"], 2),
+        (["norm-g", "--r", "1", "--shape", "1,1", "--values", "0/1"], 2),
+        (["norm-min", "--r", "1", "--shape", "2,1"], 2),
+        (["hook", "--r", "1", "--shape", "2,1"], 2),
+        (["aspherical", "list", "--r", "1", "--n", "2"], 0),
+        (["aspherical", "test", "--r", "1", "--n", "2", "--c0", "1/3", "--d", "0"], 2),
+        (["order", "compare", "--r", "1", "--c0", "1", "--d", "0", "--a", "1", "--b", "1"], 2),
+        (["core-quotient", "decode", "--r", "2", "--shape", "1,1"], 2),
+        (["oracle", "verify", "--r", "1", "--n", "2", "--degree", "1", "--no-timings"], 2),
+        (["params", "convert", "--r", "1", "--c0", "1", "--d", "0", "--to", "gordon"], 2),
+    ])
+    def test_tsv_only_where_implemented(self, argv, code, capsys):
+        try:
+            got = main(argv + ["--format", "tsv"])
+        except SystemExit as exc:
+            got = exc.code
+        assert got == code
+        if code == 0:
+            assert "\t" in capsys.readouterr().out
+
     def test_aspherical_test_negative_c0(self):
         code, out = run_cli("aspherical", "test", "--r", "1", "--n", "2",
                             "--c0=-1/2", "--d", "0")

@@ -432,3 +432,9 @@ def test_verify_report_smoke():
     names = {c["name"] for c in rep["checks"]}
     assert "eigenvector norms vs closed formula" in names
     assert all(c["status"] == "pass" for c in rep["checks"])
+
+
+def test_verify_report_cancelled_factor_is_not_a_pole():
+    # the closed nonsymmetric norm here has a factor 1 - 2*c0 in both numerator
+    # and denominator, and the drawn point has c0 = 1/2
+    assert verify_report(2, 3, degree=3, seed=275012945, shape_text="|3")["ok"]

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cherednik_kit.scalars import (
     AffineForm,
@@ -56,18 +57,23 @@ class TestFactoredScalar:
             FactoredScalar(1, 1, (form(1),))
 
     def test_normalize_cancellation(self):
+        # construction cancels a factor shared by numerator and denominator
         a = form(1, const=1, c0=1)
         b = form(1, const=1, c0=2)
         s = FactoredScalar(1, 1, (a, b), (a,))
-        n = s.normalize()
-        assert n.den == () and n.num == (b,) and n.coefficient == 1
+        assert s.den == () and s.num == (b,) and s.coefficient == 1
+        assert s.factors == {b: 1}
+        assert s.normalize() is s
 
     def test_normalize_proportional_factors(self):
+        # proportional factors share one primitive form; scales fold into the coefficient
         s = FactoredScalar(1, 2, (form(1, const=2, c0=2),), (form(1, const=1, c0=1),))
-        n = s.normalize()
-        assert n.num == () and n.den == () and n.coefficient == 4
+        assert s.num == () and s.den == () and s.coefficient == 4
+        assert s.factors == {}
 
     def test_normalize_idempotent_random(self, rng):
+        # construction is canonical: primitive, non-constant keys with nonzero
+        # multiplicities, and rebuilding from the views gives the same data
         for _ in range(100):
             r = rng.randint(1, 3)
             num = []
@@ -79,10 +85,13 @@ class TestFactoredScalar:
                     continue
                 (num if rng.random() < 0.5 else den).append(f)
             s = FactoredScalar(r, Fraction(rng.randint(1, 9), rng.randint(1, 9)), num, den)
-            once = s.normalize()
-            assert once.normalize() == once
+            for f, m in s.factors.items():
+                assert m != 0 and not f.is_constant() and f.primitive() == (f, 1)
+            again = FactoredScalar(r, s.coefficient, s.num, s.den)
+            assert again.coefficient == s.coefficient and again.factors == s.factors
 
     def test_normalize_preserves_evaluate(self, rng):
+        # the canonical data evaluates to the raw product of the given factors
         for _ in range(50):
             r = rng.randint(1, 3)
             factors = [AffineForm(r, rng.randint(1, 4), rng.randint(-3, 3),
@@ -90,11 +99,16 @@ class TestFactoredScalar:
                        for _ in range(3)]
             s = FactoredScalar(r, Fraction(3, 7), factors[:2], factors[2:])
             p = random_point(r, rng, bound=50)
-            try:
-                expected = s.evaluate(p)
-            except PoleError:
+            a, b, c = (f.evaluate(p) for f in factors)
+            if c == 0:
                 continue
-            assert s.normalize().evaluate(p) == expected
+            assert s.evaluate(p) == Fraction(3, 7) * a * b / c
+
+    def test_cancelled_factor_is_not_a_pole(self):
+        x = form(1, c0=1)
+        s = FactoredScalar(1, 1, (x, form(1, const=1, c0=1)), (x,))
+        assert s.evaluate(ParameterPoint(1, 0, [0])) == 1
+        assert (FactoredScalar.from_affine(x) / x).evaluate(ParameterPoint(1, 0, [0])) == 1
 
     def test_evaluate_distributes(self, rng):
         r = 2
@@ -113,6 +127,67 @@ class TestFactoredScalar:
     def test_numerator_zero_is_zero(self):
         s = FactoredScalar(1, 1, (form(1, const=1, c0=2),))
         assert s.evaluate(ParameterPoint(1, Fraction(-1, 2), [0])) == 0
+
+
+def _forms(r):
+    small = st.integers(-3, 3)
+    return st.builds(lambda k, a, d: AffineForm(r, k, a, d), small, small,
+                     st.lists(small, min_size=r, max_size=r)).filter(lambda f: not f.is_zero())
+
+
+def _points(r):
+    q = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    return st.builds(lambda c0, d: ParameterPoint(r, c0, d), q, st.lists(q, min_size=r, max_size=r))
+
+
+@st.composite
+def _scalar_ops(draw, r):
+    """(r, coefficient, [(form, +1 or -1)]): a factored scalar as raw steps."""
+    coef = draw(st.fractions(max_denominator=9).filter(bool))
+    ops = draw(st.lists(st.tuples(_forms(r), st.sampled_from((1, -1))), max_size=8))
+    return r, coef, ops
+
+
+def _stepwise(r, coef, ops):
+    s = FactoredScalar.from_rational(r, coef)
+    for f, sign in ops:
+        s = s * f if sign > 0 else s / f
+    return s
+
+
+PROPERTY = settings(deadline=None, database=None, derandomize=True)
+
+
+class TestFactoredScalarProperties:
+    @PROPERTY
+    @given(st.integers(1, 3).flatmap(_scalar_ops), st.randoms(use_true_random=False), st.integers(0, 8))
+    def test_order_and_grouping_do_not_matter(self, data, rnd, cut):
+        r, coef, ops = data
+        whole = FactoredScalar(r, coef, [f for f, s in ops if s > 0],
+                               [f for f, s in ops if s < 0])
+        shuffled = list(ops)
+        rnd.shuffle(shuffled)
+        grouped = _stepwise(r, coef, shuffled[:cut]) * _stepwise(r, 1, shuffled[cut:])
+        for other in (_stepwise(r, coef, ops), _stepwise(r, coef, shuffled), grouped,
+                      grouped.reciprocal().reciprocal()):
+            assert other == whole
+            assert hash(other) == hash(whole) and str(other) == str(whole)
+
+    @PROPERTY
+    @given(st.data())
+    def test_evaluate_is_multiplicative_away_from_poles(self, data):
+        r = data.draw(st.integers(1, 3))
+        a = _stepwise(*data.draw(_scalar_ops(r)))
+        b = _stepwise(*data.draw(_scalar_ops(r)))
+        p = data.draw(_points(r))
+        assert (a / a).evaluate(p) == 1
+        try:
+            va, vb = a.evaluate(p), b.evaluate(p)
+        except PoleError:
+            return
+        assert (a * b).evaluate(p) == va * vb
+        if vb != 0:
+            assert (a / b).evaluate(p) == va / vb
 
 
 class TestPochhammer:
@@ -178,6 +253,8 @@ class TestConvert:
 def test_parse_rational():
     assert parse_rational("-3/4") == Fraction(-3, 4)
     assert parse_rational("5") == 5
+    with pytest.raises(ValueError, match="'1/0'"):
+        parse_rational("1/0")
 
 
 def test_sum_zero_flag():
