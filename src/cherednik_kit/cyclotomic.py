@@ -1,8 +1,10 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_r).
 
 Elements are dense coefficient vectors over Fraction modulo the r-th
-cyclotomic polynomial, so equality tests are exact.  For r in {1, 2} the
-field degenerates to Q.  Conjugation is zeta -> zeta^(-1).
+cyclotomic polynomial, so equality tests are exact.  Conjugation is
+zeta -> zeta^(-1).  For r in {1, 2} the field degenerates to Q: the vector
+has one entry, and the arithmetic works on that Fraction directly, without
+the polynomial product and reduction (conjugation is then the identity).
 """
 from __future__ import annotations
 
@@ -96,15 +98,22 @@ class CycNumber:
 
     def __add__(self, other):
         other = self._coerce(other)
+        if self.field.degree == 1:
+            return CycNumber(self.field, (self.coeffs[0] + other.coeffs[0],))
         return CycNumber(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
+        if self.field.degree == 1:
+            return CycNumber(self.field, (-self.coeffs[0],))
         return CycNumber(self.field, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        if self.field.degree == 1:
+            return CycNumber(self.field, (self.coeffs[0] - other.coeffs[0],))
+        return CycNumber(self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __rsub__(self, other):
         return (-self) + self._coerce(other)
@@ -123,6 +132,8 @@ class CycNumber:
         if other.field is not self.field:
             raise ValueError("mixed cyclotomic fields")
         d = self.field.degree
+        if d == 1:
+            return CycNumber(self.field, (self.coeffs[0] * other.coeffs[0],))
         prod = [Fraction(0)] * (2 * d - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -138,6 +149,8 @@ class CycNumber:
         polynomial."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
+        if self.field.degree == 1:
+            return CycNumber(self.field, (1 / self.coeffs[0],))
         mod = list(self.field.modulus)
         a = list(self.coeffs)
         # extended euclid over Q[x]: s*a + t*mod = gcd (a unit)
@@ -161,17 +174,18 @@ class CycNumber:
     def conjugate(self) -> "CycNumber":
         """zeta -> zeta^{-1}."""
         f = self.field
-        out = f.zero
+        if f.degree == 1:
+            return self
+        vec = [Fraction(0)] * f.r
         for k, c in enumerate(self.coeffs):
-            if c:
-                out = out + f.zeta_power(-k) * c
-        return out
+            vec[-k % f.r] = c
+        return CycNumber(f, f._reduce(vec))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -92,11 +92,12 @@ class IrrepModel:
 
     shape: MultiPartition
     tableaux: list[StandardTableau]
-    index: dict[str, int]
+    index: dict[StandardTableau, int]
     field: CyclotomicField
     s_mats: list[Matrix]            # s_1 .. s_{n-1}
     zeta_residues: list[tuple[int, ...]]  # zeta_residues[i-1][t] = beta of box of i in T_t
     gram: list[Fraction]
+    _perm_cache: dict = dataclass_field(default_factory=dict, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -118,17 +119,13 @@ class IrrepModel:
         )
 
     def perm_matrix(self, w: tuple[int, ...]) -> Matrix:
-        key = w
-        cache = getattr(self, "_perm_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_perm_cache", cache)
-        if key not in cache:
+        cache = self._perm_cache
+        if w not in cache:
             mat = _identity_matrix(self.dim, self.field)
             for i in reduced_word(w):
                 mat = _mat_mul(mat, self.s_mats[i - 1], self.field.zero)
-            cache[key] = mat
-        return cache[key]
+            cache[w] = mat
+        return cache[w]
 
 
 def build_irrep(shape: MultiPartition, validate: bool = True) -> IrrepModel:
@@ -140,7 +137,7 @@ def build_irrep(shape: MultiPartition, validate: bool = True) -> IrrepModel:
     tableaux = enumerate_syt(shape)
     if not tableaux:
         raise ValueError("shape has no standard tableaux")
-    index = {t.as_text(): k for k, t in enumerate(tableaux)}
+    index = {t: k for k, t in enumerate(tableaux)}
     dim = len(tableaux)
 
     # gram weights by propagation from the first tableau
@@ -154,7 +151,7 @@ def build_irrep(shape: MultiPartition, validate: bool = True) -> IrrepModel:
             b, b2 = T.box_of(i), T.box_of(i + 1)
             if b.component == b2.component and (b.row == b2.row or b.column == b2.column):
                 continue
-            t2 = index[T.swap_adjacent(i).as_text()]
+            t2 = index[T.swap_adjacent(i)]
             if b.component == b2.component:
                 rho = Fraction(1, b2.content - b.content)
             else:
@@ -182,7 +179,7 @@ def build_irrep(shape: MultiPartition, validate: bool = True) -> IrrepModel:
             elif b.component == b2.component and b.column == b2.column:
                 col[t] = -field.one
             else:
-                t2 = index[T.swap_adjacent(i).as_text()]
+                t2 = index[T.swap_adjacent(i)]
                 if b.component == b2.component:
                     rho = Fraction(1, b2.content - b.content)
                 else:
@@ -345,6 +342,14 @@ class ModuleElement:
         return " + ".join(f"{c!r}*x^{nu}v[{t}]" for (nu, t), c in items) or "0"
 
 
+def _accumulate(out: dict, elt: ModuleElement, c: CycNumber) -> None:
+    """out += c * elt, in place on a term dict (zeros are dropped by the
+    ModuleElement built from it)."""
+    for key, v in elt.terms.items():
+        add = v * c
+        out[key] = out[key] + add if key in out else add
+
+
 class StandardModule:
     """The standard module attached to (shape, rational parameter point)."""
 
@@ -371,10 +376,10 @@ class StandardModule:
         return ModuleElement(self, {(tuple(nu), t_idx): self.field.one})
 
     def tableau_vector(self, T: StandardTableau) -> ModuleElement:
-        return self.basis_vector(self.irrep.index[T.as_text()])
+        return self.basis_vector(self.irrep.index[T])
 
     def gram_weight(self, T: StandardTableau) -> Fraction:
-        return self.irrep.gram[self.irrep.index[T.as_text()]]
+        return self.irrep.gram[self.irrep.index[T]]
 
     # -- group and multiplication actions ------------------------------------
 
@@ -436,10 +441,10 @@ class StandardModule:
     # -- the y-operators ------------------------------------------------------
 
     def y_act(self, i: int, elt: ModuleElement) -> ModuleElement:
-        out = self.zero()
+        out: dict = {}
         for (nu, t), c in elt.terms.items():
-            out = out + self._y_basis(i, nu, t).scale(c)
-        return out
+            _accumulate(out, self._y_basis(i, nu, t), c)
+        return ModuleElement(self, out)
 
     def _y_basis(self, i: int, nu: tuple[int, ...], t: int) -> ModuleElement:
         key = (i, nu, t)
@@ -510,10 +515,10 @@ class StandardModule:
         return ModuleElement(self, out)
 
     def z_act(self, i: int, elt: ModuleElement) -> ModuleElement:
-        out = self.zero()
+        out: dict = {}
         for key, c in elt.terms.items():
-            out = out + self._z_basis(i, key).scale(c)
-        return out
+            _accumulate(out, self._z_basis(i, key), c)
+        return ModuleElement(self, out)
 
     def _z_basis(self, i: int, key: tuple) -> ModuleElement:
         cached = self._z_cache.get((i, key))
@@ -739,12 +744,18 @@ def _kernel(rows: list[list[CycNumber]], width: int, f: CyclotomicField) -> list
         if pivot is None:
             continue
         mat[row_i], mat[pivot] = mat[pivot], mat[row_i]
-        inv = mat[row_i][col].inverse()
-        mat[row_i] = [c * inv for c in mat[row_i]]
-        for k in range(len(mat)):
-            if k != row_i and not mat[k][col].is_zero():
-                factor = mat[k][col]
-                mat[k] = [a - factor * b for a, b in zip(mat[k], mat[row_i])]
+        prow = mat[row_i]
+        inv = prow[col].inverse()
+        # the pivot row's nonzero columns: every other column of a row
+        # update would subtract factor * 0
+        support = [j for j, c in enumerate(prow) if not c.is_zero()]
+        for j in support:
+            prow[j] = prow[j] * inv
+        for k, row in enumerate(mat):
+            factor = row[col]
+            if k != row_i and not factor.is_zero():
+                for j in support:
+                    row[j] = row[j] - factor * prow[j]
         pivots.append(col)
         row_i += 1
         if row_i == len(mat):

@@ -1,6 +1,8 @@
+import operator
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cherednik_kit.cyclotomic import CyclotomicField, cyclotomic_polynomial
 
@@ -25,9 +27,10 @@ def test_root_of_unity(r):
     f = CyclotomicField(r)
     z = f.zeta_power(1)
     power = f.one
-    for _ in range(r):
+    for k in range(1, r + 1):
         power = power * z
-    assert power == f.one
+        assert (power == f.one) == (k == r)  # zeta has order exactly r
+    assert z.conjugate() * z == f.one
     total = f.zero
     for k in range(r):
         total = total + f.zeta_power(k)
@@ -66,3 +69,85 @@ def test_zero_division():
     f = CyclotomicField(3)
     with pytest.raises(ZeroDivisionError):
         f.zero.inverse()
+
+
+# -- field axioms as properties ------------------------------------------------
+
+PROPERTY = settings(deadline=None, database=None, derandomize=True)
+RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=8)
+
+
+def _element(r: int):
+    """A random element of Q(zeta_r), built from its coefficient vector."""
+    f = CyclotomicField(r)
+    return st.lists(RATIONALS, min_size=f.degree, max_size=f.degree).map(
+        lambda cs: sum((f.zeta_power(k) * c for k, c in enumerate(cs)), f.zero))
+
+
+@st.composite
+def _elements(draw, count: int):
+    """count elements of one field Q(zeta_r), 1 <= r <= 6."""
+    r = draw(st.integers(1, 6))
+    return [draw(_element(r)) for _ in range(count)]
+
+
+class TestFieldAxioms:
+    @PROPERTY
+    @given(_elements(3))
+    def test_associativity_and_distributivity(self, xs):
+        x, y, z = xs
+        assert (x * y) * z == x * (y * z)
+        assert (x + y) + z == x + (y + z)
+        assert x * (y + z) == x * y + x * z
+        assert (x - y) * z == x * z - y * z
+        assert x - y == -(y - x) == x + (-y)
+
+    @PROPERTY
+    @given(_elements(1))
+    def test_inverse(self, xs):
+        (x,) = xs
+        assume(not x.is_zero())
+        one = x.field.one
+        assert x * x.inverse() == one
+        assert x.inverse().inverse() == x
+        assert one / x == x.inverse()
+
+    @PROPERTY
+    @given(_elements(2))
+    def test_conjugation_is_a_multiplicative_involution(self, xs):
+        x, y = xs
+        assert x.conjugate().conjugate() == x
+        assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+        assert (x + y).conjugate() == x.conjugate() + y.conjugate()
+        norm = x * x.conjugate()
+        assert norm.conjugate() == norm
+
+    @PROPERTY
+    @given(st.lists(st.integers(1, 6), min_size=2, max_size=2, unique=True).flatmap(
+        lambda rs: st.tuples(_element(rs[0]), _element(rs[1]))))
+    def test_mixed_fields_raise(self, xy):
+        x, y = xy
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(ValueError):
+                op(x, y)
+            with pytest.raises(ValueError):
+                op(y, x)
+
+    @PROPERTY
+    @given(st.sampled_from((1, 2)), RATIONALS, RATIONALS)
+    def test_degree_one_agrees_with_fraction(self, r, a, b):
+        f = CyclotomicField(r)
+        x, y = f.from_rational(a), f.from_rational(b)
+        assert (x + y).coeffs == (a + b,)
+        assert (x - y).coeffs == (a - b,)
+        assert (-x).coeffs == (-a,)
+        assert (x * y).coeffs == (a * b,)
+        assert (x * 3).coeffs == (a * 3,)
+        assert x.conjugate() == x
+        assert x.is_zero() == (a == 0)
+        if b:
+            assert (x / y).coeffs == (a / b,)
+            assert y.inverse().coeffs == (1 / b,)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                y.inverse()

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cherednik_kit.cyclotomic import CyclotomicField
 from cherednik_kit.combinatorics import (
     MultiPartition,
     assignment_pair,
@@ -29,6 +30,7 @@ from cherednik_kit.oracle import (
     ModuleElement,
     StandardModule,
     ZeroGapError,
+    _kernel,
     build_irrep,
     symmetrizer_identity_check,
     validate_irrep,
@@ -438,3 +440,76 @@ def test_verify_report_cancelled_factor_is_not_a_pole():
     # the closed nonsymmetric norm here has a factor 1 - 2*c0 in both numerator
     # and denominator, and the drawn point has c0 = 1/2
     assert verify_report(2, 3, degree=3, seed=275012945, shape_text="|3")["ok"]
+
+
+def test_verify_report_frontier():
+    # r = 4 is a degree-2 field with a non-trivial conjugation; (1, 4) is the
+    # largest symmetric-group case
+    assert verify_report(4, 2, degree=2, seed=7)["ok"]
+    assert verify_report(1, 4, degree=2, seed=7)["ok"]
+
+
+def _dense_kernel(rows, width, f):
+    """Reference: dense Gauss-Jordan elimination, every entry of every row
+    updated at every pivot."""
+    mat = [list(row) for row in rows if any(not c.is_zero() for c in row)]
+    pivots = []
+    for col in range(width):
+        pivot = next((k for k in range(len(pivots), len(mat))
+                      if not mat[k][col].is_zero()), None)
+        if pivot is None:
+            continue
+        top = len(pivots)
+        mat[top], mat[pivot] = mat[pivot], mat[top]
+        inv = mat[top][col].inverse()
+        mat[top] = [c * inv for c in mat[top]]
+        for k in range(len(mat)):
+            if k != top:
+                factor = mat[k][col]
+                mat[k] = [a - factor * b for a, b in zip(mat[k], mat[top])]
+        pivots.append(col)
+    basis = []
+    for fc in (c for c in range(width) if c not in pivots):
+        vec = [f.zero] * width
+        vec[fc] = f.one
+        for k, pc in enumerate(pivots):
+            vec[pc] = -mat[k][fc]
+        basis.append(vec)
+    return basis
+
+
+def _random_cyc(f, rng, zero_share=0.4):
+    if rng.random() < zero_share:
+        return f.zero
+    out = f.zero
+    for k in range(f.degree):
+        out = out + f.zeta_power(k) * Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return out
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_kernel_matches_dense_reference(r):
+    # rows = A * B with A = [I; random] (m x k) and B = [I | random] (k x width),
+    # columns and rows shuffled: the rank is exactly k
+    f = CyclotomicField(r)
+    rng = random.Random(1000 + r)
+    for _ in range(12):
+        width = rng.randint(1, 6)
+        rank = rng.randint(0, width)
+        m = rank + rng.randint(0, 4)
+        a = [[f.one if i == j else f.zero for j in range(rank)] for i in range(rank)]
+        a += [[_random_cyc(f, rng) for _ in range(rank)] for _ in range(m - rank)]
+        b = [[f.one if i == j else f.zero for j in range(rank)]
+             + [_random_cyc(f, rng) for _ in range(width - rank)] for i in range(rank)]
+        cols = list(range(width))
+        rng.shuffle(cols)
+        b = [[row[c] for c in cols] for row in b]
+        rows = [[sum((a[i][k] * b[k][j] for k in range(rank)), f.zero) for j in range(width)]
+                for i in range(m)]
+        rng.shuffle(rows)
+        basis = _kernel(rows, width, f)
+        assert len(basis) == width - rank
+        for vec in basis:
+            for row in rows:
+                assert sum((x * v for x, v in zip(row, vec)), f.zero).is_zero()
+        assert basis == _dense_kernel(rows, width, f)
