@@ -74,6 +74,11 @@ class DomainError(ValueError):
     pass
 
 
+class UsageError(DomainError):
+    """Flags that are malformed or contradict each other; exit 2, like
+    argparse's own errors."""
+
+
 def _parse_d(text: str, r: int) -> list[Fraction]:
     vals = [parse_rational(tok) for tok in text.split(",")] if text else []
     if len(vals) != r:
@@ -327,8 +332,11 @@ def cmd_oracle_verify(args, out) -> int:
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("CHEREDNIK_SEED", "0"))
-    report = verify_report(args.r, args.n, degree=args.degree, seed=seed,
-                           shape_text=args.shape)
+    try:
+        report = verify_report(args.r, args.n, degree=args.degree, seed=seed,
+                               shape_text=args.shape)
+    except ValueError as exc:   # the checks catch their own errors: a bad flag
+        raise UsageError(str(exc)) from None
     report["schema"] = SCHEMA
     if not args.timings:
         for c in report["checks"]:
@@ -503,6 +511,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args, sys.stdout)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (DomainError, ValueError, ZeroDivisionError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

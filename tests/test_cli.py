@@ -147,6 +147,14 @@ class TestErrorHandling:
             main(["oracle", "verify", "--r", "1", "--n", "2", "--degree", "-1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("r, n, shape", [("1", "2", "3"), ("1", "3", "1,1"),
+                                             ("2", "2", "2")])
+    def test_oracle_verify_shape_mismatch_is_usage_error(self, r, n, shape, capsys):
+        assert main(["oracle", "verify", "--r", r, "--n", n, "--shape", shape]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and repr(shape) in captured.err
+
     def test_zero_denominator_names_value(self, capsys):
         assert main(["params", "convert", "--r", "1", "--c0", "1/0", "--d", "0",
                      "--to", "gordon"]) == 1

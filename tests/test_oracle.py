@@ -39,6 +39,7 @@ from cherednik_kit.oracle import (
 from cherednik_kit.scalars import ParameterPoint
 
 from conftest import compositions, enumerate_assignments, small_point
+from test_acceptance import ORACLE_RANGE
 
 
 class TestIrrep:
@@ -513,3 +514,124 @@ def test_kernel_matches_dense_reference(r):
             for row in rows:
                 assert sum((x * v for x, v in zip(row, vec)), f.zero).is_zero()
         assert basis == _dense_kernel(rows, width, f)
+
+
+def _kernel_eigenvector(mod, mu, T):
+    """Reference: the joint eigenvector by one stacked elimination of the
+    z_i - lambda_i over the whole residue block of its degree, after a scan
+    of the predicted spectra of every (nu, S) of the block for collisions."""
+    f, n = mod.field, mod.n
+    data = spectrum(mu, T)
+    target_res = tuple(d.zeta_residue for d in data)
+    target_z = tuple(d.z_eigenvalue.evaluate(mod.point) for d in data)
+    for nu in mod.monomials(sum(mu)):
+        for S in mod.irrep.tableaux:
+            sdata = spectrum(nu, S)
+            if ((nu, S) != (mu, T)
+                    and tuple(d.zeta_residue for d in sdata) == target_res
+                    and tuple(d.z_eigenvalue.evaluate(mod.point) for d in sdata) == target_z):
+                raise EigenvalueCollision(f"{(mu, T.as_text())} vs {(nu, S.as_text())}")
+    block = [(nu, t) for nu in mod.monomials(sum(mu)) for t in range(mod.irrep.dim)
+             if mod.residue_tuple(nu, t) == target_res]
+    pos = {key: k for k, key in enumerate(block)}
+    stacked = []
+    for i in range(1, n + 1):
+        mat = [[f.zero] * len(block) for _ in block]
+        for b, key in enumerate(block):
+            for key2, c in mod.z_act(i, ModuleElement(mod, {key: f.one})).terms.items():
+                mat[pos[key2]][b] = c
+            mat[b][b] = mat[b][b] - f.from_rational(target_z[i - 1])
+        stacked.extend(mat)
+    kernel = _kernel(stacked, len(block), f)
+    if len(kernel) != 1:
+        raise EigenvalueCollision(f"kernel dimension {len(kernel)}")
+    lead = mod.x_power(mu, mod.apply_perm(perm_inverse(sorting_data(mu)[2]),
+                                          mod.tableau_vector(T)))
+    anchor, want = min(lead.terms.items())
+    got = kernel[0][pos[anchor]]
+    if got.is_zero():
+        raise EigenvalueCollision("kernel vector misses the leading term")
+    scale = want / got
+    return ModuleElement(mod, {key: c * scale for key, c in zip(block, kernel[0])})
+
+
+@pytest.mark.parametrize("r, n", ORACLE_RANGE + [(1, 4), (4, 2)])
+def test_eigenvector_matches_kernel_reference(r, n):
+    # the triangular solve may succeed where the reference reports a
+    # collision (with a (nu, S) that z never reaches from (mu, T)), never
+    # the other way round; its norm then still matches the closed formula
+    rng = random.Random(7000 + 10 * r + n)
+    agreed = 0
+    for shape in enumerate_multipartitions(r, n):
+        mod = StandardModule(shape, small_point(r, rng))
+        for T in mod.irrep.tableaux:
+            for mu in compositions(n, 2):
+                case = (shape.as_text(), mu, T.as_text())
+                try:
+                    reference = _kernel_eigenvector(mod, mu, T)
+                except EigenvalueCollision:
+                    try:
+                        f = mod.eigenvector(mu, T)
+                    except EigenvalueCollision:
+                        continue
+                    expect = mod.gram_weight(T) * nonsymmetric_norm(mu, T).evaluate(mod.point)
+                    assert mod.norm(f) == expect, case
+                    continue
+                assert mod.eigenvector(mu, T) == reference, case
+                agreed += 1
+    assert agreed > 0
+
+
+@pytest.mark.parametrize("mu", [(0, 0, 0), (0, 1, 1)])
+def test_collision_between_tableaux_of_the_leading_slice(mu):
+    # at c0 = 0 the z_i no longer see contents, so the two tableaux of
+    # shape 2,1 share every eigenvalue
+    mod = StandardModule(parse_multipartition("2,1"), ParameterPoint(1, Fraction(0), [0]))
+    for T in mod.irrep.tableaux:
+        with pytest.raises(EigenvalueCollision):
+            mod.eigenvector(mu, T)
+        with pytest.raises(EigenvalueCollision):
+            _kernel_eigenvector(mod, mu, T)
+
+
+def test_eigenvector_does_not_use_the_closed_spectrum(monkeypatch, rng):
+    import cherednik_kit.oracle as oracle
+
+    def closed_formula(*_args):
+        raise AssertionError("the oracle read the closed-formula spectrum")
+
+    point = small_point(2, rng)
+    mod = StandardModule(parse_multipartition("1|1"), point)
+    T = mod.irrep.tableaux[0]
+    expect = mod.gram_weight(T) * nonsymmetric_norm((2, 1), T).evaluate(point)
+    monkeypatch.setattr(oracle, "spectrum", closed_formula)
+    assert mod.norm(mod.eigenvector((2, 1), T)) == expect
+
+
+def test_verify_report_rejects_a_shape_of_another_size():
+    with pytest.raises(ValueError, match="size 3"):
+        verify_report(1, 2, shape_text="3")
+
+
+@pytest.mark.parametrize("corruption", ["cycle", "off-diagonal"])
+def test_eigenvector_rejects_a_z_action_that_is_not_triangular(corruption, rng):
+    # r = 1, so every key is in the residue block; the solve takes its
+    # coordinates from z_1 where it can, and the exact check must see z_3
+    shape, point, mu = parse_multipartition("2,1"), small_point(1, rng), (1, 0, 1)
+    T = build_irrep(shape).tableaux[0]
+    lower = next(nu for nu, _ in StandardModule(shape, point).eigenvector(mu, T).terms
+                 if nu != mu)
+    mod = StandardModule(shape, point)
+    honest = mod._z_basis
+
+    def corrupted(i, key):
+        image = honest(i, key)
+        if corruption == "cycle" and i == 1 and key[0] == lower:
+            return image + mod.basis_vector(key[1], mu)
+        if corruption == "off-diagonal" and i == 3 and key[0] == mu:
+            return image + mod.basis_vector(key[1], lower)
+        return image
+
+    mod._z_basis = corrupted
+    with pytest.raises(AssertionError, match="not triangular"):
+        mod.eigenvector(mu, T)
