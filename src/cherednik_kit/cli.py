@@ -215,7 +215,10 @@ def cmd_aspherical_list(args, out) -> int:
     if args.p is not None:
         planes = hyperplanes_rpn(args.r, args.p, args.n)
     elif args.xi is not None:
-        i, j = (int(tok) for tok in args.xi.split(","))
+        try:
+            i, j = (int(tok) for tok in args.xi.split(","))
+        except ValueError:
+            raise DomainError(f"--xi must be 'i,j', two integers, not {args.xi!r}") from None
         planes = hyperplanes_twisted(args.r, args.n, LinearCharacter(i, j))
     else:
         planes = hyperplanes_rectangle(args.r, args.n)

@@ -4,10 +4,14 @@ Builds the standard module of a specialized rational Cherednik algebra of
 type G(r,1,n) degree by degree, straight from the defining relations:
 
 - build_irrep constructs the underlying irreducible G(r,1,n) representation
-  in rational seminormal form (basis indexed by standard tableaux, diagonal
-  gram weights) and validates every group relation at construction;
-- the y-operators act by relation-driven recursion (y kills degree 0 of the
-  induced module, and commuting y past x inserts the group-algebra bracket);
+  in rational seminormal form (basis indexed by standard tableaux, sparse
+  columns, diagonal gram weights) and validates every group relation at
+  construction;
+- the y-operators act by relation-driven recursion: y kills degree 0 of the
+  induced module, and commuting y past x inserts the bracket [y_i, x_j],
+  whose averages sum_l zeta^{-l*shift} zeta_i^l s_ij zeta_i^{-l} are r s_ij
+  on the entries of zeta-weight shift mod r (validate_irrep checks the
+  literal sum on the Jucys-Murphy elements);
 - z_i = y_i x_i + c0 * phi_i with phi_i the Jucys-Murphy sums;
 - joint eigenvectors of the z_i are solved by back-substitution down their
   triangular order on the twisted basis x^nu (tensor) w_nu^{-1} v_S, with
@@ -54,37 +58,23 @@ class ZeroGapError(ZeroDivisionError):
     """Intertwiner applied at a pole (matching residues, equal eigenvalues)."""
 
 
-Matrix = tuple[tuple[CycNumber, ...], ...]  # mat[a][b]: coeff of a in image of b
+# a matrix is its tuple of columns: mat[b] = {a: coefficient of a in the image
+# of b}, nonzero entries only, in increasing a
+Matrix = tuple[dict[int, CycNumber], ...]
 
 
-def _mat_mul(m1: Matrix, m2: Matrix, zero: CycNumber) -> Matrix:
-    dim = len(m1)
-    out = []
-    for a in range(dim):
-        row = []
-        for b in range(dim):
-            acc = zero
-            for k in range(dim):
-                if not m1[a][k].is_zero() and not m2[k][b].is_zero():
-                    acc = acc + m1[a][k] * m2[k][b]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+def _apply(mat: Matrix, vec: dict[int, CycNumber]) -> dict[int, CycNumber]:
+    """The image of the vector {b: coefficient} under mat, zeros dropped."""
+    out: dict = {}
+    for b, c in vec.items():
+        for a, m in mat[b].items():
+            add = m * c
+            out[a] = out[a] + add if a in out else add
+    return {a: out[a] for a in sorted(out) if not out[a].is_zero()}
 
 
-def _mat_vec(m: Matrix, v: Sequence[CycNumber], zero: CycNumber) -> tuple[CycNumber, ...]:
-    dim = len(m)
-    return tuple(
-        sum((m[a][b] * v[b] for b in range(dim) if not v[b].is_zero()), zero)
-        for a in range(dim)
-    )
-
-
-def _identity_matrix(dim: int, field: CyclotomicField) -> Matrix:
-    return tuple(
-        tuple(field.one if a == b else field.zero for b in range(dim))
-        for a in range(dim)
-    )
+def _mat_mul(m1: Matrix, m2: Matrix) -> Matrix:
+    return tuple(_apply(m1, col) for col in m2)
 
 
 @dataclass
@@ -114,9 +104,9 @@ class IrrepModel:
     def perm_matrix(self, w: tuple[int, ...]) -> Matrix:
         cache = self._perm_cache
         if w not in cache:
-            mat = _identity_matrix(self.dim, self.field)
+            mat = _zeta_power_matrix(self, 1, 0)
             for i in reduced_word(w):
-                mat = _mat_mul(mat, self.s_mats[i - 1], self.field.zero)
+                mat = _mat_mul(mat, self.s_mats[i - 1])
             cache[w] = mat
         return cache[w]
 
@@ -160,17 +150,16 @@ def build_irrep(shape: MultiPartition, validate: bool = True) -> IrrepModel:
     if any(g is None for g in gram):
         raise AssertionError("tableau graph not connected under adjacent swaps")
 
-    # s_i matrices, column by column
+    # s_i matrices, column by column: at most two entries each
     s_mats = []
     for i in range(1, n):
         cols = []
         for t, T in enumerate(tableaux):
-            col = [field.zero] * dim
             b, b2 = T.box_of(i), T.box_of(i + 1)
             if b.component == b2.component and b.row == b2.row:
-                col[t] = field.one
+                col = {t: field.one}
             elif b.component == b2.component and b.column == b2.column:
-                col[t] = -field.one
+                col = {t: -field.one}
             else:
                 t2 = index[T.swap_adjacent(i)]
                 if b.component == b2.component:
@@ -179,10 +168,9 @@ def build_irrep(shape: MultiPartition, validate: bool = True) -> IrrepModel:
                     rho = Fraction(0)
                 up = (b.component, b.row) < (b2.component, b2.row)
                 theta = Fraction(1) if up else 1 - rho * rho
-                col[t] = field.from_rational(rho)
-                col[t2] = field.from_rational(theta)
-            cols.append(tuple(col))
-        s_mats.append(tuple(zip(*cols)))   # rows from columns
+                col = {a: field.from_rational(q) for a, q in sorted([(t, rho), (t2, theta)]) if q}
+            cols.append(col)
+        s_mats.append(tuple(cols))
 
     zeta_residues = [
         tuple(T.box_of(i).component for T in tableaux) for i in range(1, n + 1)
@@ -203,75 +191,60 @@ def validate_irrep(model: IrrepModel) -> list[str]:
     errors = []
     f = model.field
     n = model.n
-    dim = model.dim
-    ident = _identity_matrix(dim, f)
-    zero = f.zero
+    r = model.shape.r
+    ident = _zeta_power_matrix(model, 1, 0)
 
     def close(name, got, expect):
         if got != expect:
             errors.append(name)
 
     for i in range(1, n):
-        close(f"s_{i}^2 = 1", _mat_mul(model.s_mats[i - 1], model.s_mats[i - 1], zero), ident)
+        close(f"s_{i}^2 = 1", _mat_mul(model.s_mats[i - 1], model.s_mats[i - 1]), ident)
     for i in range(1, n - 1):
         a, b = model.s_mats[i - 1], model.s_mats[i]
         close(f"braid s_{i} s_{i+1} s_{i}",
-              _mat_mul(a, _mat_mul(b, a, zero), zero),
-              _mat_mul(b, _mat_mul(a, b, zero), zero))
+              _mat_mul(a, _mat_mul(b, a)), _mat_mul(b, _mat_mul(a, b)))
     for i in range(1, n):
         for j in range(i + 2, n):
             a, b = model.s_mats[i - 1], model.s_mats[j - 1]
-            close(f"s_{i} s_{j} commute", _mat_mul(a, b, zero), _mat_mul(b, a, zero))
+            close(f"s_{i} s_{j} commute", _mat_mul(a, b), _mat_mul(b, a))
     zetas = [model.zeta_matrix(i) for i in range(1, n + 1)]
     for i in range(1, n + 1):
         power = ident
-        for _ in range(model.shape.r):
-            power = _mat_mul(power, zetas[i - 1], zero)
+        for _ in range(r):
+            power = _mat_mul(power, zetas[i - 1])
         close(f"zeta_{i}^r = 1", power, ident)
     for i in range(1, n):
-        got = _mat_mul(model.s_mats[i - 1], _mat_mul(zetas[i - 1], model.s_mats[i - 1], zero), zero)
+        got = _mat_mul(model.s_mats[i - 1], _mat_mul(zetas[i - 1], model.s_mats[i - 1]))
         close(f"s_{i} zeta_{i} s_{i} = zeta_{i+1}", got, zetas[i])
         for j in range(1, n + 1):
             if j in (i, i + 1):
                 continue
             close(f"s_{i} zeta_{j} commute",
-                  _mat_mul(model.s_mats[i - 1], zetas[j - 1], zero),
-                  _mat_mul(zetas[j - 1], model.s_mats[i - 1], zero))
-    # gram conditions: s_i self-adjoint, zeta_i unitary (diagonal root of unity)
+                  _mat_mul(model.s_mats[i - 1], zetas[j - 1]),
+                  _mat_mul(zetas[j - 1], model.s_mats[i - 1]))
+    # gram conditions: s_i self-adjoint, zeta_i unitary (diagonal root of unity);
+    # each nonzero entry is compared with its transposed entry, zero or not
     for i in range(1, n):
         m = model.s_mats[i - 1]
-        for a in range(dim):
-            for b in range(dim):
-                lhs = m[a][b] * model.gram[a]
-                rhs = m[b][a].conjugate() * model.gram[b]
-                if lhs != rhs:
+        for b, col in enumerate(m):
+            for a, c in col.items():
+                if c * model.gram[a] != m[a].get(b, f.zero).conjugate() * model.gram[b]:
                     errors.append(f"s_{i} gram self-adjointness")
     # Jucys-Murphy diagonal: phi_i = sum_{j<i} sum_l zeta_i^l s_ij zeta_i^-l
-    for i in range(1, n + 1):
-        phi = None
-        for j in range(1, i):
-            w = _transposition_matrix(model, i, j)
-            acc = None
-            for l in range(model.shape.r):
-                zl = _zeta_power_matrix(model, i, l)
-                zli = _zeta_power_matrix(model, i, -l)
-                term = _mat_mul(zl, _mat_mul(w, zli, zero), zero)
-                acc = term if acc is None else _mat_add(acc, term)
-            phi = acc if phi is None else _mat_add(phi, acc)
-        if phi is None:
-            continue
+    for i in range(2, n + 1):
+        terms = [_mat_mul(_zeta_power_matrix(model, i, l),
+                          _mat_mul(_transposition_matrix(model, i, j),
+                                   _zeta_power_matrix(model, i, -l)))
+                 for j in range(1, i) for l in range(r)]
         for t, T in enumerate(model.tableaux):
-            expect = f.from_rational(model.shape.r * T.box_of(i).content)
-            for a in range(dim):
-                want = expect if a == t else zero
-                if phi[a][t] != want:
-                    errors.append(f"jucys-murphy phi_{i} not diagonal with r*ct")
-                    break
+            # column t of phi_i: the sum of the terms' columns t
+            phi_t = _apply(tuple(term[t] for term in terms),
+                           dict.fromkeys(range(len(terms)), f.one))
+            expect = f.from_rational(r * T.box_of(i).content)
+            if phi_t != ({} if expect.is_zero() else {t: expect}):
+                errors.append(f"jucys-murphy phi_{i} not diagonal with r*ct")
     return sorted(set(errors))
-
-
-def _mat_add(m1: Matrix, m2: Matrix) -> Matrix:
-    return tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(m1, m2))
 
 
 def _transposition_matrix(model: IrrepModel, i: int, j: int) -> Matrix:
@@ -282,15 +255,9 @@ def _transposition_matrix(model: IrrepModel, i: int, j: int) -> Matrix:
 
 
 def _zeta_power_matrix(model: IrrepModel, i: int, l: int) -> Matrix:
-    f = model.field
-    dim = model.dim
-    return tuple(
-        tuple(
-            f.zeta_power(l * model.zeta_residues[i - 1][b]) if a == b else f.zero
-            for b in range(dim)
-        )
-        for a in range(dim)
-    )
+    """zeta_i^l, diagonal; l = 0 gives the identity."""
+    return tuple({b: model.field.zeta_power(l * res)}
+                 for b, res in enumerate(model.zeta_residues[i - 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +354,7 @@ class StandardModule:
         out: dict = {}
         for (nu, t), c in elt.terms.items():
             nu2 = tuple(nu[w_inv[i] - 1] for i in range(self.n))
-            for a in range(self.irrep.dim):
-                coef = mat[a][t]
-                if coef.is_zero():
-                    continue
+            for a, coef in mat[t].items():
                 key = (nu2, a)
                 add = c * coef
                 out[key] = out[key] + add if key in out else add
@@ -403,27 +367,23 @@ class StandardModule:
             out[(nu, t)] = c * self.field.zeta_power(power * res)
         return ModuleElement(self, out)
 
-    def _twisted_transposition(self, i: int, j: int, l: int,
-                               nu: tuple[int, ...], t: int) -> list[tuple]:
-        """zeta_i^l s_{ij} zeta_i^{-l} applied to the basis term (nu, t):
-        returns [(nu', t', coeff)]."""
-        f = self.field
-        scalar = f.zeta_power(l * (nu[i - 1] - nu[j - 1]))
+    def _averaged_transposition(self, i: int, j: int, shift: int,
+                                nu: tuple[int, ...], t: int) -> list[tuple]:
+        """sum_{l<r} zeta^{-l*shift} zeta_i^l s_{ij} zeta_i^{-l} applied to the
+        basis term (nu, t): returns [(nu', t', coeff)].
+
+        The l-th term has coefficient zeta^{l*k} s_ij[a, t] at (s_ij nu, a),
+        with k = nu_i - nu_j + beta_i(a) - beta_i(t); as sum_{l<r} zeta^{l*m}
+        is r when r | m and 0 otherwise, the sum keeps r * s_ij[a, t] where
+        k = shift (mod r) and nothing else."""
+        res = self.irrep.zeta_residues[i - 1]
         nu2 = list(nu)
         nu2[i - 1], nu2[j - 1] = nu2[j - 1], nu2[i - 1]
         nu2 = tuple(nu2)
-        mat = _transposition_matrix(self.irrep, i, j)
-        out = []
-        for a in range(self.irrep.dim):
-            coef = mat[a][t]
-            if coef.is_zero():
-                continue
-            # conjugation by zeta_i^l on the tensor factor
-            res_a = self.irrep.zeta_residues[i - 1][a]
-            res_t = self.irrep.zeta_residues[i - 1][t]
-            tensor_scalar = f.zeta_power(l * (res_a - res_t))
-            out.append((nu2, a, scalar * tensor_scalar * coef))
-        return out
+        k0 = nu[i - 1] - nu[j - 1] - res[t] - shift
+        col = _transposition_matrix(self.irrep, i, j)[t]
+        return [(nu2, a, coef * self.r) for a, coef in col.items()
+                if (k0 + res[a]) % self.r == 0]
 
     # -- the y-operators ------------------------------------------------------
 
@@ -460,6 +420,7 @@ class StandardModule:
         f = self.field
         p = self.point
         r = self.r
+        c0 = f.from_rational(p.c0)
         terms: dict = {}
 
         def add(nu2, t2, coeff):
@@ -468,23 +429,17 @@ class StandardModule:
 
         if i == j:
             add(nu, t, f.one)
-            c0 = f.from_rational(p.c0)
             for j2 in range(1, self.n + 1):
-                if j2 == i:
-                    continue
-                for l in range(r):
-                    for nu2, t2, coeff in self._twisted_transposition(i, j2, l, nu, t):
+                if j2 != i:
+                    for nu2, t2, coeff in self._averaged_transposition(i, j2, 0, nu, t):
                         add(nu2, t2, -(c0 * coeff))
             res = (self.irrep.zeta_residues[i - 1][t] - nu[i - 1]) % r
             dcoef = p.d[res] - p.d[(res - 1) % r]
             if dcoef:
                 add(nu, t, f.from_rational(-dcoef))
         else:
-            c0 = f.from_rational(p.c0)
-            for l in range(r):
-                weight = f.zeta_power(-l)
-                for nu2, t2, coeff in self._twisted_transposition(i, j, l, nu, t):
-                    add(nu2, t2, c0 * weight * coeff)
+            for nu2, t2, coeff in self._averaged_transposition(i, j, 1, nu, t):
+                add(nu2, t2, c0 * coeff)
         return ModuleElement(self, terms)
 
     # -- z-operators and Jucys-Murphy sums ------------------------------------
@@ -494,11 +449,10 @@ class StandardModule:
         out: dict = {}
         for (nu, t), c in elt.terms.items():
             for j in range(1, i):
-                for l in range(self.r):
-                    for nu2, t2, coeff in self._twisted_transposition(i, j, l, nu, t):
-                        key = (nu2, t2)
-                        add = c * coeff
-                        out[key] = out[key] + add if key in out else add
+                for nu2, t2, coeff in self._averaged_transposition(i, j, 0, nu, t):
+                    key = (nu2, t2)
+                    add = c * coeff
+                    out[key] = out[key] + add if key in out else add
         return ModuleElement(self, out)
 
     def z_act(self, i: int, elt: ModuleElement) -> ModuleElement:
@@ -606,14 +560,15 @@ class StandardModule:
         for nu in order:   # mu comes first
             w = sorting_data(nu)[2]
             twist, untwist = irrep.perm_matrix(w), irrep.perm_matrix(perm_inverse(w))
+            block = set(keys[nu])
 
             def coordinate(terms: dict, s: int) -> CycNumber:
-                return sum((twist[s][a] * terms[nu, a] for a in keys[nu] if (nu, a) in terms),
-                           f.zero)
+                return sum((twist[a][s] * terms[nu, a] for a in keys[nu]
+                            if (nu, a) in terms and s in twist[a]), f.zero)
 
             column = {}   # s -> (twisted basis vector, its z_i-images, diag_i(nu, s))
             for s in range(irrep.dim):
-                b = ModuleElement(self, {(nu, a): untwist[a][s] for a in keys[nu]})
+                b = ModuleElement(self, {(nu, a): c for a, c in untwist[s].items() if a in block})
                 if not b.is_zero():
                     zb = [self.z_act(i, b) for i in range(1, n + 1)]
                     column[s] = (b, zb, [coordinate(z.terms, s) for z in zb])
@@ -712,13 +667,9 @@ class StandardModule:
             by_exp.setdefault(nu, {})[t] = c
         out = {}
         for nu, coeffs in by_exp.items():
-            _, _, w_nu, _ = sorting_data(nu)
-            mat = self.irrep.perm_matrix(w_nu)
-            vec = [coeffs.get(t, self.field.zero) for t in range(self.irrep.dim)]
-            twisted = _mat_vec(mat, vec, self.field.zero)
-            for t, c in enumerate(twisted):
-                if not c.is_zero():
-                    out[(nu, t)] = c
+            mat = self.irrep.perm_matrix(sorting_data(nu)[2])
+            for t, c in _apply(mat, coeffs).items():
+                out[(nu, t)] = c
         return out
 
 

@@ -161,6 +161,14 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "'1/0'" in err
 
+    @pytest.mark.parametrize("xi", ["5", "1,2,3", "a,b"])
+    def test_malformed_xi_names_the_flag(self, xi, capsys):
+        assert main(["aspherical", "list", "--r", "2", "--n", "2", "--xi", xi]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "--xi" in captured.err and "'i,j'" in captured.err and repr(xi) in captured.err
+
     @pytest.mark.parametrize("argv, code", [
         (["partitions", "--r", "1", "--n", "2"], 2),
         (["syt", "--r", "1", "--shape", "2"], 2),

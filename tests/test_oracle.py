@@ -48,7 +48,7 @@ class TestIrrep:
             shape = MultiPartition(r, ((2,),) + ((),) * (r - 1))
             m = build_irrep(shape)
             assert m.dim == 1
-            assert all(col == (m.field.one,) for col in m.s_mats[0])
+            assert m.s_mats[0] == ({0: m.field.one},)
             assert m.zeta_residues[0][0] == 0
 
     def test_determinant_shape(self):
@@ -67,9 +67,10 @@ class TestIrrep:
 
     def test_validation_catches_corruption(self):
         m = build_irrep(parse_multipartition("2,1"))
-        bad = [list(row) for row in m.s_mats[0]]
-        bad[0][0] = bad[0][0] + m.field.one
-        m.s_mats[0] = tuple(tuple(row) for row in bad)
+        # entry (0, 0) of s_1; columns are {row: coefficient}
+        bad = [dict(col) for col in m.s_mats[0]]
+        bad[0][0] = bad[0].get(0, m.field.zero) + m.field.one
+        m.s_mats[0] = tuple(bad)
         m._perm_cache = {}
         assert validate_irrep(m)
 
@@ -448,6 +449,75 @@ def test_verify_report_frontier():
     # largest symmetric-group case
     assert verify_report(4, 2, degree=2, seed=7)["ok"]
     assert verify_report(1, 4, degree=2, seed=7)["ok"]
+    # r = 5: Q(zeta_5) has degree 4
+    assert verify_report(5, 2, degree=1, seed=7)["ok"]
+
+
+def _twisted_transposition(mod, i, j, l, nu, t):
+    """Reference: zeta_i^l s_ij zeta_i^{-l} applied to the basis term (nu, t),
+    with every power of zeta built: [(nu', t', coeff)]."""
+    f = mod.field
+    res = mod.irrep.zeta_residues[i - 1]
+    scalar = f.zeta_power(l * (nu[i - 1] - nu[j - 1]))
+    nu2, w = list(nu), list(range(1, mod.n + 1))
+    nu2[i - 1], nu2[j - 1] = nu2[j - 1], nu2[i - 1]
+    w[i - 1], w[j - 1] = w[j - 1], w[i - 1]
+    col = mod.irrep.perm_matrix(tuple(w))[t]
+    return [(tuple(nu2), a, scalar * f.zeta_power(l * (res[a] - res[t])) * coef)
+            for a, coef in col.items()]
+
+
+def _literal_bracket(mod, i, j, nu, t):
+    """Reference: [y_i, x_j] on (nu, t) with the sum over l = 0..r-1 of the
+    defining relation written out."""
+    f, p, r = mod.field, mod.point, mod.r
+    c0 = f.from_rational(p.c0)
+    terms = {}
+
+    def add(key, coeff):
+        terms[key] = terms[key] + coeff if key in terms else coeff
+
+    if i == j:
+        add((nu, t), f.one)
+        for j2 in range(1, mod.n + 1):
+            if j2 == i:
+                continue
+            for l in range(r):
+                for nu2, t2, coeff in _twisted_transposition(mod, i, j2, l, nu, t):
+                    add((nu2, t2), -(c0 * coeff))
+        res = (mod.irrep.zeta_residues[i - 1][t] - nu[i - 1]) % r
+        add((nu, t), f.from_rational(-(p.d[res] - p.d[(res - 1) % r])))
+    else:
+        for l in range(r):
+            for nu2, t2, coeff in _twisted_transposition(mod, i, j, l, nu, t):
+                add((nu2, t2), c0 * f.zeta_power(-l) * coeff)
+    return ModuleElement(mod, terms)
+
+
+def _literal_jm(mod, i, nu, t):
+    """Reference: phi_i = sum_{j<i} sum_l zeta_i^l s_ij zeta_i^{-l} on (nu, t)."""
+    terms = {}
+    for j in range(1, i):
+        for l in range(mod.r):
+            for nu2, t2, coeff in _twisted_transposition(mod, i, j, l, nu, t):
+                key = (nu2, t2)
+                terms[key] = terms[key] + coeff if key in terms else coeff
+    return ModuleElement(mod, terms)
+
+
+@pytest.mark.parametrize("r, n", ORACLE_RANGE + [(4, 2), (5, 2), (6, 2)])
+def test_averaged_transposition_matches_the_literal_sum(r, n):
+    # the closed-form Z/r average in _bracket and jm_act against the sum over l
+    rng = random.Random(1000 * r + n)
+    for shape in enumerate_multipartitions(r, n):
+        mod = StandardModule(shape, small_point(r, rng))
+        for deg in range(3):
+            for nu in mod.monomials(deg):
+                for t in range(mod.irrep.dim):
+                    for i in range(1, n + 1):
+                        assert mod.jm_act(i, mod.basis_vector(t, nu)) == _literal_jm(mod, i, nu, t)
+                        for j in range(1, n + 1):
+                            assert mod._bracket(i, j, nu, t) == _literal_bracket(mod, i, j, nu, t)
 
 
 def _dense_kernel(rows, width, f):
