@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .combinatorics import MultiPartition, enumerate_multipartitions
+from .combinatorics import enumerate_multipartitions
 from .norms import minimal_norm
-from .scalars import AffineForm, FactoredScalar, ParameterPoint
+from .scalars import AffineForm, ParameterPoint
 
 
 @dataclass(frozen=True)
@@ -93,26 +93,30 @@ def _dedup(planes: Iterable[Hyperplane]) -> list[Hyperplane]:
     return sorted(by_form.values(), key=Hyperplane.sort_key)
 
 
-def _c0_family(r: int, n: int) -> list[Hyperplane]:
-    return [_c0_hyperplane(r, k, m) for m in range(2, n + 1) for k in range(1, m)]
+def _c0_family(r: int, n: int, sign: int = 1) -> list[Hyperplane]:
+    return [_c0_hyperplane(r, k, sign * m) for m in range(2, n + 1) for k in range(1, m)]
+
+
+def _rectangle_planes(r: int, n: int, sign: int, j: int) -> list[Hyperplane]:
+    """hyperplanes_rectangle twisted by a sign and a rotation j: the loci of
+    sign*m*c0 + k and of d_{l+j} - d_{l+j-k} + sign*r*ct(b)*c0 - k."""
+    if r < 1 or n < 1:
+        raise ValueError("need r >= 1, n >= 1")
+    planes = _c0_family(r, n, sign)
+    for rows in range(1, n + 1):
+        for cols in range(1, n // rows + 1):
+            for l in range(r):
+                for k in range(1, l + (rows - 1) * r + 1):
+                    if k % r != 0:
+                        planes.append(_d_hyperplane(r, k, l + j, sign * (cols - rows)))
+    return _dedup(planes)
 
 
 def hyperplanes_rectangle(r: int, n: int) -> list[Hyperplane]:
     """Union of the c0-family with, for every rectangle of at most n boxes
     with corner box b, every l in [0,r) and k != 0 mod r with
     1 <= k <= l + (row(b)-1)*r, the hyperplane k = d_l - d_{l-k} + r*ct(b)*c0."""
-    if r < 1 or n < 1:
-        raise ValueError("need r >= 1, n >= 1")
-    planes = _c0_family(r, n)
-    for rows in range(1, n + 1):
-        for cols in range(1, n // rows + 1):
-            m = cols - rows
-            for l in range(r):
-                for k in range(1, l + (rows - 1) * r + 1):
-                    if k % r == 0:
-                        continue
-                    planes.append(_d_hyperplane(r, k, l, m))
-    return _dedup(planes)
+    return _rectangle_planes(r, n, 1, 0)
 
 
 def max_rectangle_rows(n: int, m: int) -> Optional[int]:
@@ -160,26 +164,7 @@ def hyperplanes_twisted(r: int, n: int, xi: LinearCharacter) -> list[Hyperplane]
     """Arrangement for the twist by the linear character with sign exponent i
     and rotation j: c0 = (-1)^(i+1) k/m, and
     k = d_{l+j} - d_{l+j-k} + (-1)^i r ct(b) c0 over the same rectangles."""
-    if r < 1 or n < 1:
-        raise ValueError("need r >= 1, n >= 1")
-    i, j = xi.sign_exponent, xi.rotation % r
-    sign = -1 if i == 1 else 1
-    planes = []
-    for m_ in range(2, n + 1):
-        for k in range(1, m_):
-            form = _normalized(AffineForm(r, const=sign * k, c0=m_))
-            planes.append(Hyperplane(form, "c0", k, None, sign * m_))
-    for rows in range(1, n + 1):
-        for cols in range(1, n // rows + 1):
-            ct = cols - rows
-            for l in range(r):
-                for k in range(1, l + (rows - 1) * r + 1):
-                    if k % r == 0:
-                        continue
-                    form = _normalized(AffineForm(
-                        r, const=-k, c0=sign * r * ct, d={l + j: 1, l + j - k: -1}))
-                    planes.append(Hyperplane(form, "d", k, (l + j) % r, sign * ct))
-    return _dedup(planes)
+    return _rectangle_planes(r, n, (-1) ** xi.sign_exponent, xi.rotation)
 
 
 def hyperplanes_rpn(r: int, p: int, n: int) -> list[Hyperplane]:

@@ -36,10 +36,7 @@ from .aspherical import (
     is_aspherical,
 )
 from .combinatorics import (
-    Comparison,
     MultiPartition,
-    as_partition,
-    assignment_pair,
     enumerate_multipartitions,
     enumerate_syt,
     parse_assignment,
@@ -135,8 +132,15 @@ def _tableau_from_args(args, shape):
     return tabs[args.tableau_index]
 
 
+def _int_list(text: str, flag: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in text.split(",")) if text else ()
+    except ValueError:
+        raise DomainError(f"{flag} must be a comma list of integers, not {text!r}") from None
+
+
 def _parse_mu(text: str, n: int) -> tuple[int, ...]:
-    mu = tuple(int(tok) for tok in text.split(",")) if text else ()
+    mu = _int_list(text, "--mu")
     if len(mu) != n or any(x < 0 for x in mu):
         raise DomainError(f"mu must be {n} non-negative integers")
     return mu
@@ -320,7 +324,7 @@ def cmd_core_quotient(args, out) -> int:
     else:
         if args.a is None or args.quotient is None:
             raise DomainError("encode requires --a and --quotient")
-        charges = tuple(int(tok) for tok in args.a.split(","))
+        charges = _int_list(args.a, "--a")
         shape = _shape_from_gordon(args.quotient, args.r)
         lam = assemble(charges, shape)
         text = ",".join(str(x) for x in lam)

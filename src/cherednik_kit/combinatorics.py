@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations as iter_permutations
 from typing import Iterator, Sequence
 
 Partition = tuple[int, ...]

@@ -14,14 +14,17 @@ AffineForm / FactoredScalar values:
 - pochhammer_products: the alternative Pochhammer-symbol expressions,
   proportional to hook/extra products by nonzero constants.
 
-Empty products are 1 throughout.
+Each product formula collects its numerator and denominator affine forms in
+lists and builds one canonical FactoredScalar from them, once; minimal_norm
+multiplies two such products, and pochhammer_products, the independent
+reference, multiplies Pochhammer symbols.  Empty products are 1 throughout.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .combinatorics import (
     BoxRef,
@@ -29,10 +32,11 @@ from .combinatorics import (
     ShapeAssignment,
     StandardTableau,
     conjugate,
-    perm_inverse,
     sorting_data,
 )
 from .scalars import AffineForm, FactoredScalar, pochhammer
+
+Part = tuple[list[AffineForm], list[AffineForm]]  # numerator forms, denominator forms
 
 
 @dataclass(frozen=True)
@@ -72,6 +76,35 @@ def spectrum(mu: Sequence[int], T: StandardTableau) -> list[SpectralDatum]:
     return out
 
 
+def _residue_forms(r: int, top: int, hi: int, lo: int, ct: int) -> list[AffineForm]:
+    """_eig_form(r, k, hi, lo, ct) for 1 <= k <= top with k = hi - lo mod r."""
+    return [_eig_form(r, k, hi, lo, ct) for k in range((hi - lo - 1) % r + 1, top + 1, r)]
+
+
+def _own_forms(r: int, top: int, beta: int, ct: int) -> list[AffineForm]:
+    """A box's own factors: _eig_form(r, k, beta, beta - k, ct) for 1 <= k <= top."""
+    return [_eig_form(r, k, beta, beta - k, ct) for k in range(1, top + 1)]
+
+
+def _pair_forms(r: int, hi: int, lo: int, ct: int, top_minus: int, top_plus: int) -> Part:
+    """Numerator and denominator of an ordered box pair's ratios: with X(c)
+    the residue forms of (hi, lo) at content difference c, X(ct - 1)/X(ct)
+    for k <= top_minus and X(ct + 1)/X(ct) for k <= top_plus."""
+    num = _residue_forms(r, top_minus, hi, lo, ct - 1) + _residue_forms(r, top_plus, hi, lo, ct + 1)
+    den = _residue_forms(r, top_minus, hi, lo, ct) + _residue_forms(r, top_plus, hi, lo, ct)
+    return num, den
+
+
+def _product(r: int, coefficient, parts: Iterable[Part]) -> FactoredScalar:
+    """One FactoredScalar from the forms of all parts."""
+    num: list[AffineForm] = []
+    den: list[AffineForm] = []
+    for part_num, part_den in parts:
+        num += part_num
+        den += part_den
+    return FactoredScalar(r, coefficient, num, den)
+
+
 def nonsymmetric_norm(mu: Sequence[int], T: StandardTableau) -> FactoredScalar:
     """Norm of the joint eigenvector with leading term x^mu v_T^mu, as a
     factored product of affine forms (squares kept as repeated factors,
@@ -86,33 +119,23 @@ def nonsymmetric_norm(mu: Sequence[int], T: StandardTableau) -> FactoredScalar:
     boxes = [T.box_of(w_mu[i - 1]) for i in range(1, n + 1)]
     a = [b.content for b in boxes]
     beta = [b.component for b in boxes]
+    parts = [(_own_forms(r, mu[i], beta[i], a[i]), []) for i in range(n)]
+    # per pair, ((X - r c0)(X + r c0)) / X^2 = X(ct - 1) X(ct + 1) / X(ct)^2,
+    # ct = a_hi - a_lo, for k up to mu_i - mu_j at (i, j), mu_j - mu_i - 1 at (j, i)
+    parts += [_pair_forms(r, beta[hi], beta[lo], a[hi] - a[lo], top, top)
+              for i in range(n) for j in range(i + 1, n)
+              for hi, lo, top in ((i, j, mu[i] - mu[j]), (j, i, mu[j] - mu[i] - 1))]
+    return _product(r, 1, parts)
 
-    result = FactoredScalar.one(r)
-    for i in range(n):
-        for k in range(1, mu[i] + 1):
-            result = result * _eig_form(r, k, beta[i], beta[i] - k, a[i])
 
-    rc0 = AffineForm(r, c0=r)
-
-    def ratio_block(hi: int, lo: int, top: int):
-        # prod over 1 <= k <= top, k = beta_hi - beta_lo mod r, of
-        # ((X - r c0)(X + r c0)) / X^2 with X = k - (d_hi - d_lo) - r(a_hi - a_lo) c0
-        block = FactoredScalar.one(r)
-        for k in range(1, top + 1):
-            if (k - (beta[hi] - beta[lo])) % r != 0:
-                continue
-            x = _eig_form(r, k, beta[hi], beta[lo], a[hi] - a[lo])
-            block = block * (x - rc0) * (x + rc0)
-            block = block / x / x
-        return block
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if mu[i] > mu[j]:
-                result = result * ratio_block(i, j, mu[i] - mu[j])
-            if mu[i] < mu[j] - 1:
-                result = result * ratio_block(j, i, mu[j] - mu[i] - 1)
-    return result
+def _box_parts(S: ShapeAssignment, b: BoxRef) -> list[Part]:
+    """Box b's share of the symmetric-norm product: its own factors and the
+    ratios of the ordered pairs (b, b2) over every box b2 (b2 = b adds none)."""
+    r, sb = S.shape.r, S.value(b)
+    return [(_own_forms(r, sb, b.component, b.content), [])] + [
+        _pair_forms(r, b.component, b2.component, b.content - b2.content,
+                    sb - S.value(b2), sb - S.value(b2) - r)
+        for b2 in S.shape.boxes()]
 
 
 def symmetric_norm(S: ShapeAssignment) -> FactoredScalar:
@@ -123,32 +146,8 @@ def symmetric_norm(S: ShapeAssignment) -> FactoredScalar:
         raise ValueError("assignment must be column-strict")
     if not S.satisfies_residues():
         raise ValueError("assignment must satisfy S(b) = beta(b) mod r")
-    shape = S.shape
-    r = shape.r
-    n = shape.size
-    boxes = shape.boxes()
-
-    result = FactoredScalar.from_rational(r, factorial(n))
-    for b in boxes:
-        for k in range(1, S.value(b) + 1):
-            result = result * _eig_form(r, k, b.component, b.component - k, b.content)
-
-    for b in boxes:
-        for b2 in boxes:
-            db = b.component - b2.component
-            dct = b.content - b2.content
-            top1 = S.value(b) - S.value(b2)
-            for k in range(1, top1 + 1):
-                if (k - db) % r != 0:
-                    continue
-                result = result * _eig_form(r, k, b.component, b2.component, dct - 1)
-                result = result / _eig_form(r, k, b.component, b2.component, dct)
-            for k in range(1, top1 - r + 1):
-                if (k - db) % r != 0:
-                    continue
-                result = result * _eig_form(r, k, b.component, b2.component, dct + 1)
-                result = result / _eig_form(r, k, b.component, b2.component, dct)
-    return result
+    parts = [part for b in S.shape.boxes() for part in _box_parts(S, b)]
+    return _product(S.shape.r, factorial(S.shape.size), parts)
 
 
 def symmetrization_block_factor(S: ShapeAssignment) -> FactoredScalar:
@@ -164,19 +163,12 @@ def symmetrization_block_factor(S: ShapeAssignment) -> FactoredScalar:
     the oracle's norm of the symmetrized eigenvector equals
     gram(T) * this * closed formula.  For the minimal assignment this factor
     is the integer prod over rows of (row length)!."""
-    shape = S.shape
-    r = shape.r
+    r = S.shape.r
     rc0 = AffineForm(r, c0=r)
-    boxes = sorted(shape.boxes(), key=BoxRef.sort_key)
-    result = FactoredScalar.one(r)
-    for a in range(len(boxes)):
-        for bidx in range(a + 1, len(boxes)):
-            x, y = boxes[a], boxes[bidx]
-            if S.value(x) != S.value(y):
-                continue
-            d = -_eig_form(r, 0, y.component, x.component, y.content - x.content)
-            result = result * (d + rc0) / d
-    return result
+    boxes = sorted(S.shape.boxes(), key=BoxRef.sort_key)
+    ds = [-_eig_form(r, 0, y.component, x.component, y.content - x.content)
+          for a, x in enumerate(boxes) for y in boxes[a + 1:] if S.value(x) == S.value(y)]
+    return FactoredScalar(r, 1, [d + rc0 for d in ds], ds)
 
 
 def minimal_assignment(shape: MultiPartition) -> ShapeAssignment:
@@ -237,16 +229,11 @@ def hook_product(shape: MultiPartition) -> FactoredScalar:
     with S the minimal assignment."""
     r = shape.r
     S = minimal_assignment(shape)
-    result = FactoredScalar.one(r)
-    for b in lower_rim(shape):
-        for b2 in right_rim(shape):
-            db = b.component - b2.component
-            for k in range(1, S.value(b) - S.value(b2) + 1):
-                if (k - db) % r != 0:
-                    continue
-                result = result * _eig_form(r, k, b.component, b2.component,
-                                            b.content - b2.content - 1)
-    return result
+    right = right_rim(shape)
+    return FactoredScalar(r, 1, [
+        f for b in lower_rim(shape) for b2 in right
+        for f in _residue_forms(r, S.value(b) - S.value(b2), b.component, b2.component,
+                                b.content - b2.content - 1)])
 
 
 def extra_product(shape: MultiPartition) -> FactoredScalar:
@@ -256,16 +243,10 @@ def extra_product(shape: MultiPartition) -> FactoredScalar:
     r = shape.r
     S = minimal_assignment(shape)
     corners = corner_data(shape)
-    result = FactoredScalar.one(r)
-    for b in shape.boxes():
-        for corner in corners:
-            l = corner.component
-            for k in range(1, S.value(b) - corner.s_value - r + 1):
-                if (k - (b.component - l)) % r != 0:
-                    continue
-                result = result * _eig_form(r, k, b.component, l,
-                                            b.content - corner.content + 1)
-    return result
+    return FactoredScalar(r, 1, [
+        f for b in shape.boxes() for corner in corners
+        for f in _residue_forms(r, S.value(b) - corner.s_value - r, b.component,
+                                corner.component, b.content - corner.content + 1)])
 
 
 def minimal_norm(shape: MultiPartition) -> FactoredScalar:
@@ -278,30 +259,12 @@ def minimal_norm(shape: MultiPartition) -> FactoredScalar:
 def removal_correction(shape: MultiPartition, b: BoxRef) -> FactoredScalar:
     """The single-box recurrence factor: with chi = shape minus b (b must
     carry the maximal minimal-assignment value), minimal_norm(shape) equals
-    n * minimal_norm(chi) * removal_correction(shape, b)."""
-    r = shape.r
+    n * minimal_norm(chi) * removal_correction(shape, b), the share of b in
+    the symmetric-norm product of the minimal assignment."""
     S = minimal_assignment(shape)
-    sb = S.value(b)
-    if any(S.value(b2) > sb for b2 in shape.boxes()):
+    if any(S.value(b2) > S.value(b) for b2 in shape.boxes()):
         raise ValueError("box must carry a maximal assignment value")
-    result = FactoredScalar.one(r)
-    for k in range(1, sb + 1):
-        result = result * _eig_form(r, k, b.component, b.component - k, b.content)
-    others = [b2 for b2 in shape.boxes() if b2 != b]
-    for b2 in others:
-        db = b.component - b2.component
-        dct = b.content - b2.content
-        for k in range(1, sb - S.value(b2) + 1):
-            if (k - db) % r != 0:
-                continue
-            result = result * _eig_form(r, k, b.component, b2.component, dct - 1)
-            result = result / _eig_form(r, k, b.component, b2.component, dct)
-        for k in range(1, sb - S.value(b2) - r + 1):
-            if (k - db) % r != 0:
-                continue
-            result = result * _eig_form(r, k, b.component, b2.component, dct + 1)
-            result = result / _eig_form(r, k, b.component, b2.component, dct)
-    return result
+    return _product(shape.r, 1, _box_parts(S, b))
 
 
 def pochhammer_products(shape: MultiPartition) -> tuple[FactoredScalar, FactoredScalar]:

@@ -39,7 +39,6 @@ from .combinatorics import (
     MultiPartition,
     StandardTableau,
     enumerate_syt,
-    perm_identity,
     perm_inverse,
     reduced_word,
     simple_transposition,
@@ -98,13 +97,16 @@ class IrrepModel:
     def n(self) -> int:
         return self.shape.size
 
+    def identity(self) -> Matrix:
+        return tuple({b: self.field.one} for b in range(self.dim))
+
     def zeta_matrix(self, i: int) -> Matrix:
         return _zeta_power_matrix(self, i, 1)
 
     def perm_matrix(self, w: tuple[int, ...]) -> Matrix:
         cache = self._perm_cache
         if w not in cache:
-            mat = _zeta_power_matrix(self, 1, 0)
+            mat = self.identity()
             for i in reduced_word(w):
                 mat = _mat_mul(mat, self.s_mats[i - 1])
             cache[w] = mat
@@ -192,7 +194,7 @@ def validate_irrep(model: IrrepModel) -> list[str]:
     f = model.field
     n = model.n
     r = model.shape.r
-    ident = _zeta_power_matrix(model, 1, 0)
+    ident = model.identity()
 
     def close(name, got, expect):
         if got != expect:
@@ -255,7 +257,7 @@ def _transposition_matrix(model: IrrepModel, i: int, j: int) -> Matrix:
 
 
 def _zeta_power_matrix(model: IrrepModel, i: int, l: int) -> Matrix:
-    """zeta_i^l, diagonal; l = 0 gives the identity."""
+    """zeta_i^l, diagonal."""
     return tuple({b: model.field.zeta_power(l * res)}
                  for b, res in enumerate(model.zeta_residues[i - 1]))
 

@@ -169,6 +169,18 @@ class TestErrorHandling:
         assert captured.err.count("\n") == 1
         assert "--xi" in captured.err and "'i,j'" in captured.err and repr(xi) in captured.err
 
+    @pytest.mark.parametrize("argv, flag, text", [
+        (["spectrum", "--r", "1", "--shape", "2", "--mu", "a,b"], "--mu", "a,b"),
+        (["norm-f", "--r", "1", "--shape", "2", "--mu", "a,b"], "--mu", "a,b"),
+        (["core-quotient", "encode", "--r", "2", "--a", "x,0", "--quotient", "1|"], "--a", "x,0"),
+    ])
+    def test_non_integer_list_names_the_flag(self, argv, flag, text, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert flag in captured.err and repr(text) in captured.err and "int()" not in captured.err
+
     @pytest.mark.parametrize("argv, code", [
         (["partitions", "--r", "1", "--n", "2"], 2),
         (["syt", "--r", "1", "--shape", "2"], 2),

@@ -11,6 +11,7 @@ from cherednik_kit.combinatorics import (
     enumerate_syt,
     parse_assignment,
     parse_multipartition,
+    parse_tableau,
 )
 from cherednik_kit.norms import (
     extra_product,
@@ -264,3 +265,38 @@ class TestBlockFactor:
             c = symmetrization_block_factor(S)
             expect = math.prod(math.factorial(row) for comp in shape.components for row in comp)
             assert c.evaluate(small_point(1, rng)) == expect
+
+
+class TestPinnedText:
+    """Rendered closed formulas, several factors each and some with
+    denominators, pinned to literal text."""
+
+    @pytest.mark.parametrize("formula, expect", [
+        (lambda: nonsymmetric_norm((2, 0, 1), enumerate_syt(parse_multipartition("1|1,1", 2))[0]),
+         "2 * (1 + d0 - d1) * (1 + d0 - d1) * (1 + c0) * (1 + 4*c0 + d0 - d1)"
+         " / (1 + 2*c0 + d0 - d1)"),
+        (lambda: nonsymmetric_norm((0, 2, 1), parse_tableau("1,3/2", parse_multipartition("2,1", 1))),
+         "1 * (1 - 3*c0) * (1 + c0) * (2 - c0) / (1 - 2*c0)"),
+        (lambda: symmetric_norm(minimal_assignment(parse_multipartition("2|1", 2))),
+         "6 * (1 + 4*c0 + d0 - d1)"),
+        (lambda: symmetric_norm(parse_assignment("0,2|3", parse_multipartition("2|1", 2))),
+         "24 * (1 - 2*c0 - d0 + d1) * (1 - 2*c0 + d0 - d1) * (1 + 4*c0 + d0 - d1)"
+         " * (3 + 2*c0 + d0 - d1) / (1 + d0 - d1)"),
+        (lambda: symmetric_norm(parse_assignment("0,3/1", parse_multipartition("2,1", 1))),
+         "36 * (1 - 3*c0) * (1 + 2*c0) / (1 - 2*c0)"),
+        (lambda: minimal_norm(parse_multipartition("2,1|1", 2)),
+         "48 * (1 + 3*c0) * (1 + 4*c0 - d0 + d1) * (1 + 4*c0 + d0 - d1)"),
+        (lambda: hook_product(parse_multipartition("2,1|1", 2)),
+         "2 * (1 + 3*c0) * (1 + 4*c0 - d0 + d1) * (1 + 4*c0 + d0 - d1)"),
+        (lambda: minimal_norm(parse_multipartition("1|1|1", 3)),
+         "6 * (1 + 3*c0 + d1 - d2) * (1 + 3*c0 + d0 - d1) * (2 + 3*c0 + d0 - d2)"),
+        (lambda: removal_correction(parse_multipartition("2,1|1", 2), BoxRef(0, 2, 1)),
+         "2 * (1 + 3*c0) * (1 + 4*c0 - d0 + d1)"),
+        (lambda: extra_product(parse_multipartition("|1,1", 2)),
+         "1 * (1 + d0 - d1) * (1 + 2*c0 + d0 - d1) * (3 + 2*c0 + d0 - d1)"),
+        (lambda: extra_product(parse_multipartition("|1|1,1", 3)),
+         "1 * (1 + d1 - d2) * (1 + d0 - d1) * (2 + d0 - d2) * (2 + 3*c0 + d0 - d2)"
+         " * (5 + 3*c0 + d0 - d2)"),
+    ])
+    def test_formula_text(self, formula, expect):
+        assert str(formula()) == expect

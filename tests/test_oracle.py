@@ -50,6 +50,10 @@ class TestIrrep:
             assert m.dim == 1
             assert m.s_mats[0] == ({0: m.field.one},)
             assert m.zeta_residues[0][0] == 0
+            empty = build_irrep(MultiPartition(r, ((),) * r))
+            assert empty.dim == 1 and empty.perm_matrix(()) == ({0: empty.field.one},)
+        for r in (1, 2):
+            assert verify_report(r, 0, degree=2, seed=0)["ok"]
 
     def test_determinant_shape(self):
         r = 3
