@@ -16,8 +16,12 @@ Conventions shared by all subcommands:
 - output is byte-deterministic for fixed flags and seed (oracle verify
   timings can be suppressed with --no-timings for golden files).
 
-JSON output carries "schema": "cherednik-kit/1" except `aspherical list
---json`, which emits the documented bare array of hyperplane objects.
+Every subcommand but `aspherical list` and `oracle verify` writes through one
+output path, `_emit`: with `--format json` the envelope {"schema":
+"cherednik-kit/1", "command": <subcommand and action, e.g. "order compare">,
+"result": ...}, otherwise its text lines.  `aspherical list --json` emits the
+documented bare array of hyperplane objects, and `oracle verify`'s report
+(which carries the schema) is its JSON.
 """
 from __future__ import annotations
 
@@ -40,6 +44,7 @@ from .combinatorics import (
     enumerate_multipartitions,
     enumerate_syt,
     parse_assignment,
+    parse_int_list,
     parse_multipartition,
     parse_partition,
     parse_tableau,
@@ -92,8 +97,21 @@ def _emit_json(payload, out) -> None:
     out.write("\n")
 
 
-def _envelope(command: str, result) -> dict:
-    return {"schema": SCHEMA, "command": command, "result": result}
+def _emit(args, out, result, lines) -> int:
+    """The one output path of the enveloped commands: for --format json the
+    envelope naming the parsed subcommand (with its action, if any), else the
+    text lines."""
+    if args.format == "json":
+        command = " ".join(filter(None, (args.command, getattr(args, "action", None))))
+        _emit_json({"schema": SCHEMA, "command": command, "result": result}, out)
+    else:
+        for line in lines:
+            out.write(line + "\n")
+    return 0
+
+
+def _shape(args) -> MultiPartition:
+    return parse_multipartition(args.shape, args.r, "--shape")
 
 
 # ---------------------------------------------------------------------------
@@ -101,116 +119,66 @@ def _envelope(command: str, result) -> dict:
 
 
 def cmd_partitions(args, out) -> int:
-    shapes = enumerate_multipartitions(args.r, args.n)
-    texts = [s.as_text() for s in shapes]
-    if args.format == "json":
-        _emit_json(_envelope("partitions", texts), out)
-    else:
-        for t in texts:
-            out.write(t + "\n")
-    return 0
+    texts = [s.as_text() for s in enumerate_multipartitions(args.r, args.n)]
+    return _emit(args, out, texts, texts)
 
 
 def cmd_syt(args, out) -> int:
-    shape = parse_multipartition(args.shape, args.r)
-    tabs = enumerate_syt(shape)
-    texts = [t.as_text() for t in tabs]
-    if args.format == "json":
-        _emit_json(_envelope("syt", texts), out)
-    else:
-        for t in texts:
-            out.write(t + "\n")
-    return 0
+    texts = [t.as_text() for t in enumerate_syt(_shape(args))]
+    return _emit(args, out, texts, texts)
 
 
-def _tableau_from_args(args, shape):
+def _mu_and_tableau(args):
+    """(mu, T) from --shape, then --tableau or --tableau-index, then --mu."""
+    shape = _shape(args)
     if args.tableau is not None:
-        return parse_tableau(args.tableau, shape)
-    tabs = enumerate_syt(shape)
-    if not 0 <= args.tableau_index < len(tabs):
-        raise DomainError(f"tableau index out of range (shape has {len(tabs)} tableaux)")
-    return tabs[args.tableau_index]
-
-
-def _int_list(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(",")) if text else ()
-    except ValueError:
-        raise DomainError(f"{flag} must be a comma list of integers, not {text!r}") from None
-
-
-def _parse_mu(text: str, n: int) -> tuple[int, ...]:
-    mu = _int_list(text, "--mu")
-    if len(mu) != n or any(x < 0 for x in mu):
-        raise DomainError(f"mu must be {n} non-negative integers")
-    return mu
+        T = parse_tableau(args.tableau, shape, "--tableau")
+    else:
+        tabs = enumerate_syt(shape)
+        if not 0 <= args.tableau_index < len(tabs):
+            raise DomainError(f"tableau index out of range (shape has {len(tabs)} tableaux)")
+        T = tabs[args.tableau_index]
+    mu = parse_int_list(args.mu, "--mu")
+    if len(mu) != shape.size or any(x < 0 for x in mu):
+        raise DomainError(f"mu must be {shape.size} non-negative integers")
+    return mu, T
 
 
 def cmd_spectrum(args, out) -> int:
-    shape = parse_multipartition(args.shape, args.r)
-    T = _tableau_from_args(args, shape)
-    mu = _parse_mu(args.mu, shape.size)
-    data = spectrum(mu, T)
     rows = [
         {"i": d.index, "zeta_residue": d.zeta_residue, "z_eigenvalue": str(d.z_eigenvalue)}
-        for d in data
+        for d in spectrum(*_mu_and_tableau(args))
     ]
-    if args.format == "json":
-        _emit_json(_envelope("spectrum", rows), out)
-    elif args.format == "tsv":
-        out.write("i\tzeta_residue\tz_eigenvalue\n")
-        for row in rows:
-            out.write(f'{row["i"]}\t{row["zeta_residue"]}\t{row["z_eigenvalue"]}\n')
+    if args.format == "tsv":
+        lines = ["i\tzeta_residue\tz_eigenvalue"] + [
+            f'{row["i"]}\t{row["zeta_residue"]}\t{row["z_eigenvalue"]}' for row in rows]
     else:
-        for row in rows:
-            out.write(f'z_{row["i"]}: residue {row["zeta_residue"]}, '
-                      f'eigenvalue {row["z_eigenvalue"]}\n')
-    return 0
+        lines = [f'z_{row["i"]}: residue {row["zeta_residue"]}, eigenvalue {row["z_eigenvalue"]}'
+                 for row in rows]
+    return _emit(args, out, rows, lines)
 
 
 def cmd_norm_f(args, out) -> int:
-    shape = parse_multipartition(args.shape, args.r)
-    T = _tableau_from_args(args, shape)
-    mu = _parse_mu(args.mu, shape.size)
-    value = nonsymmetric_norm(mu, T)
-    if args.format == "json":
-        _emit_json(_envelope("norm-f", str(value)), out)
-    else:
-        out.write(str(value) + "\n")
-    return 0
+    value = str(nonsymmetric_norm(*_mu_and_tableau(args)))
+    return _emit(args, out, value, [value])
 
 
 def cmd_norm_g(args, out) -> int:
-    shape = parse_multipartition(args.shape, args.r)
-    S = parse_assignment(args.values, shape)
-    value = symmetric_norm(S)
-    if args.format == "json":
-        _emit_json(_envelope("norm-g", str(value)), out)
-    else:
-        out.write(str(value) + "\n")
-    return 0
+    S = parse_assignment(args.values, _shape(args), "--values")
+    value = str(symmetric_norm(S))
+    return _emit(args, out, value, [value])
 
 
 def cmd_norm_min(args, out) -> int:
-    shape = parse_multipartition(args.shape, args.r)
-    value = minimal_norm(shape)
-    if args.format == "json":
-        _emit_json(_envelope("norm-min", str(value)), out)
-    else:
-        out.write(str(value) + "\n")
-    return 0
+    value = str(minimal_norm(_shape(args)))
+    return _emit(args, out, value, [value])
 
 
 def cmd_hook(args, out) -> int:
-    shape = parse_multipartition(args.shape, args.r)
-    h = hook_product(shape)
-    e = extra_product(shape)
-    m = minimal_norm(shape)
-    if args.format == "json":
-        _emit_json(_envelope("hook", {"hook": str(h), "extra": str(e), "minimal_norm": str(m)}), out)
-    else:
-        out.write(f"hook: {h}\nextra: {e}\nminimal_norm: {m}\n")
-    return 0
+    shape = _shape(args)
+    result = {"hook": str(hook_product(shape)), "extra": str(extra_product(shape)),
+              "minimal_norm": str(minimal_norm(shape))}
+    return _emit(args, out, result, [f"{k}: {v}" for k, v in result.items()])
 
 
 def cmd_aspherical_list(args, out) -> int:
@@ -242,56 +210,38 @@ def cmd_aspherical_list(args, out) -> int:
 
 
 def cmd_aspherical_test(args, out) -> int:
-    point = _point(args)
-    flag, witnesses = is_aspherical(point, args.r, args.n)
-    if args.format == "json":
-        _emit_json(_envelope("aspherical test", {
-            "aspherical": flag,
-            "witnesses": [h.as_json_obj() for h in witnesses],
-        }), out)
-    else:
-        out.write(("aspherical" if flag else "not aspherical") + "\n")
-        for h in witnesses:
-            out.write(f"witness: {h.form} = 0\n")
-    return 0
+    flag, witnesses = is_aspherical(_point(args), args.r, args.n)
+    result = {"aspherical": flag, "witnesses": [h.as_json_obj() for h in witnesses]}
+    lines = ["aspherical" if flag else "not aspherical"]
+    lines += [f"witness: {h.form} = 0" for h in witnesses]
+    return _emit(args, out, result, lines)
+
+
+def _relation(geq, lam, chi, ctx, mark: str) -> str:
+    """'=', '>=' + mark, '<=' + mark or 'incomparable' under the order `geq`."""
+    ge, le = geq(lam, chi, ctx), geq(chi, lam, ctx)
+    if ge and le:
+        return "="
+    return ">=" + mark if ge else ("<=" + mark if le else "incomparable")
 
 
 def cmd_order_compare(args, out) -> int:
     ctx = OrderContext(_point(args))
-    lam = parse_multipartition(args.a, args.r)
-    chi = parse_multipartition(args.b, args.r)
+    lam = parse_multipartition(args.a, args.r, "--a")
+    chi = parse_multipartition(args.b, args.r, "--b")
     if lam.size != chi.size:
         raise DomainError("shapes must have equal size")
-    ge = geq_c(lam, chi, ctx)
-    le = geq_c(chi, lam, ctx)
-    if ge and le:
-        relation = "="
-    elif ge:
-        relation = ">=_c"
-    elif le:
-        relation = "<=_c"
-    else:
-        relation = "incomparable"
+    relation = _relation(geq_c, lam, chi, ctx, "_c")
     eq = equiv_c(lam, chi, ctx)
     charges = ctx.integer_charges()
     quotient_verdict = None
     if charges is not None and sum(charges) == 0:
-        qge = geq_c_quotient(lam, chi, ctx)
-        qle = geq_c_quotient(chi, lam, ctx)
-        quotient_verdict = "=" if (qge and qle) else (
-            ">='_c" if qge else ("<='_c" if qle else "incomparable"))
-    if args.format == "json":
-        _emit_json(_envelope("order compare", {
-            "relation": relation,
-            "equiv": eq,
-            "quotient_order": quotient_verdict,
-        }), out)
-    else:
-        out.write(relation + "\n")
-        out.write("equiv: " + ("yes" if eq else "no") + "\n")
-        if quotient_verdict is not None:
-            out.write("quotient order: " + quotient_verdict + "\n")
-    return 0
+        quotient_verdict = _relation(geq_c_quotient, lam, chi, ctx, "'_c")
+    lines = [relation, "equiv: " + ("yes" if eq else "no")]
+    if quotient_verdict is not None:
+        lines.append("quotient order: " + quotient_verdict)
+    result = {"relation": relation, "equiv": eq, "quotient_order": quotient_verdict}
+    return _emit(args, out, result, lines)
 
 
 def _gordon_text(shape: MultiPartition) -> str:
@@ -300,7 +250,7 @@ def _gordon_text(shape: MultiPartition) -> str:
 
 
 def _shape_from_gordon(text: str, r: int) -> MultiPartition:
-    gordon = [parse_partition(tok) for tok in text.split("|")]
+    gordon = parse_multipartition(text, name="--quotient").components
     if len(gordon) != r:
         raise DomainError(f"quotient must have {r} components")
     components = [gordon[(r - l) % r - 1] for l in range(r)]
@@ -311,28 +261,17 @@ def cmd_core_quotient(args, out) -> int:
     if args.action == "decode":
         if args.shape is None:
             raise DomainError("decode requires --shape")
-        lam = parse_partition(args.shape)
-        charges, shape = disassemble(lam, args.r)
-        payload = {
-            "a": ",".join(str(x) for x in charges),
-            "quotient": _gordon_text(shape),
-        }
-        if args.format == "json":
-            _emit_json(_envelope("core-quotient decode", payload), out)
-        else:
-            out.write(f'a={payload["a"]}; quotient={payload["quotient"]}\n')
+        charges, shape = disassemble(parse_partition(args.shape, "--shape"), args.r)
+        result = {"a": ",".join(str(x) for x in charges), "quotient": _gordon_text(shape)}
+        lines = [f'a={result["a"]}; quotient={result["quotient"]}']
     else:
         if args.a is None or args.quotient is None:
             raise DomainError("encode requires --a and --quotient")
-        charges = _int_list(args.a, "--a")
+        charges = parse_int_list(args.a, "--a")
         shape = _shape_from_gordon(args.quotient, args.r)
-        lam = assemble(charges, shape)
-        text = ",".join(str(x) for x in lam)
-        if args.format == "json":
-            _emit_json(_envelope("core-quotient encode", text), out)
-        else:
-            out.write(text + "\n")
-    return 0
+        result = ",".join(str(x) for x in assemble(charges, shape))
+        lines = [result]
+    return _emit(args, out, result, lines)
 
 
 def cmd_oracle_verify(args, out) -> int:
@@ -359,32 +298,37 @@ def cmd_oracle_verify(args, out) -> int:
 
 
 def cmd_params_convert(args, out) -> int:
-    point = _point(args)
-    result = convert_parameters(point, args.to)
+    result = convert_parameters(_point(args), args.to)
     payload = {k: (str(v) if isinstance(v, Fraction) else [str(x) for x in v])
                for k, v in result.items()}
-    if args.format == "json":
-        _emit_json(_envelope("params convert", payload), out)
-    else:
-        for k in sorted(payload):
-            v = payload[k]
-            out.write(f'{k} = {v if isinstance(v, str) else ",".join(v)}\n')
-    return 0
+    lines = [f'{k} = {v if isinstance(v, str) else ",".join(v)}'
+             for k, v in sorted(payload.items())]
+    return _emit(args, out, payload, lines)
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
-def _add_format(p, default="text", choices=("text", "json")):
-    p.add_argument("--format", choices=choices, default=default,
-                   help="output format (default %(default)s)")
-
-
 def _non_negative_int(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return int(text)
+
+
+def _leaf(sub, name, func, help, *flags, formats=("text", "json"), default="text", actions=None):
+    """Add a leaf subcommand: its positional action if `actions` are given,
+    --r, the (flag, add_argument kwargs) pairs in order, --format, and the
+    handler `func`."""
+    p = sub.add_parser(name, help=help)
+    if actions:
+        p.add_argument("action", choices=actions)
+    p.add_argument("--r", type=int, required=True)
+    for flag, kwargs in flags:
+        p.add_argument(flag, **kwargs)
+    p.add_argument("--format", choices=formats, default=default,
+                   help="output format (default %(default)s)")
+    p.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,120 +339,69 @@ def build_parser() -> argparse.ArgumentParser:
                     "r-partitions, and a brute-force verification oracle.")
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
+    n = ("--n", dict(type=int, required=True))
+    shape = ("--shape", dict(required=True))
+    c0, d = ("--c0", dict(required=True)), ("--d", dict(required=True))
+    mu_and_tableau = (
+        ("--mu", dict(required=True, help="composition, comma list of length n")),
+        ("--tableau", dict(help="tableau text, rows '/' components '|'")),
+        ("--tableau-index", dict(type=int, default=0,
+                                 help="index into the syt enumeration (default 0)")))
 
-    p = sub.add_parser("partitions", help="enumerate r-partitions of n")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_partitions)
-
-    p = sub.add_parser("syt", help="enumerate standard Young tableaux on a shape")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--shape", required=True, help="multipartition text, e.g. '2,1|1'")
-    _add_format(p)
-    p.set_defaults(func=cmd_syt)
-
-    for name, handler, formats, help_text in [
-            ("spectrum", cmd_spectrum, ("text", "json", "tsv"),
-             "joint eigenvalues of the commuting family for (mu, T)"),
-            ("norm-f", cmd_norm_f, ("text", "json"),
-             "norm of the nonsymmetric eigenvector for (mu, T)")]:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--r", type=int, required=True)
-        p.add_argument("--shape", required=True)
-        p.add_argument("--mu", required=True, help="composition, comma list of length n")
-        p.add_argument("--tableau", help="tableau text, rows '/' components '|'")
-        p.add_argument("--tableau-index", type=int, default=0,
-                       help="index into the syt enumeration (default 0)")
-        _add_format(p, choices=formats)
-        p.set_defaults(func=handler)
-
-    p = sub.add_parser("norm-g", help="norm of the symmetric eigenvector of a "
-                                      "column-strict residue-compatible filling")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--shape", required=True)
-    p.add_argument("--values", required=True, help="filling text, e.g. '0,2/1|1'")
-    _add_format(p)
-    p.set_defaults(func=cmd_norm_g)
-
-    p = sub.add_parser("norm-min", help="norm of the minimal symmetric invariant (n! * hook * extra)")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--shape", required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_norm_min)
-
-    p = sub.add_parser("hook", help="hook product, extra product, and minimal norm")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--shape", required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_hook)
+    _leaf(sub, "partitions", cmd_partitions, "enumerate r-partitions of n", n)
+    _leaf(sub, "syt", cmd_syt, "enumerate standard Young tableaux on a shape",
+          ("--shape", dict(required=True, help="multipartition text, e.g. '2,1|1'")))
+    _leaf(sub, "spectrum", cmd_spectrum, "joint eigenvalues of the commuting family for (mu, T)",
+          shape, *mu_and_tableau, formats=("text", "json", "tsv"))
+    _leaf(sub, "norm-f", cmd_norm_f, "norm of the nonsymmetric eigenvector for (mu, T)",
+          shape, *mu_and_tableau)
+    _leaf(sub, "norm-g", cmd_norm_g, "norm of the symmetric eigenvector of a "
+                                     "column-strict residue-compatible filling",
+          shape, ("--values", dict(required=True, help="filling text, e.g. '0,2/1|1'")))
+    _leaf(sub, "norm-min", cmd_norm_min,
+          "norm of the minimal symmetric invariant (n! * hook * extra)", shape)
+    _leaf(sub, "hook", cmd_hook, "hook product, extra product, and minimal norm", shape)
 
     p = sub.add_parser("aspherical", help="the aspherical hyperplane arrangement")
     asub = p.add_subparsers(dest="action", required=True)
-    q = asub.add_parser("list", help="enumerate the arrangement")
-    q.add_argument("--r", type=int, required=True)
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--xi", help="linear character twist 'i,j' (sign exponent, rotation)")
-    q.add_argument("--p", type=int, help="restrict to G(r,p,n) (p | r, n >= 3); "
-                                         "forms then live over d_0..d_{r/p-1}")
-    q.add_argument("--json", action="store_true", help="emit the bare JSON array")
-    _add_format(q, choices=("text", "json", "tsv"))
-    q.set_defaults(func=cmd_aspherical_list)
-    q = asub.add_parser("test", help="membership test for a parameter point")
-    q.add_argument("--r", type=int, required=True)
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--c0", required=True, help="rational p/q")
-    q.add_argument("--d", required=True, help="comma list of r rationals")
-    _add_format(q)
-    q.set_defaults(func=cmd_aspherical_test)
+    _leaf(asub, "list", cmd_aspherical_list, "enumerate the arrangement", n,
+          ("--xi", dict(help="linear character twist 'i,j' (sign exponent, rotation)")),
+          ("--p", dict(type=int, help="restrict to G(r,p,n) (p | r, n >= 3); "
+                                      "forms then live over d_0..d_{r/p-1}")),
+          ("--json", dict(action="store_true", help="emit the bare JSON array")),
+          formats=("text", "json", "tsv"))
+    _leaf(asub, "test", cmd_aspherical_test, "membership test for a parameter point", n,
+          ("--c0", dict(required=True, help="rational p/q")),
+          ("--d", dict(required=True, help="comma list of r rationals")))
 
     p = sub.add_parser("order", help="orderings on r-partitions")
     osub = p.add_subparsers(dest="action", required=True)
-    q = osub.add_parser("compare", help="compare two shapes under the charged order")
-    q.add_argument("--r", type=int, required=True)
-    q.add_argument("--c0", required=True)
-    q.add_argument("--d", required=True)
-    q.add_argument("--a", required=True, help="first shape")
-    q.add_argument("--b", required=True, help="second shape")
-    _add_format(q)
-    q.set_defaults(func=cmd_order_compare)
+    _leaf(osub, "compare", cmd_order_compare, "compare two shapes under the charged order",
+          c0, d, ("--a", dict(required=True, help="first shape")),
+          ("--b", dict(required=True, help="second shape")))
 
-    p = sub.add_parser("core-quotient",
-                       help="the bijection (charges, r-quotient) <-> partition; "
-                            "quotient components are listed in charge order "
-                            "(component of charge a_1 first)")
-    p.add_argument("action", choices=["encode", "decode"])
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--shape", help="partition to decode, e.g. '1,1'")
-    p.add_argument("--a", help="charges for encode, comma list summing to 0")
-    p.add_argument("--quotient", help="quotient shape for encode (charge order)")
-    _add_format(p)
-    p.set_defaults(func=cmd_core_quotient)
+    _leaf(sub, "core-quotient", cmd_core_quotient,
+          "the bijection (charges, r-quotient) <-> partition; quotient components "
+          "are listed in charge order (component of charge a_1 first)",
+          ("--shape", dict(help="partition to decode, e.g. '1,1'")),
+          ("--a", dict(help="charges for encode, comma list summing to 0")),
+          ("--quotient", dict(help="quotient shape for encode (charge order)")),
+          actions=("encode", "decode"))
 
     p = sub.add_parser("oracle", help="brute-force verification of the closed formulas")
     osub = p.add_subparsers(dest="action", required=True)
-    q = osub.add_parser("verify", help="run the identity suite and report")
-    q.add_argument("--r", type=int, required=True)
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--degree", type=_non_negative_int, default=2,
-                   help="degree cap (default 2)")
-    q.add_argument("--seed", type=int, default=None,
-                   help="RNG seed (default: CHEREDNIK_SEED or 0)")
-    q.add_argument("--shape", help="restrict to one shape")
-    q.add_argument("--timings", action=argparse.BooleanOptionalAction, default=True,
-                   help="include wall times (disable for golden files)")
-    _add_format(q, default="json")
-    q.set_defaults(func=cmd_oracle_verify)
+    _leaf(osub, "verify", cmd_oracle_verify, "run the identity suite and report", n,
+          ("--degree", dict(type=_non_negative_int, default=2, help="degree cap (default 2)")),
+          ("--seed", dict(type=int, default=None, help="RNG seed (default: CHEREDNIK_SEED or 0)")),
+          ("--shape", dict(help="restrict to one shape")),
+          ("--timings", dict(action=argparse.BooleanOptionalAction, default=True,
+                             help="include wall times (disable for golden files)")),
+          default="json")
 
     p = sub.add_parser("params", help="parameter convention conversions")
     psub = p.add_subparsers(dest="action", required=True)
-    q = psub.add_parser("convert", help="convert (c0, d) to another convention")
-    q.add_argument("--r", type=int, required=True)
-    q.add_argument("--c0", required=True)
-    q.add_argument("--d", required=True)
-    q.add_argument("--to", choices=["gordon", "rouquier", "hecke"], required=True)
-    _add_format(q)
-    q.set_defaults(func=cmd_params_convert)
+    _leaf(psub, "convert", cmd_params_convert, "convert (c0, d) to another convention", c0, d,
+          ("--to", dict(choices=["gordon", "rouquier", "hecke"], required=True)))
 
     return ap
 

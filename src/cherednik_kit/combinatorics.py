@@ -152,15 +152,26 @@ def box_stats(shape: MultiPartition, b: BoxRef) -> tuple[int, int]:
     return (b.content, b.component % shape.r)
 
 
-def parse_partition(text: str) -> Partition:
-    text = text.strip()
-    if not text:
-        return ()
-    return as_partition([int(tok) for tok in text.split(",")])
+def parse_int_list(text: str, name: str, form: str = "a comma list of integers",
+                   whole: str | None = None) -> tuple[int, ...]:
+    """The comma list `text` ('' is empty) as integers.  A token that is not
+    one raises ValueError naming `name`, the form, and the input `whole`
+    that `text` is a piece of (by default `text` itself)."""
+    try:
+        return tuple(int(v) for v in text.split(",")) if text else ()
+    except ValueError:
+        whole = text if whole is None else whole
+        raise ValueError(f"{name} must be {form}, not {whole!r}") from None
 
 
-def parse_multipartition(text: str, r: int | None = None) -> MultiPartition:
-    comps = tuple(parse_partition(tok) for tok in text.split("|"))
+def parse_partition(text: str, name: str = "partition") -> Partition:
+    return as_partition(parse_int_list(text, name)) if text.strip() else ()
+
+
+def parse_multipartition(text: str, r: int | None = None, name: str = "shape") -> MultiPartition:
+    form = "comma lists of integers joined by '|'"
+    comps = tuple(as_partition(parse_int_list(tok, name, form, text)) if tok.strip() else ()
+                  for tok in text.split("|"))
     if r is not None:
         if len(comps) == 1 and not comps[0] and r > 1:
             comps = ((),) * r
@@ -402,6 +413,8 @@ class StandardTableau:
     entries: tuple[tuple[tuple[int, ...], ...], ...]  # entries[comp][row][col]
 
     def __post_init__(self):
+        if len(self.entries) != self.shape.r:
+            raise ValueError(f"expected {self.shape.r} components, got {len(self.entries)}")
         seen = set()
         n = self.shape.size
         for l, comp in enumerate(self.shape.components):
@@ -451,15 +464,17 @@ class StandardTableau:
         return self.as_text()
 
 
-def parse_tableau(text: str, shape: MultiPartition) -> StandardTableau:
-    comps = []
-    for tok in text.split("|"):
-        rows = tuple(
-            tuple(int(v) for v in row.split(",")) if row else ()
-            for row in (tok.split("/") if tok else ())
-        )
-        comps.append(rows)
-    return StandardTableau(shape, tuple(comps))
+def _parse_filling(text: str, name: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Tableau / shape assignment text as entries[comp][row][col]."""
+    form = "comma lists of integers, rows joined by '/' and components by '|'"
+    return tuple(
+        tuple(parse_int_list(row, name, form, text) for row in (tok.split("/") if tok else ()))
+        for tok in text.split("|")
+    )
+
+
+def parse_tableau(text: str, shape: MultiPartition, name: str = "tableau") -> StandardTableau:
+    return StandardTableau(shape, _parse_filling(text, name))
 
 
 def enumerate_syt(shape: MultiPartition) -> list[StandardTableau]:
@@ -508,6 +523,8 @@ class ShapeAssignment:
     values: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self):
+        if len(self.values) != self.shape.r:
+            raise ValueError(f"expected {self.shape.r} components, got {len(self.values)}")
         for l, comp in enumerate(self.shape.components):
             rows = self.values[l]
             if len(rows) != len(comp) or any(len(rows[i]) != comp[i] for i in range(len(comp))):
@@ -551,15 +568,8 @@ class ShapeAssignment:
         return self.as_text()
 
 
-def parse_assignment(text: str, shape: MultiPartition) -> ShapeAssignment:
-    comps = []
-    for tok in text.split("|"):
-        rows = tuple(
-            tuple(int(v) for v in row.split(",")) if row else ()
-            for row in (tok.split("/") if tok else ())
-        )
-        comps.append(rows)
-    return ShapeAssignment(shape, tuple(comps))
+def parse_assignment(text: str, shape: MultiPartition, name: str = "filling") -> ShapeAssignment:
+    return ShapeAssignment(shape, _parse_filling(text, name))
 
 
 def shape_assignment(mu: Sequence[int], T: StandardTableau) -> ShapeAssignment:

@@ -16,6 +16,7 @@ All numbers are fractions.Fraction; no floating point anywhere.
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
@@ -246,15 +247,17 @@ class FactoredScalar:
         coef = Fraction(coefficient)
         factors: dict[AffineForm, int] = {}
         for sign, forms in ((1, num), (-1, den)):
-            for f in forms:
+            # equal raw forms repeat often in the closed formulas: make each
+            # distinct one primitive once
+            for f, m in Counter(forms).items():
                 if f.r != r:
                     raise ValueError("factor has wrong r")
                 if f.is_zero():
                     raise ValueError("identically zero factor")
                 prim, scale = f.primitive()
-                coef = coef * scale if sign > 0 else coef / scale
+                coef = coef * scale ** m if sign > 0 else coef / scale ** m
                 if not prim.is_constant():
-                    factors[prim] = factors.get(prim, 0) + sign
+                    factors[prim] = factors.get(prim, 0) + sign * m
         self._set(r, coef, factors)
 
     def _set(self, r: int, coefficient: Fraction, factors: dict) -> "FactoredScalar":

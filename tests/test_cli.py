@@ -173,6 +173,16 @@ class TestErrorHandling:
         (["spectrum", "--r", "1", "--shape", "2", "--mu", "a,b"], "--mu", "a,b"),
         (["norm-f", "--r", "1", "--shape", "2", "--mu", "a,b"], "--mu", "a,b"),
         (["core-quotient", "encode", "--r", "2", "--a", "x,0", "--quotient", "1|"], "--a", "x,0"),
+        (["syt", "--r", "1", "--shape", "a"], "--shape", "a"),
+        (["norm-min", "--r", "2", "--shape", "2,1|x"], "--shape", "2,1|x"),
+        (["norm-f", "--r", "1", "--shape", "2", "--mu", "0,0", "--tableau", "1,b"],
+         "--tableau", "1,b"),
+        (["norm-g", "--r", "1", "--shape", "1,1", "--values", "0/z"], "--values", "0/z"),
+        (["core-quotient", "encode", "--r", "2", "--a", "0,0", "--quotient", "1|q"],
+         "--quotient", "1|q"),
+        (["core-quotient", "decode", "--r", "2", "--shape", "1,y"], "--shape", "1,y"),
+        (["order", "compare", "--r", "1", "--c0", "1", "--d", "0", "--a", "w", "--b", "1"],
+         "--a", "w"),
     ])
     def test_non_integer_list_names_the_flag(self, argv, flag, text, capsys):
         assert main(argv) == 1
@@ -180,6 +190,20 @@ class TestErrorHandling:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert flag in captured.err and repr(text) in captured.err and "int()" not in captured.err
+        assert "comma list" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["norm-f", "--r", "2", "--shape", "1|1", "--mu", "0,0", "--tableau", "1"],
+        ["spectrum", "--r", "2", "--shape", "1|1", "--mu", "0,0", "--tableau", ""],
+        ["norm-g", "--r", "2", "--shape", "1|1", "--values", "0"],
+        ["norm-f", "--r", "1", "--shape", "2", "--mu", "1,1", "--tableau", "1,2|3"],
+        ["norm-g", "--r", "1", "--shape", "1", "--values", "0|0"],
+    ])
+    def test_filling_with_wrong_component_count(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "components" in captured.err
 
     @pytest.mark.parametrize("argv, code", [
         (["partitions", "--r", "1", "--n", "2"], 2),
@@ -217,6 +241,31 @@ class TestErrorHandling:
 
 
 class TestJsonEnvelopes:
+    @pytest.mark.parametrize("argv, command", [
+        (["partitions", "--r", "1", "--n", "2"], "partitions"),
+        (["syt", "--r", "2", "--shape", "1|1"], "syt"),
+        (["spectrum", "--r", "1", "--shape", "1", "--mu", "3"], "spectrum"),
+        (["norm-f", "--r", "1", "--shape", "1", "--mu", "3"], "norm-f"),
+        (["norm-g", "--r", "1", "--shape", "1,1", "--values", "0/1"], "norm-g"),
+        (["norm-min", "--r", "1", "--shape", "1,1"], "norm-min"),
+        (["hook", "--r", "2", "--shape", "|1"], "hook"),
+        (["aspherical", "test", "--r", "1", "--n", "2", "--c0", "1/3", "--d", "0"],
+         "aspherical test"),
+        (["order", "compare", "--r", "2", "--c0", "1", "--d", "1,-1", "--a", "1|", "--b", "|1"],
+         "order compare"),
+        (["core-quotient", "encode", "--r", "2", "--a", "0,0", "--quotient", "1|"],
+         "core-quotient encode"),
+        (["core-quotient", "decode", "--r", "2", "--shape", "1,1"], "core-quotient decode"),
+        (["params", "convert", "--r", "2", "--c0", "1/2", "--d", "1,-1", "--to", "gordon"],
+         "params convert"),
+    ])
+    def test_envelope_of_every_enveloped_command(self, argv, command):
+        code, out = run_cli(*argv, "--format", "json")
+        data = json.loads(out)
+        assert code == 0 and set(data) == {"schema", "command", "result"}
+        assert data["schema"] == "cherednik-kit/1" and data["command"] == command
+        assert out == json.dumps(data, sort_keys=True, indent=2) + "\n"
+
     def test_schema_version(self):
         code, out = run_cli("norm-min", "--r", "1", "--shape", "1,1",
                             "--format", "json")
@@ -228,6 +277,74 @@ class TestJsonEnvelopes:
         code, out = run_cli("partitions", "--r", "1", "--n", "0", "--format", "json")
         data = json.loads(out)
         assert data["result"] == [""]
+
+
+# One valid invocation per leaf command (both aspherical list modes), as
+# command words and flag values; the fuzz below breaks one value at a time.
+LEAVES = [
+    (["partitions"], {"--r": "2", "--n": "2"}),
+    (["syt"], {"--r": "2", "--shape": "1|1"}),
+    (["spectrum"], {"--r": "2", "--shape": "1|1", "--mu": "1,0", "--tableau-index": "1"}),
+    (["norm-f"], {"--r": "2", "--shape": "1|1", "--mu": "1,0", "--tableau": "2|1"}),
+    (["norm-g"], {"--r": "1", "--shape": "1,1", "--values": "0/1"}),
+    (["norm-min"], {"--r": "2", "--shape": "1|1"}),
+    (["hook"], {"--r": "2", "--shape": "|1"}),
+    (["aspherical", "list"], {"--r": "2", "--n": "2", "--xi": "1,0"}),
+    (["aspherical", "list"], {"--r": "2", "--n": "3", "--p": "2"}),
+    (["aspherical", "test"], {"--r": "1", "--n": "2", "--c0": "1/3", "--d": "0"}),
+    (["order", "compare"], {"--r": "2", "--c0": "1", "--d": "1,-1", "--a": "1|", "--b": "|1"}),
+    (["core-quotient", "encode"], {"--r": "2", "--a": "0,0", "--quotient": "1|"}),
+    (["core-quotient", "decode"], {"--r": "2", "--shape": "1,1"}),
+    (["oracle", "verify"], {"--r": "1", "--n": "1", "--degree": "1", "--seed": "7",
+                            "--shape": "1"}),
+    (["params", "convert"], {"--r": "2", "--c0": "1/2", "--d": "1,-1", "--to": "gordon"}),
+]
+MALFORMED = {
+    "--r": ["0", "-1", "x"],
+    "--n": ["-1", "x"],
+    "--c0": ["1/0", "a", "", "1/2/3"],
+    "--d": ["1/0", "x", "0,0,0,0", ""],
+    "--shape": ["a", "1|1|1|1", "2,3", "-1", "1/1", ""],
+    "--mu": ["-1,0", "a", "0", "0,0,0", ""],
+    "--tableau": ["1", "1|2|3", "x", "2,1", ""],
+    "--tableau-index": ["-1", "99", "x"],
+    "--values": ["0|0|0", "-1", "x", "0", ""],
+    "--a": ["x", "0", "1|1|1", "-1", ""],
+    "--b": ["x", "1|1|1", "2|"],
+    "--quotient": ["1|1|1", "a", "2,3|", ""],
+    "--xi": ["a", "1", "1,2,3", ""],
+    "--p": ["0", "-1", "5", "x"],
+    "--degree": ["-1", "x"],
+    "--seed": ["x"],
+    "--to": ["bogus"],
+}
+
+
+def _fuzz_argv(words, flags, flag=None, bad=None):
+    return words + [f"{f}={bad if f == flag else v}" for f, v in flags.items()]
+
+
+class TestFuzz:
+    @pytest.mark.parametrize("argv", [_fuzz_argv(w, f) for w, f in LEAVES], ids=" ".join)
+    def test_valid_invocations_succeed(self, argv, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv", [
+        _fuzz_argv(words, flags, flag, bad)
+        for words, flags in LEAVES for flag in flags for bad in MALFORMED[flag]
+    ], ids=" ".join)
+    def test_malformed_value_ends_in_a_clean_exit(self, argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in captured.err
+        if code == 1:
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
 
 
 class TestHelp:

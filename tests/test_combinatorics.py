@@ -7,6 +7,8 @@ from cherednik_kit.combinatorics import (
     BoxRef,
     Comparison,
     MultiPartition,
+    ShapeAssignment,
+    StandardTableau,
     as_partition,
     assignment_pair,
     box_stats,
@@ -19,6 +21,7 @@ from cherednik_kit.combinatorics import (
     enumerate_multipartitions,
     enumerate_syt,
     multipartition_count,
+    parse_assignment,
     parse_multipartition,
     parse_tableau,
     partitions_of,
@@ -252,6 +255,21 @@ class TestTextFormats:
     def test_invalid(self):
         with pytest.raises(ValueError):
             parse_multipartition("1,2")
+
+    @pytest.mark.parametrize("shape_text, filling", [
+        ("1|1", "1"),        # a component short
+        ("2", "1,2|3"),      # a component too many
+        ("1|1", "1|2|3"),
+    ])
+    def test_filling_with_wrong_component_count(self, shape_text, filling):
+        shape = parse_multipartition(shape_text)
+        for parse in (parse_tableau, parse_assignment):
+            with pytest.raises(ValueError, match="components"):
+                parse(filling, shape)
+        entries = tuple(((v,),) for v in range(1, len(filling.split("|")) + 1))
+        for cls in (StandardTableau, ShapeAssignment):
+            with pytest.raises(ValueError, match="components"):
+                cls(shape, entries)
 
     def test_as_partition_trailing_zeros(self):
         assert as_partition((3, 1, 0, 0)) == (3, 1)
