@@ -12,7 +12,8 @@ Conventions shared by all subcommands:
   (e.g. '1,3,4/8,9|2,6/5,7');
 - rationals are 'p/q' or integers; d-vectors are comma lists of rationals;
 - exit code 0 = success, 1 = domain error (message on stderr), 2 = usage
-  error;
+  error, including a flag that the chosen path would ignore (no flag is
+  silently dropped);
 - output is byte-deterministic for fixed flags and seed (oracle verify
   timings can be suppressed with --no-timings for golden files).
 
@@ -130,14 +131,17 @@ def cmd_syt(args, out) -> int:
 
 def _mu_and_tableau(args):
     """(mu, T) from --shape, then --tableau or --tableau-index, then --mu."""
+    if args.tableau is not None and args.tableau_index is not None:
+        raise UsageError("--tableau and --tableau-index are mutually exclusive")
     shape = _shape(args)
     if args.tableau is not None:
         T = parse_tableau(args.tableau, shape, "--tableau")
     else:
         tabs = enumerate_syt(shape)
-        if not 0 <= args.tableau_index < len(tabs):
+        index = args.tableau_index or 0
+        if not 0 <= index < len(tabs):
             raise DomainError(f"tableau index out of range (shape has {len(tabs)} tableaux)")
-        T = tabs[args.tableau_index]
+        T = tabs[index]
     mu = parse_int_list(args.mu, "--mu")
     if len(mu) != shape.size or any(x < 0 for x in mu):
         raise DomainError(f"mu must be {shape.size} non-negative integers")
@@ -182,6 +186,8 @@ def cmd_hook(args, out) -> int:
 
 
 def cmd_aspherical_list(args, out) -> int:
+    if args.json and args.format not in (None, "json"):
+        raise UsageError(f"--json and --format {args.format} are mutually exclusive")
     if args.p is not None and args.xi is not None:
         raise DomainError("--p and --xi are mutually exclusive")
     if args.p is not None:
@@ -259,12 +265,16 @@ def _shape_from_gordon(text: str, r: int) -> MultiPartition:
 
 def cmd_core_quotient(args, out) -> int:
     if args.action == "decode":
+        if args.a is not None or args.quotient is not None:
+            raise UsageError("decode reads --shape, not --a or --quotient")
         if args.shape is None:
             raise DomainError("decode requires --shape")
         charges, shape = disassemble(parse_partition(args.shape, "--shape"), args.r)
         result = {"a": ",".join(str(x) for x in charges), "quotient": _gordon_text(shape)}
         lines = [f'a={result["a"]}; quotient={result["quotient"]}']
     else:
+        if args.shape is not None:
+            raise UsageError("encode reads --a and --quotient, not --shape")
         if args.a is None or args.quotient is None:
             raise DomainError("encode requires --a and --quotient")
         charges = parse_int_list(args.a, "--a")
@@ -319,7 +329,8 @@ def _non_negative_int(text: str) -> int:
 def _leaf(sub, name, func, help, *flags, formats=("text", "json"), default="text", actions=None):
     """Add a leaf subcommand: its positional action if `actions` are given,
     --r, the (flag, add_argument kwargs) pairs in order, --format, and the
-    handler `func`."""
+    handler `func`.  A `default` of None means text, with an explicit
+    --format still visible to the handler."""
     p = sub.add_parser(name, help=help)
     if actions:
         p.add_argument("action", choices=actions)
@@ -327,7 +338,7 @@ def _leaf(sub, name, func, help, *flags, formats=("text", "json"), default="text
     for flag, kwargs in flags:
         p.add_argument(flag, **kwargs)
     p.add_argument("--format", choices=formats, default=default,
-                   help="output format (default %(default)s)")
+                   help=f"output format (default {default or 'text'})")
     p.set_defaults(func=func)
 
 
@@ -345,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     mu_and_tableau = (
         ("--mu", dict(required=True, help="composition, comma list of length n")),
         ("--tableau", dict(help="tableau text, rows '/' components '|'")),
-        ("--tableau-index", dict(type=int, default=0,
+        ("--tableau-index", dict(type=int,
                                  help="index into the syt enumeration (default 0)")))
 
     _leaf(sub, "partitions", cmd_partitions, "enumerate r-partitions of n", n)
@@ -369,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
           ("--p", dict(type=int, help="restrict to G(r,p,n) (p | r, n >= 3); "
                                       "forms then live over d_0..d_{r/p-1}")),
           ("--json", dict(action="store_true", help="emit the bare JSON array")),
-          formats=("text", "json", "tsv"))
+          formats=("text", "json", "tsv"), default=None)
     _leaf(asub, "test", cmd_aspherical_test, "membership test for a parameter point", n,
           ("--c0", dict(required=True, help="rational p/q")),
           ("--d", dict(required=True, help="comma list of r rationals")))

@@ -22,22 +22,10 @@ def cyclotomic_polynomial(r: int) -> tuple[Fraction, ...]:
     poly = [Fraction(-1)] + [Fraction(0)] * (r - 1) + [Fraction(1)]  # x^r - 1
     for d in range(1, r):
         if r % d == 0:
-            poly = _poly_divexact(poly, cyclotomic_polynomial(d))
+            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
+            if _deg(rem) >= 0:
+                raise ArithmeticError("non-exact polynomial division")
     return tuple(poly)
-
-
-def _poly_divexact(num: Sequence[Fraction], den: Sequence[Fraction]) -> list[Fraction]:
-    num = list(num)
-    den = list(den)
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        coef = num[i + len(den) - 1] / den[-1]
-        out[i] = coef
-        for j, c in enumerate(den):
-            num[i + j] -= coef * c
-    if any(c != 0 for c in num):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
 
 
 class CyclotomicField:

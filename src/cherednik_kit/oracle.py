@@ -5,8 +5,8 @@ type G(r,1,n) degree by degree, straight from the defining relations:
 
 - build_irrep constructs the underlying irreducible G(r,1,n) representation
   in rational seminormal form (basis indexed by standard tableaux, sparse
-  columns, diagonal gram weights) and validates every group relation at
-  construction;
+  columns, diagonal gram weights, both from one rule, _swap_rule) and
+  validates every group relation at construction;
 - the y-operators act by relation-driven recursion: y kills degree 0 of the
   induced module, and commuting y past x inserts the bracket [y_i, x_j],
   whose averages sum_l zeta^{-l*shift} zeta_i^l s_ij zeta_i^{-l} are r s_ij
@@ -14,8 +14,9 @@ type G(r,1,n) degree by degree, straight from the defining relations:
   literal sum on the Jucys-Murphy elements);
 - z_i = y_i x_i + c0 * phi_i with phi_i the Jucys-Murphy sums;
 - joint eigenvectors of the z_i are solved by back-substitution down their
-  triangular order on the twisted basis x^nu (tensor) w_nu^{-1} v_S, with
-  the eigenvalues read off the diagonal;
+  triangular order on the twisted basis x^nu (tensor) w_nu^{-1} v_S
+  (twisted_basis_vector), with the eigenvalues read off the diagonal;
+- the intertwiner sigma_i is s_i + f_i, with f_i from intertwiner_scalar;
 - the contravariant pairing moves x's on the left to y's on the right and
   reads the degree-0 gram form.
 
@@ -56,6 +57,8 @@ class EigenvalueCollision(RuntimeError):
 class ZeroGapError(ZeroDivisionError):
     """Intertwiner applied at a pole (matching residues, equal eigenvalues)."""
 
+
+COLLISION_RETRIES = 5   # fresh points eigenvector_generic draws on collisions
 
 # a matrix is its tuple of columns: mat[b] = {a: coefficient of a in the image
 # of b}, nonzero entries only, in increasing a
@@ -113,9 +116,20 @@ class IrrepModel:
         return cache[w]
 
 
-def build_irrep(shape: MultiPartition, validate: bool = True) -> IrrepModel:
-    """Construct the seminormal model and (by default) validate every group
-    relation, gram compatibility, and the Jucys-Murphy diagonal."""
+def _swap_rule(T: StandardTableau, i: int) -> tuple[Fraction, Fraction]:
+    """(rho, theta) with s_i v_T = rho v_T + theta v_{s_i T}: rho = 1/(ct(i+1) -
+    ct(i)) in one component, else 0; theta = 0 when i, i+1 share a row or a
+    column (rho = +-1), else 1 if i's (component, row) comes first, else 1 - rho^2."""
+    b, b2 = T.box_of(i), T.box_of(i + 1)
+    rho = Fraction(1, b2.content - b.content) if b.component == b2.component else Fraction(0)
+    if rho * rho == 1:
+        return rho, Fraction(0)
+    return rho, Fraction(1) if (b.component, b.row) < (b2.component, b2.row) else 1 - rho * rho
+
+
+def build_irrep(shape: MultiPartition) -> IrrepModel:
+    """Construct the seminormal model and validate every group relation,
+    gram compatibility, and the Jucys-Murphy diagonal."""
     r = shape.r
     n = shape.size
     field = CyclotomicField(r)
@@ -133,22 +147,14 @@ def build_irrep(shape: MultiPartition, validate: bool = True) -> IrrepModel:
         t = pending.pop()
         T = tableaux[t]
         for i in range(1, n):
-            b, b2 = T.box_of(i), T.box_of(i + 1)
-            if b.component == b2.component and (b.row == b2.row or b.column == b2.column):
+            rho, theta = _swap_rule(T, i)
+            if not theta:
                 continue
             t2 = index[T.swap_adjacent(i)]
-            if b.component == b2.component:
-                rho = Fraction(1, b2.content - b.content)
-            else:
-                rho = Fraction(0)
-            up = (b.component, b.row) < (b2.component, b2.row)
-            ratio = (1 - rho * rho) if up else Fraction(1) / (1 - rho * rho)
-            value = gram[t] * ratio
-            if gram[t2] is None:
+            value = gram[t] * (1 - rho * rho) / (theta * theta)
+            if gram[t2] is None:   # validate_irrep checks every other edge
                 gram[t2] = value
                 pending.append(t2)
-            elif gram[t2] != value:
-                raise AssertionError("inconsistent gram propagation")
     if any(g is None for g in gram):
         raise AssertionError("tableau graph not connected under adjacent swaps")
 
@@ -157,21 +163,11 @@ def build_irrep(shape: MultiPartition, validate: bool = True) -> IrrepModel:
     for i in range(1, n):
         cols = []
         for t, T in enumerate(tableaux):
-            b, b2 = T.box_of(i), T.box_of(i + 1)
-            if b.component == b2.component and b.row == b2.row:
-                col = {t: field.one}
-            elif b.component == b2.component and b.column == b2.column:
-                col = {t: -field.one}
-            else:
-                t2 = index[T.swap_adjacent(i)]
-                if b.component == b2.component:
-                    rho = Fraction(1, b2.content - b.content)
-                else:
-                    rho = Fraction(0)
-                up = (b.component, b.row) < (b2.component, b2.row)
-                theta = Fraction(1) if up else 1 - rho * rho
-                col = {a: field.from_rational(q) for a, q in sorted([(t, rho), (t2, theta)]) if q}
-            cols.append(col)
+            rho, theta = _swap_rule(T, i)
+            col = {t: rho}
+            if theta:
+                col[index[T.swap_adjacent(i)]] = theta
+            cols.append({a: field.from_rational(q) for a, q in sorted(col.items()) if q})
         s_mats.append(tuple(cols))
 
     zeta_residues = [
@@ -180,10 +176,9 @@ def build_irrep(shape: MultiPartition, validate: bool = True) -> IrrepModel:
 
     model = IrrepModel(shape, tableaux, index, field, s_mats, zeta_residues,
                        [Fraction(g) for g in gram])
-    if validate:
-        errors = validate_irrep(model)
-        if errors:
-            raise AssertionError("irrep validation failed: " + "; ".join(errors))
+    errors = validate_irrep(model)
+    if errors:
+        raise AssertionError("irrep validation failed: " + "; ".join(errors))
     return model
 
 
@@ -301,6 +296,11 @@ class ModuleElement:
         return " + ".join(f"{c!r}*x^{nu}v[{t}]" for (nu, t), c in items) or "0"
 
 
+def _add_term(out: dict, key: tuple, c: CycNumber) -> None:
+    """out[key] += c, in place on a term dict."""
+    out[key] = out[key] + c if key in out else c
+
+
 def _accumulate(out: dict, elt: ModuleElement, c: CycNumber) -> None:
     """out += c * elt, in place on a term dict (zeros are dropped by the
     ModuleElement built from it)."""
@@ -362,11 +362,11 @@ class StandardModule:
                 out[key] = out[key] + add if key in out else add
         return ModuleElement(self, out)
 
-    def zeta_act(self, i: int, elt: ModuleElement, power: int = 1) -> ModuleElement:
+    def zeta_act(self, i: int, elt: ModuleElement) -> ModuleElement:
         out = {}
         for (nu, t), c in elt.terms.items():
             res = self.irrep.zeta_residues[i - 1][t] - nu[i - 1]
-            out[(nu, t)] = c * self.field.zeta_power(power * res)
+            out[(nu, t)] = c * self.field.zeta_power(res)
         return ModuleElement(self, out)
 
     def _averaged_transposition(self, i: int, j: int, shift: int,
@@ -400,7 +400,6 @@ class StandardModule:
         cached = self._y_cache.get(key)
         if cached is not None:
             return cached
-        f = self.field
         if sum(nu) == 0:
             result = self.zero()
             self._y_cache[key] = result
@@ -424,24 +423,19 @@ class StandardModule:
         r = self.r
         c0 = f.from_rational(p.c0)
         terms: dict = {}
-
-        def add(nu2, t2, coeff):
-            key = (nu2, t2)
-            terms[key] = terms[key] + coeff if key in terms else coeff
-
         if i == j:
-            add(nu, t, f.one)
+            _add_term(terms, (nu, t), f.one)
             for j2 in range(1, self.n + 1):
                 if j2 != i:
                     for nu2, t2, coeff in self._averaged_transposition(i, j2, 0, nu, t):
-                        add(nu2, t2, -(c0 * coeff))
+                        _add_term(terms, (nu2, t2), -(c0 * coeff))
             res = (self.irrep.zeta_residues[i - 1][t] - nu[i - 1]) % r
             dcoef = p.d[res] - p.d[(res - 1) % r]
             if dcoef:
-                add(nu, t, f.from_rational(-dcoef))
+                _add_term(terms, (nu, t), f.from_rational(-dcoef))
         else:
             for nu2, t2, coeff in self._averaged_transposition(i, j, 1, nu, t):
-                add(nu2, t2, c0 * coeff)
+                _add_term(terms, (nu2, t2), c0 * coeff)
         return ModuleElement(self, terms)
 
     # -- z-operators and Jucys-Murphy sums ------------------------------------
@@ -452,9 +446,7 @@ class StandardModule:
         for (nu, t), c in elt.terms.items():
             for j in range(1, i):
                 for nu2, t2, coeff in self._averaged_transposition(i, j, 0, nu, t):
-                    key = (nu2, t2)
-                    add = c * coeff
-                    out[key] = out[key] + add if key in out else add
+                    _add_term(out, (nu2, t2), c * coeff)
         return ModuleElement(self, out)
 
     def z_act(self, i: int, elt: ModuleElement) -> ModuleElement:
@@ -536,8 +528,7 @@ class StandardModule:
         mu = tuple(mu)
         f, n, irrep = self.field, self.n, self.irrep
         tau = irrep.index[T]
-        lead = self.x_power(mu, self.apply_perm(perm_inverse(sorting_data(mu)[2]),
-                                                self.tableau_vector(T)))
+        lead = self.twisted_basis_vector(mu, T)
         (target,) = {self.residue_tuple(nu, t) for nu, t in lead.terms}
         keys: dict[tuple, list[int]] = {}      # reachable exponent -> block keys
         above: dict[tuple, set] = {mu: set()}  # exponent -> exponents reaching it
@@ -607,20 +598,22 @@ class StandardModule:
                 out = self.x_mul(i, out)
         return out
 
+    def twisted_basis_vector(self, nu: Sequence[int], T: StandardTableau) -> ModuleElement:
+        """x^nu (tensor) w_nu^{-1} v_T, the leading term of the eigenvector at (nu, T)."""
+        return self.x_power(nu, self.apply_perm(perm_inverse(sorting_data(nu)[2]),
+                                                self.tableau_vector(T)))
+
     def eigenvector_generic(self, mu: Sequence[int], T: StandardTableau,
-                            rng: random.Random, retries: int = 5,
-                            ) -> tuple["StandardModule", ModuleElement]:
+                            rng: random.Random) -> tuple["StandardModule", ModuleElement]:
         """Retry wrapper: on collision, rebuild at a fresh random point."""
         module: StandardModule = self
-        for attempt in range(retries + 1):
+        for _ in range(COLLISION_RETRIES):
             try:
                 return module, module.eigenvector(mu, T)
             except EigenvalueCollision:
-                if attempt == retries:
-                    raise
                 module = StandardModule(self.shape, random_point(self.r, rng),
                                         irrep=self.irrep)
-        raise AssertionError("unreachable")
+        return module, module.eigenvector(mu, T)
 
     # -- eigen-structure helpers -------------------------------------------------
 
@@ -636,24 +629,23 @@ class StandardModule:
             raise ValueError(f"not a {kind}_{i} eigenvector")
         return lam
 
-    def intertwiner(self, i: int, v: ModuleElement) -> ModuleElement:
-        """sigma_i = s_i + f_i where f_i acts on a joint eigenvector by
-        r*c0/(z_i - z_{i+1}) when the zeta-residues at i, i+1 agree and by 0
-        otherwise.  Raises ZeroGapError at a pole."""
-        if v.is_zero():
-            return v
-        res_i = self.eigenvalue_of(i, v, "zeta")
-        res_j = self.eigenvalue_of(i + 1, v, "zeta")
-        s_v = self.apply_perm(simple_transposition(self.n, i), v)
-        if res_i != res_j:
-            return s_v
-        z_i = self.eigenvalue_of(i, v, "z")
-        z_j = self.eigenvalue_of(i + 1, v, "z")
-        gap = z_i - z_j
+    def intertwiner_scalar(self, i: int, v: ModuleElement) -> CycNumber:
+        """The scalar f_i on the joint eigenvector v: r*c0/(z_i - z_{i+1}) when
+        the zeta-residues at i, i+1 agree, 0 otherwise.  Raises ZeroGapError
+        at a pole."""
+        if self.eigenvalue_of(i, v, "zeta") != self.eigenvalue_of(i + 1, v, "zeta"):
+            return self.field.zero
+        gap = self.eigenvalue_of(i, v, "z") - self.eigenvalue_of(i + 1, v, "z")
         if gap.is_zero():
             raise ZeroGapError(f"zero spectral gap at position {i}")
-        g = self.field.from_rational(Fraction(self.r) * self.point.c0) / gap
-        return s_v + v.scale(g)
+        return self.field.from_rational(Fraction(self.r) * self.point.c0) / gap
+
+    def intertwiner(self, i: int, v: ModuleElement) -> ModuleElement:
+        """sigma_i = s_i + f_i on a joint eigenvector (see intertwiner_scalar)."""
+        if v.is_zero():
+            return v
+        s_v = self.apply_perm(simple_transposition(self.n, i), v)
+        return s_v + v.scale(self.intertwiner_scalar(i, v))
 
     def symmetrize(self, v: ModuleElement) -> ModuleElement:
         """Apply the full symmetrizer sum over S_n."""
@@ -729,7 +721,9 @@ def verify_report(r: int, n: int, degree: int = 2, seed: int = 0,
     cap, commutativity and self-adjointness of the z-family, pairing symmetry
     and W-invariance, triangularity of z with the predicted diagonal,
     eigenvector norms against the closed formulas, intertwiner braid and
-    square relations, and the S_n symmetrizer identity.
+    square relations, and the S_n symmetrizer identity.  Three checks share
+    one basis walk (`basis`); the others call the module's own monomials,
+    twisted_basis_vector and intertwiner_scalar, never a copy of them.
     """
     from .combinatorics import enumerate_multipartitions, parse_multipartition
     from .combinatorics import assignment_pair, composition_compare, Comparison
@@ -781,40 +775,39 @@ def verify_report(r: int, n: int, degree: int = 2, seed: int = 0,
 
     run("irrep relations and dimension count", check_irreps)
 
-    def check_relations():
-        count = 0
+    def basis(cap):
+        """(module, nu, t, x^nu v_t) for each basis term up to degree min(degree, cap)."""
         for mod in modules.values():
-            for deg in range(min(degree, 3) + 1):
+            for deg in range(min(degree, cap) + 1):
                 for nu in mod.monomials(deg):
                     for t in range(mod.irrep.dim):
-                        e = mod.basis_vector(t, nu)
-                        for i in range(1, n + 1):
-                            for j in range(1, n + 1):
-                                lhs = (mod.y_act(i, mod.x_mul(j, e))
-                                       - mod.x_mul(j, mod.y_act(i, e)))
-                                if lhs != mod._bracket(i, j, nu, t):
-                                    raise AssertionError(f"relation y_{i} x_{j} at {nu}")
-                                count += 1
+                        yield mod, nu, t, mod.basis_vector(t, nu)
+
+    def check_relations():
+        count = 0
+        for mod, nu, t, e in basis(3):
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    lhs = mod.y_act(i, mod.x_mul(j, e)) - mod.x_mul(j, mod.y_act(i, e))
+                    if lhs != mod._bracket(i, j, nu, t):
+                        raise AssertionError(f"relation y_{i} x_{j} at {nu}")
+                    count += 1
         return f"{count} operator identities"
 
     run("defining relations up to degree cap", check_relations)
 
     def check_commutation():
         count = 0
-        for mod in modules.values():
-            for deg in range(min(degree, 3) + 1):
-                for nu in mod.monomials(deg):
-                    for t in range(mod.irrep.dim):
-                        e = mod.basis_vector(t, nu)
-                        for i in range(1, n + 1):
-                            for j in range(i + 1, n + 1):
-                                if not (mod.y_act(i, mod.y_act(j, e))
-                                        - mod.y_act(j, mod.y_act(i, e))).is_zero():
-                                    raise AssertionError(f"[y_{i}, y_{j}] != 0")
-                                if not (mod.z_act(i, mod.z_act(j, e))
-                                        - mod.z_act(j, mod.z_act(i, e))).is_zero():
-                                    raise AssertionError(f"[z_{i}, z_{j}] != 0")
-                                count += 1
+        for mod, nu, t, e in basis(3):
+            for i in range(1, n + 1):
+                for j in range(i + 1, n + 1):
+                    if not (mod.y_act(i, mod.y_act(j, e))
+                            - mod.y_act(j, mod.y_act(i, e))).is_zero():
+                        raise AssertionError(f"[y_{i}, y_{j}] != 0")
+                    if not (mod.z_act(i, mod.z_act(j, e))
+                            - mod.z_act(j, mod.z_act(i, e))).is_zero():
+                        raise AssertionError(f"[z_{i}, z_{j}] != 0")
+                    count += 1
         return f"{count} commutators"
 
     run("y- and z-family commutativity", check_commutation)
@@ -846,26 +839,20 @@ def verify_report(r: int, n: int, degree: int = 2, seed: int = 0,
 
     def check_triangular():
         count = 0
-        for mod in modules.values():
-            for deg in range(min(degree, 2) + 1):
-                for nu in mod.monomials(deg):
-                    for t, T in enumerate(mod.irrep.tableaux):
-                        basis_elt = mod.apply_perm(
-                            perm_inverse(sorting_data(nu)[2]), mod.tableau_vector(T))
-                        basis_elt = mod.x_power(nu, basis_elt)
-                        data = spectrum(nu, T)
-                        for i in range(1, n + 1):
-                            image = mod.twisted_coordinates(mod.z_act(i, basis_elt))
-                            diag = image.pop((nu, t), mod.field.zero)
-                            expect = mod.field.from_rational(
-                                data[i - 1].z_eigenvalue.evaluate(point))
-                            if diag != expect:
-                                raise AssertionError(f"diagonal at {nu}, {T.as_text()}")
-                            for (kappa, u), c in image.items():
-                                if composition_compare(nu, kappa) is not Comparison.GREATER:
-                                    raise AssertionError(
-                                        f"non-triangular entry {(kappa, u)} from {(nu, t)}")
-                            count += 1
+        for mod, nu, t, _ in basis(2):
+            T = mod.irrep.tableaux[t]
+            basis_elt = mod.twisted_basis_vector(nu, T)
+            data = spectrum(nu, T)
+            for i in range(1, n + 1):
+                image = mod.twisted_coordinates(mod.z_act(i, basis_elt))
+                diag = image.pop((nu, t), mod.field.zero)
+                expect = mod.field.from_rational(data[i - 1].z_eigenvalue.evaluate(point))
+                if diag != expect:
+                    raise AssertionError(f"diagonal at {nu}, {T.as_text()}")
+                for (kappa, u), c in image.items():
+                    if composition_compare(nu, kappa) is not Comparison.GREATER:
+                        raise AssertionError(f"non-triangular entry {(kappa, u)} from {(nu, t)}")
+                count += 1
         return f"{count} columns triangular with predicted diagonal"
 
     run("z-matrix triangularity and diagonal", check_triangular)
@@ -873,16 +860,10 @@ def verify_report(r: int, n: int, degree: int = 2, seed: int = 0,
     def check_eigen_norms():
         count = 0
         for mod in modules.values():
-            mus = set()
-            for total in range(min(degree, 2) + 1):
-                for combo in itertools.combinations_with_replacement(range(n), total):
-                    nu = [0] * n
-                    for c in combo:
-                        nu[c] += 1
-                    mus.add(tuple(nu))
+            mus = sorted(nu for total in range(min(degree, 2) + 1) for nu in mod.monomials(total))
             for T in mod.irrep.tableaux:
                 gam = mod.gram_weight(T)
-                for mu in sorted(mus):
+                for mu in mus:
                     m2, f = mod.eigenvector_generic(mu, T, rng)
                     if m2.norm(f) != gam * nonsymmetric_norm(mu, T).evaluate(m2.point):
                         raise AssertionError(f"norm mismatch at mu={mu}, T={T.as_text()}")
@@ -900,11 +881,10 @@ def verify_report(r: int, n: int, degree: int = 2, seed: int = 0,
             m2, f = mod.eigenvector_generic(mu, T, rng)
             g = m2.symmetrize(f)
             gam = m2.gram_weight(T)
-            expect = (gam * symmetrization_block_factor(S).evaluate(m2.point)
-                      * minimal_norm(s).evaluate(m2.point))
-            if m2.norm(g) != expect:
+            minimal = minimal_norm(s).evaluate(m2.point)
+            if m2.norm(g) != gam * symmetrization_block_factor(S).evaluate(m2.point) * minimal:
                 raise AssertionError(f"minimal norm mismatch for {s.as_text()}")
-            if symmetric_norm(S).evaluate(m2.point) != minimal_norm(s).evaluate(m2.point):
+            if symmetric_norm(S).evaluate(m2.point) != minimal:
                 raise AssertionError("product formula disagrees with n! H E")
             count += 1
         return f"{count} minimal symmetric norms match n! H E"
@@ -927,24 +907,14 @@ def verify_report(r: int, n: int, degree: int = 2, seed: int = 0,
                     except ZeroGapError:
                         continue
                     # sigma^2 = 1 - f^2 and the norm scaling
-                    res_i = m2.eigenvalue_of(i, f, "zeta")
-                    res_j = m2.eigenvalue_of(i + 1, f, "zeta")
-                    if res_i == res_j:
-                        zi = m2.eigenvalue_of(i, f, "z")
-                        zj = m2.eigenvalue_of(i + 1, f, "z")
-                        g = m2.field.from_rational(
-                            Fraction(m2.r) * m2.point.c0) / (zi - zj)
-                    else:
-                        g = m2.field.zero
-                    back = m2.intertwiner(i, sf)
-                    want = f.scale(m2.field.one - g * g)
-                    if back != want:
+                    g = m2.intertwiner_scalar(i, f)
+                    square = m2.field.one - g * g
+                    if m2.intertwiner(i, sf) != f.scale(square):
                         raise AssertionError(f"sigma_{i}^2 != 1 - f^2")
                     if sf.is_zero():
-                        if g * g != m2.field.one:
+                        if not square.is_zero():
                             raise AssertionError(f"sigma_{i} vanished away from g = +-1")
-                    elif m2.norm(sf) != ((m2.field.one - g * g)
-                                         * m2.field.from_rational(norm_f_val)).as_rational():
+                    elif m2.norm(sf) != (square * norm_f_val).as_rational():
                         raise AssertionError(f"sigma_{i} norm scaling")
                     count += 1
                 if n >= 3:

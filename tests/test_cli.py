@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import pytest
 
@@ -103,6 +104,46 @@ class TestRoundTrips:
         assert code == 0 and out.splitlines() == ["1|2", "2|1"]
 
 
+ORACLE_TEXT_SEED_7 = {
+    (2, 2): """\
+pass irrep relations and dimension count: sum dim^2 = 8
+pass defining relations up to degree cap: 144 operator identities
+pass y- and z-family commutativity: 36 commutators
+pass contravariant form properties: symmetry, self-adjointness, W-invariance
+pass z-matrix triangularity and diagonal: 72 columns triangular with predicted diagonal
+pass eigenvector norms vs closed formula: 36 eigenvector norms match the closed formula
+pass symmetrized minimal norms vs closed formula: 5 minimal symmetric norms match n! H E
+pass intertwiner square, norm scaling, braid: 6 intertwiner identities
+pass symmetrizer rational-function identity: 5 random evaluations equal n!
+ok
+""",
+    (3, 2): """\
+pass irrep relations and dimension count: sum dim^2 = 18
+pass defining relations up to degree cap: 288 operator identities
+pass y- and z-family commutativity: 72 commutators
+pass contravariant form properties: symmetry, self-adjointness, W-invariance
+pass z-matrix triangularity and diagonal: 144 columns triangular with predicted diagonal
+pass eigenvector norms vs closed formula: 72 eigenvector norms match the closed formula
+pass symmetrized minimal norms vs closed formula: 9 minimal symmetric norms match n! H E
+pass intertwiner square, norm scaling, braid: 12 intertwiner identities
+pass symmetrizer rational-function identity: 5 random evaluations equal n!
+ok
+""",
+    (1, 3): """\
+pass irrep relations and dimension count: sum dim^2 = 6
+pass defining relations up to degree cap: 360 operator identities
+pass y- and z-family commutativity: 120 commutators
+pass contravariant form properties: symmetry, self-adjointness, W-invariance
+pass z-matrix triangularity and diagonal: 120 columns triangular with predicted diagonal
+pass eigenvector norms vs closed formula: 40 eigenvector norms match the closed formula
+pass symmetrized minimal norms vs closed formula: 3 minimal symmetric norms match n! H E
+pass intertwiner square, norm scaling, braid: 12 intertwiner identities
+pass symmetrizer rational-function identity: 5 random evaluations equal n!
+ok
+""",
+}
+
+
 class TestDeterminism:
     def test_byte_identical_runs(self):
         a = run_cli("aspherical", "list", "--r", "3", "--n", "3", "--json")[1]
@@ -119,6 +160,14 @@ class TestDeterminism:
         assert report["schema"] == "cherednik-kit/1"
         assert report["ok"] is True
         assert all("seconds" not in c for c in report["checks"])
+
+    @pytest.mark.parametrize("r, n", sorted(ORACLE_TEXT_SEED_7))
+    def test_oracle_verify_text_is_pinned(self, r, n):
+        # literal output, so that a change of the oracle's rng stream, check
+        # order or counts shows up here and not only between two runs
+        code, out = run_cli("oracle", "verify", "--r", str(r), "--n", str(n), "--degree", "2",
+                            "--seed", "7", "--no-timings", "--format", "text")
+        assert code == 0 and out == ORACLE_TEXT_SEED_7[r, n]
 
     def test_oracle_verify_env_seed(self, monkeypatch):
         monkeypatch.setenv("CHEREDNIK_SEED", "9")
@@ -228,6 +277,35 @@ class TestErrorHandling:
         assert got == code
         if code == 0:
             assert "\t" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["spectrum", "--r", "1", "--shape", "2,1", "--mu", "0,1,0", "--tableau", "1,2/3",
+          "--tableau-index", "1"], {"--tableau", "--tableau-index"}),
+        (["norm-f", "--r", "1", "--shape", "2,1", "--mu", "0,1,0", "--tableau", "1,2/3",
+          "--tableau-index", "0"], {"--tableau", "--tableau-index"}),
+        (["aspherical", "list", "--r", "2", "--n", "1", "--json", "--format", "tsv"],
+         {"--json", "--format"}),
+        (["aspherical", "list", "--r", "2", "--n", "1", "--json", "--format", "text"],
+         {"--json", "--format"}),
+        (["core-quotient", "decode", "--r", "2", "--shape", "1,1", "--a", "5"],
+         {"--shape", "--a"}),
+        (["core-quotient", "decode", "--r", "2", "--shape", "1,1", "--quotient", "x"],
+         {"--shape", "--quotient"}),
+        (["core-quotient", "encode", "--r", "2", "--a", "0,0", "--quotient", "1|",
+          "--shape", "1,1"], {"--shape", "--a"}),
+    ])
+    def test_ignored_flag_is_usage_error(self, argv, flags, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert flags <= set(re.findall(r"--[a-z-]+", captured.err))
+
+    def test_aspherical_list_json_agrees_with_format_json(self):
+        code, out = run_cli("aspherical", "list", "--r", "2", "--n", "1", "--json",
+                            "--format", "json")
+        assert code == 0 and out == run_cli("aspherical", "list", "--r", "2", "--n", "1",
+                                            "--json")[1]
 
     def test_aspherical_test_negative_c0(self):
         code, out = run_cli("aspherical", "test", "--r", "1", "--n", "2",

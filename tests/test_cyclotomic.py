@@ -13,6 +13,11 @@ def test_polynomials():
     assert cyclotomic_polynomial(3) == (Fraction(1), Fraction(1), Fraction(1))
     assert cyclotomic_polynomial(4) == (Fraction(1), Fraction(0), Fraction(1))
     assert cyclotomic_polynomial(6) == (Fraction(1), Fraction(-1), Fraction(1))
+    # pinned coefficients, low degree first: Phi_8 = x^4 + 1,
+    # Phi_9 = x^6 + x^3 + 1, Phi_12 = x^4 - x^2 + 1
+    assert cyclotomic_polynomial(8) == tuple(map(Fraction, (1, 0, 0, 0, 1)))
+    assert cyclotomic_polynomial(9) == tuple(map(Fraction, (1, 0, 0, 1, 0, 0, 1)))
+    assert cyclotomic_polynomial(12) == tuple(map(Fraction, (1, 0, -1, 0, 1)))
 
 
 def test_degenerate_fields():

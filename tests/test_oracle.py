@@ -276,6 +276,7 @@ class TestIntertwiners:
                     mod.eigenvalue_of(1, f, "z") - mod.eigenvalue_of(2, f, "z"))
         else:
             g = mod.field.zero
+        assert mod.intertwiner_scalar(1, f) == g
         assert mod.intertwiner(1, sf) == f.scale(mod.field.one - g * g)
         if not sf.is_zero():
             assert mod.norm(sf) == ((mod.field.one - g * g)
@@ -621,6 +622,7 @@ def _kernel_eigenvector(mod, mu, T):
         raise EigenvalueCollision(f"kernel dimension {len(kernel)}")
     lead = mod.x_power(mu, mod.apply_perm(perm_inverse(sorting_data(mu)[2]),
                                           mod.tableau_vector(T)))
+    assert lead == mod.twisted_basis_vector(mu, T)
     anchor, want = min(lead.terms.items())
     got = kernel[0][pos[anchor]]
     if got.is_zero():
