@@ -189,7 +189,7 @@ def cmd_aspherical_list(args, out) -> int:
     if args.json and args.format not in (None, "json"):
         raise UsageError(f"--json and --format {args.format} are mutually exclusive")
     if args.p is not None and args.xi is not None:
-        raise DomainError("--p and --xi are mutually exclusive")
+        raise UsageError("--p and --xi are mutually exclusive")
     if args.p is not None:
         planes = hyperplanes_rpn(args.r, args.p, args.n)
     elif args.xi is not None:

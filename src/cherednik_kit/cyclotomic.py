@@ -2,9 +2,10 @@
 
 Elements are dense coefficient vectors over Fraction modulo the r-th
 cyclotomic polynomial, so equality tests are exact.  Conjugation is
-zeta -> zeta^(-1).  For r in {1, 2} the field degenerates to Q: the vector
-has one entry, and the arithmetic works on that Fraction directly, without
-the polynomial product and reduction (conjugation is then the identity).
+zeta -> zeta^(-1).  A product with a rational factor scales the other
+factor's coefficients, without the polynomial product and reduction.  For
+r in {1, 2} the field degenerates to Q: the vector has one entry, every
+product is such a product, and conjugation is the identity.
 """
 from __future__ import annotations
 
@@ -63,9 +64,8 @@ class CyclotomicField:
         return CycNumber(self, self._powers[k % self.r])
 
     def from_rational(self, q) -> "CycNumber":
-        vec = [Fraction(0)] * self.degree
-        vec[0] = Fraction(q)
-        return CycNumber(self, tuple(vec))
+        q = q if type(q) is Fraction else Fraction(q)
+        return CycNumber(self, (q,) + self._powers[0][1:])
 
     def _reduce(self, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
         out = [Fraction(0)] * self.degree
@@ -115,20 +115,20 @@ class CycNumber:
 
     def __mul__(self, other):
         if not isinstance(other, CycNumber):
-            q = Fraction(other)
-            return CycNumber(self.field, tuple(a * q for a in self.coeffs))
+            return self._scaled(Fraction(other))
         if other.field is not self.field:
             raise ValueError("mixed cyclotomic fields")
-        d = self.field.degree
-        if d == 1:
+        if self.field.degree == 1:
             return CycNumber(self.field, (self.coeffs[0] * other.coeffs[0],))
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        return CycNumber(self.field, self.field._reduce(prod))
+        if not any(other.coeffs[1:]):
+            return self._scaled(other.coeffs[0])
+        if not any(self.coeffs[1:]):
+            return other._scaled(self.coeffs[0])
+        return CycNumber(self.field, self.field._reduce(_poly_mul(self.coeffs, other.coeffs)))
+
+    def _scaled(self, q: Fraction) -> "CycNumber":
+        """q * self for a rational q, skipping zero coefficients."""
+        return CycNumber(self.field, tuple(a * q if a else a for a in self.coeffs))
 
     __rmul__ = __mul__
 

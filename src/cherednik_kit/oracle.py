@@ -7,12 +7,13 @@ type G(r,1,n) degree by degree, straight from the defining relations:
   in rational seminormal form (basis indexed by standard tableaux, sparse
   columns, diagonal gram weights, both from one rule, _swap_rule) and
   validates every group relation at construction;
-- the y-operators act by relation-driven recursion: y kills degree 0 of the
-  induced module, and commuting y past x inserts the bracket [y_i, x_j],
-  whose averages sum_l zeta^{-l*shift} zeta_i^l s_ij zeta_i^{-l} are r s_ij
-  on the entries of zeta-weight shift mod r (validate_irrep checks the
-  literal sum on the Jucys-Murphy elements);
-- z_i = y_i x_i + c0 * phi_i with phi_i the Jucys-Murphy sums;
+- the y- and z-images of basis terms are point-free tables, built lazily
+  once per irrep (y_table, z_table) and specialized at each module's point:
+  y kills degree 0, commuting y past x inserts the bracket [y_i, x_j],
+  affine in (1, c0, d_0..d_{r-1}), whose averages sum_l zeta^{-l*shift}
+  zeta_i^l s_ij zeta_i^{-l} are r s_ij on the entries of zeta-weight shift
+  mod r (validate_irrep checks the literal sum on the Jucys-Murphy sums
+  phi_i), and z_i = y_i x_i + c0 * phi_i;
 - joint eigenvectors of the z_i are solved by back-substitution down their
   triangular order on the twisted basis x^nu (tensor) w_nu^{-1} v_S
   (twisted_basis_vector), with the eigenvalues read off the diagonal;
@@ -79,6 +80,18 @@ def _mat_mul(m1: Matrix, m2: Matrix) -> Matrix:
     return tuple(_apply(m1, col) for col in m2)
 
 
+# a y- or z-image of a basis term at every point at once: {(nu, t): the
+# rational coefficients of (1, c0, d_0, .., d_{r-1}) in that coordinate}
+_ZERO = Fraction(0)
+Table = dict[tuple, tuple[Fraction, ...]]
+
+
+def _add_coeffs(table: Table, key: tuple, vec: tuple[Fraction, ...]) -> None:
+    """table[key] += vec, in place, skipping vec's zero coefficients."""
+    old = table.get(key)
+    table[key] = vec if old is None else tuple(a + b if b else a for a, b in zip(old, vec))
+
+
 @dataclass
 class IrrepModel:
     """Rational seminormal model of the irreducible indexed by an r-partition."""
@@ -91,6 +104,8 @@ class IrrepModel:
     zeta_residues: list[tuple[int, ...]]  # zeta_residues[i-1][t] = beta of box of i in T_t
     gram: list[Fraction]
     _perm_cache: dict = dataclass_field(default_factory=dict, repr=False, compare=False)
+    _y_tables: dict = dataclass_field(default_factory=dict, repr=False, compare=False)
+    _z_tables: dict = dataclass_field(default_factory=dict, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -114,6 +129,51 @@ class IrrepModel:
                 mat = _mat_mul(mat, self.s_mats[i - 1])
             cache[w] = mat
         return cache[w]
+
+    def bracket_table(self, i: int, j: int, nu: tuple[int, ...], t: int) -> Table:
+        """[y_i, x_j] on the basis term (nu, t): c0 (shift-1 average of s_ij) if
+        i != j, else 1 - c0 sum_{k != i} (average of s_ik) - d_res + d_{res-1}."""
+        r = self.shape.r
+        if i != j:
+            return {(nu2, a): (_ZERO, q) + (_ZERO,) * r
+                    for nu2, a, q in _averaged_transposition(self, i, j, 1, nu, t)}
+        res = (self.zeta_residues[i - 1][t] - nu[i - 1]) % r
+        own = [Fraction(1)] + [_ZERO] * (r + 1)
+        own[2 + res] -= 1
+        own[2 + (res - 1) % r] += 1
+        table = {(nu, t): tuple(own)}
+        for k in range(1, self.n + 1):
+            if k != i:
+                for nu2, a, q in _averaged_transposition(self, i, k, 0, nu, t):
+                    _add_coeffs(table, (nu2, a), (_ZERO, -q) + (_ZERO,) * r)
+        return table
+
+    def y_table(self, i: int, nu: tuple[int, ...], t: int) -> Table:
+        """y_i on the basis term (nu, t), for every point: y kills degree 0, and
+        y_i x_j = x_j y_i + [y_i, x_j] for the first j with nu_j > 0."""
+        table = self._y_tables.get((i, nu, t))
+        if table is None:
+            table, j = {}, next((k for k, e in enumerate(nu) if e), None)
+            if j is not None:
+                low = nu[:j] + (nu[j] - 1,) + nu[j + 1:]
+                for (kappa, s), vec in self.y_table(i, low, t).items():
+                    table[kappa[:j] + (kappa[j] + 1,) + kappa[j + 1:], s] = vec
+                for key, vec in self.bracket_table(i, j + 1, low, t).items():
+                    _add_coeffs(table, key, vec)
+            table = self._y_tables[i, nu, t] = {k: v for k, v in table.items() if any(v)}
+        return table
+
+    def z_table(self, i: int, key: tuple) -> Table:
+        """z_i = y_i x_i + c0 phi_i on the basis term key = (nu, t)."""
+        table = self._z_tables.get((i, key))
+        if table is None:
+            nu, t = key
+            table = dict(self.y_table(i, nu[:i - 1] + (nu[i - 1] + 1,) + nu[i:], t))
+            for j in range(1, i):
+                for nu2, a, q in _averaged_transposition(self, i, j, 0, nu, t):
+                    _add_coeffs(table, (nu2, a), (_ZERO, q) + (_ZERO,) * self.shape.r)
+            table = self._z_tables[i, key] = {k: v for k, v in table.items() if any(v)}
+        return table
 
 
 def _swap_rule(T: StandardTableau, i: int) -> tuple[Fraction, Fraction]:
@@ -257,6 +317,26 @@ def _zeta_power_matrix(model: IrrepModel, i: int, l: int) -> Matrix:
                  for b, res in enumerate(model.zeta_residues[i - 1]))
 
 
+def _averaged_transposition(irrep: IrrepModel, i: int, j: int, shift: int,
+                            nu: tuple[int, ...], t: int) -> list[tuple]:
+    """sum_{l<r} zeta^{-l*shift} zeta_i^l s_{ij} zeta_i^{-l} applied to the
+    basis term (nu, t): returns [(nu', t', rational coefficient)].
+
+    The l-th term has coefficient zeta^{l*k} s_ij[a, t] at (s_ij nu, a),
+    with k = nu_i - nu_j + beta_i(a) - beta_i(t); as sum_{l<r} zeta^{l*m}
+    is r when r | m and 0 otherwise, the sum keeps r * s_ij[a, t] where
+    k = shift (mod r) and nothing else."""
+    r = irrep.shape.r
+    res = irrep.zeta_residues[i - 1]
+    nu2 = list(nu)
+    nu2[i - 1], nu2[j - 1] = nu2[j - 1], nu2[i - 1]
+    nu2 = tuple(nu2)
+    k0 = nu[i - 1] - nu[j - 1] - res[t] - shift
+    col = _transposition_matrix(irrep, i, j)[t]
+    return [(nu2, a, coef.as_rational() * r) for a, coef in col.items()
+            if (k0 + res[a]) % r == 0]
+
+
 # ---------------------------------------------------------------------------
 # module elements
 
@@ -270,6 +350,13 @@ class ModuleElement:
     def __init__(self, module: "StandardModule", terms: dict):
         self.module = module
         self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
+
+    @classmethod
+    def _over(cls, module: "StandardModule", terms: dict) -> "ModuleElement":
+        """The element with these terms, which hold no zero, sharing the dict."""
+        elt = cls.__new__(cls)
+        elt.module, elt.terms = module, terms
+        return elt
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -296,11 +383,6 @@ class ModuleElement:
         return " + ".join(f"{c!r}*x^{nu}v[{t}]" for (nu, t), c in items) or "0"
 
 
-def _add_term(out: dict, key: tuple, c: CycNumber) -> None:
-    """out[key] += c, in place on a term dict."""
-    out[key] = out[key] + c if key in out else c
-
-
 def _accumulate(out: dict, elt: ModuleElement, c: CycNumber) -> None:
     """out += c * elt, in place on a term dict (zeros are dropped by the
     ModuleElement built from it)."""
@@ -322,7 +404,8 @@ class StandardModule:
         self.field = self.irrep.field
         self.n = shape.size
         self.r = shape.r
-        self._y_cache: dict = {}
+        self._params = (point.c0,) + point.d   # the tables' parameters after the 1
+        self._y_cache: dict = {}   # term dicts, not elements: no cycle through self
         self._z_cache: dict = {}
 
     # -- constructors --------------------------------------------------------
@@ -369,25 +452,19 @@ class StandardModule:
             out[(nu, t)] = c * self.field.zeta_power(res)
         return ModuleElement(self, out)
 
-    def _averaged_transposition(self, i: int, j: int, shift: int,
-                                nu: tuple[int, ...], t: int) -> list[tuple]:
-        """sum_{l<r} zeta^{-l*shift} zeta_i^l s_{ij} zeta_i^{-l} applied to the
-        basis term (nu, t): returns [(nu', t', coeff)].
+    # -- y- and z-operators: the irrep's tables at this point ------------------
 
-        The l-th term has coefficient zeta^{l*k} s_ij[a, t] at (s_ij nu, a),
-        with k = nu_i - nu_j + beta_i(a) - beta_i(t); as sum_{l<r} zeta^{l*m}
-        is r when r | m and 0 otherwise, the sum keeps r * s_ij[a, t] where
-        k = shift (mod r) and nothing else."""
-        res = self.irrep.zeta_residues[i - 1]
-        nu2 = list(nu)
-        nu2[i - 1], nu2[j - 1] = nu2[j - 1], nu2[i - 1]
-        nu2 = tuple(nu2)
-        k0 = nu[i - 1] - nu[j - 1] - res[t] - shift
-        col = _transposition_matrix(self.irrep, i, j)[t]
-        return [(nu2, a, coef * self.r) for a, coef in col.items()
-                if (k0 + res[a]) % self.r == 0]
-
-    # -- the y-operators ------------------------------------------------------
+    def _specialize(self, table: Table) -> dict:
+        """The table's entries at this module's point as a term dict, zeros dropped."""
+        params, from_rational = self._params, self.field.from_rational
+        terms = {}
+        for key, (q, *vec) in table.items():   # q: the constant coefficient
+            for a, v in zip(vec, params):
+                if a:
+                    q += a * v
+            if q:
+                terms[key] = from_rational(q)
+        return terms
 
     def y_act(self, i: int, elt: ModuleElement) -> ModuleElement:
         out: dict = {}
@@ -396,57 +473,23 @@ class StandardModule:
         return ModuleElement(self, out)
 
     def _y_basis(self, i: int, nu: tuple[int, ...], t: int) -> ModuleElement:
-        key = (i, nu, t)
-        cached = self._y_cache.get(key)
-        if cached is not None:
-            return cached
-        if sum(nu) == 0:
-            result = self.zero()
-            self._y_cache[key] = result
-            return result
-        j = next(k + 1 for k, e in enumerate(nu) if e > 0)
-        nu_low = list(nu)
-        nu_low[j - 1] -= 1
-        nu_low = tuple(nu_low)
-        # x_j * y_i on the lower term
-        result = self.x_mul(j, self._y_basis(i, nu_low, t))
-        # plus the bracket [y_i, x_j] on the lower term
-        result = result + self._bracket(i, j, nu_low, t)
-        self._y_cache[key] = result
-        return result
+        terms = self._y_cache.get((i, nu, t))
+        if terms is None:
+            terms = self._y_cache[i, nu, t] = self._specialize(self.irrep.y_table(i, nu, t))
+        return ModuleElement._over(self, terms)
 
     def _bracket(self, i: int, j: int, nu: tuple[int, ...], t: int) -> ModuleElement:
-        """[y_i, x_j] applied to the basis term (nu, t), straight from the
-        defining relations."""
-        f = self.field
-        p = self.point
-        r = self.r
-        c0 = f.from_rational(p.c0)
-        terms: dict = {}
-        if i == j:
-            _add_term(terms, (nu, t), f.one)
-            for j2 in range(1, self.n + 1):
-                if j2 != i:
-                    for nu2, t2, coeff in self._averaged_transposition(i, j2, 0, nu, t):
-                        _add_term(terms, (nu2, t2), -(c0 * coeff))
-            res = (self.irrep.zeta_residues[i - 1][t] - nu[i - 1]) % r
-            dcoef = p.d[res] - p.d[(res - 1) % r]
-            if dcoef:
-                _add_term(terms, (nu, t), f.from_rational(-dcoef))
-        else:
-            for nu2, t2, coeff in self._averaged_transposition(i, j, 1, nu, t):
-                _add_term(terms, (nu2, t2), c0 * coeff)
-        return ModuleElement(self, terms)
-
-    # -- z-operators and Jucys-Murphy sums ------------------------------------
+        """[y_i, x_j] applied to the basis term (nu, t) at this point."""
+        return ModuleElement._over(self, self._specialize(self.irrep.bracket_table(i, j, nu, t)))
 
     def jm_act(self, i: int, elt: ModuleElement) -> ModuleElement:
         """phi_i = sum_{j<i} sum_l zeta_i^l s_{ij} zeta_i^{-l}."""
         out: dict = {}
         for (nu, t), c in elt.terms.items():
             for j in range(1, i):
-                for nu2, t2, coeff in self._averaged_transposition(i, j, 0, nu, t):
-                    _add_term(out, (nu2, t2), c * coeff)
+                for nu2, t2, coeff in _averaged_transposition(self.irrep, i, j, 0, nu, t):
+                    key, add = (nu2, t2), c * coeff
+                    out[key] = out[key] + add if key in out else add
         return ModuleElement(self, out)
 
     def z_act(self, i: int, elt: ModuleElement) -> ModuleElement:
@@ -456,13 +499,10 @@ class StandardModule:
         return ModuleElement(self, out)
 
     def _z_basis(self, i: int, key: tuple) -> ModuleElement:
-        cached = self._z_cache.get((i, key))
-        if cached is None:
-            single = ModuleElement(self, {key: self.field.one})
-            cached = (self.y_act(i, self.x_mul(i, single))
-                      + self.jm_act(i, single).scale(self.point.c0))
-            self._z_cache[(i, key)] = cached
-        return cached
+        terms = self._z_cache.get((i, key))
+        if terms is None:
+            terms = self._z_cache[i, key] = self._specialize(self.irrep.z_table(i, key))
+        return ModuleElement._over(self, terms)
 
     # -- contravariant pairing -------------------------------------------------
 

@@ -287,6 +287,8 @@ class TestErrorHandling:
          {"--json", "--format"}),
         (["aspherical", "list", "--r", "2", "--n", "1", "--json", "--format", "text"],
          {"--json", "--format"}),
+        (["aspherical", "list", "--r", "2", "--n", "3", "--p", "2", "--xi", "1,0"],
+         {"--p", "--xi"}),
         (["core-quotient", "decode", "--r", "2", "--shape", "1,1", "--a", "5"],
          {"--shape", "--a"}),
         (["core-quotient", "decode", "--r", "2", "--shape", "1,1", "--quotient", "x"],

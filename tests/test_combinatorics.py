@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cherednik_kit.combinatorics import (
     BoxRef,
@@ -29,6 +30,7 @@ from cherednik_kit.combinatorics import (
     perm_identity,
     perm_length,
     perm_longest,
+    perm_mul,
     shape_assignment,
     sorting_data,
 )
@@ -273,3 +275,75 @@ class TestTextFormats:
 
     def test_as_partition_trailing_zeros(self):
         assert as_partition((3, 1, 0, 0)) == (3, 1)
+
+
+# -- bijections and minimality as properties -----------------------------------
+
+PROPERTY = settings(deadline=None, database=None, derandomize=True)
+
+
+@st.composite
+def _shapes(draw):
+    """An r-partition of n, r <= 3, n <= 5."""
+    return draw(st.sampled_from(enumerate_multipartitions(draw(st.integers(1, 3)),
+                                                          draw(st.integers(0, 5)))))
+
+
+@st.composite
+def _assignments(draw):
+    """A weakly increasing filling of a random shape: each box exceeds the
+    larger of its left and upper neighbours by 0, 1 or 2."""
+    shape = draw(_shapes())
+    values = []
+    for comp in shape.components:
+        rows: list[tuple[int, ...]] = []
+        for i, length in enumerate(comp):
+            row: list[int] = []
+            for j in range(length):
+                floor = max(row[j - 1] if j else 0, rows[i - 1][j] if i else 0)
+                row.append(floor + draw(st.integers(0, 2)))
+            rows.append(tuple(row))
+        values.append(tuple(rows))
+    return ShapeAssignment(shape, tuple(values))
+
+
+@st.composite
+def _pairs(draw):
+    """A composition mu with entries <= 4 and a standard tableau T of one shape."""
+    shape = draw(_shapes())
+    mu = tuple(draw(st.lists(st.integers(0, 4), min_size=shape.size, max_size=shape.size)))
+    return mu, draw(st.sampled_from(enumerate_syt(shape)))
+
+
+class TestProperties:
+    @PROPERTY
+    @given(_assignments())
+    def test_assignment_pair_round_trips(self, S):
+        mu, T = assignment_pair(S)
+        assert mu == tuple(sorted(mu))
+        assert shape_assignment(mu, T) == S
+
+    @PROPERTY
+    @given(_pairs())
+    def test_shape_assignment_round_trips(self, pair):
+        # assignment_pair picks one pair of each fiber of shape_assignment:
+        # its mu is the sorted mu, and a strictly increasing mu is its own pick
+        mu, T = pair
+        S = shape_assignment(mu, T)
+        mu2, T2 = assignment_pair(S)
+        assert mu2 == tuple(sorted(mu)) and shape_assignment(mu2, T2) == S
+        strict = tuple(sorted(set(mu)))
+        if len(strict) == len(mu):
+            assert assignment_pair(shape_assignment(strict, T)) == (strict, T)
+
+    @PROPERTY
+    @given(st.lists(st.integers(0, 3), max_size=5).map(tuple))
+    def test_sorting_permutation_is_the_shortest_to_decreasing_order(self, nu):
+        # w_nu is the longest permutation onto the non-decreasing order, so
+        # w_0 w_nu is the unique shortest onto the non-increasing order
+        n = len(nu)
+        _, minus, w, _ = sorting_data(nu)
+        shortest = perm_mul(perm_longest(n), w)
+        onto = [p for p in itertools.permutations(range(1, n + 1))
+                if perm_act(p, nu) == minus[::-1]]
+        assert [p for p in onto if perm_length(p) <= perm_length(shortest)] == [shortest]

@@ -156,3 +156,40 @@ class TestFieldAxioms:
         else:
             with pytest.raises(ZeroDivisionError):
                 y.inverse()
+
+
+def _convolution_product(x, y):
+    """Reference: the full polynomial product of the two coefficient vectors,
+    every pair of coefficients multiplied, reduced modulo Phi_r by long
+    division from the top degree down."""
+    d = x.field.degree
+    prod = [Fraction(0)] * (2 * d - 1)
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            prod[i + j] += a * b
+    modulus = cyclotomic_polynomial(x.field.r)
+    for top in range(2 * d - 2, d - 1, -1):
+        lead = prod[top]
+        for k, m in enumerate(modulus):
+            prod[top - d + k] -= lead * m
+    return tuple(prod[:d])
+
+
+def _rational_or_not(r: int):
+    """An element of Q(zeta_r), rational about half the time, so that both
+    factors, one, or neither is rational."""
+    f = CyclotomicField(r)
+    return st.one_of(RATIONALS.map(f.from_rational), _element(r))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+@PROPERTY
+@given(data=st.data())
+def test_product_matches_the_full_convolution(r, data):
+    x, y = data.draw(_rational_or_not(r)), data.draw(_rational_or_not(r))
+    expect = _convolution_product(x, y)
+    assert (x * y).coeffs == expect
+    assert (y * x).coeffs == expect
+    if x.is_rational():
+        q = x.as_rational()
+        assert (y * q).coeffs == (q * y).coeffs == expect

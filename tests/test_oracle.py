@@ -525,6 +525,48 @@ def test_averaged_transposition_matches_the_literal_sum(r, n):
                             assert mod._bracket(i, j, nu, t) == _literal_bracket(mod, i, j, nu, t)
 
 
+def _point_valued_y(mod, i, nu, t, cache):
+    """Reference: y_i on x^nu v_t at the module's point by the point-valued
+    recursion (y kills degree 0; y_i x_j = x_j y_i + [y_i, x_j] for the
+    first j with nu_j > 0), with the bracket summed literally over l."""
+    if (i, nu, t) not in cache:
+        j = next((k + 1 for k, e in enumerate(nu) if e), None)
+        if j is None:
+            cache[i, nu, t] = mod.zero()
+        else:
+            low = nu[:j - 1] + (nu[j - 1] - 1,) + nu[j:]
+            cache[i, nu, t] = (mod.x_mul(j, _point_valued_y(mod, i, low, t, cache))
+                               + _literal_bracket(mod, i, j, low, t))
+    return cache[i, nu, t]
+
+
+def _point_valued_z(mod, i, nu, t, cache):
+    """Reference: z_i = y_i x_i + c0 phi_i on x^nu v_t at the module's point."""
+    up = nu[:i - 1] + (nu[i - 1] + 1,) + nu[i:]
+    return (_point_valued_y(mod, i, up, t, cache)
+            + _literal_jm(mod, i, nu, t).scale(mod.point.c0))
+
+
+@pytest.mark.parametrize("r, n", ORACLE_RANGE + [(4, 2), (1, 4)])
+def test_tables_specialize_to_the_point_valued_recursion(r, n):
+    # two modules at different points share one irrep, so one point's
+    # specialization runs on tables the other's built
+    rng = random.Random(9000 + 10 * r + n)
+    for shape in enumerate_multipartitions(r, n):
+        irrep = build_irrep(shape)
+        points = [small_point(r, rng), small_point(r, rng)]
+        assert points[0] != points[1]
+        for point in points:
+            mod, cache = StandardModule(shape, point, irrep=irrep), {}
+            keys = [(nu, t) for deg in range(4) for nu in mod.monomials(deg)
+                    for t in range(irrep.dim)]
+            for (nu, t), i in itertools.product(keys, range(1, n + 1)):
+                assert mod._y_basis(i, nu, t) == _point_valued_y(mod, i, nu, t, cache)
+                assert mod._z_basis(i, (nu, t)) == _point_valued_z(mod, i, nu, t, cache)
+                for j in range(1, n + 1):
+                    assert mod._bracket(i, j, nu, t) == _literal_bracket(mod, i, j, nu, t)
+
+
 def _dense_kernel(rows, width, f):
     """Reference: dense Gauss-Jordan elimination, every entry of every row
     updated at every pivot."""
