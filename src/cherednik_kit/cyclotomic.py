@@ -1,32 +1,47 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_r).
 
-Elements are dense coefficient vectors over Fraction modulo the r-th
-cyclotomic polynomial, so equality tests are exact.  Conjugation is
-zeta -> zeta^(-1).  A product with a rational factor scales the other
-factor's coefficients, without the polynomial product and reduction.  For
-r in {1, 2} the field degenerates to Q: the vector has one entry, every
-product is such a product, and conjugation is the identity.
+An element is a tuple of integer numerators, one per power of zeta below
+the degree of the r-th cyclotomic polynomial Phi_r, over one positive
+integer denominator.  It is canonical when built (the denominator and the
+numerators have gcd 1, and zero is all zeros over 1), so equality and
+hashing compare tuples.  Phi_r is monic over Z, so a product reduces modulo
+Phi_r in the integers, with a table of the powers of zeta; a sum or a
+product costs one gcd.  A product with a rational factor scales the other
+factor's numerators, without the polynomial product.  Conjugation is the
+Galois automorphism zeta -> zeta^(-1), and the inverse is the product of the
+other Galois conjugates over the rational norm.  For r in {1, 2} the field
+degenerates to Q: one numerator, and conjugation is the identity.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from math import gcd
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(r: int) -> tuple[Fraction, ...]:
+def cyclotomic_polynomial(r: int) -> tuple[int, ...]:
     """Coefficients (low degree first, monic) of the r-th cyclotomic
     polynomial, computed by dividing x^r - 1 by the lower cyclotomics."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    poly = [Fraction(-1)] + [Fraction(0)] * (r - 1) + [Fraction(1)]  # x^r - 1
+    poly = [-1] + [0] * (r - 1) + [1]  # x^r - 1
     for d in range(1, r):
         if r % d == 0:
-            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
-            if _deg(rem) >= 0:
-                raise ArithmeticError("non-exact polynomial division")
+            poly = _monic_quotient(poly, cyclotomic_polynomial(d))
     return tuple(poly)
+
+
+def _monic_quotient(a: list[int], b: tuple[int, ...]) -> list[int]:
+    """a / b over Z for a monic b that divides a."""
+    a, q = list(a), [0] * (len(a) - len(b) + 1)
+    for s in range(len(q) - 1, -1, -1):
+        q[s] = lead = a[s + len(b) - 1]
+        for i, m in enumerate(b):
+            a[s + i] -= lead * m
+    if any(a):
+        raise ArithmeticError("non-exact polynomial division")
+    return q
 
 
 class CyclotomicField:
@@ -45,63 +60,83 @@ class CyclotomicField:
         self.r = r
         modulus = cyclotomic_polynomial(r)
         self.degree = len(modulus) - 1
-        # reduction table: zeta^k as a vector for 0 <= k < 2*degree
-        self._powers: list[tuple[Fraction, ...]] = []
-        vec = [Fraction(0)] * self.degree
-        vec[0] = Fraction(1)
+        # reduction table: zeta^k as integer numerators, 0 <= k < 2*degree + r
+        self._powers: list[tuple[int, ...]] = []
+        vec = [1] + [0] * (self.degree - 1)
         for _ in range(2 * self.degree + r):
             self._powers.append(tuple(vec))
-            vec = [Fraction(0)] + vec  # multiply by zeta
-            top = vec.pop()            # coefficient of zeta^degree
+            vec = [0] + vec  # multiply by zeta
+            top = vec.pop()  # coefficient of zeta^degree
             if top:
                 for i in range(self.degree):
                     vec[i] -= top * modulus[i]
-        self.zero = CycNumber(self, (Fraction(0),) * self.degree)
-        self.one = CycNumber(self, self._powers[0])
-        self.modulus = modulus
+        self._tail = self._powers[0][1:]   # the zero numerators after the first
+        self._units = [k for k in range(2, r) if gcd(k, r) == 1]   # Galois group minus 1
+        self.zero = CycNumber(self, (0,) * self.degree, 1)
+        self.one = CycNumber(self, self._powers[0], 1)
 
     def zeta_power(self, k: int) -> "CycNumber":
-        return CycNumber(self, self._powers[k % self.r])
+        return CycNumber(self, self._powers[k % self.r], 1)
 
     def from_rational(self, q) -> "CycNumber":
-        q = q if type(q) is Fraction else Fraction(q)
-        return CycNumber(self, (q,) + self._powers[0][1:])
+        q = q if type(q) is int or type(q) is Fraction else Fraction(q)
+        return CycNumber(self, (q.numerator,) + self._tail, q.denominator)
 
-    def _reduce(self, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * self.degree
-        for k, c in enumerate(coeffs):
-            if c:
-                pk = self._powers[k]
-                for i in range(self.degree):
-                    out[i] += c * pk[i]
-        return tuple(out)
+    def _ratio(self, n: int, d: int) -> "CycNumber":
+        """The rational n/d, for integers n and d > 0."""
+        g = gcd(n, d)
+        return CycNumber(self, (n // g,) + self._tail, d // g)
+
+
+def _canonical(field: CyclotomicField, num: list[int], den: int) -> "CycNumber":
+    """num/den, for den > 0, divided by the gcd of den and every numerator."""
+    g = gcd(den, *num)
+    if g == 1:
+        return CycNumber(field, tuple(num), den)
+    return CycNumber(field, tuple(a // g for a in num), den // g)
 
 
 class CycNumber:
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: CyclotomicField, coeffs: tuple[Fraction, ...]):
+    def __init__(self, field: CyclotomicField, num: tuple[int, ...], den: int):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficient of each power of zeta."""
+        return tuple(Fraction(a, self.den) for a in self.num)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if self.field.degree == 1:
-            return CycNumber(self.field, (self.coeffs[0] + other.coeffs[0],))
-        return CycNumber(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        if other.__class__ is not CycNumber or other.field is not self.field:
+            other = self._coerce(other)
+        d1, d2 = self.den, other.den
+        if len(self.num) == 1:   # Q: one numerator
+            n = self.num[0] + other.num[0] if d1 == d2 else self.num[0] * d2 + other.num[0] * d1
+            return self.field._ratio(n, d1 if d1 == d2 else d1 * d2)
+        if d1 == d2:
+            num = [a + b for a, b in zip(self.num, other.num)]
+            return CycNumber(self.field, tuple(num), 1) if d1 == 1 else _canonical(self.field, num, d1)
+        return _canonical(self.field, [a * d2 + b * d1 for a, b in zip(self.num, other.num)], d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.field.degree == 1:
-            return CycNumber(self.field, (-self.coeffs[0],))
-        return CycNumber(self.field, tuple(-a for a in self.coeffs))
+        return CycNumber(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if self.field.degree == 1:
-            return CycNumber(self.field, (self.coeffs[0] - other.coeffs[0],))
-        return CycNumber(self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        if other.__class__ is not CycNumber or other.field is not self.field:
+            other = self._coerce(other)
+        d1, d2 = self.den, other.den
+        if len(self.num) == 1:
+            n = self.num[0] - other.num[0] if d1 == d2 else self.num[0] * d2 - other.num[0] * d1
+            return self.field._ratio(n, d1 if d1 == d2 else d1 * d2)
+        if d1 == d2:
+            num = [a - b for a, b in zip(self.num, other.num)]
+            return CycNumber(self.field, tuple(num), 1) if d1 == 1 else _canonical(self.field, num, d1)
+        return _canonical(self.field, [a * d2 - b * d1 for a, b in zip(self.num, other.num)], d1 * d2)
 
     def __rsub__(self, other):
         return (-self) + self._coerce(other)
@@ -114,128 +149,89 @@ class CycNumber:
         return self.field.from_rational(other)
 
     def __mul__(self, other):
-        if not isinstance(other, CycNumber):
-            return self._scaled(Fraction(other))
-        if other.field is not self.field:
-            raise ValueError("mixed cyclotomic fields")
-        if self.field.degree == 1:
-            return CycNumber(self.field, (self.coeffs[0] * other.coeffs[0],))
-        if not any(other.coeffs[1:]):
-            return self._scaled(other.coeffs[0])
-        if not any(self.coeffs[1:]):
-            return other._scaled(self.coeffs[0])
-        return CycNumber(self.field, self.field._reduce(_poly_mul(self.coeffs, other.coeffs)))
+        if other.__class__ is not CycNumber or other.field is not self.field:
+            other = self._coerce(other)
+        a, b = self.num, other.num
+        if len(a) == 1:
+            return self.field._ratio(a[0] * b[0], self.den * other.den)
+        if not any(b[1:]):
+            return self._scaled(b[0], other.den)
+        if not any(a[1:]):
+            return other._scaled(a[0], self.den)
+        f = self.field
+        prod = [0] * (2 * f.degree - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        out = prod[:f.degree]
+        for k in range(f.degree, len(prod)):
+            if prod[k]:
+                for i, p in enumerate(f._powers[k]):
+                    out[i] += prod[k] * p
+        return _canonical(f, out, self.den * other.den)
 
-    def _scaled(self, q: Fraction) -> "CycNumber":
-        """q * self for a rational q, skipping zero coefficients."""
-        return CycNumber(self.field, tuple(a * q if a else a for a in self.coeffs))
+    def _scaled(self, n: int, d: int) -> "CycNumber":
+        """self * n/d for integers n and d > 0, skipping zero numerators."""
+        return _canonical(self.field, [a * n if a else 0 for a in self.num], self.den * d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNumber":
-        """Inverse via the extended Euclidean algorithm mod the cyclotomic
-        polynomial."""
+        """1/x: the product of the other Galois conjugates of x over the norm
+        N(x), the product of all of them, which is rational."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        if self.field.degree == 1:
-            return CycNumber(self.field, (1 / self.coeffs[0],))
-        mod = list(self.field.modulus)
-        a = list(self.coeffs)
-        # extended euclid over Q[x]: s*a + t*mod = gcd (a unit)
-        r0, r1 = mod, _trim(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while _deg(r1) > 0:
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        unit = r1[0]
-        inv = [c / unit for c in s1]
-        return CycNumber(self.field, self.field._reduce(inv))
+        rest, norm = self.field.one, self
+        if not self.is_rational():
+            for k in self.field._units:
+                rest = rest * self._galois(k)
+            norm = self * rest
+        n = norm.num[0]
+        return rest._scaled(norm.den, n) if n > 0 else rest._scaled(-norm.den, -n)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inverse()
+        return self * self._coerce(other).inverse()
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
 
     def conjugate(self) -> "CycNumber":
         """zeta -> zeta^{-1}."""
+        return self if self.field.degree == 1 else self._galois(-1)
+
+    def _galois(self, k: int) -> "CycNumber":
+        """zeta -> zeta^k for k prime to r.  It maps Z[zeta] onto itself, so the
+        numerators keep their gcd and the result needs no reduction."""
         f = self.field
-        if f.degree == 1:
-            return self
-        vec = [Fraction(0)] * f.r
-        for k, c in enumerate(self.coeffs):
-            vec[-k % f.r] = c
-        return CycNumber(f, f._reduce(vec))
+        out = [0] * f.degree
+        for j, a in enumerate(self.num):
+            if a:
+                for i, p in enumerate(f._powers[j * k % f.r]):
+                    out[i] += a * p
+        return CycNumber(f, tuple(out), self.den)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"not rational: {self.coeffs}")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other):
         if isinstance(other, CycNumber):
-            return self.field is other.field and self.coeffs == other.coeffs
+            return self.field is other.field and self.den == other.den and self.num == other.num
         try:
             return self == self._coerce(other)
         except (TypeError, ValueError):
             return NotImplemented
 
     def __hash__(self):
-        return hash((self.field.r, self.coeffs))
+        return hash((self.field.r, self.num, self.den))
 
     def __repr__(self):
         return f"Cyc{self.field.r}{self.coeffs}"
-
-
-def _deg(p: Sequence[Fraction]) -> int:
-    for i in range(len(p) - 1, -1, -1):
-        if p[i] != 0:
-            return i
-    return -1
-
-
-def _trim(p: Sequence[Fraction]) -> list[Fraction]:
-    d = _deg(p)
-    return list(p[: d + 1]) if d >= 0 else [Fraction(0)]
-
-
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
-
-
-def _poly_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    return _trim(out)
-
-
-def _poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = _trim(a)
-    b = _trim(b)
-    if _deg(b) < 0:
-        raise ZeroDivisionError
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    rem = list(a)
-    while _deg(rem) >= _deg(b):
-        shift = _deg(rem) - _deg(b)
-        coef = rem[_deg(rem)] / b[_deg(b)]
-        q[shift] += coef
-        for i, c in enumerate(b):
-            rem[i + shift] -= coef * c
-    return _trim(q), _trim(rem)

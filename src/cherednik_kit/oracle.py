@@ -404,7 +404,8 @@ class StandardModule:
         self.field = self.irrep.field
         self.n = shape.size
         self.r = shape.r
-        self._params = (point.c0,) + point.d   # the tables' parameters after the 1
+        # the tables' parameters after the 1, as (numerator, denominator)
+        self._params = [(p.numerator, p.denominator) for p in (point.c0,) + point.d]
         self._y_cache: dict = {}   # term dicts, not elements: no cycle through self
         self._z_cache: dict = {}
 
@@ -415,7 +416,7 @@ class StandardModule:
 
     def basis_vector(self, t_idx: int, nu: tuple[int, ...] | None = None) -> ModuleElement:
         nu = nu if nu is not None else (0,) * self.n
-        return ModuleElement(self, {(tuple(nu), t_idx): self.field.one})
+        return ModuleElement._over(self, {(tuple(nu), t_idx): self.field.one})
 
     def tableau_vector(self, T: StandardTableau) -> ModuleElement:
         return self.basis_vector(self.irrep.index[T])
@@ -431,7 +432,7 @@ class StandardModule:
             nu2 = list(nu)
             nu2[i - 1] += 1
             out[(tuple(nu2), t)] = c
-        return ModuleElement(self, out)
+        return ModuleElement._over(self, out)   # shifted exponents: no zero
 
     def apply_perm(self, w: tuple[int, ...], elt: ModuleElement) -> ModuleElement:
         mat = self.irrep.perm_matrix(w)
@@ -450,20 +451,26 @@ class StandardModule:
         for (nu, t), c in elt.terms.items():
             res = self.irrep.zeta_residues[i - 1][t] - nu[i - 1]
             out[(nu, t)] = c * self.field.zeta_power(res)
-        return ModuleElement(self, out)
+        return ModuleElement._over(self, out)   # roots of unity: no zero
 
     # -- y- and z-operators: the irrep's tables at this point ------------------
 
     def _specialize(self, table: Table) -> dict:
-        """The table's entries at this module's point as a term dict, zeros dropped."""
-        params, from_rational = self._params, self.field.from_rational
+        """The table's entries at this module's point as a term dict, zeros
+        dropped: each entry q + sum_k a_k p_k is summed as n/d in integers."""
+        params, ratio = self._params, self.field._ratio
         terms = {}
         for key, (q, *vec) in table.items():   # q: the constant coefficient
-            for a, v in zip(vec, params):
+            n, d = q.numerator, q.denominator
+            for a, (pn, pd) in zip(vec, params):
                 if a:
-                    q += a * v
-            if q:
-                terms[key] = from_rational(q)
+                    an, ad = a.numerator * pn, a.denominator * pd
+                    if ad == d:
+                        n += an
+                    else:
+                        n, d = n * ad + an * d, d * ad
+            if n:
+                terms[key] = ratio(n, d)
         return terms
 
     def y_act(self, i: int, elt: ModuleElement) -> ModuleElement:

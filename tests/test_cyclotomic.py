@@ -1,3 +1,4 @@
+import math
 import operator
 from fractions import Fraction
 
@@ -193,3 +194,36 @@ def test_product_matches_the_full_convolution(r, data):
     if x.is_rational():
         q = x.as_rational()
         assert (y * q).coeffs == (q * y).coeffs == expect
+
+
+# -- the canonical integer form ----------------------------------------------------
+
+
+def _assert_canonical(x):
+    """den > 0, gcd(den, *num) == 1, zero is all zeros over 1, and the value
+    rebuilt from its rational coefficients is equal to it and hashes equal."""
+    f = x.field
+    assert len(x.num) == f.degree and x.den > 0
+    assert math.gcd(x.den, *x.num) == 1
+    if not any(x.num):
+        assert (x.num, x.den) == ((0,) * f.degree, 1)
+    again = sum((f.zeta_power(k) * c for k, c in enumerate(x.coeffs)), f.zero)
+    assert again == x and hash(again) == hash(x)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+@PROPERTY
+@given(data=st.data())
+def test_every_result_is_canonical(r, data):
+    x, y = data.draw(_rational_or_not(r)), data.draw(_rational_or_not(r))
+    q = data.draw(RATIONALS)
+    pairs = [(x + y, y + x), (x - y, -(y - x)), (x * y, y * x), (x + q, q + x),
+             (x - q, -(q - x)), (x * q, q * x), (x.conjugate(), x.conjugate().conjugate().conjugate())]
+    if not y.is_zero():
+        pairs += [(x / y, x * y.inverse()), (y.inverse(), 1 / y)]
+        if q:
+            pairs += [(q / y, y.inverse() * q)]
+    for a, b in pairs:
+        _assert_canonical(a)
+        _assert_canonical(b)
+        assert a == b and hash(a) == hash(b)

@@ -36,7 +36,7 @@ from cherednik_kit.oracle import (
     validate_irrep,
     verify_report,
 )
-from cherednik_kit.scalars import ParameterPoint
+from cherednik_kit.scalars import ParameterPoint, random_point
 
 from conftest import compositions, enumerate_assignments, small_point
 from test_acceptance import ORACLE_RANGE
@@ -565,6 +565,42 @@ def test_tables_specialize_to_the_point_valued_recursion(r, n):
                 assert mod._z_basis(i, (nu, t)) == _point_valued_z(mod, i, nu, t, cache)
                 for j in range(1, n + 1):
                     assert mod._bracket(i, j, nu, t) == _literal_bracket(mod, i, j, nu, t)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_specialize_matches_a_fraction_sum(r):
+    # _specialize sums each entry in integers; the reference sums Fractions.
+    # Denominators come from one small pool, so that equal, nested and coprime
+    # ones all meet, numerators take both signs, and some entries cancel
+    rng = random.Random(7100 + r)
+    pool = (1, 2, 3, 4, 5, 6, 7, 12)
+
+    def q(zero_share=0.25):
+        return Fraction(0) if rng.random() < zero_share else \
+            Fraction(rng.randint(-9, 9), rng.choice(pool))
+
+    shape = enumerate_multipartitions(r, 1)[0]
+    irrep = build_irrep(shape)
+    f = irrep.field
+    points = [ParameterPoint(r, q(), [q() for _ in range(r)]) for _ in range(30)]
+    points += [random_point(r, rng) for _ in range(5)]
+    for point in points:
+        params = (point.c0,) + point.d
+        table = {}
+        for k in range(16):
+            const, *vec = (q() for _ in range(r + 2))
+            if k % 4 == 0:   # an entry that sums to zero
+                const = -sum((a * p for a, p in zip(vec, params)), Fraction(0))
+            table[(k,), 0] = (const, *vec)
+        expect = {}
+        for key, (const, *vec) in table.items():
+            total = const + sum((a * p for a, p in zip(vec, params)), Fraction(0))
+            if total:
+                expect[key] = f.from_rational(total)
+        terms = StandardModule(shape, point, irrep=irrep)._specialize(table)
+        assert terms == expect
+        for c in terms.values():
+            assert c.den > 0 and math.gcd(c.den, *c.num) == 1
 
 
 def _dense_kernel(rows, width, f):
