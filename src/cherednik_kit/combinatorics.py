@@ -129,15 +129,6 @@ class MultiPartition:
         comp = self.components[b.component]
         return b.row <= len(comp) and b.column <= comp[b.row - 1]
 
-    def with_box_added(self, b: BoxRef) -> "MultiPartition":
-        comp = list(self.components[b.component])
-        if b.row == len(comp) + 1:
-            comp.append(0)
-        comp[b.row - 1] += 1
-        comps = list(self.components)
-        comps[b.component] = as_partition(comp)
-        return MultiPartition(self.r, tuple(comps))
-
     def as_text(self) -> str:
         return "|".join(",".join(str(x) for x in c) for c in self.components)
 

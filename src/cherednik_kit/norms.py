@@ -14,16 +14,24 @@ AffineForm / FactoredScalar values:
 - pochhammer_products: the alternative Pochhammer-symbol expressions,
   proportional to hook/extra products by nonzero constants.
 
-Each product formula collects its numerator and denominator affine forms in
-lists and builds one canonical FactoredScalar from them, once; minimal_norm
-multiplies two such products, and pochhammer_products, the independent
-reference, multiplies Pochhammer symbols.  Empty products are 1 throughout.
+Each product formula lists its numerator and denominator as terms
+(top, hi, lo, ct), each the residue forms k - (d_hi - d_lo) - r*ct*c0 for
+1 <= k <= top, k = hi - lo mod r.  `_product` counts the forms by integer key
+(k, hi mod r, lo mod r, ct) and builds an AffineForm only for a key with a
+nonzero net count, into one canonical FactoredScalar.  symmetric_norm's ratios
+over box pairs (b, b2) telescope along each run of equal S-values in a row,
+so it lists O(n * runs) terms, not O(n^2).  minimal_norm multiplies two
+products, and pochhammer_products, the independent reference, multiplies
+Pochhammer symbols.  Empty products are 1 throughout.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import factorial
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .combinatorics import (
@@ -36,7 +44,8 @@ from .combinatorics import (
 )
 from .scalars import AffineForm, FactoredScalar, pochhammer
 
-Part = tuple[list[AffineForm], list[AffineForm]]  # numerator forms, denominator forms
+Term = tuple[int, int, int, int]  # (top, hi, lo, ct), see the module doc
+Part = tuple[list[Term], list[Term]]  # numerator terms, denominator terms
 
 
 @dataclass(frozen=True)
@@ -48,9 +57,9 @@ class SpectralDatum:
 
 def _eig_form(r: int, const: int, beta_hi: int, beta_lo: int, ct: int) -> AffineForm:
     """const - (d_{beta_hi} - d_{beta_lo}) - r*ct*c0."""
-    d: dict[int, int] = {}
-    for idx, val in ((beta_hi % r, -1), (beta_lo % r, 1)):
-        d[idx] = d.get(idx, 0) + val
+    d = [0] * r
+    d[beta_hi % r] -= 1
+    d[beta_lo % r] += 1
     return AffineForm(r, const=const, c0=-r * ct, d=d)
 
 
@@ -76,33 +85,34 @@ def spectrum(mu: Sequence[int], T: StandardTableau) -> list[SpectralDatum]:
     return out
 
 
-def _residue_forms(r: int, top: int, hi: int, lo: int, ct: int) -> list[AffineForm]:
-    """_eig_form(r, k, hi, lo, ct) for 1 <= k <= top with k = hi - lo mod r."""
-    return [_eig_form(r, k, hi, lo, ct) for k in range((hi - lo - 1) % r + 1, top + 1, r)]
+def _keys(r: int, terms: Iterable[Term]) -> Counter:
+    """Each term's forms _eig_form(r, k, hi, lo, ct), counted by integer key."""
+    return Counter((k, hi % r, lo % r, ct) for top, hi, lo, ct in terms
+                   for k in range((hi - lo - 1) % r + 1, top + 1, r))
 
 
-def _own_forms(r: int, top: int, beta: int, ct: int) -> list[AffineForm]:
+def _own_part(r: int, top: int, beta: int, ct: int) -> Part:
     """A box's own factors: _eig_form(r, k, beta, beta - k, ct) for 1 <= k <= top."""
-    return [_eig_form(r, k, beta, beta - k, ct) for k in range(1, top + 1)]
+    return [(top, beta, lo, ct) for lo in range(r)], []
 
 
-def _pair_forms(r: int, hi: int, lo: int, ct: int, top_minus: int, top_plus: int) -> Part:
-    """Numerator and denominator of an ordered box pair's ratios: with X(c)
-    the residue forms of (hi, lo) at content difference c, X(ct - 1)/X(ct)
-    for k <= top_minus and X(ct + 1)/X(ct) for k <= top_plus."""
-    num = _residue_forms(r, top_minus, hi, lo, ct - 1) + _residue_forms(r, top_plus, hi, lo, ct + 1)
-    den = _residue_forms(r, top_minus, hi, lo, ct) + _residue_forms(r, top_plus, hi, lo, ct)
-    return num, den
+def _run_part(hi: int, lo: int, top_minus: int, top_plus: int, t_lo: int, t_hi: int) -> Part:
+    """The ratios X(t - 1)/X(t) for k <= top_minus and X(t + 1)/X(t) for
+    k <= top_plus over t_lo <= t <= t_hi, with X(t) the residue forms of
+    (hi, lo) at content difference t; they telescope to
+    X(t_lo - 1) X(t_hi + 1) / (X(t_hi) X(t_lo))."""
+    return ([(top_minus, hi, lo, t_lo - 1), (top_plus, hi, lo, t_hi + 1)],
+            [(top_minus, hi, lo, t_hi), (top_plus, hi, lo, t_lo)])
 
 
-def _product(r: int, coefficient, parts: Iterable[Part]) -> FactoredScalar:
-    """One FactoredScalar from the forms of all parts."""
-    num: list[AffineForm] = []
-    den: list[AffineForm] = []
-    for part_num, part_den in parts:
-        num += part_num
-        den += part_den
-    return FactoredScalar(r, coefficient, num, den)
+def _product(r: int, coefficient, parts: Sequence[Part]) -> FactoredScalar:
+    """One FactoredScalar from the terms of all parts: forms are counted by
+    integer key, and only keys with a nonzero net count become AffineForms."""
+    net = _keys(r, (term for num, _ in parts for term in num))
+    net.subtract(_keys(r, (term for _, den in parts for term in den)))
+    forms = {key: _eig_form(r, *key) for key, m in net.items() if m}
+    return FactoredScalar(r, coefficient, [f for key, f in forms.items() for _ in range(net[key])],
+                          [f for key, f in forms.items() for _ in range(-net[key])])
 
 
 def nonsymmetric_norm(mu: Sequence[int], T: StandardTableau) -> FactoredScalar:
@@ -119,34 +129,45 @@ def nonsymmetric_norm(mu: Sequence[int], T: StandardTableau) -> FactoredScalar:
     boxes = [T.box_of(w_mu[i - 1]) for i in range(1, n + 1)]
     a = [b.content for b in boxes]
     beta = [b.component for b in boxes]
-    parts = [(_own_forms(r, mu[i], beta[i], a[i]), []) for i in range(n)]
+    parts = [_own_part(r, mu[i], beta[i], a[i]) for i in range(n)]
     # per pair, ((X - r c0)(X + r c0)) / X^2 = X(ct - 1) X(ct + 1) / X(ct)^2,
     # ct = a_hi - a_lo, for k up to mu_i - mu_j at (i, j), mu_j - mu_i - 1 at (j, i)
-    parts += [_pair_forms(r, beta[hi], beta[lo], a[hi] - a[lo], top, top)
+    parts += [_run_part(beta[hi], beta[lo], top, top, a[hi] - a[lo], a[hi] - a[lo])
               for i in range(n) for j in range(i + 1, n)
               for hi, lo, top in ((i, j, mu[i] - mu[j]), (j, i, mu[j] - mu[i] - 1))]
     return _product(r, 1, parts)
 
 
-def _box_parts(S: ShapeAssignment, b: BoxRef) -> list[Part]:
+def _runs(S: ShapeAssignment) -> list[tuple[int, int, int, int]]:
+    """(value, component, first content, last content) of each maximal run of
+    equal S-values within a row; contents grow by one along a row."""
+    return [(v, l, js[0] - i, js[-1] - i)
+            for l, rows in enumerate(S.values) for i, row in enumerate(rows, start=1)
+            for v, group in groupby(enumerate(row, start=1), key=itemgetter(1))
+            for js in [[j for j, _ in group]]]
+
+
+def _box_parts(S: ShapeAssignment, b: BoxRef, runs: Iterable[tuple]) -> list[Part]:
     """Box b's share of the symmetric-norm product: its own factors and the
-    ratios of the ordered pairs (b, b2) over every box b2 (b2 = b adds none)."""
-    r, sb = S.shape.r, S.value(b)
-    return [(_own_forms(r, sb, b.component, b.content), [])] + [
-        _pair_forms(r, b.component, b2.component, b.content - b2.content,
-                    sb - S.value(b2), sb - S.value(b2) - r)
-        for b2 in S.shape.boxes()]
+    ratios of the ordered pairs (b, b2) over every box b2 (b2 = b adds none),
+    telescoped along each run of b2, where top_minus and top_plus are fixed."""
+    r, sb, ct = S.shape.r, S.value(b), b.content
+    return [_own_part(r, sb, b.component, ct)] + [
+        _run_part(b.component, l, sb - v, sb - v - r, ct - c_last, ct - c_first)
+        for v, l, c_first, c_last in runs]
 
 
 def symmetric_norm(S: ShapeAssignment) -> FactoredScalar:
     """Norm of the symmetrized eigenvector g attached to a column-strict,
     residue-compatible assignment S: n! times a product over boxes and a
-    double product of ratios over ordered box pairs."""
+    double product of ratios over ordered box pairs, telescoped along each
+    run of boxes b2 (one run per row under the minimal assignment)."""
     if not S.is_column_strict():
         raise ValueError("assignment must be column-strict")
     if not S.satisfies_residues():
         raise ValueError("assignment must satisfy S(b) = beta(b) mod r")
-    parts = [part for b in S.shape.boxes() for part in _box_parts(S, b)]
+    runs = _runs(S)
+    parts = [part for b in S.shape.boxes() for part in _box_parts(S, b, runs)]
     return _product(S.shape.r, factorial(S.shape.size), parts)
 
 
@@ -184,14 +205,10 @@ def minimal_assignment(shape: MultiPartition) -> ShapeAssignment:
 
 def lower_rim(shape: MultiPartition) -> list[BoxRef]:
     """Boxes not directly above another box of the same component."""
-    out = []
-    for l, comp in enumerate(shape.components):
-        for i, row in enumerate(comp, start=1):
-            below = comp[i] if i < len(comp) else 0
-            for j in range(1, row + 1):
-                if j > below:
-                    out.append(BoxRef(l, i, j))
-    return out
+    return [BoxRef(l, i, j)
+            for l, comp in enumerate(shape.components)
+            for i, row in enumerate(comp, start=1)
+            for j in range((comp[i] if i < len(comp) else 0) + 1, row + 1)]
 
 
 def right_rim(shape: MultiPartition) -> list[BoxRef]:
@@ -211,15 +228,9 @@ class CornerDatum:
 
 
 def corner_data(shape: MultiPartition) -> list[CornerDatum]:
-    r = shape.r
-    out = []
-    for l, comp in enumerate(shape.components):
-        length = len(comp)
-        if length == 0:
-            out.append(CornerDatum(l, l - r, 1))
-        else:
-            out.append(CornerDatum(l, l + (length - 1) * r, 1 - length))
-    return out
+    """Each component's lower-left corner: S_l = l + (rows - 1)*r, c_l = 1 - rows."""
+    return [CornerDatum(l, l + (len(comp) - 1) * shape.r, 1 - len(comp))
+            for l, comp in enumerate(shape.components)]
 
 
 def hook_product(shape: MultiPartition) -> FactoredScalar:
@@ -230,10 +241,9 @@ def hook_product(shape: MultiPartition) -> FactoredScalar:
     r = shape.r
     S = minimal_assignment(shape)
     right = right_rim(shape)
-    return FactoredScalar(r, 1, [
-        f for b in lower_rim(shape) for b2 in right
-        for f in _residue_forms(r, S.value(b) - S.value(b2), b.component, b2.component,
-                                b.content - b2.content - 1)])
+    return _product(r, 1, [([
+        (S.value(b) - S.value(b2), b.component, b2.component, b.content - b2.content - 1)
+        for b in lower_rim(shape) for b2 in right], [])])
 
 
 def extra_product(shape: MultiPartition) -> FactoredScalar:
@@ -243,10 +253,10 @@ def extra_product(shape: MultiPartition) -> FactoredScalar:
     r = shape.r
     S = minimal_assignment(shape)
     corners = corner_data(shape)
-    return FactoredScalar(r, 1, [
-        f for b in shape.boxes() for corner in corners
-        for f in _residue_forms(r, S.value(b) - corner.s_value - r, b.component,
-                                corner.component, b.content - corner.content + 1)])
+    return _product(r, 1, [([
+        (S.value(b) - corner.s_value - r, b.component, corner.component,
+         b.content - corner.content + 1)
+        for b in shape.boxes() for corner in corners], [])])
 
 
 def minimal_norm(shape: MultiPartition) -> FactoredScalar:
@@ -264,7 +274,7 @@ def removal_correction(shape: MultiPartition, b: BoxRef) -> FactoredScalar:
     S = minimal_assignment(shape)
     if any(S.value(b2) > S.value(b) for b2 in shape.boxes()):
         raise ValueError("box must carry a maximal assignment value")
-    return _product(shape.r, 1, _box_parts(S, b))
+    return _product(shape.r, 1, _box_parts(S, b, _runs(S)))
 
 
 def pochhammer_products(shape: MultiPartition) -> tuple[FactoredScalar, FactoredScalar]:

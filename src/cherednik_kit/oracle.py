@@ -106,6 +106,7 @@ class IrrepModel:
     _perm_cache: dict = dataclass_field(default_factory=dict, repr=False, compare=False)
     _y_tables: dict = dataclass_field(default_factory=dict, repr=False, compare=False)
     _z_tables: dict = dataclass_field(default_factory=dict, repr=False, compare=False)
+    _b_tables: dict = dataclass_field(default_factory=dict, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -133,19 +134,24 @@ class IrrepModel:
     def bracket_table(self, i: int, j: int, nu: tuple[int, ...], t: int) -> Table:
         """[y_i, x_j] on the basis term (nu, t): c0 (shift-1 average of s_ij) if
         i != j, else 1 - c0 sum_{k != i} (average of s_ik) - d_res + d_{res-1}."""
+        table = self._b_tables.get((i, j, nu, t))
+        if table is not None:
+            return table
         r = self.shape.r
         if i != j:
-            return {(nu2, a): (_ZERO, q) + (_ZERO,) * r
-                    for nu2, a, q in _averaged_transposition(self, i, j, 1, nu, t)}
-        res = (self.zeta_residues[i - 1][t] - nu[i - 1]) % r
-        own = [Fraction(1)] + [_ZERO] * (r + 1)
-        own[2 + res] -= 1
-        own[2 + (res - 1) % r] += 1
-        table = {(nu, t): tuple(own)}
-        for k in range(1, self.n + 1):
-            if k != i:
-                for nu2, a, q in _averaged_transposition(self, i, k, 0, nu, t):
-                    _add_coeffs(table, (nu2, a), (_ZERO, -q) + (_ZERO,) * r)
+            table = {(nu2, a): (_ZERO, q) + (_ZERO,) * r
+                     for nu2, a, q in _averaged_transposition(self, i, j, 1, nu, t)}
+        else:
+            res = (self.zeta_residues[i - 1][t] - nu[i - 1]) % r
+            own = [Fraction(1)] + [_ZERO] * (r + 1)
+            own[2 + res] -= 1
+            own[2 + (res - 1) % r] += 1
+            table = {(nu, t): tuple(own)}
+            for k in range(1, self.n + 1):
+                if k != i:
+                    for nu2, a, q in _averaged_transposition(self, i, k, 0, nu, t):
+                        _add_coeffs(table, (nu2, a), (_ZERO, -q) + (_ZERO,) * r)
+        self._b_tables[i, j, nu, t] = table
         return table
 
     def y_table(self, i: int, nu: tuple[int, ...], t: int) -> Table:
@@ -368,7 +374,10 @@ class ModuleElement:
         return ModuleElement(self.module, out)
 
     def __sub__(self, other: "ModuleElement") -> "ModuleElement":
-        return self + other.scale(-1)
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            out[k] = out[k] - v if k in out else -v
+        return ModuleElement(self.module, out)
 
     def scale(self, c) -> "ModuleElement":
         if not isinstance(c, CycNumber):

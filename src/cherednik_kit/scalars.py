@@ -111,11 +111,6 @@ class AffineForm:
     def constant(r: int, value) -> "AffineForm":
         return AffineForm(r, const=value)
 
-    @staticmethod
-    def d_difference(r: int, a: int, b: int) -> "AffineForm":
-        """The form d_a - d_b (indices mod r)."""
-        return AffineForm(r, d={a: 1}) - AffineForm(r, d={b: 1})
-
     # -- ring-ish operations ---------------------------------------------------
 
     def _coeffs(self) -> tuple:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cherednik_kit.combinatorics import MultiPartition, ShapeAssignment
+from cherednik_kit.combinatorics import BoxRef, MultiPartition, ShapeAssignment
 from cherednik_kit.scalars import ParameterPoint
 
 
@@ -37,9 +37,11 @@ def enumerate_assignments(shape: MultiPartition, max_entry: int,
                           column_strict: bool = True, residues: bool = True):
     """All fillings of the shape with entries <= max_entry, filtered to
     weakly-increasing (constructor), optionally column-strict and
-    residue-compatible."""
+    residue-compatible.  Boxes are filled row by row, so each entry starts at
+    the floor its left and upper neighbours set."""
     r = shape.r
     boxes = shape.boxes()
+    index = {b: k for k, b in enumerate(boxes)}
     out = []
 
     def rec(k, acc):
@@ -61,8 +63,13 @@ def enumerate_assignments(shape: MultiPartition, max_entry: int,
         b = boxes[k]
         start = b.component % r if residues else 0
         step = r if residues else 1
+        floor = acc[k - 1] if b.column > 1 else 0
+        if b.row > 1:
+            above = acc[index[BoxRef(b.component, b.row - 1, b.column)]]
+            floor = max(floor, above + 1 if column_strict else above)
         for v in range(start, max_entry + 1, step):
-            rec(k + 1, acc + (v,))
+            if v >= floor:
+                rec(k + 1, acc + (v,))
 
     rec(0, ())
     return out

@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cherednik_kit.combinatorics import (
     Comparison,
     MultiPartition,
+    as_partition,
     dominance_compare,
     enumerate_multipartitions,
     parse_multipartition,
@@ -210,6 +212,35 @@ class TestAssembleDisassemble:
     def test_rejects_off_lattice(self):
         with pytest.raises(ValueError):
             assemble((1, 0), parse_multipartition("|1"))
+
+
+PROPERTY = settings(deadline=None, database=None, derandomize=True)
+
+_PARTITIONS = st.lists(st.integers(1, 6), max_size=6).map(
+    lambda parts: as_partition(sorted(parts, reverse=True)))
+
+
+@st.composite
+def _charged_quotients(draw):
+    """(charges, quotient): r <= 4 integer charges summing to zero and an
+    r-partition, the valid inputs of `assemble`."""
+    r = draw(st.integers(1, 4))
+    charges = draw(st.lists(st.integers(-3, 3), min_size=r - 1, max_size=r - 1))
+    charges.append(-sum(charges))
+    return tuple(charges), MultiPartition(r, tuple(draw(_PARTITIONS) for _ in range(r)))
+
+
+class TestAssembleProperties:
+    @PROPERTY
+    @given(_PARTITIONS, st.integers(1, 4))
+    def test_assemble_inverts_disassemble(self, lam, r):
+        assert assemble(*disassemble(lam, r)) == lam
+
+    @PROPERTY
+    @given(_charged_quotients())
+    def test_disassemble_inverts_assemble(self, pair):
+        charges, quotient = pair
+        assert disassemble(assemble(charges, quotient), quotient.r) == pair
 
 
 class TestQuotientOrder:

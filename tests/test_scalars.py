@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -188,6 +189,24 @@ class TestFactoredScalarProperties:
         assert (a * b).evaluate(p) == va * vb
         if vb != 0:
             assert (a / b).evaluate(p) == va / vb
+
+
+def _rational_forms(r):
+    q = st.fractions(min_value=-5, max_value=5, max_denominator=9)
+    return st.builds(lambda k, a, d: AffineForm(r, k, a, d), q, q,
+                     st.lists(q, min_size=r, max_size=r))
+
+
+class TestAffineFormProperties:
+    @PROPERTY
+    @given(st.integers(1, 3).flatmap(_rational_forms))
+    def test_primitive_round_trips(self, f):
+        prim, scale = f.primitive()
+        assert scale != 0 and prim.scale(scale) == f
+        assert prim.primitive() == (prim, 1)
+        coeffs = prim.key()[1:]
+        assert all(c.denominator == 1 for c in coeffs)
+        assert f.is_zero() or math.gcd(*(c.numerator for c in coeffs)) == 1
 
 
 class TestPochhammer:
