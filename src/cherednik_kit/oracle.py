@@ -530,14 +530,17 @@ class StandardModule:
         cache: dict[tuple, ModuleElement] = {zero_exp: v}
 
         def lowered(nu: tuple[int, ...]) -> ModuleElement:
-            if nu in cache:
-                return cache[nu]
-            j = next(k + 1 for k, e in enumerate(nu) if e > 0)
-            nu_low = list(nu)
-            nu_low[j - 1] -= 1
-            nu_low = tuple(nu_low)
-            result = self.y_act(j, lowered(nu_low))
-            cache[nu] = result
+            # y_j for the first j with nu_j > 0, down to a cached exponent; a
+            # loop, not a recursive closure, so the cache dies with the call
+            # rather than in a reference cycle
+            steps = []
+            while nu not in cache:
+                j = next(k for k, e in enumerate(nu) if e > 0)
+                steps.append((nu, j + 1))
+                nu = nu[:j] + (nu[j] - 1,) + nu[j + 1:]
+            result = cache[nu]
+            for up, j in reversed(steps):
+                result = cache[up] = self.y_act(j, result)
             return result
 
         for (nu, t), c in sorted(u.terms.items()):

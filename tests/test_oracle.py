@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -196,6 +197,19 @@ class TestPairing:
             for i in (1, 2):
                 assert mod.pairing(mod.z_act(i, u), v) == mod.pairing(u, mod.z_act(i, v))
             assert mod.pairing(u, v) == mod.pairing(v, u).conjugate()
+
+    def test_leaves_no_reference_cycle(self, rng):
+        # its lowered-vector cache must die with the call, not wait for the
+        # cyclic collector (that wait set the oracle's peak memory)
+        mod = StandardModule(parse_multipartition("2|1"), small_point(2, rng))
+        v = mod.x_power((2, 1, 1), mod.basis_vector(0))
+        gc.collect()
+        gc.disable()
+        try:
+            mod.norm(v)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestEigenvectors:
