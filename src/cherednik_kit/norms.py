@@ -106,8 +106,7 @@ def _run_part(hi: int, lo: int, top_minus: int, top_plus: int, t_lo: int, t_hi: 
 
 
 def _product(r: int, coefficient, parts: Sequence[Part]) -> FactoredScalar:
-    """One FactoredScalar from the terms of all parts: forms are counted by
-    integer key, and only keys with a nonzero net count become AffineForms."""
+    """One FactoredScalar from all parts: only nonzero net keys become forms."""
     net = _keys(r, (term for num, _ in parts for term in num))
     net.subtract(_keys(r, (term for _, den in parts for term in den)))
     forms = {key: _eig_form(r, *key) for key, m in net.items() if m}
@@ -161,7 +160,8 @@ def symmetric_norm(S: ShapeAssignment) -> FactoredScalar:
     """Norm of the symmetrized eigenvector g attached to a column-strict,
     residue-compatible assignment S: n! times a product over boxes and a
     double product of ratios over ordered box pairs, telescoped along each
-    run of boxes b2 (one run per row under the minimal assignment)."""
+    run of boxes b2 (one run per row under the minimal assignment), whose
+    factors cancel as integer keys before any form is built."""
     if not S.is_column_strict():
         raise ValueError("assignment must be column-strict")
     if not S.satisfies_residues():
