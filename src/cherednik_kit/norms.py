@@ -109,9 +109,8 @@ def _product(r: int, coefficient, parts: Sequence[Part]) -> FactoredScalar:
     """One FactoredScalar from all parts: only nonzero net keys become forms."""
     net = _keys(r, (term for num, _ in parts for term in num))
     net.subtract(_keys(r, (term for _, den in parts for term in den)))
-    forms = {key: _eig_form(r, *key) for key, m in net.items() if m}
-    return FactoredScalar(r, coefficient, [f for key, f in forms.items() for _ in range(net[key])],
-                          [f for key, f in forms.items() for _ in range(-net[key])])
+    return FactoredScalar.from_counts(r, coefficient,
+                                      ((_eig_form(r, *key), m) for key, m in net.items() if m))
 
 
 def nonsymmetric_norm(mu: Sequence[int], T: StandardTableau) -> FactoredScalar:
@@ -205,10 +204,14 @@ def minimal_assignment(shape: MultiPartition) -> ShapeAssignment:
 
 def lower_rim(shape: MultiPartition) -> list[BoxRef]:
     """Boxes not directly above another box of the same component."""
-    return [BoxRef(l, i, j)
-            for l, comp in enumerate(shape.components)
-            for i, row in enumerate(comp, start=1)
-            for j in range((comp[i] if i < len(comp) else 0) + 1, row + 1)]
+    out = []
+    for l, comp in enumerate(shape.components):
+        for i, row in enumerate(comp, start=1):
+            below = comp[i] if i < len(comp) else 0
+            for j in range(1, row + 1):
+                if j > below:
+                    out.append(BoxRef(l, i, j))
+    return out
 
 
 def right_rim(shape: MultiPartition) -> list[BoxRef]:
@@ -228,9 +231,15 @@ class CornerDatum:
 
 
 def corner_data(shape: MultiPartition) -> list[CornerDatum]:
-    """Each component's lower-left corner: S_l = l + (rows - 1)*r, c_l = 1 - rows."""
-    return [CornerDatum(l, l + (len(comp) - 1) * shape.r, 1 - len(comp))
-            for l, comp in enumerate(shape.components)]
+    r = shape.r
+    out = []
+    for l, comp in enumerate(shape.components):
+        length = len(comp)
+        if length == 0:
+            out.append(CornerDatum(l, l - r, 1))
+        else:
+            out.append(CornerDatum(l, l + (length - 1) * r, 1 - length))
+    return out
 
 
 def hook_product(shape: MultiPartition) -> FactoredScalar:

@@ -239,21 +239,33 @@ class FactoredScalar:
 
     def __init__(self, r: int, coefficient=1, num: Iterable[AffineForm] = (),
                  den: Iterable[AffineForm] = ()):
+        # equal raw forms repeat often in the closed formulas: count them, so
+        # that each distinct one is made primitive once
+        counts = Counter(num)
+        counts.subtract(den)
+        self._fold(r, coefficient, counts.items())
+
+    @staticmethod
+    def from_counts(r: int, coefficient, counts: Iterable[tuple[AffineForm, int]]) -> "FactoredScalar":
+        """coefficient * prod(f ** m) over (form, signed multiplicity) pairs;
+        a form may occur in several pairs."""
+        return object.__new__(FactoredScalar)._fold(r, coefficient, counts)
+
+    def _fold(self, r: int, coefficient, counts: Iterable[tuple[AffineForm, int]]) -> "FactoredScalar":
+        """Store the product, each form made primitive and its scale folded
+        into the coefficient."""
         coef = Fraction(coefficient)
         factors: dict[AffineForm, int] = {}
-        for sign, forms in ((1, num), (-1, den)):
-            # equal raw forms repeat often in the closed formulas: make each
-            # distinct one primitive once
-            for f, m in Counter(forms).items():
-                if f.r != r:
-                    raise ValueError("factor has wrong r")
-                if f.is_zero():
-                    raise ValueError("identically zero factor")
-                prim, scale = f.primitive()
-                coef = coef * scale ** m if sign > 0 else coef / scale ** m
-                if not prim.is_constant():
-                    factors[prim] = factors.get(prim, 0) + sign * m
-        self._set(r, coef, factors)
+        for f, m in counts:
+            if f.r != r:
+                raise ValueError("factor has wrong r")
+            if f.is_zero():
+                raise ValueError("identically zero factor")
+            prim, scale = f.primitive()
+            coef *= scale ** m
+            if not prim.is_constant():
+                factors[prim] = factors.get(prim, 0) + m
+        return self._set(r, coef, factors)
 
     def _set(self, r: int, coefficient: Fraction, factors: dict) -> "FactoredScalar":
         """Store the data, dropping zero multiplicities and a zero scalar's factors."""
