@@ -62,14 +62,14 @@ def _passed(text):
     print(f"[acceptance] {text}: PASS")
 
 
-def _eigen_with_fresh_point(shape, mu, T, rng, irrep, formula=None):
-    """Eigenvector at a random small point and the closed formula's value
-    there (None without a formula), redrawing on eigenvalue collisions and on
-    poles of the formula."""
+def _eigen_with_fresh_point(shape, mu, T, rng, irrep, evaluate=None):
+    """Eigenvector at a random small point and evaluate(point), the closed
+    formula's value there (None without one), redrawing on eigenvalue
+    collisions and on a PoleError from evaluate."""
     for _ in range(12):
         module = StandardModule(shape, small_point(shape.r, rng), irrep=irrep)
         try:
-            value = None if formula is None else formula.evaluate(module.point)
+            value = None if evaluate is None else evaluate(module.point)
             return module, module.eigenvector(mu, T), value
         except (EigenvalueCollision, PoleError):
             continue
@@ -93,7 +93,7 @@ def test_criterion_1_nonsymmetric_norms_vs_oracle(rng):
                             value = formula.evaluate(module.point)
                             m2, f = module, module.eigenvector(mu, T)
                         except (EigenvalueCollision, PoleError):
-                            m2, f, value = _eigen_with_fresh_point(shape, mu, T, rng, irrep, formula)
+                            m2, f, value = _eigen_with_fresh_point(shape, mu, T, rng, irrep, formula.evaluate)
                         assert m2.norm(f) == gam * value, (r, n, shape.as_text(), mu, T.as_text())
                         total += 1
     _passed(f"criterion 1 (oracle vs nonsymmetric norm formula, {total} cases)")
@@ -106,8 +106,10 @@ def test_criterion_2_symmetric_norms_vs_oracle(rng):
             irrep = build_irrep(shape)
             for S in enumerate_assignments(shape, 3):
                 mu, T = assignment_pair(S)
+                block, norm = symmetrization_block_factor(S), symmetric_norm(S)
+                # each factor evaluated on its own, so neither's pole cancels away
                 m2, f, value = _eigen_with_fresh_point(
-                    shape, mu, T, rng, irrep, symmetrization_block_factor(S) * symmetric_norm(S))
+                    shape, mu, T, rng, irrep, lambda p: block.evaluate(p) * norm.evaluate(p))
                 g = m2.symmetrize(f)
                 assert m2.norm(g) == m2.gram_weight(T) * value, (r, n, shape.as_text(), S.as_text())
                 total += 1

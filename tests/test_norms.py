@@ -1,11 +1,10 @@
 import functools
 import math
-import os
 import time
-from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cherednik_kit.combinatorics import (
     BoxRef,
@@ -41,11 +40,6 @@ def zero_point(r):
 
 # -- the box-pair products written out, pair by pair, as references -----------
 
-# The references expand every box pair, so the tier-1 run keeps their ranges
-# small; CHEREDNIK_FULL_RANGE=1 widens them to values <= 2r + 2 and to minimal
-# assignments up to n = 12 at r <= 3 (several minutes).
-FULL_RANGE = os.environ.get("CHEREDNIK_FULL_RANGE") == "1"
-
 @functools.lru_cache(maxsize=None)
 def _eig(r, k, hi, lo, t):
     """k - (d_hi - d_lo) - r*t*c0 (forms are never mutated, so one per key)."""
@@ -58,14 +52,6 @@ def _eig(r, k, hi, lo, t):
 def _residues(r, top, hi, lo, t):
     """X(t): the forms _eig(r, k, hi, lo, t), 1 <= k <= top, k = hi - lo mod r."""
     return [_eig(r, k, hi, lo, t) for k in range(1, top + 1) if (k - hi + lo) % r == 0]
-
-
-def _scalar(r, coefficient, num, den):
-    """One FactoredScalar; equal forms of num and den cancel first."""
-    net = Counter(num)
-    net.subtract(den)
-    return FactoredScalar(r, coefficient, [f for f, m in net.items() for _ in range(m)],
-                          [f for f, m in net.items() for _ in range(-m)])
 
 
 def pairwise_box_share(S, b):
@@ -85,8 +71,8 @@ def pairwise_box_share(S, b):
 
 def pairwise_symmetric_norm(S):
     shares = [pairwise_box_share(S, b) for b in S.shape.boxes()]
-    return _scalar(S.shape.r, math.factorial(S.shape.size),
-                   [f for num, _ in shares for f in num], [f for _, den in shares for f in den])
+    return FactoredScalar(S.shape.r, math.factorial(S.shape.size),
+                          [f for num, _ in shares for f in num], [f for _, den in shares for f in den])
 
 
 def pairwise_nonsymmetric_norm(mu, T):
@@ -107,7 +93,7 @@ def pairwise_nonsymmetric_norm(mu, T):
                 num += _residues(r, top, bh.component, bl.component, t - 1)
                 num += _residues(r, top, bh.component, bl.component, t + 1)
                 den += 2 * _residues(r, top, bh.component, bl.component, t)
-    return _scalar(r, 1, num, den)
+    return FactoredScalar(r, 1, num, den)
 
 
 def staircase(r, n):
@@ -119,6 +105,30 @@ def staircase(r, n):
         extra = size - k * (k + 1) // 2      # 0 <= extra <= k
         comps.append(tuple(k - i + (i < extra) for i in range(k)))
     return MultiPartition(r, tuple(comps))
+
+
+PROPERTY = settings(deadline=None, database=None, derandomize=True)
+
+
+@functools.lru_cache(maxsize=None)
+def _multipartitions(r, n):
+    return tuple(enumerate_multipartitions(r, n))
+
+
+@st.composite
+def _shapes(draw, top_n):
+    """An r-partition of n, r <= 3, n <= top_n."""
+    return draw(st.sampled_from(_multipartitions(draw(st.integers(1, 3)), draw(st.integers(0, top_n)))))
+
+
+@st.composite
+def _fillings(draw):
+    """A column-strict, residue-compatible filling with values <= 2r + 2 of
+    an r-partition of n <= 6."""
+    shape = draw(_shapes(6))
+    fillings = enumerate_assignments(shape, 2 * shape.r + 2)
+    assume(fillings)        # a column too tall for the bound has none
+    return draw(st.sampled_from(fillings))
 
 
 class TestSpectrum:
@@ -212,16 +222,29 @@ class TestTelescopedProducts:
 
     def test_every_small_assignment(self):
         checked = 0
-        for r, top_n in ((1, 6), (2, 6), (3, 6 if FULL_RANGE else 5)):
-            for n in range(top_n + 1):
+        for r in (1, 2, 3):
+            for n in range(7):
                 for shape in enumerate_multipartitions(r, n):
-                    for S in enumerate_assignments(shape, 2 * r + 2 if FULL_RANGE else r + 2):
+                    for S in enumerate_assignments(shape, r + 2):
                         assert symmetric_norm(S) == pairwise_symmetric_norm(S), S.as_text()
                         checked += 1
-        assert checked > (20000 if FULL_RANGE else 2000)
+        assert checked == 3929
+
+    # the exhaustive ranges above and below stop short of values <= 2r + 2 and
+    # of n = 12 at r = 2, 3, where they would take minutes; these sample them
+    @PROPERTY
+    @given(_fillings())
+    def test_sampled_fillings_up_to_2r_plus_2(self, S):
+        assert symmetric_norm(S) == pairwise_symmetric_norm(S)
+
+    @PROPERTY
+    @given(_shapes(12))
+    def test_sampled_minimal_assignments_up_to_n12(self, shape):
+        S = minimal_assignment(shape)
+        assert symmetric_norm(S) == pairwise_symmetric_norm(S)
 
     def test_minimal_assignments_and_removal(self):
-        for r, top_n in ((1, 12), (2, 12), (3, 12)) if FULL_RANGE else ((1, 12), (2, 8), (3, 6)):
+        for r, top_n in ((1, 12), (2, 10), (3, 8)):
             for n in range(top_n + 1):
                 for shape in enumerate_multipartitions(r, n):
                     S = minimal_assignment(shape)
@@ -229,7 +252,7 @@ class TestTelescopedProducts:
                     top = max((S.value(b) for b in shape.boxes()), default=None)
                     for b in shape.boxes():
                         if S.value(b) == top:
-                            assert removal_correction(shape, b) == _scalar(
+                            assert removal_correction(shape, b) == FactoredScalar(
                                 r, 1, *pairwise_box_share(S, b))
 
     @pytest.mark.parametrize("r", [1, 2, 3])
