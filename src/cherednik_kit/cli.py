@@ -27,6 +27,7 @@ documented bare array of hyperplane objects, and `oracle verify`'s report
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -342,6 +343,7 @@ def _leaf(sub, name, func, help, *flags, formats=("text", "json"), default="text
     p.set_defaults(func=func)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cherednik-kit",

@@ -6,20 +6,22 @@ For a rational parameter point with c0 != 0, each box b carries:
 - tilted     ttheta(b) = ct(b) + (d_beta(b) - beta(b))/(r c0)   (equiv ==_c)
 
 The order >=_c compares, for every threshold j and every component cutoff l,
-the counts N(j, l) = #{b : theta(b) > j, or theta(b) = j and beta(b) <= l}.
-Thresholds are reduced to the finite set of realized theta values (both
-counting functions are constant in between).
+the counts N(j, l) = #{b : theta(b) > j, or theta(b) = j and beta(b) <= l},
+which count the boxes with key (-theta(b), beta(b)) <= (-j, l): one walk over
+the boxes sorted by that key sees every value of N_lam - N_chi.
 
 The core/quotient machinery: beta numbers B_s(lam) = {lam_j + s - j + 1},
-interleaving r charged beta sets into one (assemble), and its inverse
-(disassemble).  With integer charges a_i = d_{r-i}/(r c0), dominance order on
-assembled partitions gives the order >='_c; the counting identity ties the
-content counts of the assembled partition to the N(j, l) statistics.
+and a finite integer abacus that interleaves r charged beta sets into one
+(assemble) and splits it again (disassemble).  With integer charges
+a_i = d_{r-i}/(r c0), dominance order on assembled partitions gives the order
+>='_c; the counting identity ties the content counts of the assembled
+partition to the N(j, l) statistics.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import ceil
 from typing import Optional, Sequence
 
@@ -76,28 +78,22 @@ class OrderContext:
         return tuple(out)
 
 
-def _count(shape: MultiPartition, ctx: OrderContext, j: Fraction, l: int) -> int:
-    total = 0
-    for b in shape.boxes():
-        t = ctx.charge(b)
-        if t > j or (t == j and b.component <= l):
-            total += 1
-    return total
-
-
 def geq_c(lam: MultiPartition, chi: MultiPartition, ctx: OrderContext) -> bool:
     """lam >=_c chi: N_lam(j, l) >= N_chi(j, l) for every threshold j and
-    every l in [0, r)."""
+    every l in [0, r).  Walk the boxes of both shapes sorted by (-theta, beta),
+    +1 for lam and -1 for chi: after the last box of each key the running sum
+    is N_lam - N_chi there, and between realized keys it does not change."""
     if ctx.c0 <= 0:
         raise ValueError("geq_c needs c0 > 0")
     if lam.size != chi.size:
         raise ValueError("shapes must have equal size")
-    thresholds = {ctx.charge(b) for b in lam.boxes()} | {ctx.charge(b) for b in chi.boxes()}
-    r = ctx.r
-    for j in thresholds:
-        for l in range(r):
-            if _count(lam, ctx, j, l) < _count(chi, ctx, j, l):
-                return False
+    walk = sorted(((-ctx.charge(b), b.component), sign)
+                  for shape, sign in ((lam, 1), (chi, -1)) for b in shape.boxes())
+    running = 0
+    for _, entries in groupby(walk, key=lambda entry: entry[0]):
+        running += sum(sign for _, sign in entries)
+        if running < 0:
+            return False
     return True
 
 
@@ -197,25 +193,6 @@ class BetaSet:
             j += 1
         return out
 
-    @staticmethod
-    def from_members(members: Sequence[Fraction], tail_floor: Fraction) -> "BetaSet":
-        """Reconstruct (partition, shift) from the members >= tail_floor,
-        assuming every number below tail_floor congruent to them mod 1 is a
-        member.  The j-th member overall is lam_j + s - j + 1."""
-        members = sorted(members, reverse=True)
-        if len(set(members)) != len(members):
-            raise ValueError("beta numbers must be distinct")
-        count = len(members)
-        # below the window, members continue tail_floor - 1, tail_floor - 2, ...
-        shift = (tail_floor - 1) + (count + 1) - 1
-        parts = []
-        for j, x in enumerate(members, start=1):
-            lam_j = x - shift + j - 1
-            if lam_j.denominator != 1 or lam_j < 0:
-                raise ValueError("not a valid beta set")
-            parts.append(int(lam_j))
-        return BetaSet(as_partition(parts), shift)
-
 
 def beta_numbers(lam: Partition, s) -> BetaSet:
     return BetaSet(as_partition(lam), Fraction(s))
@@ -228,57 +205,40 @@ def quotient_component(shape: MultiPartition, i: int) -> Partition:
 
 def assemble(a: Sequence[int], shape: MultiPartition) -> Partition:
     """The partition whose 0-shift beta set is the union over 1 <= i <= r of
-    {i + r(x-1) : x in B_{a_i}(lam^(i))}; requires sum(a) = 0."""
+    {i + r(x-1) : x in B_{a_i}(lam^(i))}; requires sum(a) = 0.  Runner i of
+    the abacus holds a_i + depth beads, the members with x >= 1 - depth; every
+    x below 1 - depth is a member on every runner."""
     r = shape.r
     a = tuple(int(x) for x in a)
     if len(a) != r:
         raise ValueError(f"expected {r} charges")
-    members: list[int] = []
-    floors = []
-    for i in range(1, r + 1):
-        comp = quotient_component(shape, i)
-        # class-i members are i + r(x-1); the tail of B_{a_i} is consecutive
-        # below a_i - len(comp), so the window floor must sit below that
-        floors.append(i + r * (a[i - 1] - len(comp) - 1 - 1))
-    window = min(min(floors), 0)
-    for i in range(1, r + 1):
-        comp = quotient_component(shape, i)
-        bset = beta_numbers(comp, a[i - 1])
-        x_floor = Fraction(window - i, r) + 1
-        for x in bset.members_down_to(x_floor):
-            members.append(i + r * (int(x) - 1))
-    members.sort(reverse=True)
-    if len(set(members)) != len(members):
-        raise AssertionError("beta classes collided")
-    # valid 0-shift beta set: count of members >= window must equal 1 - window
-    if len(members) != 1 - window:
+    if sum(a) != 0:
         raise ValueError("charges do not sum to zero (invalid beta set)")
-    parts = [x + j - 1 for j, x in enumerate(members, start=1)]
-    return as_partition(parts)
+    comps = [quotient_component(shape, i) for i in range(1, r + 1)]
+    depth = max(len(comp) - a_i for comp, a_i in zip(comps, a))
+    beads = sorted((i + r * ((comp[j] if j < len(comp) else 0) + a_i - j - 1)
+                    for i, (comp, a_i) in enumerate(zip(comps, a), start=1)
+                    for j in range(a_i + depth)), reverse=True)
+    return as_partition(m + k for k, m in enumerate(beads))
 
 
 def disassemble(lam: Partition, r: int) -> tuple[tuple[int, ...], MultiPartition]:
-    """Inverse of assemble: split the 0-shift beta set of lam into residue
-    classes, read each class as a charged beta set."""
+    """Inverse of assemble: the members lam_k - k of the 0-shift beta set down
+    to -r*depth + 1 (all parts and at least one zero) go to runner i by their
+    residue; a runner with a_i + depth beads has charge a_i."""
     lam = as_partition(lam)
     if r < 1:
         raise ValueError("r must be >= 1")
-    bset = beta_numbers(lam, 0)
-    window = -(len(lam) + r * (len(lam) + 2))
-    members = [int(x) for x in bset.members_down_to(Fraction(window))]
-    charges = []
-    comps_gordon = []
-    for i in range(1, r + 1):
-        xs = [Fraction(m - i, r) + 1 for m in members if (m - i) % r == 0]
-        x_floor = min(xs) if xs else Fraction(0)
-        sub = BetaSet.from_members(xs, x_floor)
-        if sub.shift.denominator != 1:
-            raise AssertionError("non-integer charge from integer beta set")
-        charges.append(int(sub.shift))
-        comps_gordon.append(sub.partition)
+    depth = len(lam) // r + 1
+    runners: list[list[int]] = [[] for _ in range(r)]
+    for k in range(r * depth):
+        m = (lam[k] if k < len(lam) else 0) - k
+        runners[(m - 1) % r].append((m - 1) // r + 1)
+    charges = tuple(len(xs) - depth for xs in runners)
+    comps_gordon = [as_partition(x - a_i + j for j, x in enumerate(xs))
+                    for xs, a_i in zip(runners, charges)]
     components = [comps_gordon[(r - l) % r - 1] for l in range(r)]
-    shape = MultiPartition(r, tuple(components))
-    return tuple(charges), shape
+    return charges, MultiPartition(r, tuple(components))
 
 
 def geq_c_quotient(lam: MultiPartition, chi: MultiPartition, ctx: OrderContext) -> bool:

@@ -46,14 +46,12 @@ class ParameterPoint:
 
     __slots__ = ("r", "c0", "d")
 
-    def __init__(self, r: int, c0, d: Sequence, require_sum_zero: bool = False):
+    def __init__(self, r: int, c0, d: Sequence):
         if r < 1:
             raise ValueError("r must be >= 1")
         d = tuple(Fraction(x) for x in d)
         if len(d) != r:
             raise ValueError(f"expected {r} d-values, got {len(d)}")
-        if require_sum_zero and sum(d, Fraction(0)) != 0:
-            raise ValueError("d-values do not sum to zero")
         self.r = r
         self.c0 = Fraction(c0)
         self.d = d

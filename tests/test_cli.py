@@ -43,6 +43,20 @@ class TestGoldenOutputs:
         assert code == 0
         assert out == ">=_c\nequiv: no\n"
 
+    @pytest.mark.parametrize("argv, expected", [
+        (("core-quotient", "decode", "--r", "3", "--shape", "6,5,4,3,2,1"),
+         "a=0,0,0; quotient=2,1|1|2,1\n"),
+        (("core-quotient", "decode", "--r", "4", "--shape", "7,5,5,3,2,2,1,1"),
+         "a=-1,0,1,0; quotient=1||1,1|1,1\n"),
+        (("core-quotient", "encode", "--r", "3", "--a", "2,-1,-1", "--quotient", "2,1|1,1|3"),
+         "10,7,6,2,2,1,1,1\n"),
+        (("order", "compare", "--r", "2", "--c0", "1", "--d", "4,-4",
+          "--a", "2,1|1,1", "--b", "1|3,1"),
+         ">=_c\nequiv: no\nquotient order: >='_c\n"),
+    ])
+    def test_orders_pinned_text(self, argv, expected):
+        assert run_cli(*argv) == (0, expected)
+
     def test_order_compare_quotient_verdict(self):
         code, out = run_cli("order", "compare", "--r", "2", "--c0", "1",
                             "--d", "2,-2", "--a", "1|1", "--b", "|2")

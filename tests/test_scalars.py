@@ -274,9 +274,3 @@ def test_parse_rational():
     assert parse_rational("5") == 5
     with pytest.raises(ValueError, match="'1/0'"):
         parse_rational("1/0")
-
-
-def test_sum_zero_flag():
-    ParameterPoint(2, 1, [1, -1], require_sum_zero=True)
-    with pytest.raises(ValueError):
-        ParameterPoint(2, 1, [1, 1], require_sum_zero=True)
