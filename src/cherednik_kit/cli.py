@@ -68,6 +68,7 @@ from .orders import (
     geq_c,
     geq_c_quotient,
     quotient_component,
+    shape_from_quotient,
 )
 from .scalars import ParameterPoint, convert_parameters, parse_rational
 
@@ -260,8 +261,7 @@ def _shape_from_gordon(text: str, r: int) -> MultiPartition:
     gordon = parse_multipartition(text, name="--quotient").components
     if len(gordon) != r:
         raise DomainError(f"quotient must have {r} components")
-    components = [gordon[(r - l) % r - 1] for l in range(r)]
-    return MultiPartition(r, tuple(components))
+    return shape_from_quotient(gordon)
 
 
 def cmd_core_quotient(args, out) -> int:
@@ -354,7 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     n = ("--n", dict(type=int, required=True))
     shape = ("--shape", dict(required=True))
-    c0, d = ("--c0", dict(required=True)), ("--d", dict(required=True))
+    c0 = ("--c0", dict(required=True, help="rational p/q; write --c0=-1/2 when negative"))
+    d = ("--d", dict(required=True, help="comma list of r rationals; write --d=-1,1 "
+                                         "when it starts with '-'"))
     mu_and_tableau = (
         ("--mu", dict(required=True, help="composition, comma list of length n")),
         ("--tableau", dict(help="tableau text, rows '/' components '|'")),
@@ -383,9 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       "forms then live over d_0..d_{r/p-1}")),
           ("--json", dict(action="store_true", help="emit the bare JSON array")),
           formats=("text", "json", "tsv"), default=None)
-    _leaf(asub, "test", cmd_aspherical_test, "membership test for a parameter point", n,
-          ("--c0", dict(required=True, help="rational p/q")),
-          ("--d", dict(required=True, help="comma list of r rationals")))
+    _leaf(asub, "test", cmd_aspherical_test, "membership test for a parameter point", n, c0, d)
 
     p = sub.add_parser("order", help="orderings on r-partitions")
     osub = p.add_subparsers(dest="action", required=True)
@@ -397,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
           "the bijection (charges, r-quotient) <-> partition; quotient components "
           "are listed in charge order (component of charge a_1 first)",
           ("--shape", dict(help="partition to decode, e.g. '1,1'")),
-          ("--a", dict(help="charges for encode, comma list summing to 0")),
+          ("--a", dict(help="charges for encode, comma list summing to 0; "
+                            "write --a=-1,1 when it starts with '-'")),
           ("--quotient", dict(help="quotient shape for encode (charge order)")),
           actions=("encode", "decode"))
 

@@ -21,8 +21,8 @@ Each product formula lists its numerator and denominator as terms
 nonzero net count, into one canonical FactoredScalar.  symmetric_norm's ratios
 over box pairs (b, b2) telescope along each run of equal S-values in a row,
 so it lists O(n * runs) terms, not O(n^2).  minimal_norm multiplies two
-products, and pochhammer_products, the independent reference, multiplies
-Pochhammer symbols.  Empty products are 1 throughout.
+products, and pochhammer_products, the independent reference, lists the
+forms of its Pochhammer symbols.  Empty products are 1 throughout.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ from .combinatorics import (
     conjugate,
     sorting_data,
 )
-from .scalars import AffineForm, FactoredScalar, pochhammer
+from .scalars import AffineForm, FactoredScalar
 
 Term = tuple[int, int, int, int]  # (top, hi, lo, ct), see the module doc
 Part = tuple[list[Term], list[Term]]  # numerator terms, denominator terms
@@ -306,8 +306,8 @@ def pochhammer_products(shape: MultiPartition) -> tuple[FactoredScalar, Factored
     def row_len(k: int, i: int) -> int:
         return comps[k][i - 1] if i - 1 < len(comps[k]) else 0
 
-    h_alt = FactoredScalar.one(r)
-    e_alt = FactoredScalar.one(r)
+    h_forms: list[AffineForm] = []
+    e_forms: list[AffineForm] = []
     for k in range(r):
         for l in range(r):
             dmap: dict[int, Fraction] = {k: Fraction(-1, r)}
@@ -324,12 +324,12 @@ def pochhammer_products(shape: MultiPartition) -> tuple[FactoredScalar, Factored
                 for j in range(1, row_len(k, i) + 1):
                     c0_coeff = col_height(k, j) + row_len(l, i) - i - j + 1
                     x = AffineForm(r, const=base_const, c0=c0_coeff) + dk_dl
-                    h_alt = h_alt * pochhammer(x, col_height(k, j) - i + shift)
+                    h_forms += (x + m for m in range(col_height(k, j) - i + shift))
             # extra part
             lo = first_height(l) + (1 if l < k else 2)
             for i in range(lo, first_height(k) + 1):
                 for j in range(1, row_len(k, i) + 1):
                     c0_coeff = i - j - first_height(l)
                     x = AffineForm(r, const=base_const, c0=c0_coeff) + dk_dl
-                    e_alt = e_alt * pochhammer(x, i - first_height(l) - (1 - shift))
-    return h_alt, e_alt
+                    e_forms += (x + m for m in range(i - first_height(l) - (1 - shift)))
+    return FactoredScalar(r, 1, h_forms), FactoredScalar(r, 1, e_forms)

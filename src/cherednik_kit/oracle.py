@@ -938,10 +938,11 @@ def verify_report(r: int, n: int, degree: int = 2, seed: int = 0,
             m2, f = mod.eigenvector_generic(mu, T, rng)
             g = m2.symmetrize(f)
             gam = m2.gram_weight(T)
-            minimal = minimal_norm(s).evaluate(m2.point)
+            closed = minimal_norm(s)
+            minimal = closed.evaluate(m2.point)
             if m2.norm(g) != gam * symmetrization_block_factor(S).evaluate(m2.point) * minimal:
                 raise AssertionError(f"minimal norm mismatch for {s.as_text()}")
-            if symmetric_norm(S).evaluate(m2.point) != minimal:
+            if symmetric_norm(S) != closed:
                 raise AssertionError("product formula disagrees with n! H E")
             count += 1
         return f"{count} minimal symmetric norms match n! H E"

@@ -203,6 +203,13 @@ def quotient_component(shape: MultiPartition, i: int) -> Partition:
     return shape.components[(shape.r - i) % shape.r]
 
 
+def shape_from_quotient(components: Sequence[Partition]) -> MultiPartition:
+    """Inverse of quotient_component: the r-partition whose Gordon-indexed
+    components lam^(1), ..., lam^(r) are the given ones, r = len(components)."""
+    r = len(components)
+    return MultiPartition(r, tuple(components[(r - l) % r - 1] for l in range(r)))
+
+
 def assemble(a: Sequence[int], shape: MultiPartition) -> Partition:
     """The partition whose 0-shift beta set is the union over 1 <= i <= r of
     {i + r(x-1) : x in B_{a_i}(lam^(i))}; requires sum(a) = 0.  Runner i of
@@ -235,10 +242,8 @@ def disassemble(lam: Partition, r: int) -> tuple[tuple[int, ...], MultiPartition
         m = (lam[k] if k < len(lam) else 0) - k
         runners[(m - 1) % r].append((m - 1) // r + 1)
     charges = tuple(len(xs) - depth for xs in runners)
-    comps_gordon = [as_partition(x - a_i + j for j, x in enumerate(xs))
-                    for xs, a_i in zip(runners, charges)]
-    components = [comps_gordon[(r - l) % r - 1] for l in range(r)]
-    return charges, MultiPartition(r, tuple(components))
+    return charges, shape_from_quotient([as_partition(x - a_i + j for j, x in enumerate(xs))
+                                         for xs, a_i in zip(runners, charges)])
 
 
 def geq_c_quotient(lam: MultiPartition, chi: MultiPartition, ctx: OrderContext) -> bool:

@@ -163,14 +163,17 @@ class AffineForm:
 
     def primitive(self) -> tuple["AffineForm", Fraction]:
         """Return (prim, scale) with self = scale * prim, prim having coprime
-        integer coefficients and positive first nonzero coefficient."""
+        integer coefficients and positive first nonzero coefficient; a form
+        that has them already is its own prim (forms are never mutated)."""
         coeffs = self._coeffs()
-        nonzero = [c for c in coeffs if c != 0]
+        nonzero = [c for c in coeffs if c]
         if not nonzero:
             return self, Fraction(1)
         denom = lcm(*(c.denominator for c in nonzero))
         ints = [c.numerator * (denom // c.denominator) for c in coeffs]
         numer = gcd(*ints) if nonzero[0] > 0 else -gcd(*ints)
+        if numer == denom == 1:
+            return self, Fraction(1)
         const, c0, *d = (x // numer for x in ints)
         return AffineForm(self.r, const, c0, d), Fraction(numer, denom)
 
@@ -260,7 +263,8 @@ class FactoredScalar:
             if f.is_zero():
                 raise ValueError("identically zero factor")
             prim, scale = f.primitive()
-            coef *= scale ** m
+            if scale != 1:
+                coef *= scale ** m
             if not prim.is_constant():
                 factors[prim] = factors.get(prim, 0) + m
         return self._set(r, coef, factors)
@@ -365,39 +369,19 @@ def pochhammer(x: AffineForm, n: int) -> FactoredScalar:
     return FactoredScalar(x.r, 1, tuple(x + k for k in range(n)))
 
 
-def proportional(a: FactoredScalar, b: FactoredScalar,
-                 rng: random.Random | None = None) -> Optional[Fraction]:
+def proportional(a: FactoredScalar, b: FactoredScalar) -> Optional[Fraction]:
     """Return the constant q with a = q*b as rational functions, else None.
 
-    Factors are irreducible (affine) and scalars are canonical, so the
-    quotient a/b is constant exactly when it has no factors left.  A
-    random-evaluation cross-check backs the multiset comparison; agreement at
-    3 + (total factor count) non-pole points would pin down any rational
-    function of this degree.
+    Decided from canonical data alone: distinct primitive affine forms are
+    non-associate irreducibles, so the quotient a/b is constant exactly when
+    it has no factors left, and then its coefficient is q.
     """
     if b.is_zero():
         return None
     if a.is_zero():
         return Fraction(0)
     q = a / b
-    if q.factors:
-        return None
-    ratio = q.coefficient
-    rng = rng or random.Random(20211115)
-    samples = 3 + len(a.num) + len(a.den) + len(b.num) + len(b.den)
-    done = 0
-    while done < samples:
-        p = random_point(a.r, rng, bound=10**4)
-        try:
-            va, vb = a.evaluate(p), b.evaluate(p)
-        except PoleError:
-            continue
-        if vb == 0:
-            continue
-        if va != ratio * vb:
-            raise AssertionError("factor comparison and sampling disagree")
-        done += 1
-    return ratio
+    return None if q.factors else q.coefficient
 
 
 def convert_parameters(p: ParameterPoint, convention: str) -> dict:

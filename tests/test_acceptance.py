@@ -8,9 +8,12 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from cherednik_kit.aspherical import (
     factor_cover_check,
     hyperplanes_rectangle,
+    hyperplanes_rpn,
     hyperplanes_sqrt,
 )
 from cherednik_kit.combinatorics import (
@@ -153,13 +156,21 @@ def test_criterion_3_minimal_norm_factorization_and_recurrence():
 def test_criterion_4_pochhammer_proportionality():
     total = 0
     for r in (1, 2, 3):
+        points = [ParameterPoint(r, Fraction(k, 7), [Fraction(k + 2 * l, 11) for l in range(r)])
+                  for k in (1, -3, 5)]
         for n in range(5):
             for shape in enumerate_multipartitions(r, n):
+                hook, extra = hook_product(shape), extra_product(shape)
                 h_alt, e_alt = pochhammer_products(shape)
-                a1 = proportional(hook_product(shape), h_alt)
-                a2 = proportional(extra_product(shape), e_alt)
+                a1 = proportional(hook, h_alt)
+                a2 = proportional(extra, e_alt)
                 assert a1 is not None and a1 != 0, shape.as_text()
                 assert a2 is not None and a2 != 0, shape.as_text()
+                # the factor comparison cross-checked by value; all four are
+                # polynomials, so no point is a pole
+                for p in points:
+                    assert hook.evaluate(p) == a1 * h_alt.evaluate(p), shape.as_text()
+                    assert extra.evaluate(p) == a2 * e_alt.evaluate(p), shape.as_text()
                 total += 1
     _passed(f"criterion 4 (Pochhammer forms proportional on {total} shapes)")
 
@@ -181,6 +192,18 @@ def test_criterion_5_aspherical_arrangement():
         assert got == {Fraction(-k, m) for m in range(2, n + 1) for k in range(1, m)}
     _passed("criterion 5 (rectangle = sqrt r<=4 n<=6; factor cover r<=3 n<=4; "
             "r=1 family exact)")
+
+
+@pytest.mark.xfail(strict=True, reason="hyperplanes_rpn restricts the G(r,1,n) planes as "
+                   "they are; at (2, 2, 3) that gives 9 c0 values, S4 has 5")
+def test_criterion_5_g223_arrangement_is_that_of_s4():
+    """G(2,2,3) and S4 are isomorphic reflection groups on C^3, each with one
+    class of reflections, so their aspherical c0 values agree."""
+    def c0_values(planes):
+        assert all(not any(h.form.d) for h in planes)
+        return {Fraction(-h.form.const, h.form.c0) for h in planes}
+
+    assert c0_values(hyperplanes_rpn(2, 2, 3)) == c0_values(hyperplanes_rectangle(1, 4))
 
 
 def _lattice_context(r, rng):

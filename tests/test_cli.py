@@ -328,6 +328,17 @@ class TestErrorHandling:
                             "--c0=-1/2", "--d", "0")
         assert code == 0 and out.splitlines()[0] == "aspherical"
 
+    def test_negative_lists_attach_with_equals(self, capsys):
+        assert main(["core-quotient", "encode", "--r", "2", "--a=-1,1", "--quotient", "|"]) == 0
+        assert capsys.readouterr().out == "2,1\n"
+        assert main(["order", "compare", "--r", "2", "--c0", "1", "--d=-1,1",
+                     "--a", "1|", "--b", "|1"]) == 0
+        # argparse reads a separate "-1,1" as a flag, so --a has no value
+        with pytest.raises(SystemExit) as exc:
+            main(["core-quotient", "encode", "--r", "2", "--a", "-1,1", "--quotient", "|"])
+        assert exc.value.code == 2
+        assert "argument --a: expected one argument" in capsys.readouterr().err
+
     def test_aspherical_not_member(self):
         code, out = run_cli("aspherical", "test", "--r", "1", "--n", "2",
                             "--c0", "1/3", "--d", "0")

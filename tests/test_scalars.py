@@ -45,6 +45,13 @@ class TestAffineForm:
         prim2, scale2 = g.primitive()
         assert prim2 == prim and scale2 == -1
 
+    def test_primitive_form_is_returned_as_is(self):
+        f = form(2, const=1, c0=-2, d={1: 3})
+        assert f.primitive()[0] is f and f.primitive()[1] == 1
+        for g in (form(1, const=2, c0=2), form(1, const=-1, c0=1)):
+            prim, scale = g.primitive()
+            assert prim is not g and prim.scale(scale) == g
+
     def test_render(self):
         assert str(form(2, const=1, c0=2)) == "1 + 2*c0"
         assert str(form(2, const=1, d={0: 1, 1: -1})) == "1 + d0 - d1"
@@ -203,7 +210,7 @@ class TestAffineFormProperties:
     def test_primitive_round_trips(self, f):
         prim, scale = f.primitive()
         assert scale != 0 and prim.scale(scale) == f
-        assert prim.primitive() == (prim, 1)
+        assert prim.primitive() == (prim, 1) and prim.primitive()[0] is prim
         coeffs = prim.key()[1:]
         assert all(c.denominator == 1 for c in coeffs)
         assert f.is_zero() or math.gcd(*(c.numerator for c in coeffs)) == 1
@@ -243,6 +250,43 @@ class TestProportional:
         a = FactoredScalar(1, 1, (form(1, const=2, c0=2),))
         b = FactoredScalar(1, 1, (form(1, const=1, c0=1),))
         assert proportional(a, b) == 2
+
+
+class TestProportionalProperties:
+    @PROPERTY
+    @given(st.integers(1, 3).flatmap(_scalar_ops), st.fractions(max_denominator=9))
+    def test_constant_multiples_are_found(self, data, q):
+        b = _stepwise(*data)
+        assert proportional(q * b, b) == q
+        assert proportional(b, q * b) == (1 / q if q else None)
+
+    @PROPERTY
+    @given(st.data())
+    def test_decision_agrees_with_values(self, data):
+        # a repeats b's forms rescaled, then a rest that cancels when asked to
+        r = data.draw(st.integers(1, 3))
+        _, coef, ops = data.draw(_scalar_ops(r))
+        scales = data.draw(st.lists(st.sampled_from((-3, -1, 2, Fraction(1, 2), Fraction(-2, 3))),
+                                    min_size=len(ops), max_size=len(ops)))
+        rest = data.draw(st.lists(st.tuples(_forms(r), st.sampled_from((1, -1))), max_size=3))
+        cancel = data.draw(st.booleans())
+        if cancel:
+            rest += [(-f, -sign) for f, sign in rest]
+        b = _stepwise(r, coef, ops)
+        a = _stepwise(r, data.draw(st.fractions(max_denominator=9)),
+                      [(f.scale(k), sign) for (f, sign), k in zip(ops, scales)] + rest)
+        q = proportional(a, b)
+        assert (q is None) == bool((a / b).factors)
+        if cancel or not rest:
+            assert q is not None
+        if q is None:
+            return
+        for p in data.draw(st.lists(_points(r), min_size=3, max_size=3)):
+            try:
+                va, vb = a.evaluate(p), b.evaluate(p)
+            except PoleError:
+                continue
+            assert va == q * vb
 
 
 class TestConvert:
