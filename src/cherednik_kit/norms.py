@@ -57,10 +57,10 @@ class SpectralDatum:
 
 def _eig_form(r: int, const: int, beta_hi: int, beta_lo: int, ct: int) -> AffineForm:
     """const - (d_{beta_hi} - d_{beta_lo}) - r*ct*c0."""
-    d = [0] * r
-    d[beta_hi % r] -= 1
-    d[beta_lo % r] += 1
-    return AffineForm(r, const=const, c0=-r * ct, d=d)
+    numerators = [const, -r * ct] + [0] * r
+    numerators[2 + beta_hi % r] -= 1
+    numerators[2 + beta_lo % r] += 1
+    return AffineForm.from_numerators(r, numerators)
 
 
 def spectrum(mu: Sequence[int], T: StandardTableau) -> list[SpectralDatum]:

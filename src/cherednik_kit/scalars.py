@@ -5,14 +5,15 @@ mod r.  Everything downstream (eigenvalues, norms, hyperplanes) is expressed
 with two types:
 
 - AffineForm: an affine-linear expression  k + a*c0 + sum_l b_l*d_l  with
-  rational coefficients.
+  rational coefficients, stored as integer numerators over one positive
+  denominator and reduced by their gcd, so equal forms have equal data.
 - FactoredScalar: coefficient * product(AffineForm ** multiplicity), the
   factored form the closed formulas produce, canonical at construction:
   factors are primitive forms with net signed multiplicities, constants live
   in the coefficient (zero loci and cancellations stay exact and cheap;
   nothing is ever expanded).
 
-All numbers are fractions.Fraction; no floating point anywhere.
+Coefficients and values are fractions.Fraction; no floating point anywhere.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import random
 
 Rational = Fraction
+_ONE = Fraction(1)
 
 
 class PoleError(ZeroDivisionError):
@@ -81,27 +83,49 @@ def random_point(r: int, rng: random.Random, bound: int = 10**6) -> ParameterPoi
 
 
 class AffineForm:
-    """k + a*c0 + sum_l b_l * d_l with rational coefficients, d-index mod r."""
+    """k + a*c0 + sum_l b_l * d_l with rational coefficients, d-index mod r,
+    kept as `numerators` (k, a, b_0, ..., b_{r-1}) over a positive
+    `denominator`, reduced by their gcd; `const`, `c0`, `d` are Fraction views."""
 
-    __slots__ = ("r", "const", "c0", "d", "_hash")
+    __slots__ = ("r", "numerators", "denominator", "_hash")
 
     def __init__(self, r: int, const=0, c0=0, d: Mapping[int, object] | Sequence | None = None):
         if r < 1:
             raise ValueError("r must be >= 1")
-        self.r = r
-        self.const = Fraction(const)
-        self.c0 = Fraction(c0)
-        coeffs = [Fraction(0)] * r
+        coeffs = [0] * r
         if d is not None:
             if isinstance(d, Mapping):
                 for l, v in d.items():
-                    coeffs[l % r] += Fraction(v)
+                    coeffs[l % r] += v if type(v) is int else Fraction(v)
             else:
                 if len(d) != r:
                     raise ValueError("d coefficient sequence must have length r")
-                coeffs = [Fraction(v) for v in d]
-        self.d = tuple(coeffs)
+                coeffs = d
+        values = (const, c0, *coeffs)
+        if all(type(v) is int for v in values):
+            self._set(r, values, 1)
+        else:
+            values = [Fraction(v) for v in values]
+            den = lcm(*(v.denominator for v in values))
+            self._set(r, [v.numerator * (den // v.denominator) for v in values], den)
+
+    def _set(self, r: int, numerators: Sequence[int], denominator: int) -> "AffineForm":
+        g = gcd(denominator, *numerators)
+        if g != 1:
+            numerators, denominator = [x // g for x in numerators], denominator // g
+        self.r, self.numerators, self.denominator = r, tuple(numerators), denominator
         self._hash = None
+        return self
+
+    @staticmethod
+    def from_numerators(r: int, numerators: Iterable[int], denominator: int = 1) -> "AffineForm":
+        """The form with integer numerators (k, a, b_0, ..., b_{r-1}) over a
+        positive denominator."""
+        return object.__new__(AffineForm)._set(r, list(numerators), denominator)
+
+    const = property(lambda self: Fraction(self.numerators[0], self.denominator))
+    c0 = property(lambda self: Fraction(self.numerators[1], self.denominator))
+    d = property(lambda self: tuple(Fraction(b, self.denominator) for b in self.numerators[2:]))
 
     # -- construction helpers -------------------------------------------------
 
@@ -111,25 +135,20 @@ class AffineForm:
 
     # -- ring-ish operations ---------------------------------------------------
 
-    def _coeffs(self) -> tuple:
-        return (self.const, self.c0) + self.d
-
     def __add__(self, other):
-        if isinstance(other, AffineForm):
-            if other.r != self.r:
-                raise ValueError("mixed r")
-            return AffineForm(
-                self.r,
-                self.const + other.const,
-                self.c0 + other.c0,
-                [a + b for a, b in zip(self.d, other.d)],
-            )
-        return AffineForm(self.r, self.const + Fraction(other), self.c0, self.d)
+        if not isinstance(other, AffineForm):
+            other = AffineForm(self.r, other)
+        elif other.r != self.r:
+            raise ValueError("mixed r")
+        den = lcm(self.denominator, other.denominator)
+        u, v = den // self.denominator, den // other.denominator
+        return AffineForm.from_numerators(
+            self.r, (x * u + y * v for x, y in zip(self.numerators, other.numerators)), den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AffineForm(self.r, -self.const, -self.c0, [-a for a in self.d])
+        return AffineForm.from_numerators(self.r, (-x for x in self.numerators), self.denominator)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, AffineForm) else -Fraction(other))
@@ -139,7 +158,8 @@ class AffineForm:
 
     def scale(self, q) -> "AffineForm":
         q = Fraction(q)
-        return AffineForm(self.r, self.const * q, self.c0 * q, [a * q for a in self.d])
+        return AffineForm.from_numerators(self.r, (x * q.numerator for x in self.numerators),
+                                          self.denominator * q.denominator)
 
     def __mul__(self, other):
         return self.scale(other)
@@ -147,46 +167,44 @@ class AffineForm:
     __rmul__ = __mul__
 
     def is_constant(self) -> bool:
-        return self.c0 == 0 and all(a == 0 for a in self.d)
+        return not any(self.numerators[1:])
 
     def is_zero(self) -> bool:
-        return self.const == 0 and self.is_constant()
+        return not any(self.numerators)
 
     def evaluate(self, p: ParameterPoint) -> Fraction:
+        """Summed as n/d in integers, one Fraction at the end."""
         if p.r != self.r:
             raise ValueError("point has wrong r")
-        total = self.const + self.c0 * p.c0
-        for l, a in enumerate(self.d):
+        n, d = self.numerators[0], 1
+        for a, x in zip(self.numerators[1:], (p.c0,) + p.d):
             if a:
-                total += a * p.d[l]
-        return total
+                n, d = n * x.denominator + a * x.numerator * d, d * x.denominator
+        return Fraction(n, d * self.denominator)
 
     def primitive(self) -> tuple["AffineForm", Fraction]:
         """Return (prim, scale) with self = scale * prim, prim having coprime
         integer coefficients and positive first nonzero coefficient; a form
         that has them already is its own prim (forms are never mutated)."""
-        coeffs = self._coeffs()
-        nonzero = [c for c in coeffs if c]
-        if not nonzero:
-            return self, Fraction(1)
-        denom = lcm(*(c.denominator for c in nonzero))
-        ints = [c.numerator * (denom // c.denominator) for c in coeffs]
-        numer = gcd(*ints) if nonzero[0] > 0 else -gcd(*ints)
-        if numer == denom == 1:
-            return self, Fraction(1)
-        const, c0, *d = (x // numer for x in ints)
-        return AffineForm(self.r, const, c0, d), Fraction(numer, denom)
+        nums, den = self.numerators, self.denominator
+        g = gcd(*nums)
+        if g and next(x for x in nums if x) < 0:
+            g = -g
+        if g in (0, 1) and den == 1:
+            return self, _ONE
+        return AffineForm.from_numerators(self.r, (x // g for x in nums)), Fraction(g, den)
 
     def key(self) -> tuple:
-        """Deterministic sort/equality key."""
-        return (self.r,) + self._coeffs()
+        """Deterministic sort/equality key: r, the numerators, the denominator."""
+        return (self.r,) + self.numerators + (self.denominator,)
 
     def __eq__(self, other):
-        return isinstance(other, AffineForm) and self.key() == other.key()
+        return (isinstance(other, AffineForm) and self.numerators == other.numerators
+                and self.denominator == other.denominator and self.r == other.r)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self.key())
+            self._hash = hash((self.r, self.numerators, self.denominator))
         return self._hash
 
     def __str__(self):
@@ -197,32 +215,15 @@ class AffineForm:
 
 def render_affine(f: AffineForm) -> str:
     """Canonical text form: `k + a*c0 + b*d0 + ...` with rational literals."""
-    parts: list[str] = []
-
-    def emit(coef: Fraction, var: str | None):
-        if coef == 0:
-            return
-        sign = "-" if coef < 0 else "+"
-        mag = -coef if coef < 0 else coef
-        if var is None:
-            body = str(mag)
-        elif mag == 1:
-            body = var
-        else:
-            body = f"{mag}*{var}"
-        parts.append((sign, body))
-
-    emit(f.const, None)
-    emit(f.c0, "c0")
-    for l, a in enumerate(f.d):
-        emit(a, f"d{l}")
-    if not parts:
-        return "0"
-    sign, body = parts[0]
-    out = body if sign == "+" else "-" + body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+    den, out = f.denominator, ""
+    for x, var in zip(f.numerators, (None, "c0", *(f"d{l}" for l in range(f.r)))):
+        if not x:
+            continue
+        g = gcd(x, den)
+        mag = f"{abs(x) // g}" if g == den else f"{abs(x) // g}/{den // g}"
+        body = mag if var is None else var if abs(x) == den else f"{mag}*{var}"
+        out += (" - " if x < 0 else " + ") + body if out else ("-" if x < 0 else "") + body
+    return out or "0"
 
 
 class FactoredScalar:
@@ -263,7 +264,7 @@ class FactoredScalar:
             if f.is_zero():
                 raise ValueError("identically zero factor")
             prim, scale = f.primitive()
-            if scale != 1:
+            if prim is not f:       # else scale is 1
                 coef *= scale ** m
             if not prim.is_constant():
                 factors[prim] = factors.get(prim, 0) + m
@@ -287,11 +288,15 @@ class FactoredScalar:
     def from_affine(f: AffineForm) -> "FactoredScalar":
         return FactoredScalar(f.r, 1, (f,))
 
+    def _sorted(self) -> list:
+        """(factor, multiplicity) pairs in `AffineForm.key` order, which for
+        primitive forms of one r is the order of their numerators."""
+        return sorted(self.factors.items(), key=lambda fm: fm[0].numerators)
+
     def _expand(self, sign: int) -> tuple:
-        """Factors with sign * multiplicity > 0, sorted by `AffineForm.key`,
-        each repeated that many times."""
-        return tuple(f for f, m in sorted(self.factors.items(), key=lambda fm: fm[0].key())
-                     for _ in range(sign * m))
+        """Factors with sign * multiplicity > 0, sorted, each repeated that
+        many times."""
+        return tuple(f for f, m in self._sorted() for _ in range(sign * m))
 
     num = property(lambda self: self._expand(1), doc="Numerator factors (a tuple view).")
     den = property(lambda self: self._expand(-1), doc="Denominator factors (a tuple view).")
@@ -353,10 +358,11 @@ class FactoredScalar:
         return hash((self.coefficient, frozenset(self.factors.items())))
 
     def __str__(self):
-        out = " * ".join([str(self.coefficient)] + [f"({f})" for f in self.num])
-        den = self.den
+        texts = [(f"({f})", m) for f, m in self._sorted()]
+        out = " * ".join([str(self.coefficient)] + [t for t, m in texts for _ in range(m)])
+        den = [t for t, m in texts for _ in range(-m)]
         if den:
-            out += " / " + " * ".join(f"({f})" for f in den)
+            out += " / " + " * ".join(den)
         return out
 
     __repr__ = __str__

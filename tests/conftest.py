@@ -1,10 +1,22 @@
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
 
 from cherednik_kit.combinatorics import BoxRef, MultiPartition, ShapeAssignment
 from cherednik_kit.scalars import ParameterPoint
+
+# hypothesis imports this module when it reports a failing property; under
+# `-W error` the DeprecationWarning that the import raises (mypy_extensions'
+# TypedDict) would end the run in an INTERNALERROR that names no failed test.
+# Imported once here with that warning ignored, it is cached for the report.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 def small_point(r: int, rng: random.Random, span: int = 30) -> ParameterPoint:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import re
@@ -95,6 +96,26 @@ class TestGoldenOutputs:
         code, out = run_cli("norm-g", "--r", "1", "--shape", "1,1",
                             "--values", "0/1")
         assert code == 0 and out == "2 * (1 + 2*c0)\n"
+
+    # staircase(3, 48) of tests/test_norms.py: hundreds of rendered factors
+    STAIRCASE_3_48 = "6,4,3,2,1|6,4,3,2,1|6,4,3,2,1"
+
+    @pytest.mark.parametrize("argv, size, digest", [
+        (("norm-min", "--r", "3", "--shape", STAIRCASE_3_48), 4883,
+         "e382771f8da4aff5357fe39e49e2f10263e7cce2e2fc6d9eedef69f931d129d6"),
+        (("hook", "--r", "3", "--shape", STAIRCASE_3_48), 9734,
+         "870002cfa38aa87ed9112c5375100b9f33d55afe66d9896adceae04abe09d504"),
+        (("norm-min", "--r", "3", "--shape", STAIRCASE_3_48, "--format", "json"), 4957,
+         "b77c6f6f9c86e209e273472b05302c4dfe5eeed99e3099123b5b901583d691b6"),
+        (("hook", "--r", "3", "--shape", STAIRCASE_3_48, "--format", "json"), 9834,
+         "749f27d240703d90beccb9bdbab88438318a7de8e45b4e954f68688e2cf3dd17"),
+        (("aspherical", "list", "--r", "2", "--n", "4", "--format", "json"), 3312,
+         "0550fe60d967bdcfab769ebe9097ae6b77df197c390a6b104989e37c2ae617d7"),
+    ])
+    def test_large_outputs_pinned_by_digest(self, argv, size, digest):
+        code, out = run_cli(*argv)
+        assert code == 0 and len(out) == size
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_norm_g_rejects_bad_filling(self, capsys):
         assert main(["norm-g", "--r", "1", "--shape", "1,1", "--values", "0/0"]) == 1

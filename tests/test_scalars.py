@@ -15,6 +15,7 @@ from cherednik_kit.scalars import (
     pochhammer,
     proportional,
     random_point,
+    render_affine,
 )
 
 
@@ -204,6 +205,55 @@ def _rational_forms(r):
                      st.lists(q, min_size=r, max_size=r))
 
 
+def reference_render(f: AffineForm) -> str:
+    """The renderer over the Fraction coefficients, as `render_affine` was
+    before forms kept integer numerators: the reference it must match."""
+    parts: list[str] = []
+
+    def emit(coef: Fraction, var: str | None):
+        if coef == 0:
+            return
+        sign = "-" if coef < 0 else "+"
+        mag = -coef if coef < 0 else coef
+        if var is None:
+            body = str(mag)
+        elif mag == 1:
+            body = var
+        else:
+            body = f"{mag}*{var}"
+        parts.append((sign, body))
+
+    emit(f.const, None)
+    emit(f.c0, "c0")
+    for l, a in enumerate(f.d):
+        emit(a, f"d{l}")
+    if not parts:
+        return "0"
+    sign, body = parts[0]
+    out = body if sign == "+" else "-" + body
+    for sign, body in parts[1:]:
+        out += f" {sign} {body}"
+    return out
+
+
+# ints take the constructor's integer path, Fractions the general one
+_COEFFS = st.one_of(st.integers(-40, 40), st.fractions(min_value=-40, max_value=40, max_denominator=12))
+
+
+def _coefficient_lists(r):
+    """(const, c0, d) with arbitrary Fraction coefficients."""
+    return st.tuples(_COEFFS, _COEFFS, st.lists(_COEFFS, min_size=r, max_size=r))
+
+
+def _coefficients():
+    """(r, const, c0, d), r <= 4."""
+    return st.integers(1, 4).flatmap(lambda r: _coefficient_lists(r).map(lambda c: (r, *c)))
+
+
+def _values(f):
+    return (f.const, f.c0) + f.d
+
+
 class TestAffineFormProperties:
     @PROPERTY
     @given(st.integers(1, 3).flatmap(_rational_forms))
@@ -211,9 +261,69 @@ class TestAffineFormProperties:
         prim, scale = f.primitive()
         assert scale != 0 and prim.scale(scale) == f
         assert prim.primitive() == (prim, 1) and prim.primitive()[0] is prim
-        coeffs = prim.key()[1:]
-        assert all(c.denominator == 1 for c in coeffs)
-        assert f.is_zero() or math.gcd(*(c.numerator for c in coeffs)) == 1
+        assert prim.denominator == 1
+        assert f.is_zero() or math.gcd(*prim.numerators) == 1
+
+    @PROPERTY
+    @given(_coefficients(), st.lists(st.integers(-2, 2), min_size=4, max_size=4))
+    def test_construction_gives_back_the_coefficients(self, data, wraps):
+        r, const, c0, d = data
+        as_sequence = AffineForm(r, const, c0, d)
+        # each index shifted by a multiple of r, and its value split in two
+        # halves under two different keys that agree mod r
+        split = {}
+        for l, (a, j) in enumerate(zip(d, wraps)):
+            split[l + j * r] = split.get(l + j * r, 0) + Fraction(a) / 2
+            split[l - (j + 1) * r] = split.get(l - (j + 1) * r, 0) + Fraction(a) / 2
+        for f in (as_sequence, AffineForm(r, const, c0, dict(enumerate(d))),
+                  AffineForm(r, const, c0, split)):
+            assert (f.const, f.c0, f.d) == (const, c0, tuple(d))
+            assert all(type(v) is Fraction for v in _values(f))
+            assert f == as_sequence and hash(f) == hash(as_sequence)
+            assert f.denominator > 0
+            assert math.gcd(f.denominator, *f.numerators) == 1
+            assert all(Fraction(x, f.denominator) == v for x, v in zip(f.numerators, _values(f)))
+
+    @PROPERTY
+    @given(st.data())
+    def test_arithmetic_agrees_with_coefficientwise_fractions(self, data):
+        r = data.draw(st.integers(1, 4))
+        f, g = (AffineForm(r, *data.draw(_coefficient_lists(r))) for _ in range(2))
+        q = data.draw(_COEFFS)
+        p = data.draw(_points(r))
+        vf, vg = _values(f), _values(g)
+        assert _values(f + g) == tuple(a + b for a, b in zip(vf, vg))
+        assert _values(f - g) == tuple(a - b for a, b in zip(vf, vg))
+        assert _values(-f) == tuple(-a for a in vf)
+        assert _values(f.scale(q)) == _values(q * f) == tuple(a * q for a in vf)
+        assert _values(f + q) == _values(q + f) == (vf[0] + q,) + vf[1:]
+        assert _values(f - q) == (vf[0] - q,) + vf[1:]
+        assert _values(q - f) == (q - vf[0],) + tuple(-a for a in vf[1:])
+        assert f.evaluate(p) == vf[0] + vf[1] * p.c0 + sum(a * x for a, x in zip(vf[2:], p.d))
+        assert f.is_zero() == (not any(vf)) and f.is_constant() == (not any(vf[1:]))
+
+    @PROPERTY
+    @given(_coefficients(), _COEFFS.filter(bool))
+    def test_equal_values_have_equal_data_and_hash(self, data, q):
+        r, const, c0, d = data
+        f = AffineForm(r, const, c0, d)
+        # the same values reached through other numerators and denominators
+        others = [f.scale(q).scale(1 / Fraction(q)), (f + f).scale(Fraction(1, 2)),
+                  (f - AffineForm(r, c0=q)) + AffineForm(r, c0=q),
+                  AffineForm.from_numerators(r, [x * 6 for x in f.numerators], f.denominator * 6)]
+        for g in others:
+            assert g == f and hash(g) == hash(f) and g.key() == f.key()
+            assert (g.numerators, g.denominator) == (f.numerators, f.denominator)
+        different = f + AffineForm(r, d={0: q})
+        assert different != f and different.key() != f.key()
+
+    @PROPERTY
+    @given(_coefficients())
+    def test_render_matches_the_fraction_renderer(self, data):
+        f = AffineForm(*data)
+        assert render_affine(f) == str(f) == reference_render(f)
+        prim, _ = f.primitive()
+        assert render_affine(prim) == reference_render(prim)
 
 
 class TestPochhammer:
