@@ -10,6 +10,14 @@ the counts N(j, l) = #{b : theta(b) > j, or theta(b) = j and beta(b) <= l},
 which count the boxes with key (-theta(b), beta(b)) <= (-j, l): one walk over
 the boxes sorted by that key sees every value of N_lam - N_chi.
 
+Each quantity the orders read off a box is o_l + ct(b) s with l = beta(b)
+mod r: theta(b) (o_l = d_l/(r c0), s = 1), ttheta(b) c0, which decides
+ttheta(b) mod 1/c0 (o_l = (d_l - l)/r, s = c0), and the linkage term
+d_l + r ct(b) c0 (o_l = d_l, s = r c0).  An OrderContext scales each one to
+integers once, by the least common denominator m of its o_l and s, so the
+per-box work is integer: sort by -m theta(b), compare m ttheta(b) c0 mod m,
+and test whether m divides a difference of linkage terms.
+
 The core/quotient machinery: beta numbers B_s(lam) = {lam_j + s - j + 1},
 and a finite integer abacus that interleaves r charged beta sets into one
 (assemble) and splits it again (disassemble).  With integer charges
@@ -21,8 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
-from math import ceil
+from math import ceil, lcm
 from typing import Optional, Sequence
 
 from .combinatorics import (
@@ -36,20 +43,29 @@ from .combinatorics import (
 from .scalars import ParameterPoint
 
 
+def _on_integers(offsets: Sequence[Fraction], step: Fraction) -> tuple[int, tuple[int, ...], int]:
+    """(m, m*offsets, m*step) for the least m > 0 that makes them all integers."""
+    m = lcm(step.denominator, *(o.denominator for o in offsets))
+    return (m, tuple(o.numerator * (m // o.denominator) for o in offsets),
+            step.numerator * (m // step.denominator))
+
+
 class OrderContext:
     """Parameter data for the orderings; c0 must be a nonzero rational
-    (geq_c additionally requires c0 > 0)."""
+    (geq_c additionally requires c0 > 0).  `charges`, `classes` and `links`
+    are (m, offsets, step) from `_on_integers` for the three box quantities
+    of the module docstring."""
 
-    __slots__ = ("point",)
+    __slots__ = ("point", "charges", "classes", "links")
 
     def __init__(self, point: ParameterPoint):
         if point.c0 == 0:
             raise ValueError("c0 must be nonzero")
         self.point = point
-
-    @property
-    def r(self) -> int:
-        return self.point.r
+        r, c0, d = point.r, point.c0, point.d
+        self.charges = _on_integers([x / (r * c0) for x in d], Fraction(1))
+        self.classes = _on_integers([(x - l) / r for l, x in enumerate(d)], c0)
+        self.links = _on_integers(d, r * c0)
 
     @property
     def c0(self) -> Fraction:
@@ -60,48 +76,52 @@ class OrderContext:
         p = self.point
         return p.d[b.component % p.r] / (p.r * p.c0) + b.content
 
-    def tilted_charge(self, b: BoxRef) -> Fraction:
-        """ct(b) + (d_beta(b) - beta(b))/(r c0)."""
-        p = self.point
-        l = b.component % p.r
-        return b.content + (p.d[l] - l) / (p.r * p.c0)
-
     def integer_charges(self) -> Optional[tuple[int, ...]]:
         """(a_1, ..., a_r) with a_i = d_{r-i}/(r c0), when all are integers."""
-        p = self.point
-        out = []
-        for i in range(1, p.r + 1):
-            a = p.d[(p.r - i) % p.r] / (p.r * p.c0)
-            if a.denominator != 1:
-                return None
-            out.append(int(a))
-        return tuple(out)
+        m, theta, _ = self.charges
+        if any(t % m for t in theta):
+            return None
+        r = len(theta)
+        return tuple(theta[(r - i) % r] // m for i in range(1, r + 1))
+
+
+def _scaled(shape: MultiPartition, q: tuple[int, tuple[int, ...], int]) -> list[tuple[int, int]]:
+    """(offsets[l mod r] + ct(b) step, l) for each box b of shape, l = beta(b):
+    the context's box quantity q = (m, offsets, step), times m."""
+    _, offsets, step = q
+    r = len(offsets)
+    return [(offsets[l % r] + ct * step, l) for l, comp in enumerate(shape.components)
+            for i, row in enumerate(comp) for ct in range(-i, row - i)]
 
 
 def geq_c(lam: MultiPartition, chi: MultiPartition, ctx: OrderContext) -> bool:
     """lam >=_c chi: N_lam(j, l) >= N_chi(j, l) for every threshold j and
-    every l in [0, r).  Walk the boxes of both shapes sorted by (-theta, beta),
-    +1 for lam and -1 for chi: after the last box of each key the running sum
-    is N_lam - N_chi there, and between realized keys it does not change."""
+    every l in [0, r).  Each key (-theta, beta) gets +1 per box of lam and -1
+    per box of chi: walking the keys in order, the running sum after a key is
+    N_lam - N_chi there, and between realized keys it does not change."""
     if ctx.c0 <= 0:
         raise ValueError("geq_c needs c0 > 0")
     if lam.size != chi.size:
         raise ValueError("shapes must have equal size")
-    walk = sorted(((-ctx.charge(b), b.component), sign)
-                  for shape, sign in ((lam, 1), (chi, -1)) for b in shape.boxes())
+    net: dict[tuple[int, int], int] = {}
+    for shape, sign in ((lam, 1), (chi, -1)):
+        for theta, l in _scaled(shape, ctx.charges):
+            net[-theta, l] = net.get((-theta, l), 0) + sign
     running = 0
-    for _, entries in groupby(walk, key=lambda entry: entry[0]):
-        running += sum(sign for _, sign in entries)
+    for key in sorted(net):
+        running += net[key]
         if running < 0:
             return False
     return True
 
 
 def equiv_c(lam: MultiPartition, chi: MultiPartition, ctx: OrderContext) -> bool:
-    """lam ==_c chi: the multisets of tilted charges agree mod 1/c0."""
-    def classes(shape: MultiPartition) -> list[Fraction]:
-        # x mod 1/c0 is decided by x*c0 mod 1
-        return sorted((ctx.tilted_charge(b) * ctx.c0) % 1 for b in shape.boxes())
+    """lam ==_c chi: the multisets of tilted charges agree mod 1/c0, that is
+    the multisets of ttheta(b) c0 mod 1, here scaled by m."""
+    m = ctx.classes[0]
+
+    def classes(shape: MultiPartition) -> list[int]:
+        return sorted(x % m for x, _ in _scaled(shape, ctx.classes))
 
     return classes(lam) == classes(chi)
 
@@ -120,24 +140,22 @@ def linkage_matching(lam: MultiPartition, chi: MultiPartition,
     None if no perfect matching exists."""
     if lam.size != chi.size:
         raise ValueError("shapes must have equal size")
-    p = ctx.point
-    r = p.r
-    left = sorted(lam.boxes(), key=BoxRef.sort_key)
-    right = sorted(chi.boxes(), key=BoxRef.sort_key)
+    m, r = ctx.links[0], ctx.point.r
+    # m (d_beta(b) + r ct(b) c0) and beta(b) per box, in the order of boxes()
+    terms_left, terms_right = _scaled(lam, ctx.links), _scaled(chi, ctx.links)
 
-    def admissible(b: BoxRef, b2: BoxRef) -> Optional[int]:
-        value = (p.d[b.component % r] - p.d[b2.component % r]
-                 + r * (b.content - b2.content) * p.c0)
-        if value.denominator != 1 or value < 0:
+    def admissible(i: int, j: int) -> Optional[int]:
+        (term, beta), (term2, beta2) = terms_left[i], terms_right[j]
+        if term < term2 or (term - term2) % m:
             return None
-        mu = int(value)
-        if (b.component - mu - b2.component) % r != 0:
+        mu = (term - term2) // m
+        if (beta - mu - beta2) % r != 0:
             return None
         return mu
 
-    adj = [[j for j, b2 in enumerate(right) if admissible(b, b2) is not None]
-           for b in left]
-    match_right: list[Optional[int]] = [None] * len(right)
+    adj = [[j for j in range(len(terms_right)) if admissible(i, j) is not None]
+           for i in range(len(terms_left))]
+    match_right: list[Optional[int]] = [None] * len(terms_right)
 
     def augment(i: int, visited: set[int]) -> bool:
         for j in adj[i]:
@@ -149,19 +167,12 @@ def linkage_matching(lam: MultiPartition, chi: MultiPartition,
                 return True
         return False
 
-    matched = 0
-    for i in range(len(left)):
-        if augment(i, set()):
-            matched += 1
-    if matched != len(left):
+    if not all(augment(i, set()) for i in range(len(terms_left))):
         return None
-    out = []
-    for j, i in enumerate(match_right):
-        if i is not None:
-            mu = admissible(left[i], right[j])
-            out.append((left[i], right[j], mu))
-    out.sort(key=lambda t: t[0].sort_key())
-    return out
+    left, right = lam.boxes(), chi.boxes()
+    # boxes() lists the boxes in BoxRef.sort_key order, so sorting by i sorts by left box
+    return [(left[i], right[j], admissible(i, j))
+            for i, j in sorted((i, j) for j, i in enumerate(match_right))]
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +277,7 @@ def geq_c_quotient(lam: MultiPartition, chi: MultiPartition, ctx: OrderContext) 
 # the counting identity
 
 
-def _neg(x: Fraction) -> Fraction:
-    return x if x < 0 else Fraction(0)
-
-
-def charge_offset(a: Sequence[int], j: Fraction, r: int) -> Fraction:
+def charge_offset(a: Sequence[int], j: Fraction, r: int) -> int:
     """The shape-independent offset f(a, j):
     sum_{j <= k < 0} k
       - sum_{k >= j} [ sum_{1 <= l <= m_k} min(q_k + 1 - a_l, 0)
@@ -278,7 +285,7 @@ def charge_offset(a: Sequence[int], j: Fraction, r: int) -> Fraction:
     with k = q_k r + m_k, 0 <= m_k < r.  All sums are finite."""
     a = tuple(int(x) for x in a)
     j_ceil = ceil(j)
-    total = Fraction(0)
+    total = 0
     for k in range(j_ceil, 0):
         total += k
     k_top = r * (max(a) + 2) + r if a else 0
@@ -286,9 +293,9 @@ def charge_offset(a: Sequence[int], j: Fraction, r: int) -> Fraction:
         q, m = divmod(k, r)
         for l in range(1, r + 1):
             if l <= m:
-                total -= _neg(Fraction(q + 1 - a[l - 1]))
+                total -= min(q + 1 - a[l - 1], 0)
             else:
-                total -= _neg(Fraction(q - a[l - 1]))
+                total -= min(q - a[l - 1], 0)
     return total
 
 
@@ -315,7 +322,7 @@ def counting_combination(shape: MultiPartition, a: Sequence[int], j: Fraction) -
 @dataclass(frozen=True)
 class CountingIdentityReport:
     direct_count: int
-    offset: Fraction
+    offset: int
     combination: int
 
     @property

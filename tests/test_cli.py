@@ -6,6 +6,7 @@ import re
 import pytest
 
 from cherednik_kit.cli import build_parser, main
+from cherednik_kit.combinatorics import enumerate_multipartitions
 
 
 def run_cli(*argv):
@@ -116,6 +117,68 @@ class TestGoldenOutputs:
         code, out = run_cli(*argv)
         assert code == 0 and len(out) == size
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # every pair of r-partitions of n, text and json, at a lattice point per r
+    # (integer charges summing to zero: the quotient order is printed too) and
+    # at two points whose charges and classes have denominators
+    @pytest.mark.parametrize("r, n, c0, d, fmt, size, digest", [
+        (1, 4, "1", "0", "text", 915,
+         "ade2a67e3576f1c8d927b68316d72bdafee9fba814a53394b8098874da5e3c6c"),
+        (1, 4, "1", "0", "json", 3865,
+         "6e6cba4247bcd6f89ea6f708632eb97cf931a88e0a0a1e023d3b55721e05e215"),
+        (1, 4, "1/2", "1/3", "text", 385,
+         "85864e645877cfabfb2fb217eca0a36de80ae7b145d9b4f38b47b47ac68a412e"),
+        (1, 4, "1/2", "1/3", "json", 3810,
+         "bb3ef5c9c1ae28fde5a88573e32dd23caf246f0ca7473c6d494ed4f583e3a61d"),
+        (1, 4, "7/3", "-2/5", "text", 371,
+         "287d9baa8978a88bd9774bc867d31a9144d046b96fb39edc8cad3be4c9666151"),
+        (1, 4, "7/3", "-2/5", "json", 3824,
+         "9d6ba984db61310f6eb9ba14da49fe7cb0f7c162feffd375ea0ac33eda122d5b"),
+        (2, 3, "1", "2,-2", "text", 3716,
+         "9c8b05f8c9d688a8f2e75f871aa53bf05198483850d0e83970dfe5df2dfe6910"),
+        (2, 3, "1", "2,-2", "json", 15664,
+         "d7e7d105253e298ead8fb040fb91a4a0b58be7712fc04eb2240664fbd7c90bc3"),
+        (2, 3, "1/2", "1,1", "text", 1552,
+         "cf169c4b55d3913c42da30487e64ed4c84cf69c353fb9863493dd91dea2157dd"),
+        (2, 3, "1/2", "1,1", "json", 15352,
+         "c51d58090fa4ba71cf8c2a9143006fc1eebb4072d7a418e7fb108339bbce9ef4"),
+        (2, 3, "2/3", "1/3,-2/5", "text", 1524,
+         "e73ba951a1e6e80d53fc4cff8137cf33ba81f435a512e901af780f8dbc613156"),
+        (2, 3, "2/3", "1/3,-2/5", "json", 15380,
+         "6c6166ffda355925c00b4ea844c156b12f4c5e4d6cc04a788a8c5dc56e99848a"),
+        (3, 2, "1", "3,0,-3", "text", 3009,
+         "389b3be44072aa5e54857bf8b5c4776ee0df8567b107999031afe1405afd7122"),
+        (3, 2, "1", "3,0,-3", "json", 12699,
+         "648d38298da9fafdb6363a10cdc7e9280fa888a4d7c7b82af8d65bfff3e9602e"),
+        (3, 2, "1/3", "1,1,0", "text", 1235,
+         "05d9bb1adc36b47ba38796db0a08a76f6215db4813fe7a296101144a0ca34066"),
+        (3, 2, "1/3", "1,1,0", "json", 12432,
+         "29355d7309623a1abf47bd34ada4fe2fd5ca4a10d66085139dbbbb1018470845"),
+        (3, 2, "3/4", "1/2,-1/3,1/5", "text", 1229,
+         "5e5b587cae351c1539a32243667b468accac4495c108d02cc293d6dc75b4e326"),
+        (3, 2, "3/4", "1/2,-1/3,1/5", "json", 12470,
+         "fac92aef42cf721f7d40ec4d1d5b490c223d5938c19661822d59c421e7a0e8a8"),
+    ])
+    def test_order_compare_pinned_by_digest(self, r, n, c0, d, fmt, size, digest):
+        parser = build_parser()
+        out = io.StringIO()
+        shapes = [shape.as_text() for shape in enumerate_multipartitions(r, n)]
+        for a in shapes:
+            for b in shapes:
+                args = parser.parse_args(["order", "compare", "--r", str(r), f"--c0={c0}",
+                                          f"--d={d}", f"--a={a}", f"--b={b}", "--format", fmt])
+                assert args.func(args, out) == 0
+        assert len(out.getvalue()) == size
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("c0, message", [
+        ("0", "error: c0 must be nonzero\n"),
+        ("-1/2", "error: geq_c needs c0 > 0\n"),
+    ])
+    def test_order_compare_needs_positive_c0(self, capsys, c0, message):
+        assert main(["order", "compare", "--r", "2", f"--c0={c0}", "--d=1,-1",
+                     "--a=1|", "--b=|1"]) == 1
+        assert capsys.readouterr() == ("", message)
 
     def test_norm_g_rejects_bad_filling(self, capsys):
         assert main(["norm-g", "--r", "1", "--shape", "1,1", "--values", "0/0"]) == 1

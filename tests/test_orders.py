@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cherednik_kit.combinatorics import (
+    BoxRef,
     Comparison,
     MultiPartition,
     as_partition,
@@ -265,6 +267,99 @@ class TestAssembleProperties:
     def test_disassemble_inverts_assemble(self, pair):
         charges, quotient = pair
         assert disassemble(assemble(charges, quotient), quotient.r) == pair
+
+
+def _tilted_charge(ctx, b):
+    """Literal ttheta(b) = ct(b) + (d_beta(b) - beta(b))/(r c0)."""
+    p = ctx.point
+    l = b.component % p.r
+    return b.content + (p.d[l] - l) / (p.r * p.c0)
+
+
+def _literal_equiv_c(a, b, ctx):
+    """The multisets of ttheta(x) mod 1/c0, decided as ttheta(x) c0 mod 1."""
+    def classes(shape):
+        return sorted((_tilted_charge(ctx, x) * ctx.c0) % 1 for x in shape.boxes())
+
+    return classes(a) == classes(b)
+
+
+def _literal_mu(ctx, b, b2):
+    """mu = d_beta(b) - d_beta(b2) + r(ct(b) - ct(b2))c0 when it is a non-negative
+    integer with beta(b) - mu = beta(b2) mod r, else None."""
+    p = ctx.point
+    mu = (p.d[b.component % p.r] - p.d[b2.component % p.r]
+          + p.r * (b.content - b2.content) * p.c0)
+    if mu.denominator != 1 or mu < 0 or (b.component - mu - b2.component) % p.r:
+        return None
+    return int(mu)
+
+
+def _some_bijection_admissible(a, b, ctx):
+    """Brute force over every bijection between the boxes of a and b."""
+    left = a.boxes()
+    return any(all(_literal_mu(ctx, x, y) is not None for x, y in zip(left, image))
+               for image in permutations(b.boxes()))
+
+
+@st.composite
+def _off_lattice_cases(draw, positive=False):
+    """(context, lam, chi) with r <= 3 and 1 <= |lam| = |chi| <= 4.  c0 = p/q
+    with q <= 9 and either sign (c0 > 0 if `positive`), d_l = r c0 k_l + e_l
+    with small integers k_l, which tie boxes across components, and e_l over
+    one denominator up to 6, which moves the point off the lattice."""
+    r = draw(st.integers(1, 3))
+    c0 = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    if not positive and draw(st.booleans()):
+        c0 = -c0
+    e_den = draw(st.integers(1, 6))
+    d = [r * c0 * draw(st.integers(-2, 2)) + Fraction(draw(st.integers(-6, 6)), e_den)
+         for _ in range(r)]
+    shapes = enumerate_multipartitions(r, draw(st.integers(1, 4)))
+    lam, chi = (shapes[draw(st.integers(0, len(shapes) - 1))] for _ in range(2))
+    return ctx_of(r, c0, d), lam, chi
+
+
+OFF_LATTICE = settings(PROPERTY, max_examples=400)
+
+
+class TestOrdersOffTheLattice:
+    """The integer orders against literal `Fraction` references at points
+    whose charges and classes have denominators."""
+
+    @OFF_LATTICE
+    @given(_off_lattice_cases(positive=True))
+    def test_geq_c_matches_literal_counts(self, case):
+        ctx, lam, chi = case
+        assert geq_c(lam, chi, ctx) == _literal_geq_c(_charges(lam, ctx), _charges(chi, ctx),
+                                                      ctx.point.r)
+
+    @OFF_LATTICE
+    @given(_off_lattice_cases())
+    def test_equiv_c_matches_literal_classes(self, case):
+        ctx, lam, chi = case
+        assert equiv_c(lam, chi, ctx) == _literal_equiv_c(lam, chi, ctx)
+
+    @OFF_LATTICE
+    @given(_off_lattice_cases())
+    def test_linkage_matching_matches_brute_force(self, case):
+        ctx, lam, chi = case
+        matching = linkage_matching(lam, chi, ctx)
+        assert (matching is not None) == _some_bijection_admissible(lam, chi, ctx)
+        if matching is not None:
+            assert [x for x, _, _ in matching] == sorted(lam.boxes(), key=BoxRef.sort_key)
+            assert sorted(y.sort_key() for _, y, _ in matching) == sorted(
+                y.sort_key() for y in chi.boxes())
+            assert all(mu == _literal_mu(ctx, x, y) for x, y, mu in matching)
+
+    @OFF_LATTICE
+    @given(_off_lattice_cases())
+    def test_integer_charges_match_literal_charges(self, case):
+        ctx, _, _ = case
+        p = ctx.point
+        literal = [p.d[(p.r - i) % p.r] / (p.r * p.c0) for i in range(1, p.r + 1)]
+        expected = None if any(a.denominator != 1 for a in literal) else tuple(map(int, literal))
+        assert ctx.integer_charges() == expected
 
 
 class TestQuotientOrder:
