@@ -42,7 +42,9 @@ from .aspherical import (
     is_aspherical,
 )
 from .combinatorics import (
+    Comparison,
     MultiPartition,
+    dominance_compare,
     enumerate_multipartitions,
     enumerate_syt,
     parse_assignment,
@@ -66,7 +68,6 @@ from .orders import (
     disassemble,
     equiv_c,
     geq_c,
-    geq_c_quotient,
     quotient_component,
     shape_from_quotient,
 )
@@ -225,26 +226,21 @@ def cmd_aspherical_test(args, out) -> int:
     return _emit(args, out, result, lines)
 
 
-def _relation(geq, lam, chi, ctx, mark: str) -> str:
-    """'=', '>=' + mark, '<=' + mark or 'incomparable' under the order `geq`."""
-    ge, le = geq(lam, chi, ctx), geq(chi, lam, ctx)
-    if ge and le:
-        return "="
-    return ">=" + mark if ge else ("<=" + mark if le else "incomparable")
-
-
 def cmd_order_compare(args, out) -> int:
     ctx = OrderContext(_point(args))
     lam = parse_multipartition(args.a, args.r, "--a")
     chi = parse_multipartition(args.b, args.r, "--b")
     if lam.size != chi.size:
         raise DomainError("shapes must have equal size")
-    relation = _relation(geq_c, lam, chi, ctx, "_c")
+    ge, le = geq_c(lam, chi, ctx), geq_c(chi, lam, ctx)
+    relation = "=" if ge and le else ">=_c" if ge else "<=_c" if le else "incomparable"
     eq = equiv_c(lam, chi, ctx)
     charges = ctx.integer_charges()
     quotient_verdict = None
-    if charges is not None and sum(charges) == 0:
-        quotient_verdict = _relation(geq_c_quotient, lam, chi, ctx, "'_c")
+    if charges is not None and sum(charges) == 0:   # >='_c: dominance of the assembled
+        verdict = dominance_compare(assemble(charges, lam), assemble(charges, chi))
+        quotient_verdict = {Comparison.EQUAL: "=", Comparison.GREATER: ">='_c",
+                            Comparison.LESS: "<='_c"}.get(verdict, "incomparable")
     lines = [relation, "equiv: " + ("yes" if eq else "no")]
     if quotient_verdict is not None:
         lines.append("quotient order: " + quotient_verdict)

@@ -16,7 +16,7 @@ type G(r,1,n) degree by degree, straight from the defining relations:
   phi_i), and z_i = y_i x_i + c0 * phi_i;
 - joint eigenvectors of the z_i are solved by back-substitution down their
   triangular order on the twisted basis x^nu (tensor) w_nu^{-1} v_S
-  (twisted_basis_vector), with the eigenvalues read off the diagonal;
+  (twisted_column), with the eigenvalues read off the diagonal;
 - the intertwiner sigma_i is s_i + f_i, with f_i from intertwiner_scalar;
 - the contravariant pairing moves x's on the left to y's on the right and
   reads the degree-0 gram form.
@@ -393,10 +393,9 @@ class ModuleElement:
         return " + ".join(f"{c!r}*x^{nu}v[{t}]" for (nu, t), c in items) or "0"
 
 
-def _accumulate(out: dict, elt: ModuleElement, c: CycNumber) -> None:
-    """out += c * elt, in place on a term dict (zeros are dropped by the
-    ModuleElement built from it)."""
-    for key, v in elt.terms.items():
+def _accumulate(out: dict, terms: dict, c: CycNumber) -> None:
+    """out += c * terms on term dicts, in place (a ModuleElement drops the zeros)."""
+    for key, v in terms.items():
         add = v * c
         out[key] = out[key] + add if key in out else add
 
@@ -418,6 +417,7 @@ class StandardModule:
         self._params = [(p.numerator, p.denominator) for p in (point.c0,) + point.d]
         self._y_cache: dict = {}   # term dicts, not elements: no cycle through self
         self._z_cache: dict = {}
+        self._twisted: dict = {}   # nu -> (w_nu, w_nu^{-1} matrices, {s: twisted_column(nu, s)})
 
     # -- constructors --------------------------------------------------------
 
@@ -486,7 +486,7 @@ class StandardModule:
     def y_act(self, i: int, elt: ModuleElement) -> ModuleElement:
         out: dict = {}
         for (nu, t), c in elt.terms.items():
-            _accumulate(out, self._y_basis(i, nu, t), c)
+            _accumulate(out, self._y_basis(i, nu, t).terms, c)
         return ModuleElement(self, out)
 
     def _y_basis(self, i: int, nu: tuple[int, ...], t: int) -> ModuleElement:
@@ -502,7 +502,7 @@ class StandardModule:
     def z_act(self, i: int, elt: ModuleElement) -> ModuleElement:
         out: dict = {}
         for key, c in elt.terms.items():
-            _accumulate(out, self._z_basis(i, key), c)
+            _accumulate(out, self._z_basis(i, key).terms, c)
         return ModuleElement(self, out)
 
     def _z_basis(self, i: int, key: tuple) -> ModuleElement:
@@ -578,16 +578,17 @@ class StandardModule:
         mu = tuple(mu)
         f, n, irrep = self.field, self.n, self.irrep
         tau = irrep.index[T]
-        lead = self.twisted_basis_vector(mu, T)
-        (target,) = {self.residue_tuple(nu, t) for nu, t in lead.terms}
-        keys: dict[tuple, list[int]] = {}      # reachable exponent -> block keys
+        lead, _, lam = self.twisted_column(mu, tau)
+        (target,) = {self.residue_tuple(nu, t) for nu, t in lead}
+        block: dict[tuple, dict] = {}          # reachable exponent -> its columns in the block
         above: dict[tuple, set] = {mu: set()}  # exponent -> exponents reaching it
         pending = [mu]
         while pending:
             nu = pending.pop()
-            keys[nu] = [t for t in range(irrep.dim) if self.residue_tuple(nu, t) == target]
-            for t, i in itertools.product(keys[nu], range(1, n + 1)):
-                for kappa, _ in self._z_basis(i, (nu, t)).terms:
+            block[nu] = {s: self.twisted_column(nu, s) for s, col in enumerate(self._twist(nu)[1])
+                         if self.residue_tuple(nu, next(iter(col))) == target}
+            for _, zb, _ in block[nu].values():
+                for kappa, _ in itertools.chain(*zb):
                     if kappa not in above:
                         above[kappa] = set()
                         pending.append(kappa)
@@ -601,35 +602,19 @@ class StandardModule:
         images: list[dict] = [{} for _ in range(n)]   # z_i of the part solved so far
         solved: dict = {}
         for nu in order:   # mu comes first
-            w = sorting_data(nu)[2]
-            twist, untwist = irrep.perm_matrix(w), irrep.perm_matrix(perm_inverse(w))
-            block = set(keys[nu])
-
-            def coordinate(terms: dict, s: int) -> CycNumber:
-                return sum((twist[a][s] * terms[nu, a] for a in keys[nu]
-                            if (nu, a) in terms and s in twist[a]), f.zero)
-
-            column = {}   # s -> (twisted basis vector, its z_i-images, diag_i(nu, s))
-            for s in range(irrep.dim):
-                b = ModuleElement(self, {(nu, a): c for a, c in untwist[s].items() if a in block})
-                if not b.is_zero():
-                    zb = [self.z_act(i, b) for i in range(1, n + 1)]
-                    column[s] = (b, zb, [coordinate(z.terms, s) for z in zb])
-            coeffs = {}
-            if nu == mu:
-                lam, coeffs = column[tau][2], {tau: f.one}
-            for s, (_, _, diag) in column.items():
+            coeffs = {tau: f.one} if nu == mu else {}
+            for s, (_, _, diag) in block[nu].items():
                 if (nu, s) == (mu, tau):
                     continue
                 gap = next((i for i in range(n) if diag[i] != lam[i]), None)
                 if gap is None:
                     raise EigenvalueCollision(
                         f"{(mu, T.as_text())} vs {(nu, irrep.tableaux[s].as_text())}")
-                c = coordinate(images[gap], s) / (lam[gap] - diag[gap])
+                c = self._coordinate(images[gap], nu, s) / (lam[gap] - diag[gap])
                 if not c.is_zero():
                     coeffs[s] = c
             for s, c in coeffs.items():
-                b, zb, _ = column[s]
+                b, zb, _ = block[nu][s]
                 _accumulate(solved, b, c)
                 for i in range(n):
                     _accumulate(images[i], zb[i], c)
@@ -637,9 +622,32 @@ class StandardModule:
         elt = ModuleElement(self, solved)
         if any(ModuleElement(self, images[i]) != elt.scale(lam[i]) for i in range(n)):
             raise AssertionError("not a joint eigenvector: the z-action is not triangular")
-        if {key: c for key, c in elt.terms.items() if key[0] == mu} != lead.terms:
+        if {key: c for key, c in elt.terms.items() if key[0] == mu} != lead:
             raise AssertionError("leading slice is not x^mu w_mu^{-1} v_T")
         return elt
+
+    def _twist(self, nu: tuple[int, ...]) -> tuple:
+        if nu not in self._twisted:
+            w, irrep = sorting_data(nu)[2], self.irrep
+            self._twisted[nu] = (irrep.perm_matrix(w), irrep.perm_matrix(perm_inverse(w)), {})
+        return self._twisted[nu]
+
+    def twisted_column(self, nu: tuple[int, ...], s: int) -> tuple:
+        """(x^nu (tensor) w_nu^{-1} v_s, whose keys share one residue tuple, and its
+        z_i-images, as term dicts, with their coordinates at (nu, s)): built once per module."""
+        _, untwist, columns = self._twist(nu)
+        if s not in columns:
+            vec = ModuleElement._over(self, {(nu, a): c for a, c in untwist[s].items()})
+            images = [self.z_act(i, vec).terms for i in range(1, self.n + 1)]
+            columns[s] = (vec.terms, images, [self._coordinate(z, nu, s) for z in images])
+        return columns[s]
+
+    def _coordinate(self, terms: dict, nu: tuple[int, ...], s: int) -> CycNumber:
+        """The twisted coordinate at (nu, s) of a term dict: row s of w_nu on its
+        terms at nu, over the support of column s of w_nu^{-1} (w_nu is gram-unitary)."""
+        twist, untwist, _ = self._twist(nu)
+        return sum((twist[a][s] * terms[nu, a] for a in untwist[s] if (nu, a) in terms),
+                   self.field.zero)
 
     def x_power(self, nu: Sequence[int], elt: ModuleElement) -> ModuleElement:
         out = elt
@@ -647,11 +655,6 @@ class StandardModule:
             for _ in range(e):
                 out = self.x_mul(i, out)
         return out
-
-    def twisted_basis_vector(self, nu: Sequence[int], T: StandardTableau) -> ModuleElement:
-        """x^nu (tensor) w_nu^{-1} v_T, the leading term of the eigenvector at (nu, T)."""
-        return self.x_power(nu, self.apply_perm(perm_inverse(sorting_data(nu)[2]),
-                                                self.tableau_vector(T)))
 
     def eigenvector_generic(self, mu: Sequence[int], T: StandardTableau,
                             rng: random.Random) -> tuple["StandardModule", ModuleElement]:
@@ -711,8 +714,7 @@ class StandardModule:
             by_exp.setdefault(nu, {})[t] = c
         out = {}
         for nu, coeffs in by_exp.items():
-            mat = self.irrep.perm_matrix(sorting_data(nu)[2])
-            for t, c in _apply(mat, coeffs).items():
+            for t, c in _apply(self._twist(nu)[0], coeffs).items():
                 out[(nu, t)] = c
         return out
 
@@ -771,10 +773,10 @@ def verify_report(r: int, n: int, degree: int = 2, seed: int = 0,
     cap, commutativity and self-adjointness of the z-family, pairing symmetry
     and W-invariance (on the generators s_i and zeta_1), triangularity of z
     with the predicted diagonal, eigenvector norms against the closed
-    formulas, intertwiner braid and square relations, and the S_n
-    symmetrizer identity.  Three checks share
-    one basis walk (`basis`); the others call the module's own monomials,
-    twisted_basis_vector and intertwiner_scalar, never a copy of them.
+    formulas, intertwiner braid and square relations, and the S_n symmetrizer
+    identity.  Three checks share one basis walk (`basis`); the triangularity
+    and eigenvector checks read one table of twisted columns (twisted_column);
+    all call the module's own methods, never a copy of them.
     """
     from .combinatorics import enumerate_multipartitions, parse_multipartition
     from .combinatorics import assignment_pair, composition_compare, Comparison
@@ -898,13 +900,11 @@ def verify_report(r: int, n: int, degree: int = 2, seed: int = 0,
         count = 0
         for mod, nu, t, _ in basis(2):
             T = mod.irrep.tableaux[t]
-            basis_elt = mod.twisted_basis_vector(nu, T)
-            data = spectrum(nu, T)
-            for i in range(1, n + 1):
-                image = mod.twisted_coordinates(mod.z_act(i, basis_elt))
-                diag = image.pop((nu, t), mod.field.zero)
-                expect = mod.field.from_rational(data[i - 1].z_eigenvalue.evaluate(point))
-                if diag != expect:
+            _, images, diag = mod.twisted_column(nu, t)
+            for i, data in enumerate(spectrum(nu, T)):
+                image = mod.twisted_coordinates(ModuleElement._over(mod, images[i]))
+                expect = mod.field.from_rational(data.z_eigenvalue.evaluate(point))
+                if not image.pop((nu, t), mod.field.zero) == diag[i] == expect:
                     raise AssertionError(f"diagonal at {nu}, {T.as_text()}")
                 for (kappa, u), c in image.items():
                     if composition_compare(nu, kappa) is not Comparison.GREATER:

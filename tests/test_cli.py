@@ -267,6 +267,18 @@ class TestDeterminism:
                             "--seed", "7", "--no-timings", "--format", "text")
         assert code == 0 and out == ORACLE_TEXT_SEED_7[r, n]
 
+    @pytest.mark.parametrize("r, n, size, digest", [
+        (1, 4, 1527, "ec6d49409bb093a1c636d8dc02caed01659fb17cff3caedc05cc5c6032a28cba"),
+        (2, 3, 1605, "559819b83512d03a4f653a2ac9cb0cc3f4a438740bd706731474b9ab20fa8062"),
+    ])
+    def test_oracle_verify_json_is_pinned_by_digest(self, r, n, size, digest):
+        # wider residue blocks than the text pins: a change of the rng stream,
+        # or of which (mu, T) collide and redraw their point, shows up here
+        code, out = run_cli("oracle", "verify", "--r", str(r), "--n", str(n), "--degree", "2",
+                            "--seed", "7", "--no-timings")
+        assert code == 0 and len(out) == size
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_oracle_verify_env_seed(self, monkeypatch):
         monkeypatch.setenv("CHEREDNIK_SEED", "9")
         a = run_cli("oracle", "verify", "--r", "1", "--n", "2", "--degree", "1",

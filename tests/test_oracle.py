@@ -266,6 +266,61 @@ class TestEigenvectors:
         assert ratio is not None and not ratio.is_zero()
 
 
+class TestTwistedTable:
+    @pytest.mark.parametrize("r, n", ORACLE_RANGE + [(1, 4)])
+    def test_warm_module_gives_the_fresh_eigenvectors(self, r, n):
+        # one module serves every (mu, T) from its table of twisted columns,
+        # filled by the (mu, T) before; a fresh module at the same point
+        # builds each from nothing
+        rng = random.Random(7300 + 10 * r + n)
+        checked = 0
+        for shape in enumerate_multipartitions(r, n):
+            irrep, point = build_irrep(shape), small_point(r, rng)
+            warm = StandardModule(shape, point, irrep=irrep)
+            for T, mu in itertools.product(irrep.tableaux, compositions(n, 2)):
+                fresh = StandardModule(shape, point, irrep=irrep)
+                try:
+                    expect = fresh.eigenvector(mu, T)
+                except EigenvalueCollision:
+                    with pytest.raises(EigenvalueCollision):
+                        warm.eigenvector(mu, T)
+                    continue
+                assert warm.eigenvector(mu, T) == expect, (shape.as_text(), mu, T.as_text())
+                checked += 1
+        assert checked > 0
+
+    def test_repeated_eigenvector_makes_no_z_act_call(self, monkeypatch, rng):
+        mod = StandardModule(parse_multipartition("2,1|1"), small_point(2, rng))
+        T, mu, calls = mod.irrep.tableaux[1], (1, 0, 1, 0), []
+        honest = mod.z_act
+
+        def counted(i, elt):
+            calls.append(i)
+            return honest(i, elt)
+
+        monkeypatch.setattr(mod, "z_act", counted)
+        first = mod.eigenvector(mu, T)
+        assert calls
+        calls.clear()
+        assert mod.eigenvector(mu, T) == first
+        assert calls == []
+
+    def test_eigenvector_leaves_no_reference_cycle(self, rng):
+        # the table holds term dicts, not elements, so nothing it keeps
+        # points back at the module: the module and the call's locals die
+        # by reference counting, not by the cyclic collector
+        mod = StandardModule(parse_multipartition("2|1"), small_point(2, rng))
+        T = mod.irrep.tableaux[0]
+        gc.collect()
+        gc.disable()
+        try:
+            mod.eigenvector((1, 0, 1), T)
+            del mod
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestIntertwiners:
     def test_braid_on_eigenvector(self, rng):
         shape = parse_multipartition("2,1|")
@@ -713,7 +768,7 @@ def _kernel_eigenvector(mod, mu, T):
         raise EigenvalueCollision(f"kernel dimension {len(kernel)}")
     lead = mod.x_power(mu, mod.apply_perm(perm_inverse(sorting_data(mu)[2]),
                                           mod.tableau_vector(T)))
-    assert lead == mod.twisted_basis_vector(mu, T)
+    assert lead.terms == mod.twisted_column(mu, mod.irrep.index[T])[0]
     anchor, want = min(lead.terms.items())
     got = kernel[0][pos[anchor]]
     if got.is_zero():
