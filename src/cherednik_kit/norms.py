@@ -20,9 +20,10 @@ Each product formula lists its numerator and denominator as terms
 (k, hi mod r, lo mod r, ct) and builds an AffineForm only for a key with a
 nonzero net count, into one canonical FactoredScalar.  symmetric_norm's ratios
 over box pairs (b, b2) telescope along each run of equal S-values in a row,
-so it lists O(n * runs) terms, not O(n^2).  minimal_norm multiplies two
-products, and pochhammer_products, the independent reference, lists the
-forms of its Pochhammer symbols.  Empty products are 1 throughout.
+so it lists O(n * runs) terms, not O(n^2).  minimal_norm is one product
+over the minimal assignment's closed-form hook and extra terms, and
+pochhammer_products, the independent reference, lists the forms of its
+Pochhammer symbols.  Empty products are 1 throughout.
 """
 from __future__ import annotations
 
@@ -202,77 +203,45 @@ def minimal_assignment(shape: MultiPartition) -> ShapeAssignment:
     return ShapeAssignment(shape, values)
 
 
-def lower_rim(shape: MultiPartition) -> list[BoxRef]:
-    """Boxes not directly above another box of the same component."""
-    out = []
-    for l, comp in enumerate(shape.components):
-        for i, row in enumerate(comp, start=1):
-            below = comp[i] if i < len(comp) else 0
-            for j in range(1, row + 1):
-                if j > below:
-                    out.append(BoxRef(l, i, j))
-    return out
-
-
-def right_rim(shape: MultiPartition) -> list[BoxRef]:
-    """Boxes not directly to the left of another box of the same component."""
-    return [BoxRef(l, i, row)
-            for l, comp in enumerate(shape.components)
-            for i, row in enumerate(comp, start=1)]
-
-
-@dataclass(frozen=True)
-class CornerDatum:
-    """Lower-left corner data for one component; an empty component gets the
-    convention box in row 0, column 1, so S_l = l - r and c_l = 1."""
-    component: int
-    s_value: int
-    content: int
-
-
-def corner_data(shape: MultiPartition) -> list[CornerDatum]:
-    r = shape.r
-    out = []
-    for l, comp in enumerate(shape.components):
-        length = len(comp)
-        if length == 0:
-            out.append(CornerDatum(l, l - r, 1))
-        else:
-            out.append(CornerDatum(l, l + (length - 1) * r, 1 - length))
-    return out
+def _minimal_terms(shape: MultiPartition) -> tuple[list[Term], list[Term]]:
+    """The hook and extra terms under the minimal assignment, where a box b
+    of component l in row i has S(b) = l + (i-1)*r and ct(b) = j - i."""
+    r, comps = shape.r, shape.components
+    boxes = [(l, i, j) for l, comp in enumerate(comps)
+             for i, row in enumerate(comp, start=1) for j in range(1, row + 1)]
+    # b not directly above a box of its component, against the last box b2 of each row
+    lower = [(l, i, j) for l, i, j in boxes if i == len(comps[l]) or j > comps[l][i]]
+    right = [(l, i, row) for l, comp in enumerate(comps) for i, row in enumerate(comp, start=1)]
+    hook = [((i - i2) * r + l - l2, l, l2, (j - i) - (j2 - i2) - 1)
+            for l, i, j in lower for l2, i2, j2 in right]
+    extra = [((i - 1 - len(comp)) * r + l - l2, l, l2, j - i + len(comp))
+             for l, i, j in boxes for l2, comp in enumerate(comps)]
+    return hook, extra
 
 
 def hook_product(shape: MultiPartition) -> FactoredScalar:
-    """Product over (b in lower rim, b' in right rim) and
-    1 <= k <= S(b)-S(b'), k = beta(b)-beta(b') mod r, of
+    """Product over (b not directly above a box of its component, b' the last
+    box of a row) and 1 <= k <= S(b)-S(b'), k = beta(b)-beta(b') mod r, of
     k - (d_beta(b) - d_beta(b')) - r(ct(b) - ct(b') - 1)c0,
     with S the minimal assignment."""
-    r = shape.r
-    S = minimal_assignment(shape)
-    right = right_rim(shape)
-    return _product(r, 1, [([
-        (S.value(b) - S.value(b2), b.component, b2.component, b.content - b2.content - 1)
-        for b in lower_rim(shape) for b2 in right], [])])
+    return _product(shape.r, 1, [(_minimal_terms(shape)[0], [])])
 
 
 def extra_product(shape: MultiPartition) -> FactoredScalar:
-    """Product over boxes b and components l of the factors
-    k - (d_beta(b) - d_l) - r(ct(b) - c_l + 1)c0
-    for 1 <= k <= S(b) - S_l - r, k = beta(b) - l mod r."""
-    r = shape.r
-    S = minimal_assignment(shape)
-    corners = corner_data(shape)
-    return _product(r, 1, [([
-        (S.value(b) - corner.s_value - r, b.component, corner.component,
-         b.content - corner.content + 1)
-        for b in shape.boxes() for corner in corners], [])])
+    """Product over boxes b and components l, with h_l rows, of the factors
+    k - (d_beta(b) - d_l) - r(ct(b) + h_l)c0
+    for 1 <= k <= S(b) - l - h_l*r, k = beta(b) - l mod r, with S the minimal
+    assignment.  This is the corner convention S_l = l + (h_l - 1)r,
+    c_l = 1 - h_l for the lower-left box of each component, uniform over
+    empty components: h_l = 0 puts their corner in row 0, column 1."""
+    return _product(shape.r, 1, [(_minimal_terms(shape)[1], [])])
 
 
 def minimal_norm(shape: MultiPartition) -> FactoredScalar:
     """n! * hook_product * extra_product, the norm of the minimal-degree
-    invariant."""
-    return (FactoredScalar.from_rational(shape.r, factorial(shape.size))
-            * hook_product(shape) * extra_product(shape))
+    invariant, as one product over both term lists."""
+    hook, extra = _minimal_terms(shape)
+    return _product(shape.r, factorial(shape.size), [(hook + extra, [])])
 
 
 def removal_correction(shape: MultiPartition, b: BoxRef) -> FactoredScalar:
@@ -280,6 +249,8 @@ def removal_correction(shape: MultiPartition, b: BoxRef) -> FactoredScalar:
     carry the maximal minimal-assignment value), minimal_norm(shape) equals
     n * minimal_norm(chi) * removal_correction(shape, b), the share of b in
     the symmetric-norm product of the minimal assignment."""
+    if not shape.contains(b):
+        raise ValueError("box must lie in the shape")
     S = minimal_assignment(shape)
     if any(S.value(b2) > S.value(b) for b2 in shape.boxes()):
         raise ValueError("box must carry a maximal assignment value")

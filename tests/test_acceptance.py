@@ -127,6 +127,7 @@ def test_criterion_3_minimal_norm_factorization_and_recurrence():
                 lhs = symmetric_norm(minimal_assignment(shape))
                 rhs = minimal_norm(shape)
                 assert lhs == rhs, shape.as_text()
+                assert rhs == math.factorial(n) * hook_product(shape) * extra_product(shape)
                 assert not lhs.den
                 identities += 1
                 if n == 0:

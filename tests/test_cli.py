@@ -1,7 +1,9 @@
 import hashlib
 import io
 import json
+import pathlib
 import re
+import shlex
 
 import pytest
 
@@ -17,7 +19,27 @@ def run_cli(*argv):
     return code, out.getvalue()
 
 
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_stated_outputs():
+    """(argv, stdout) of each `cherednik-kit ...  # -> <text>` line in the
+    README's `## Command line` code block."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [(shlex.split(command)[1:], text + "\n")
+            for line in block.splitlines() if line.startswith("cherednik-kit ")
+            for command, sep, text in [line.partition("# -> ")] if sep]
+
+
 class TestGoldenOutputs:
+    def test_readme_stated_outputs(self, capsys):
+        cases = readme_stated_outputs()
+        assert len(cases) >= 4
+        for argv, expected in cases:
+            code = main(argv)
+            assert (code, capsys.readouterr().out) == (0, expected), argv
+
     def test_norm_min_column(self):
         code, out = run_cli("norm-min", "--r", "1", "--shape", "1,1")
         assert code == 0 and out == "2 * (1 + 2*c0)\n"

@@ -96,6 +96,53 @@ def pairwise_nonsymmetric_norm(mu, T):
     return FactoredScalar(r, 1, num, den)
 
 
+def lower_rim(shape):
+    """Boxes not directly above another box of the same component."""
+    out = []
+    for l, comp in enumerate(shape.components):
+        for i, row in enumerate(comp, start=1):
+            below = comp[i] if i < len(comp) else 0
+            for j in range(1, row + 1):
+                if j > below:
+                    out.append(BoxRef(l, i, j))
+    return out
+
+
+def right_rim(shape):
+    """Boxes not directly to the left of another box of the same component."""
+    return [BoxRef(l, i, row)
+            for l, comp in enumerate(shape.components)
+            for i, row in enumerate(comp, start=1)]
+
+
+def corner_data(shape):
+    """(component, S-value, content) of each component's lower-left corner;
+    an empty component gets the convention box in row 0, column 1, so
+    S_l = l - r and c_l = 1."""
+    r = shape.r
+    return [(l, l - r, 1) if not comp else (l, l + (len(comp) - 1) * r, 1 - len(comp))
+            for l, comp in enumerate(shape.components)]
+
+
+def rim_hook_product(shape):
+    """The hook product over (b in the lower rim, b2 in the right rim), with
+    S the minimal assignment, form by form."""
+    r, S = shape.r, minimal_assignment(shape)
+    return FactoredScalar(r, 1, [
+        f for b in lower_rim(shape) for b2 in right_rim(shape)
+        for f in _residues(r, S.value(b) - S.value(b2), b.component, b2.component,
+                           b.content - b2.content - 1)])
+
+
+def corner_extra_product(shape):
+    """The extra product over boxes b and component corners, with S the
+    minimal assignment, form by form."""
+    r, S = shape.r, minimal_assignment(shape)
+    return FactoredScalar(r, 1, [
+        f for b in shape.boxes() for l, s_l, c_l in corner_data(shape)
+        for f in _residues(r, S.value(b) - s_l - r, b.component, l, b.content - c_l + 1)])
+
+
 def staircase(r, n):
     """n boxes split evenly over the r components, each the staircase
     (k, ..., 1) with one more box in each of its first rows."""
@@ -330,6 +377,16 @@ class TestHookExtra:
             for shape in enumerate_multipartitions(1, n):
                 assert extra_product(shape) == FactoredScalar.one(1)
 
+    def test_match_rim_and_corner_reference(self):
+        checked = 0
+        for r, top_n in ((1, 8), (2, 6), (3, 6), (4, 5)):
+            for n in range(top_n + 1):
+                for shape in enumerate_multipartitions(r, n):
+                    assert hook_product(shape) == rim_hook_product(shape), shape.as_text()
+                    assert extra_product(shape) == corner_extra_product(shape), shape.as_text()
+                    checked += 1
+        assert checked == 1037
+
     def test_extra_conventions(self):
         assert extra_product(parse_multipartition("1|")) == FactoredScalar.one(2)
         e = extra_product(parse_multipartition("|1"))
@@ -383,6 +440,9 @@ class TestMinimalNorm:
         shape = parse_multipartition("2,1")
         with pytest.raises(ValueError):
             removal_correction(shape, BoxRef(0, 1, 2))
+        for outside in (BoxRef(0, 0, 1), BoxRef(0, 3, 1)):
+            with pytest.raises(ValueError):
+                removal_correction(shape, outside)
 
 
 class TestPochhammerProducts:
