@@ -7,16 +7,18 @@ type G(r,1,n) degree by degree, straight from the defining relations:
   in rational seminormal form (basis indexed by standard tableaux, sparse
   columns, diagonal gram weights, both from one rule, _swap_rule) and
   validates every group relation at construction;
-- the y- and z-images of basis terms are point-free tables, built lazily
-  once per irrep (y_table, z_table) and specialized at each module's point:
-  y kills degree 0, commuting y past x inserts the bracket [y_i, x_j],
-  affine in (1, c0, d_0..d_{r-1}), whose averages sum_l zeta^{-l*shift}
-  zeta_i^l s_ij zeta_i^{-l} are r s_ij on the entries of zeta-weight shift
-  mod r (validate_irrep checks the literal sum on the Jucys-Murphy sums
-  phi_i), and z_i = y_i x_i + c0 * phi_i;
+- the y- and z-images of basis terms are point-free integer tables over one
+  denominator, built lazily once per irrep (y_table, z_table) and
+  specialized at each module's point: y kills degree 0, commuting y past x
+  inserts the bracket [y_i, x_j], affine in (1, c0, d_0..d_{r-1}), whose
+  averages sum_l zeta^{-l*shift} zeta_i^l s_ij zeta_i^{-l} are r s_ij on
+  the entries of zeta-weight shift mod r (validate_irrep checks the literal
+  sum on the Jucys-Murphy sums phi_i), and z_i = y_i x_i + c0 * phi_i;
 - joint eigenvectors of the z_i are solved by back-substitution down their
-  triangular order on the twisted basis x^nu (tensor) w_nu^{-1} v_S
-  (twisted_column), with the eigenvalues read off the diagonal;
+  triangular order on the twisted basis x^nu (tensor) w_nu^{-1} v_S, with
+  the eigenvalues read off the diagonal; each twisted column (the vector,
+  its z-images and their diagonal) is a point-free integer table kept per
+  irrep (twisted_table), which a module only specializes (twisted_column);
 - the intertwiner sigma_i is s_i + f_i, with f_i from intertwiner_scalar;
 - the contravariant pairing moves x's on the left to y's on the right and
   reads the degree-0 gram form.
@@ -32,6 +34,7 @@ import functools
 import graphlib
 import itertools
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass, field as dataclass_field
@@ -82,15 +85,27 @@ def _mat_mul(m1: Matrix, m2: Matrix) -> Matrix:
 
 
 # a y- or z-image of a basis term at every point at once: {(nu, t): the
-# rational coefficients of (1, c0, d_0, .., d_{r-1}) in that coordinate}
-_ZERO = Fraction(0)
-Table = dict[tuple, tuple[Fraction, ...]]
+# integer numerators of the coefficients of (1, c0, d_0, .., d_{r-1}) in that
+# coordinate}, over a denominator kept beside the table
+Table = dict[tuple, tuple[int, ...]]
 
 
-def _add_coeffs(table: Table, key: tuple, vec: tuple[Fraction, ...]) -> None:
-    """table[key] += vec, in place, skipping vec's zero coefficients."""
+def _add_coeffs(table: Table, key: tuple, vec: tuple[int, ...]) -> None:
+    """table[key] += vec, in place."""
     old = table.get(key)
-    table[key] = vec if old is None else tuple(a + b if b else a for a, b in zip(old, vec))
+    table[key] = vec if old is None else tuple(map(operator.add, old, vec))
+
+
+def _per_irrep(build):
+    """Keep an IrrepModel method's results in its _tables: built once per irrep."""
+    @functools.wraps(build)
+    def kept(self, *args):
+        key = (build.__name__, *args)
+        value = self._tables.get(key)
+        if value is None:
+            value = self._tables[key] = build(self, *args)
+        return value
+    return kept
 
 
 @dataclass
@@ -105,9 +120,7 @@ class IrrepModel:
     zeta_residues: list[tuple[int, ...]]  # zeta_residues[i-1][t] = beta of box of i in T_t
     gram: list[Fraction]
     _perm_cache: dict = dataclass_field(default_factory=dict, repr=False, compare=False)
-    _y_tables: dict = dataclass_field(default_factory=dict, repr=False, compare=False)
-    _z_tables: dict = dataclass_field(default_factory=dict, repr=False, compare=False)
-    _b_tables: dict = dataclass_field(default_factory=dict, repr=False, compare=False)
+    _tables: dict = dataclass_field(default_factory=dict, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -116,6 +129,12 @@ class IrrepModel:
     @property
     def n(self) -> int:
         return self.shape.size
+
+    @functools.cached_property
+    def denominator(self) -> int:
+        """The tables' denominator: the lcm of every s_ij entry's denominator."""
+        return math.lcm(*(c.den for i, j in itertools.combinations(range(1, self.n + 1), 2)
+                          for col in _transposition_matrix(self, i, j) for c in col.values()))
 
     def identity(self) -> Matrix:
         return tuple({b: self.field.one} for b in range(self.dim))
@@ -132,55 +151,82 @@ class IrrepModel:
             cache[w] = mat
         return cache[w]
 
+    @_per_irrep
+    def twist(self, nu: tuple[int, ...]) -> tuple[Matrix, Matrix]:
+        """(w_nu, w_nu^{-1}) as matrices, w_nu the sorting permutation of nu."""
+        w = sorting_data(nu)[2]
+        return self.perm_matrix(w), self.perm_matrix(perm_inverse(w))
+
+    @_per_irrep
     def bracket_table(self, i: int, j: int, nu: tuple[int, ...], t: int) -> Table:
         """[y_i, x_j] on the basis term (nu, t): c0 (shift-1 average of s_ij) if
         i != j, else 1 - c0 sum_{k != i} (average of s_ik) - d_res + d_{res-1}."""
-        table = self._b_tables.get((i, j, nu, t))
-        if table is not None:
-            return table
-        r = self.shape.r
+        r, den = self.shape.r, self.denominator
         if i != j:
-            table = {(nu2, a): (_ZERO, q) + (_ZERO,) * r
-                     for nu2, a, q in _averaged_transposition(self, i, j, 1, nu, t)}
-        else:
-            res = (self.zeta_residues[i - 1][t] - nu[i - 1]) % r
-            own = [Fraction(1)] + [_ZERO] * (r + 1)
-            own[2 + res] -= 1
-            own[2 + (res - 1) % r] += 1
-            table = {(nu, t): tuple(own)}
-            for k in range(1, self.n + 1):
-                if k != i:
-                    for nu2, a, q in _averaged_transposition(self, i, k, 0, nu, t):
-                        _add_coeffs(table, (nu2, a), (_ZERO, -q) + (_ZERO,) * r)
-        self._b_tables[i, j, nu, t] = table
+            return {(nu2, a): (0, q) + (0,) * r
+                    for nu2, a, q in _averaged_transposition(self, i, j, 1, nu, t)}
+        res = (self.zeta_residues[i - 1][t] - nu[i - 1]) % r
+        own = [den] + [0] * (r + 1)
+        own[2 + res] -= den
+        own[2 + (res - 1) % r] += den
+        table = {(nu, t): tuple(own)}
+        for k in range(1, self.n + 1):
+            if k != i:
+                for nu2, a, q in _averaged_transposition(self, i, k, 0, nu, t):
+                    _add_coeffs(table, (nu2, a), (0, -q) + (0,) * r)
         return table
 
+    @_per_irrep
     def y_table(self, i: int, nu: tuple[int, ...], t: int) -> Table:
         """y_i on the basis term (nu, t), for every point: y kills degree 0, and
         y_i x_j = x_j y_i + [y_i, x_j] for the first j with nu_j > 0."""
-        table = self._y_tables.get((i, nu, t))
-        if table is None:
-            table, j = {}, next((k for k, e in enumerate(nu) if e), None)
-            if j is not None:
-                low = nu[:j] + (nu[j] - 1,) + nu[j + 1:]
-                for (kappa, s), vec in self.y_table(i, low, t).items():
-                    table[kappa[:j] + (kappa[j] + 1,) + kappa[j + 1:], s] = vec
-                for key, vec in self.bracket_table(i, j + 1, low, t).items():
-                    _add_coeffs(table, key, vec)
-            table = self._y_tables[i, nu, t] = {k: v for k, v in table.items() if any(v)}
-        return table
+        table, j = {}, next((k for k, e in enumerate(nu) if e), None)
+        if j is not None:
+            low = nu[:j] + (nu[j] - 1,) + nu[j + 1:]
+            for (kappa, s), vec in self.y_table(i, low, t).items():
+                table[kappa[:j] + (kappa[j] + 1,) + kappa[j + 1:], s] = vec
+            for key, vec in self.bracket_table(i, j + 1, low, t).items():
+                _add_coeffs(table, key, vec)
+        return {k: v for k, v in table.items() if any(v)}
 
+    @_per_irrep
     def z_table(self, i: int, key: tuple) -> Table:
         """z_i = y_i x_i + c0 phi_i on the basis term key = (nu, t)."""
-        table = self._z_tables.get((i, key))
-        if table is None:
-            nu, t = key
-            table = dict(self.y_table(i, nu[:i - 1] + (nu[i - 1] + 1,) + nu[i:], t))
-            for j in range(1, i):
-                for nu2, a, q in _averaged_transposition(self, i, j, 0, nu, t):
-                    _add_coeffs(table, (nu2, a), (_ZERO, q) + (_ZERO,) * self.shape.r)
-            table = self._z_tables[i, key] = {k: v for k, v in table.items() if any(v)}
-        return table
+        nu, t = key
+        table = dict(self.y_table(i, nu[:i - 1] + (nu[i - 1] + 1,) + nu[i:], t))
+        for j in range(1, i):
+            for nu2, a, q in _averaged_transposition(self, i, j, 0, nu, t):
+                _add_coeffs(table, (nu2, a), (0, q) + (0,) * self.shape.r)
+        return {k: v for k, v in table.items() if any(v)}
+
+    @_per_irrep
+    def twisted_table(self, nu: tuple[int, ...], s: int) -> tuple:
+        """(x^nu (tensor) w_nu^{-1} v_s as a term dict, its keys in one residue
+        block; its z_1..z_n-images, tables over den; den; their coordinates at
+        (nu, s), a table {i - 1: numerators} over diag_den; diag_den)."""
+        twist, untwist = self.twist(nu)
+        column = untwist[s]
+        m = math.lcm(*(c.den for c in column.values()))
+        images = [_combination(m, [(c, self.z_table(i, (nu, a))) for a, c in column.items()])
+                  for i in range(1, self.n + 1)]
+        # row s of w_nu on the support of column s of w_nu^{-1} (gram-unitary)
+        row = [(twist[a][s], {i: image[nu, a]}) for i, image in enumerate(images)
+               for a in column if (nu, a) in image]
+        m2 = math.lcm(*(c.den for c, _ in row))
+        den = self.denominator * m
+        return ({(nu, a): c for a, c in column.items()}, images, den,
+                _combination(m2, row), den * m2)
+
+
+def _combination(m: int, pairs: list) -> Table:
+    """m times the sum of c * table over the (c, table) pairs, for rational c
+    whose denominators divide m, in integers; zero entries dropped."""
+    out: Table = {}
+    for c, table in pairs:
+        w = c.num[0] * (m // c.den)
+        for key, vec in table.items():
+            _add_coeffs(out, key, tuple(w * x for x in vec))
+    return {k: v for k, v in out.items() if any(v)}
 
 
 def _swap_rule(T: StandardTableau, i: int) -> tuple[Fraction, Fraction]:
@@ -237,9 +283,7 @@ def build_irrep(shape: MultiPartition) -> IrrepModel:
             cols.append({a: field.from_rational(q) for a, q in sorted(col.items()) if q})
         s_mats.append(tuple(cols))
 
-    zeta_residues = [
-        tuple(T.box_of(i).component for T in tableaux) for i in range(1, n + 1)
-    ]
+    zeta_residues = [tuple(T.box_of(i).component for T in tableaux) for i in range(1, n + 1)]
 
     model = IrrepModel(shape, tableaux, index, field, s_mats, zeta_residues,
                        [Fraction(g) for g in gram])
@@ -281,9 +325,7 @@ def validate_irrep(model: IrrepModel) -> list[str]:
     for i in range(1, n):
         got = _mat_mul(model.s_mats[i - 1], _mat_mul(zetas[i - 1], model.s_mats[i - 1]))
         close(f"s_{i} zeta_{i} s_{i} = zeta_{i+1}", got, zetas[i])
-        for j in range(1, n + 1):
-            if j in (i, i + 1):
-                continue
+        for j in set(range(1, n + 1)) - {i, i + 1}:
             close(f"s_{i} zeta_{j} commute",
                   _mat_mul(model.s_mats[i - 1], zetas[j - 1]),
                   _mat_mul(zetas[j - 1], model.s_mats[i - 1]))
@@ -312,8 +354,7 @@ def validate_irrep(model: IrrepModel) -> list[str]:
 
 
 def _transposition_matrix(model: IrrepModel, i: int, j: int) -> Matrix:
-    n = model.n
-    w = list(range(1, n + 1))
+    w = list(range(1, model.n + 1))
     w[i - 1], w[j - 1] = w[j - 1], w[i - 1]
     return model.perm_matrix(tuple(w))
 
@@ -327,20 +368,19 @@ def _zeta_power_matrix(model: IrrepModel, i: int, l: int) -> Matrix:
 def _averaged_transposition(irrep: IrrepModel, i: int, j: int, shift: int,
                             nu: tuple[int, ...], t: int) -> list[tuple]:
     """sum_{l<r} zeta^{-l*shift} zeta_i^l s_{ij} zeta_i^{-l} applied to the
-    basis term (nu, t): returns [(nu', t', rational coefficient)].
+    basis term (nu, t): returns [(nu', t', coefficient times irrep.denominator)].
 
     The l-th term has coefficient zeta^{l*k} s_ij[a, t] at (s_ij nu, a),
     with k = nu_i - nu_j + beta_i(a) - beta_i(t); as sum_{l<r} zeta^{l*m}
     is r when r | m and 0 otherwise, the sum keeps r * s_ij[a, t] where
-    k = shift (mod r) and nothing else."""
-    r = irrep.shape.r
-    res = irrep.zeta_residues[i - 1]
+    k = shift (mod r) and nothing else.  The seminormal s_ij is rational."""
+    r, den, res = irrep.shape.r, irrep.denominator, irrep.zeta_residues[i - 1]
     nu2 = list(nu)
     nu2[i - 1], nu2[j - 1] = nu2[j - 1], nu2[i - 1]
     nu2 = tuple(nu2)
     k0 = nu[i - 1] - nu[j - 1] - res[t] - shift
     col = _transposition_matrix(irrep, i, j)[t]
-    return [(nu2, a, coef.as_rational() * r) for a, coef in col.items()
+    return [(nu2, a, r * coef.num[0] * (den // coef.den)) for a, coef in col.items()
             if (k0 + res[a]) % r == 0]
 
 
@@ -413,11 +453,13 @@ class StandardModule:
         self.field = self.irrep.field
         self.n = shape.size
         self.r = shape.r
-        # the tables' parameters after the 1, as (numerator, denominator)
-        self._params = [(p.numerator, p.denominator) for p in (point.c0,) + point.d]
+        # (1, c0, d_0, ..) times their lcm denominator L: an entry is vec . point / (den L)
+        params = (point.c0,) + point.d
+        scale = math.lcm(*(p.denominator for p in params))
+        self._point = (scale,) + tuple(p.numerator * (scale // p.denominator) for p in params)
         self._y_cache: dict = {}   # term dicts, not elements: no cycle through self
         self._z_cache: dict = {}
-        self._twisted: dict = {}   # nu -> (w_nu, w_nu^{-1} matrices, {s: twisted_column(nu, s)})
+        self._twisted: dict = {}   # (nu, s) -> twisted_column(nu, s)
 
     # -- constructors --------------------------------------------------------
 
@@ -465,22 +507,16 @@ class StandardModule:
 
     # -- y- and z-operators: the irrep's tables at this point ------------------
 
-    def _specialize(self, table: Table) -> dict:
-        """The table's entries at this module's point as a term dict, zeros
-        dropped: each entry q + sum_k a_k p_k is summed as n/d in integers."""
-        params, ratio = self._params, self.field._ratio
+    def _specialize(self, table: Table, den: int | None = None) -> dict:
+        """A table over den (by default the irrep's) at this module's point, as a
+        term dict without zeros: one integer dot product and one gcd per entry."""
+        point, ratio = self._point, self.field._ratio
+        den = (den or self.irrep.denominator) * point[0]
         terms = {}
-        for key, (q, *vec) in table.items():   # q: the constant coefficient
-            n, d = q.numerator, q.denominator
-            for a, (pn, pd) in zip(vec, params):
-                if a:
-                    an, ad = a.numerator * pn, a.denominator * pd
-                    if ad == d:
-                        n += an
-                    else:
-                        n, d = n * ad + an * d, d * ad
-            if n:
-                terms[key] = ratio(n, d)
+        for key, vec in table.items():
+            num = sum(map(operator.mul, vec, point))
+            if num:
+                terms[key] = ratio(num, den)
         return terms
 
     def y_act(self, i: int, elt: ModuleElement) -> ModuleElement:
@@ -547,13 +583,8 @@ class StandardModule:
     # -- eigenvectors ------------------------------------------------------------
 
     def monomials(self, degree: int) -> list[tuple[int, ...]]:
-        out = []
-        for combo in itertools.combinations_with_replacement(range(self.n), degree):
-            nu = [0] * self.n
-            for c in combo:
-                nu[c] += 1
-            out.append(tuple(nu))
-        return sorted(out)
+        return sorted(tuple(map(combo.count, range(self.n)))
+                      for combo in itertools.combinations_with_replacement(range(self.n), degree))
 
     def residue_tuple(self, nu: tuple[int, ...], t: int) -> tuple[int, ...]:
         return tuple(
@@ -585,7 +616,7 @@ class StandardModule:
         pending = [mu]
         while pending:
             nu = pending.pop()
-            block[nu] = {s: self.twisted_column(nu, s) for s, col in enumerate(self._twist(nu)[1])
+            block[nu] = {s: self.twisted_column(nu, s) for s, col in enumerate(irrep.twist(nu)[1])
                          if self.residue_tuple(nu, next(iter(col))) == target}
             for _, zb, _ in block[nu].values():
                 for kappa, _ in itertools.chain(*zb):
@@ -626,35 +657,30 @@ class StandardModule:
             raise AssertionError("leading slice is not x^mu w_mu^{-1} v_T")
         return elt
 
-    def _twist(self, nu: tuple[int, ...]) -> tuple:
-        if nu not in self._twisted:
-            w, irrep = sorting_data(nu)[2], self.irrep
-            self._twisted[nu] = (irrep.perm_matrix(w), irrep.perm_matrix(perm_inverse(w)), {})
-        return self._twisted[nu]
-
     def twisted_column(self, nu: tuple[int, ...], s: int) -> tuple:
-        """(x^nu (tensor) w_nu^{-1} v_s, whose keys share one residue tuple, and its
-        z_i-images, as term dicts, with their coordinates at (nu, s)): built once per module."""
-        _, untwist, columns = self._twist(nu)
-        if s not in columns:
-            vec = ModuleElement._over(self, {(nu, a): c for a, c in untwist[s].items()})
-            images = [self.z_act(i, vec).terms for i in range(1, self.n + 1)]
-            columns[s] = (vec.terms, images, [self._coordinate(z, nu, s) for z in images])
-        return columns[s]
+        """(x^nu (tensor) w_nu^{-1} v_s and its z_i-images as term dicts, with their
+        coordinates at (nu, s)): the irrep's twisted table, specialized once."""
+        column = self._twisted.get((nu, s))
+        if column is None:
+            vec, images, den, diag, diag_den = self.irrep.twisted_table(nu, s)
+            diag = self._specialize(diag, diag_den)
+            column = self._twisted[nu, s] = (
+                vec, [self._specialize(table, den) for table in images],
+                [diag.get(i, self.field.zero) for i in range(self.n)])
+        return column
 
     def _coordinate(self, terms: dict, nu: tuple[int, ...], s: int) -> CycNumber:
         """The twisted coordinate at (nu, s) of a term dict: row s of w_nu on its
         terms at nu, over the support of column s of w_nu^{-1} (w_nu is gram-unitary)."""
-        twist, untwist, _ = self._twist(nu)
+        twist, untwist = self.irrep.twist(nu)
         return sum((twist[a][s] * terms[nu, a] for a in untwist[s] if (nu, a) in terms),
                    self.field.zero)
 
     def x_power(self, nu: Sequence[int], elt: ModuleElement) -> ModuleElement:
-        out = elt
         for i, e in enumerate(nu, start=1):
             for _ in range(e):
-                out = self.x_mul(i, out)
-        return out
+                elt = self.x_mul(i, elt)
+        return elt
 
     def eigenvector_generic(self, mu: Sequence[int], T: StandardTableau,
                             rng: random.Random) -> tuple["StandardModule", ModuleElement]:
@@ -701,11 +727,16 @@ class StandardModule:
         return s_v + v.scale(self.intertwiner_scalar(i, v))
 
     def symmetrize(self, v: ModuleElement) -> ModuleElement:
-        """Apply the full symmetrizer sum over S_n."""
-        out = self.zero()
-        for w in itertools.permutations(range(1, self.n + 1)):
-            out = out + self.apply_perm(tuple(w), v)
-        return out
+        """Apply the symmetrizer sum over S_n as the product of coset sums
+        C_1 C_2 .. C_{n-1}, C_m = 1 + s_m + s_{m+1} s_m + .. + s_{n-1} .. s_m:
+        n(n-1)/2 transpositions, not n! permutations."""
+        for m in range(self.n - 1, 0, -1):
+            term = total = v
+            for j in range(m, self.n):
+                term = self.apply_perm(simple_transposition(self.n, j), term)
+                total = total + term
+            v = total
+        return v
 
     def twisted_coordinates(self, elt: ModuleElement) -> dict:
         """Coordinates of elt in the basis x^nu (tensor) w_nu^{-1} v_S."""
@@ -714,7 +745,7 @@ class StandardModule:
             by_exp.setdefault(nu, {})[t] = c
         out = {}
         for nu, coeffs in by_exp.items():
-            for t, c in _apply(self._twist(nu)[0], coeffs).items():
+            for t, c in _apply(self.irrep.twist(nu)[0], coeffs).items():
                 out[(nu, t)] = c
         return out
 
@@ -728,11 +759,7 @@ def _kernel(rows: list[list[CycNumber]], width: int, f: CyclotomicField) -> list
     pivots: list[int] = []
     row_i = 0
     for col in range(width):
-        pivot = None
-        for k in range(row_i, len(mat)):
-            if not mat[k][col].is_zero():
-                pivot = k
-                break
+        pivot = next((k for k in range(row_i, len(mat)) if not mat[k][col].is_zero()), None)
         if pivot is None:
             continue
         mat[row_i], mat[pivot] = mat[pivot], mat[row_i]
@@ -772,23 +799,22 @@ def verify_report(r: int, n: int, degree: int = 2, seed: int = 0,
     squared dimensions, the defining commutation relations up to the degree
     cap, commutativity and self-adjointness of the z-family, pairing symmetry
     and W-invariance (on the generators s_i and zeta_1), triangularity of z
-    with the predicted diagonal, eigenvector norms against the closed
-    formulas, intertwiner braid and square relations, and the S_n symmetrizer
-    identity.  Three checks share one basis walk (`basis`); the triangularity
-    and eigenvector checks read one table of twisted columns (twisted_column);
-    all call the module's own methods, never a copy of them.
-    """
+    with the predicted diagonal, eigenvector and minimal norms (<g, g> as
+    n! <f, g>) against the closed formulas, intertwiner braid and square
+    relations, and the S_n symmetrizer identity.  Three checks share one
+    basis walk (`basis`).  The triangularity and eigenvector checks read the
+    twisted columns: point-free integer tables kept per irrep
+    (twisted_table), specialized once per module; the triangularity check
+    asserts that each image is z_act of its vector.  All checks call the
+    module's own methods, never a copy of them."""
     from .combinatorics import enumerate_multipartitions, parse_multipartition
     from .combinatorics import assignment_pair, composition_compare, Comparison
     from .norms import (minimal_assignment, minimal_norm, nonsymmetric_norm,
                         symmetric_norm, symmetrization_block_factor)
 
     rng = random.Random(seed)
-    point = ParameterPoint(
-        r,
-        Fraction(rng.randint(1, 40), rng.randint(1, 40)),
-        [Fraction(rng.randint(-40, 40), rng.randint(1, 40)) for _ in range(r)],
-    )
+    point = ParameterPoint(r, Fraction(rng.randint(1, 40), rng.randint(1, 40)),
+                           [Fraction(rng.randint(-40, 40), rng.randint(1, 40)) for _ in range(r)])
     if shape_text is not None:
         shapes = [parse_multipartition(shape_text, r)]
         if shapes[0].size != n:
@@ -900,8 +926,10 @@ def verify_report(r: int, n: int, degree: int = 2, seed: int = 0,
         count = 0
         for mod, nu, t, _ in basis(2):
             T = mod.irrep.tableaux[t]
-            _, images, diag = mod.twisted_column(nu, t)
+            vec, images, diag = mod.twisted_column(nu, t)
             for i, data in enumerate(spectrum(nu, T)):
+                if images[i] != mod.z_act(i + 1, ModuleElement._over(mod, vec)).terms:
+                    raise AssertionError(f"twisted table image z_{i + 1} at {nu}, {T.as_text()}")
                 image = mod.twisted_coordinates(ModuleElement._over(mod, images[i]))
                 expect = mod.field.from_rational(data.z_eigenvalue.evaluate(point))
                 if not image.pop((nu, t), mod.field.zero) == diag[i] == expect:
@@ -937,10 +965,11 @@ def verify_report(r: int, n: int, degree: int = 2, seed: int = 0,
             mu, T = assignment_pair(S)
             m2, f = mod.eigenvector_generic(mu, T, rng)
             g = m2.symmetrize(f)
-            gam = m2.gram_weight(T)
             closed = minimal_norm(s)
-            minimal = closed.evaluate(m2.point)
-            if m2.norm(g) != gam * symmetrization_block_factor(S).evaluate(m2.point) * minimal:
+            expect = (m2.gram_weight(T) * symmetrization_block_factor(S).evaluate(m2.point)
+                      * closed.evaluate(m2.point))
+            # <g, g> = n! <f, g>, as g is S_n-invariant and the form W-invariant
+            if (m2.pairing(f, g) * math.factorial(n)).as_rational() != expect:
                 raise AssertionError(f"minimal norm mismatch for {s.as_text()}")
             if symmetric_norm(S) != closed:
                 raise AssertionError("product formula disagrees with n! H E")

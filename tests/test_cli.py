@@ -289,15 +289,17 @@ class TestDeterminism:
                             "--seed", "7", "--no-timings", "--format", "text")
         assert code == 0 and out == ORACLE_TEXT_SEED_7[r, n]
 
-    @pytest.mark.parametrize("r, n, size, digest", [
-        (1, 4, 1527, "ec6d49409bb093a1c636d8dc02caed01659fb17cff3caedc05cc5c6032a28cba"),
-        (2, 3, 1605, "559819b83512d03a4f653a2ac9cb0cc3f4a438740bd706731474b9ab20fa8062"),
+    @pytest.mark.parametrize("r, n, degree, size, digest", [
+        (1, 4, 2, 1527, "ec6d49409bb093a1c636d8dc02caed01659fb17cff3caedc05cc5c6032a28cba"),
+        (2, 3, 2, 1605, "559819b83512d03a4f653a2ac9cb0cc3f4a438740bd706731474b9ab20fa8062"),
+        (2, 3, 3, 1606, "a5e8442c81d44fd05710d082e3eae0204d03ada0b3b3d5e79a9f67c3135e6400"),
+        (4, 2, 2, 1694, "98c9832451c7bd2a6fa74bcc3a48e4314b52c8bf7b060868f6b96b57f970e8c3"),
     ])
-    def test_oracle_verify_json_is_pinned_by_digest(self, r, n, size, digest):
+    def test_oracle_verify_json_is_pinned_by_digest(self, r, n, degree, size, digest):
         # wider residue blocks than the text pins: a change of the rng stream,
         # or of which (mu, T) collide and redraw their point, shows up here
-        code, out = run_cli("oracle", "verify", "--r", str(r), "--n", str(n), "--degree", "2",
-                            "--seed", "7", "--no-timings")
+        code, out = run_cli("oracle", "verify", "--r", str(r), "--n", str(n),
+                            "--degree", str(degree), "--seed", "7", "--no-timings")
         assert code == 0 and len(out) == size
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

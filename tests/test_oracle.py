@@ -290,20 +290,48 @@ class TestTwistedTable:
         assert checked > 0
 
     def test_repeated_eigenvector_makes_no_z_act_call(self, monkeypatch, rng):
+        # the solve reads the irrep's twisted tables, which the module
+        # specializes once per column: a repeat specializes nothing, and
+        # neither call goes through z_act
         mod = StandardModule(parse_multipartition("2,1|1"), small_point(2, rng))
         T, mu, calls = mod.irrep.tableaux[1], (1, 0, 1, 0), []
-        honest = mod.z_act
 
-        def counted(i, elt):
-            calls.append(i)
-            return honest(i, elt)
+        def counted(name):
+            honest = getattr(mod, name)
 
-        monkeypatch.setattr(mod, "z_act", counted)
+            def call(*args):
+                calls.append(name)
+                return honest(*args)
+            return call
+
+        for name in ("z_act", "_specialize"):
+            monkeypatch.setattr(mod, name, counted(name))
         first = mod.eigenvector(mu, T)
-        assert calls
+        assert calls and set(calls) == {"_specialize"}
         calls.clear()
         assert mod.eigenvector(mu, T) == first
         assert calls == []
+
+    @pytest.mark.parametrize("r, n", ORACLE_RANGE + [(1, 4), (4, 2)])
+    def test_specialized_tables_match_the_module_operators(self, r, n):
+        # two points share one irrep, so the second specializes tables the
+        # first built; the images are z_act of the twisted vector and the
+        # diagonal its twisted coordinate, at either point
+        rng = random.Random(7500 + 10 * r + n)
+        for shape in enumerate_multipartitions(r, n):
+            irrep = build_irrep(shape)
+            points = [small_point(r, rng), small_point(r, rng)]
+            assert points[0] != points[1]
+            for point in points:
+                mod = StandardModule(shape, point, irrep=irrep)
+                for nu, s in itertools.product(compositions(n, 2), range(irrep.dim)):
+                    vec, images, diag = mod.twisted_column(nu, s)
+                    elt = ModuleElement(mod, vec)
+                    assert elt == mod.x_power(nu, mod.apply_perm(
+                        perm_inverse(sorting_data(nu)[2]), mod.basis_vector(s)))
+                    for i in range(1, n + 1):
+                        assert images[i - 1] == mod.z_act(i, elt).terms
+                        assert diag[i - 1] == mod._coordinate(images[i - 1], nu, s)
 
     def test_eigenvector_leaves_no_reference_cycle(self, rng):
         # the table holds term dicts, not elements, so nothing it keeps
@@ -447,6 +475,27 @@ class TestSymmetrize:
         got = {t: c for (nu, t), c in results[0].terms.items() if nu == mu_plus}
         want = {t: c for (nu, t), c in lead.terms.items()}
         assert got == want
+
+
+def _permutation_sum(mod, v):
+    """Reference: the symmetrizer as the sum of all n! permutations."""
+    out = mod.zero()
+    for w in itertools.permutations(range(1, mod.n + 1)):
+        out = out + mod.apply_perm(tuple(w), v)
+    return out
+
+
+@pytest.mark.parametrize("r, n", ORACLE_RANGE + [(1, 4)])
+def test_coset_symmetrizer_matches_the_permutation_sum(r, n):
+    rng = random.Random(7700 + 10 * r + n)
+    for shape in enumerate_multipartitions(r, n):
+        mod = StandardModule(shape, small_point(r, rng))
+        for degree in range(3):
+            v = ModuleElement(mod, {(nu, t): mod.field.from_rational(
+                Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                for nu in mod.monomials(degree) for t in range(mod.irrep.dim)
+                if rng.random() < 0.5})
+            assert mod.symmetrize(v) == _permutation_sum(mod, v), (shape.as_text(), degree)
 
 
 class TestOracleNorm:
@@ -637,15 +686,19 @@ def test_tables_specialize_to_the_point_valued_recursion(r, n):
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_specialize_matches_a_fraction_sum(r):
-    # _specialize sums each entry in integers; the reference sums Fractions.
-    # Denominators come from one small pool, so that equal, nested and coprime
-    # ones all meet, numerators take both signs, and some entries cancel
+    # _specialize sums each integer entry over the table's denominator with the
+    # point scaled to integers; the reference sums Fractions.  Denominators come
+    # from one small pool, so that equal, nested and coprime ones all meet,
+    # numerators take both signs, and some entries cancel
     rng = random.Random(7100 + r)
     pool = (1, 2, 3, 4, 5, 6, 7, 12)
 
     def q(zero_share=0.25):
         return Fraction(0) if rng.random() < zero_share else \
             Fraction(rng.randint(-9, 9), rng.choice(pool))
+
+    def k(zero_share=0.25):
+        return 0 if rng.random() < zero_share else rng.randint(-9, 9)
 
     shape = enumerate_multipartitions(r, 1)[0]
     irrep = build_irrep(shape)
@@ -654,18 +707,22 @@ def test_specialize_matches_a_fraction_sum(r):
     points += [random_point(r, rng) for _ in range(5)]
     for point in points:
         params = (point.c0,) + point.d
+        den = rng.choice(pool)
         table = {}
-        for k in range(16):
-            const, *vec = (q() for _ in range(r + 2))
-            if k % 4 == 0:   # an entry that sums to zero
-                const = -sum((a * p for a, p in zip(vec, params)), Fraction(0))
-            table[(k,), 0] = (const, *vec)
+        for key in range(16):
+            const, *vec = (k() for _ in range(r + 2))
+            if key % 4 == 0:   # an entry that sums to zero
+                vec = [a * p.denominator for a, p in zip(vec, params)]
+                const = -sum(a * p for a, p in zip(vec, params))
+                assert const.denominator == 1
+            table[(key,), 0] = (int(const), *vec)
         expect = {}
         for key, (const, *vec) in table.items():
-            total = const + sum((a * p for a, p in zip(vec, params)), Fraction(0))
+            total = Fraction(const, den) + sum(
+                (Fraction(a, den) * p for a, p in zip(vec, params)), Fraction(0))
             if total:
                 expect[key] = f.from_rational(total)
-        terms = StandardModule(shape, point, irrep=irrep)._specialize(table)
+        terms = StandardModule(shape, point, irrep=irrep)._specialize(table, den)
         assert terms == expect
         for c in terms.values():
             assert c.den > 0 and math.gcd(c.den, *c.num) == 1
@@ -838,22 +895,26 @@ def test_verify_report_rejects_a_shape_of_another_size():
 @pytest.mark.parametrize("corruption", ["cycle", "off-diagonal"])
 def test_eigenvector_rejects_a_z_action_that_is_not_triangular(corruption, rng):
     # r = 1, so every key is in the residue block; the solve takes its
-    # coordinates from z_1 where it can, and the exact check must see z_3
+    # coordinates from z_1 where it can, and the exact check must see z_3.
+    # The corruption goes into the irrep's z-tables, so into every twisted
+    # table built from them
     shape, point, mu = parse_multipartition("2,1"), small_point(1, rng), (1, 0, 1)
     T = build_irrep(shape).tableaux[0]
     lower = next(nu for nu, _ in StandardModule(shape, point).eigenvector(mu, T).terms
                  if nu != mu)
     mod = StandardModule(shape, point)
-    honest = mod._z_basis
+    irrep = mod.irrep
+    honest = irrep.z_table
 
     def corrupted(i, key):
-        image = honest(i, key)
-        if corruption == "cycle" and i == 1 and key[0] == lower:
-            return image + mod.basis_vector(key[1], mu)
-        if corruption == "off-diagonal" and i == 3 and key[0] == mu:
-            return image + mod.basis_vector(key[1], lower)
-        return image
+        # add the basis term at `to` with coefficient 1, over the tables' denominator
+        table = dict(honest(i, key))
+        to = {("cycle", 1, lower): mu, ("off-diagonal", 3, mu): lower}.get((corruption, i, key[0]))
+        if to is not None:
+            const, *rest = table.get((to, key[1]), (0, 0, 0))
+            table[to, key[1]] = (const + irrep.denominator, *rest)
+        return table
 
-    mod._z_basis = corrupted
+    irrep.z_table = corrupted
     with pytest.raises(AssertionError, match="not triangular"):
         mod.eigenvector(mu, T)
