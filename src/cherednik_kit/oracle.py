@@ -24,9 +24,12 @@ type G(r,1,n) degree by degree, straight from the defining relations:
   reads the degree-0 gram form.
 
 Coefficients live in Q(zeta_r) exactly; parameters are specialized to a
-rational ParameterPoint.  This certifies the closed norm formulas without
-sharing their code: only verify_report's triangularity check reads the
-closed spectrum, to compare it with the z-diagonal.
+rational ParameterPoint.  verify_report certifies the defining relations and
+the commutativity of the y- and z-families on the irrep's point-free tables,
+for every parameter at once; its other checks run at the point.  This
+certifies the closed norm formulas without sharing their code: only
+verify_report's triangularity check reads the closed spectrum, to compare it
+with the z-diagonal.
 """
 from __future__ import annotations
 
@@ -96,6 +99,15 @@ def _add_coeffs(table: Table, key: tuple, vec: tuple[int, ...]) -> None:
     table[key] = vec if old is None else tuple(map(operator.add, old, vec))
 
 
+def _bump(nu: tuple[int, ...], j: int, by: int = 1) -> tuple[int, ...]:
+    """nu with its entry j (counted from 0) moved by `by`."""
+    return nu[:j] + (nu[j] + by,) + nu[j + 1:]
+
+
+def _nonzero(table: Table) -> Table:
+    return {k: v for k, v in table.items() if any(v)}
+
+
 def _per_irrep(build):
     """Keep an IrrepModel method's results in its _tables: built once per irrep."""
     @functools.wraps(build)
@@ -158,6 +170,12 @@ class IrrepModel:
         return self.perm_matrix(w), self.perm_matrix(perm_inverse(w))
 
     @_per_irrep
+    def column_residues(self, nu: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """The residue tuple at nu of each column s of w_nu^{-1} (one block each)."""
+        return [tuple((zs[min(col)] - e) % self.shape.r for zs, e in zip(self.zeta_residues, nu))
+                for col in self.twist(nu)[1]]
+
+    @_per_irrep
     def bracket_table(self, i: int, j: int, nu: tuple[int, ...], t: int) -> Table:
         """[y_i, x_j] on the basis term (nu, t): c0 (shift-1 average of s_ij) if
         i != j, else 1 - c0 sum_{k != i} (average of s_ik) - d_res + d_{res-1}."""
@@ -182,22 +200,22 @@ class IrrepModel:
         y_i x_j = x_j y_i + [y_i, x_j] for the first j with nu_j > 0."""
         table, j = {}, next((k for k, e in enumerate(nu) if e), None)
         if j is not None:
-            low = nu[:j] + (nu[j] - 1,) + nu[j + 1:]
+            low = _bump(nu, j, -1)
             for (kappa, s), vec in self.y_table(i, low, t).items():
-                table[kappa[:j] + (kappa[j] + 1,) + kappa[j + 1:], s] = vec
+                table[_bump(kappa, j), s] = vec
             for key, vec in self.bracket_table(i, j + 1, low, t).items():
                 _add_coeffs(table, key, vec)
-        return {k: v for k, v in table.items() if any(v)}
+        return _nonzero(table)
 
     @_per_irrep
     def z_table(self, i: int, key: tuple) -> Table:
         """z_i = y_i x_i + c0 phi_i on the basis term key = (nu, t)."""
         nu, t = key
-        table = dict(self.y_table(i, nu[:i - 1] + (nu[i - 1] + 1,) + nu[i:], t))
+        table = dict(self.y_table(i, _bump(nu, i - 1), t))
         for j in range(1, i):
             for nu2, a, q in _averaged_transposition(self, i, j, 0, nu, t):
                 _add_coeffs(table, (nu2, a), (0, q) + (0,) * self.shape.r)
-        return {k: v for k, v in table.items() if any(v)}
+        return _nonzero(table)
 
     @_per_irrep
     def twisted_table(self, nu: tuple[int, ...], s: int) -> tuple:
@@ -226,7 +244,22 @@ def _combination(m: int, pairs: list) -> Table:
         w = c.num[0] * (m // c.den)
         for key, vec in table.items():
             _add_coeffs(out, key, tuple(w * x for x in vec))
-    return {k: v for k, v in out.items() if any(v)}
+    return _nonzero(out)
+
+
+def _commutator_vanishes(op, i: int, j: int, key: tuple) -> bool:
+    """Whether op(i, .) op(j, .) - op(j, .) op(i, .) kills the basis term key at
+    every point, op(i, key) being a table.  A composite is quadratic in (1, c0,
+    d_0, ..): its entries are outer products of numerators, M with p^T M p at
+    the point p, so M is symmetrized before the zero test."""
+    out: Table = {}
+    for a, b, sign in ((i, j, 1), (j, i, -1)):
+        for mid, u in op(b, key).items():
+            u = tuple(sign * x for x in u)
+            for end, v in op(a, mid).items():
+                _add_coeffs(out, end, tuple(x * y for x in u for y in v))
+    return not any(vec[p * w + q] + vec[q * w + p] for vec in out.values()
+                   for w in [math.isqrt(len(vec))] for p in range(w) for q in range(p, w))
 
 
 def _swap_rule(T: StandardTableau, i: int) -> tuple[Fraction, Fraction]:
@@ -243,8 +276,7 @@ def _swap_rule(T: StandardTableau, i: int) -> tuple[Fraction, Fraction]:
 def build_irrep(shape: MultiPartition) -> IrrepModel:
     """Construct the seminormal model and validate every group relation,
     gram compatibility, and the Jucys-Murphy diagonal."""
-    r = shape.r
-    n = shape.size
+    r, n = shape.r, shape.size
     field = CyclotomicField(r)
     tableaux = enumerate_syt(shape)
     if not tableaux:
@@ -447,12 +479,9 @@ class StandardModule:
                  irrep: IrrepModel | None = None):
         if point.r != shape.r:
             raise ValueError("point and shape disagree on r")
-        self.shape = shape
-        self.point = point
+        self.shape, self.point, self.n, self.r = shape, point, shape.size, shape.r
         self.irrep = irrep if irrep is not None else build_irrep(shape)
         self.field = self.irrep.field
-        self.n = shape.size
-        self.r = shape.r
         # (1, c0, d_0, ..) times their lcm denominator L: an entry is vec . point / (den L)
         params = (point.c0,) + point.d
         scale = math.lcm(*(p.denominator for p in params))
@@ -479,11 +508,7 @@ class StandardModule:
     # -- group and multiplication actions ------------------------------------
 
     def x_mul(self, i: int, elt: ModuleElement) -> ModuleElement:
-        out = {}
-        for (nu, t), c in elt.terms.items():
-            nu2 = list(nu)
-            nu2[i - 1] += 1
-            out[(tuple(nu2), t)] = c
+        out = {(_bump(nu, i - 1), t): c for (nu, t), c in elt.terms.items()}
         return ModuleElement._over(self, out)   # shifted exponents: no zero
 
     def apply_perm(self, w: tuple[int, ...], elt: ModuleElement) -> ModuleElement:
@@ -530,10 +555,6 @@ class StandardModule:
         if terms is None:
             terms = self._y_cache[i, nu, t] = self._specialize(self.irrep.y_table(i, nu, t))
         return ModuleElement._over(self, terms)
-
-    def _bracket(self, i: int, j: int, nu: tuple[int, ...], t: int) -> ModuleElement:
-        """[y_i, x_j] applied to the basis term (nu, t) at this point."""
-        return ModuleElement._over(self, self._specialize(self.irrep.bracket_table(i, j, nu, t)))
 
     def z_act(self, i: int, elt: ModuleElement) -> ModuleElement:
         out: dict = {}
@@ -586,11 +607,6 @@ class StandardModule:
         return sorted(tuple(map(combo.count, range(self.n)))
                       for combo in itertools.combinations_with_replacement(range(self.n), degree))
 
-    def residue_tuple(self, nu: tuple[int, ...], t: int) -> tuple[int, ...]:
-        return tuple(
-            (self.irrep.zeta_residues[i][t] - nu[i]) % self.r for i in range(self.n)
-        )
-
     def eigenvector(self, mu: Sequence[int], T: StandardTableau) -> ModuleElement:
         """The joint eigenvector of the commuting family with leading term
         x^mu v_T^mu (v_T^mu = w_mu^{-1}.v_T), by back-substitution.
@@ -610,14 +626,14 @@ class StandardModule:
         f, n, irrep = self.field, self.n, self.irrep
         tau = irrep.index[T]
         lead, _, lam = self.twisted_column(mu, tau)
-        (target,) = {self.residue_tuple(nu, t) for nu, t in lead}
+        target = irrep.column_residues(mu)[tau]
         block: dict[tuple, dict] = {}          # reachable exponent -> its columns in the block
         above: dict[tuple, set] = {mu: set()}  # exponent -> exponents reaching it
         pending = [mu]
         while pending:
             nu = pending.pop()
-            block[nu] = {s: self.twisted_column(nu, s) for s, col in enumerate(irrep.twist(nu)[1])
-                         if self.residue_tuple(nu, next(iter(col))) == target}
+            block[nu] = {s: self.twisted_column(nu, s)
+                         for s, res in enumerate(irrep.column_residues(nu)) if res == target}
             for _, zb, _ in block[nu].values():
                 for kappa, _ in itertools.chain(*zb):
                     if kappa not in above:
@@ -677,10 +693,8 @@ class StandardModule:
                    self.field.zero)
 
     def x_power(self, nu: Sequence[int], elt: ModuleElement) -> ModuleElement:
-        for i, e in enumerate(nu, start=1):
-            for _ in range(e):
-                elt = self.x_mul(i, elt)
-        return elt
+        out = {(tuple(map(operator.add, kappa, nu)), t): c for (kappa, t), c in elt.terms.items()}
+        return ModuleElement._over(self, out)   # shifted exponents: no zero
 
     def eigenvector_generic(self, mu: Sequence[int], T: StandardTableau,
                             rng: random.Random) -> tuple["StandardModule", ModuleElement]:
@@ -743,11 +757,8 @@ class StandardModule:
         by_exp: dict[tuple, dict[int, CycNumber]] = {}
         for (nu, t), c in elt.terms.items():
             by_exp.setdefault(nu, {})[t] = c
-        out = {}
-        for nu, coeffs in by_exp.items():
-            for t, c in _apply(self.irrep.twist(nu)[0], coeffs).items():
-                out[(nu, t)] = c
-        return out
+        return {(nu, t): c for nu, coeffs in by_exp.items()
+                for t, c in _apply(self.irrep.twist(nu)[0], coeffs).items()}
 
 
 def _kernel(rows: list[list[CycNumber]], width: int, f: CyclotomicField) -> list[list[CycNumber]]:
@@ -793,20 +804,21 @@ def _kernel(rows: list[list[CycNumber]], width: int, f: CyclotomicField) -> list
 def verify_report(r: int, n: int, degree: int = 2, seed: int = 0,
                   shape_text: str | None = None) -> dict:
     """Structured pass/fail report over the oracle's identity suite for all
-    r-partitions of n (or a single shape), at a seeded random rational point.
+    r-partitions of n (or a single shape).
 
-    Checks: group relations and gram data at irrep construction, the sum of
-    squared dimensions, the defining commutation relations up to the degree
-    cap, commutativity and self-adjointness of the z-family, pairing symmetry
-    and W-invariance (on the generators s_i and zeta_1), triangularity of z
-    with the predicted diagonal, eigenvector and minimal norms (<g, g> as
-    n! <f, g>) against the closed formulas, intertwiner braid and square
-    relations, and the S_n symmetrizer identity.  Three checks share one
-    basis walk (`basis`).  The triangularity and eigenvector checks read the
-    twisted columns: point-free integer tables kept per irrep
-    (twisted_table), specialized once per module; the triangularity check
-    asserts that each image is z_act of its vector.  All checks call the
-    module's own methods, never a copy of them."""
+    Certified on the irrep's point-free tables, for every parameter at once
+    and with nothing specialized, up to the degree cap: the defining relations
+    y_i x_j - x_j y_i = [y_i, x_j], and the commutativity of the y- and
+    z-families.  At a seeded random rational point: group relations and gram
+    data at irrep construction, the sum of squared dimensions, pairing
+    symmetry, z self-adjointness and W-invariance (on the generators s_i and
+    zeta_1), triangularity of z with the predicted diagonal, eigenvector and
+    minimal norms (<g, g> as n! <f, g>) against the closed formulas,
+    intertwiner braid and square relations, and the S_n symmetrizer identity.
+    The triangularity and eigenvector checks read the twisted columns
+    (twisted_table, specialized once per module); the triangularity check
+    asserts that each image is z_act of its vector.  Every check calls the
+    irrep's or the module's own methods, never a copy of them."""
     from .combinatorics import enumerate_multipartitions, parse_multipartition
     from .combinatorics import assignment_pair, composition_compare, Comparison
     from .norms import (minimal_assignment, minimal_norm, nonsymmetric_norm,
@@ -826,17 +838,12 @@ def verify_report(r: int, n: int, degree: int = 2, seed: int = 0,
     def run(name, fn):
         t0 = time.perf_counter()
         try:
-            detail = fn()
-            status = "pass"
+            detail, status = fn(), "pass"
         except Exception as exc:  # noqa: BLE001 - report, don't crash
-            detail = f"{type(exc).__name__}: {exc}"
-            status = "fail"
-        checks.append({
-            "name": name,
-            "status": status,
-            "seconds": round(time.perf_counter() - t0, 4),
-            "details": detail if isinstance(detail, str) else (detail or ""),
-        })
+            detail, status = f"{type(exc).__name__}: {exc}", "fail"
+        checks.append({"name": name, "status": status,
+                       "seconds": round(time.perf_counter() - t0, 4),
+                       "details": detail if isinstance(detail, str) else (detail or "")})
 
     modules: dict[str, StandardModule] = {}
 
@@ -855,38 +862,37 @@ def verify_report(r: int, n: int, degree: int = 2, seed: int = 0,
     run("irrep relations and dimension count", check_irreps)
 
     def basis(cap):
-        """(module, nu, t, x^nu v_t) for each basis term up to degree min(degree, cap)."""
+        """(module, nu, t) for each basis term x^nu v_t up to degree min(degree, cap)."""
         for mod in modules.values():
             for deg in range(min(degree, cap) + 1):
                 for nu in mod.monomials(deg):
                     for t in range(mod.irrep.dim):
-                        yield mod, nu, t, mod.basis_vector(t, nu)
+                        yield mod, nu, t
 
     def check_relations():
         count = 0
-        for mod, nu, t, e in basis(3):
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    lhs = mod.y_act(i, mod.x_mul(j, e)) - mod.x_mul(j, mod.y_act(i, e))
-                    if lhs != mod._bracket(i, j, nu, t):
-                        raise AssertionError(f"relation y_{i} x_{j} at {nu}")
-                    count += 1
+        for mod, nu, t in basis(3):
+            y = mod.irrep.y_table
+            for i, j in itertools.product(range(1, n + 1), repeat=2):
+                rhs = dict(mod.irrep.bracket_table(i, j, nu, t))
+                for (kappa, s), vec in y(i, nu, t).items():
+                    _add_coeffs(rhs, (_bump(kappa, j - 1), s), vec)
+                if _nonzero(y(i, _bump(nu, j - 1), t)) != _nonzero(rhs):
+                    raise AssertionError(f"relation y_{i} x_{j} at {nu}")
+                count += 1
         return f"{count} operator identities"
 
     run("defining relations up to degree cap", check_relations)
 
     def check_commutation():
         count = 0
-        for mod, nu, t, e in basis(3):
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    if not (mod.y_act(i, mod.y_act(j, e))
-                            - mod.y_act(j, mod.y_act(i, e))).is_zero():
-                        raise AssertionError(f"[y_{i}, y_{j}] != 0")
-                    if not (mod.z_act(i, mod.z_act(j, e))
-                            - mod.z_act(j, mod.z_act(i, e))).is_zero():
-                        raise AssertionError(f"[z_{i}, z_{j}] != 0")
-                    count += 1
+        for mod, nu, t in basis(3):
+            ops = (("y", lambda i, key: mod.irrep.y_table(i, *key)), ("z", mod.irrep.z_table))
+            for i, j in itertools.combinations(range(1, n + 1), 2):
+                for name, op in ops:
+                    if not _commutator_vanishes(op, i, j, (nu, t)):
+                        raise AssertionError(f"[{name}_{i}, {name}_{j}] != 0")
+                count += 1
         return f"{count} commutators"
 
     run("y- and z-family commutativity", check_commutation)
@@ -924,7 +930,7 @@ def verify_report(r: int, n: int, degree: int = 2, seed: int = 0,
 
     def check_triangular():
         count = 0
-        for mod, nu, t, _ in basis(2):
+        for mod, nu, t in basis(2):
             T = mod.irrep.tableaux[t]
             vec, images, diag = mod.twisted_column(nu, t)
             for i, data in enumerate(spectrum(nu, T)):
@@ -1029,16 +1035,10 @@ def verify_report(r: int, n: int, degree: int = 2, seed: int = 0,
 
     run("symmetrizer rational-function identity", check_symmetrizer_identity)
 
-    return {
-        "r": r,
-        "n": n,
-        "degree": degree,
-        "seed": seed,
-        "point": {"c0": str(point.c0), "d": [str(x) for x in point.d]},
-        "shapes": [s.as_text() for s in shapes],
-        "checks": checks,
-        "ok": all(c["status"] == "pass" for c in checks),
-    }
+    return {"r": r, "n": n, "degree": degree, "seed": seed,
+            "point": {"c0": str(point.c0), "d": [str(x) for x in point.d]},
+            "shapes": [s.as_text() for s in shapes], "checks": checks,
+            "ok": all(c["status"] == "pass" for c in checks)}
 
 
 def symmetrizer_identity_check(n: int, z: Sequence[Fraction], c0, r: int = 1) -> bool:

@@ -294,6 +294,7 @@ class TestDeterminism:
         (2, 3, 2, 1605, "559819b83512d03a4f653a2ac9cb0cc3f4a438740bd706731474b9ab20fa8062"),
         (2, 3, 3, 1606, "a5e8442c81d44fd05710d082e3eae0204d03ada0b3b3d5e79a9f67c3135e6400"),
         (4, 2, 2, 1694, "98c9832451c7bd2a6fa74bcc3a48e4314b52c8bf7b060868f6b96b57f970e8c3"),
+        (3, 3, 2, 1789, "08f1aa4bd8d2da5f34399187e3b7dbdf7dbc148389556cb1e31f94c221588f39"),
     ])
     def test_oracle_verify_json_is_pinned_by_digest(self, r, n, degree, size, digest):
         # wider residue blocks than the text pins: a change of the rng stream,

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from cherednik_kit import oracle
 from cherednik_kit.cyclotomic import CyclotomicField
 from cherednik_kit.combinatorics import (
     MultiPartition,
@@ -41,6 +42,12 @@ from cherednik_kit.scalars import ParameterPoint, random_point
 
 from conftest import compositions, enumerate_assignments, small_point
 from test_acceptance import ORACLE_RANGE
+
+
+def _bracket_at(mod, i, j, nu, t):
+    """[y_i, x_j] on the basis term (nu, t): the irrep's bracket table at the
+    module's point."""
+    return ModuleElement._over(mod, mod._specialize(mod.irrep.bracket_table(i, j, nu, t)))
 
 
 class TestIrrep:
@@ -85,6 +92,12 @@ class TestIrrep:
             assert all(g > 0 for g in m.gram)
 
 
+# the module's own y_act, z_act and x_mul at a point, beside verify_report's
+# checks on the point-free tables: over Q at r = 2, and over the degree-2
+# fields Q(zeta_3) and Q(zeta_4)
+POINT_LEVEL_SHAPES = ("1|1", "1|1|1", "1||1|")
+
+
 class TestYAction:
     def test_kills_degree_zero(self, rng):
         mod = StandardModule(parse_multipartition("1,1|1"), small_point(2, rng))
@@ -98,18 +111,18 @@ class TestYAction:
         assert mod.y_act(1, mod.x_mul(1, v)) == v
 
     def test_y_commutation_2_2(self, rng):
-        mod = StandardModule(parse_multipartition("1|1"), small_point(2, rng))
-        for deg in range(4):
-            for nu in mod.monomials(deg):
-                for t in range(mod.irrep.dim):
-                    e = mod.basis_vector(t, nu)
-                    lhs = mod.y_act(1, mod.y_act(2, e))
-                    rhs = mod.y_act(2, mod.y_act(1, e))
-                    assert lhs == rhs
+        for shape in map(parse_multipartition, POINT_LEVEL_SHAPES):
+            mod = StandardModule(shape, small_point(shape.r, rng))
+            for deg in range(4):
+                for nu in mod.monomials(deg):
+                    for t in range(mod.irrep.dim):
+                        e = mod.basis_vector(t, nu)
+                        for i, j in itertools.combinations(range(1, mod.n + 1), 2):
+                            assert mod.y_act(i, mod.y_act(j, e)) == mod.y_act(j, mod.y_act(i, e))
 
     def test_defining_relations_sample(self, rng):
-        for shape_text, r in [("2|", 2), ("1|1", 2), ("1,1|", 2)]:
-            mod = StandardModule(parse_multipartition(shape_text), small_point(2, rng))
+        for shape in map(parse_multipartition, ("2|", "1|1", "1,1|") + POINT_LEVEL_SHAPES[1:]):
+            mod = StandardModule(shape, small_point(shape.r, rng))
             n = mod.n
             for deg in range(3):
                 for nu in mod.monomials(deg):
@@ -119,7 +132,7 @@ class TestYAction:
                             for j in range(1, n + 1):
                                 lhs = (mod.y_act(i, mod.x_mul(j, e))
                                        - mod.x_mul(j, mod.y_act(i, e)))
-                                assert lhs == mod._bracket(i, j, nu, t)
+                                assert lhs == _bracket_at(mod, i, j, nu, t)
 
 
 class TestZAction:
@@ -138,12 +151,14 @@ class TestZAction:
                     assert lam == mod.field.from_rational(data[i - 1].z_eigenvalue.evaluate(point))
 
     def test_z_commute_degree3(self, rng):
-        mod = StandardModule(parse_multipartition("1|1"), small_point(2, rng))
-        for deg in range(4):
-            for nu in mod.monomials(deg):
-                for t in range(mod.irrep.dim):
-                    e = mod.basis_vector(t, nu)
-                    assert mod.z_act(1, mod.z_act(2, e)) == mod.z_act(2, mod.z_act(1, e))
+        for shape in map(parse_multipartition, POINT_LEVEL_SHAPES):
+            mod = StandardModule(shape, small_point(shape.r, rng))
+            for deg in range(4):
+                for nu in mod.monomials(deg):
+                    for t in range(mod.irrep.dim):
+                        e = mod.basis_vector(t, nu)
+                        for i, j in itertools.combinations(range(1, mod.n + 1), 2):
+                            assert mod.z_act(i, mod.z_act(j, e)) == mod.z_act(j, mod.z_act(i, e))
 
     def test_triangular_in_composition_order(self, rng):
         from cherednik_kit.combinatorics import composition_compare, Comparison
@@ -567,6 +582,42 @@ def test_verify_report_cancelled_factor_is_not_a_pole():
     assert verify_report(2, 3, degree=3, seed=275012945, shape_text="|3")["ok"]
 
 
+class TestTableCertificates:
+    """verify_report checks the defining relations and commutativity on the
+    irrep's point-free tables, so a fault in one table entry fails the check
+    even where it vanishes at the drawn point."""
+
+    @pytest.mark.parametrize("kind, args, check", [
+        ("y_table", (1, (1, 0), 0), "defining relations up to degree cap"),
+        ("z_table", (1, ((1, 0), 0)), "y- and z-family commutativity"),
+    ])
+    def test_poisoned_d_coefficient_fails(self, monkeypatch, kind, args, check):
+        built = []
+
+        def poisoned_build(shape):
+            # one entry of the table moved in its d_0 coefficient only
+            irrep = build_irrep(shape)
+            clean = getattr(irrep, kind)(*args)
+            table = dict(clean)
+            key = min(table)
+            table[key] = table[key][:2] + (table[key][2] + 1,) + table[key][3:]
+            irrep._tables[(kind, *args)] = table
+            built.append((irrep, clean, table))
+            return irrep
+
+        monkeypatch.setattr(oracle, "build_irrep", poisoned_build)
+        # seed 86 draws d_0 = 0 at r = 2: the point cannot see the change
+        report = verify_report(2, 2, degree=2, seed=86, shape_text="1|1")
+        (irrep, clean, table), = built
+        mod = StandardModule(irrep.shape, ParameterPoint(2, Fraction(report["point"]["c0"]),
+                                                         [Fraction(d) for d in report["point"]["d"]]),
+                             irrep=irrep)
+        assert report["point"]["d"][0] == "0" and table != clean
+        assert mod._specialize(table) == mod._specialize(clean)
+        status = {c["name"]: c["status"] for c in report["checks"]}
+        assert status[check] == "fail" and not report["ok"]
+
+
 def test_verify_report_frontier():
     # r = 4 is a degree-2 field with a non-trivial conjugation; (1, 4) is the
     # largest symmetric-group case
@@ -630,7 +681,7 @@ def _literal_jm(mod, i, nu, t):
 
 @pytest.mark.parametrize("r, n", ORACLE_RANGE + [(4, 2), (5, 2), (6, 2)])
 def test_averaged_transposition_matches_the_literal_sum(r, n):
-    # the closed-form Z/r average in _bracket against the sum over l
+    # the closed-form Z/r average in bracket_table against the sum over l
     rng = random.Random(1000 * r + n)
     for shape in enumerate_multipartitions(r, n):
         mod = StandardModule(shape, small_point(r, rng))
@@ -639,7 +690,7 @@ def test_averaged_transposition_matches_the_literal_sum(r, n):
                 for t in range(mod.irrep.dim):
                     for i in range(1, n + 1):
                         for j in range(1, n + 1):
-                            assert mod._bracket(i, j, nu, t) == _literal_bracket(mod, i, j, nu, t)
+                            assert _bracket_at(mod, i, j, nu, t) == _literal_bracket(mod, i, j, nu, t)
 
 
 def _point_valued_y(mod, i, nu, t, cache):
@@ -681,7 +732,7 @@ def test_tables_specialize_to_the_point_valued_recursion(r, n):
                 assert mod._y_basis(i, nu, t) == _point_valued_y(mod, i, nu, t, cache)
                 assert mod._z_basis(i, (nu, t)) == _point_valued_z(mod, i, nu, t, cache)
                 for j in range(1, n + 1):
-                    assert mod._bracket(i, j, nu, t) == _literal_bracket(mod, i, j, nu, t)
+                    assert _bracket_at(mod, i, j, nu, t) == _literal_bracket(mod, i, j, nu, t)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -810,7 +861,8 @@ def _kernel_eigenvector(mod, mu, T):
                     and tuple(d.z_eigenvalue.evaluate(mod.point) for d in sdata) == target_z):
                 raise EigenvalueCollision(f"{(mu, T.as_text())} vs {(nu, S.as_text())}")
     block = [(nu, t) for nu in mod.monomials(sum(mu)) for t in range(mod.irrep.dim)
-             if mod.residue_tuple(nu, t) == target_res]
+             if tuple((res[t] - e) % mod.r for res, e in zip(mod.irrep.zeta_residues, nu))
+             == target_res]
     pos = {key: k for k, key in enumerate(block)}
     stacked = []
     for i in range(1, n + 1):
