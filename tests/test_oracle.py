@@ -609,10 +609,10 @@ class TestTableCertificates:
         # seed 86 draws d_0 = 0 at r = 2: the point cannot see the change
         report = verify_report(2, 2, degree=2, seed=86, shape_text="1|1")
         (irrep, clean, table), = built
-        mod = StandardModule(irrep.shape, ParameterPoint(2, Fraction(report["point"]["c0"]),
-                                                         [Fraction(d) for d in report["point"]["d"]]),
+        c0, d = report["point"]["c0"], report["point"]["d"]
+        mod = StandardModule(irrep.shape, ParameterPoint(2, Fraction(c0), list(map(Fraction, d))),
                              irrep=irrep)
-        assert report["point"]["d"][0] == "0" and table != clean
+        assert d[0] == "0" and table != clean
         assert mod._specialize(table) == mod._specialize(clean)
         status = {c["name"]: c["status"] for c in report["checks"]}
         assert status[check] == "fail" and not report["ok"]
