@@ -17,13 +17,14 @@ AffineForm / FactoredScalar values:
 Each product formula lists its numerator and denominator as terms
 (top, hi, lo, ct), each the residue forms k - (d_hi - d_lo) - r*ct*c0 for
 1 <= k <= top, k = hi - lo mod r.  `_product` counts the forms by integer key
-(k, hi mod r, lo mod r, ct) and builds an AffineForm only for a key with a
-nonzero net count, into one canonical FactoredScalar.  symmetric_norm's ratios
+(k, hi mod r, lo mod r, ct) and turns each nonzero net key straight into
+primitive integer numerators, so an AffineForm is built only for each
+factor of the canonical FactoredScalar.  symmetric_norm's ratios
 over box pairs (b, b2) telescope along each run of equal S-values in a row,
 so it lists O(n * runs) terms, not O(n^2).  minimal_norm is one product
 over the minimal assignment's closed-form hook and extra terms, and
 pochhammer_products, the independent reference, lists the forms of its
-Pochhammer symbols.  Empty products are 1 throughout.
+Pochhammer symbols as integer numerators over r.  Empty products are 1.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from math import factorial
+from math import factorial, gcd
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -88,7 +89,7 @@ def spectrum(mu: Sequence[int], T: StandardTableau) -> list[SpectralDatum]:
 
 def _keys(r: int, terms: Iterable[Term]) -> Counter:
     """Each term's forms _eig_form(r, k, hi, lo, ct), counted by integer key."""
-    return Counter((k, hi % r, lo % r, ct) for top, hi, lo, ct in terms
+    return Counter((k, hi % r, lo % r, ct) for top, hi, lo, ct in terms if top > 0
                    for k in range((hi - lo - 1) % r + 1, top + 1, r))
 
 
@@ -107,11 +108,30 @@ def _run_part(hi: int, lo: int, top_minus: int, top_plus: int, t_lo: int, t_hi: 
 
 
 def _product(r: int, coefficient, parts: Sequence[Part]) -> FactoredScalar:
-    """One FactoredScalar from all parts: only nonzero net keys become forms."""
+    """One FactoredScalar from all parts.  Each nonzero net key becomes
+    primitive integer numerators directly: as k >= 1, the form is primitive
+    when hi != lo; when hi = lo it is g * (k/g - (r*ct/g)*c0) with
+    g = gcd(k, r*ct), a constant when ct = 0, and g^m joins the coefficient.
+    Keys with equal numerators merge, and only a surviving factor becomes a form."""
     net = _keys(r, (term for num, _ in parts for term in num))
     net.subtract(_keys(r, (term for _, den in parts for term in den)))
-    return FactoredScalar.from_counts(r, coefficient,
-                                      ((_eig_form(r, *key), m) for key, m in net.items() if m))
+    zeros, prims, num, den = [0] * r, {}, coefficient, 1
+    for (k, hi, lo, ct), m in net.items():
+        if not m:
+            continue
+        if hi == lo:
+            g = gcd(k, r * ct)
+            num, den = (num * g ** m, den) if m > 0 else (num, den * g ** -m)
+            if not ct:
+                continue
+            key = (k // g, -r * ct // g, *zeros)
+        else:
+            d = zeros.copy()
+            d[hi], d[lo] = -1, 1
+            key = (k, -r * ct, *d)
+        prims[key] = prims.get(key, 0) + m
+    return FactoredScalar._canonical(r, Fraction(num, den), {
+        AffineForm.from_numerators(r, key): m for key, m in prims.items() if m})
 
 
 def nonsymmetric_norm(mu: Sequence[int], T: StandardTableau) -> FactoredScalar:
@@ -133,7 +153,7 @@ def nonsymmetric_norm(mu: Sequence[int], T: StandardTableau) -> FactoredScalar:
     # ct = a_hi - a_lo, for k up to mu_i - mu_j at (i, j), mu_j - mu_i - 1 at (j, i)
     parts += [_run_part(beta[hi], beta[lo], top, top, a[hi] - a[lo], a[hi] - a[lo])
               for i in range(n) for j in range(i + 1, n)
-              for hi, lo, top in ((i, j, mu[i] - mu[j]), (j, i, mu[j] - mu[i] - 1))]
+              for hi, lo, top in ((i, j, mu[i] - mu[j]), (j, i, mu[j] - mu[i] - 1)) if top > 0]
     return _product(r, 1, parts)
 
 
@@ -277,30 +297,28 @@ def pochhammer_products(shape: MultiPartition) -> tuple[FactoredScalar, Factored
     def row_len(k: int, i: int) -> int:
         return comps[k][i - 1] if i - 1 < len(comps[k]) else 0
 
-    h_forms: list[AffineForm] = []
-    e_forms: list[AffineForm] = []
+    # each form x + m, x = base/r + c*c0 - (d_k - d_l)/r, as integer
+    # numerators (base + m*r, c*r, b_0, ..., b_{r-1}) over the denominator r
+    h_nums: list[tuple[int, ...]] = []
+    e_nums: list[tuple[int, ...]] = []
     for k in range(r):
         for l in range(r):
-            dmap: dict[int, Fraction] = {k: Fraction(-1, r)}
-            dmap[l] = dmap.get(l, Fraction(0)) + Fraction(1, r)
-            dk_dl = AffineForm(r, d=dmap)
-            if l < k:
-                base_const = Fraction(k - l, r)
-                shift = 1
-            else:
-                base_const = Fraction(r + k - l, r)
-                shift = 0
+            d = [0] * r
+            d[k] -= 1
+            d[l] += 1
+            base, shift = (k - l, 1) if l < k else (r + k - l, 0)
             # hook part
             for i in range(1, min(first_height(k), first_height(l)) + 1):
                 for j in range(1, row_len(k, i) + 1):
-                    c0_coeff = col_height(k, j) + row_len(l, i) - i - j + 1
-                    x = AffineForm(r, const=base_const, c0=c0_coeff) + dk_dl
-                    h_forms += (x + m for m in range(col_height(k, j) - i + shift))
+                    c = col_height(k, j) + row_len(l, i) - i - j + 1
+                    h_nums += ((base + m * r, c * r, *d)
+                               for m in range(col_height(k, j) - i + shift))
             # extra part
             lo = first_height(l) + (1 if l < k else 2)
             for i in range(lo, first_height(k) + 1):
                 for j in range(1, row_len(k, i) + 1):
-                    c0_coeff = i - j - first_height(l)
-                    x = AffineForm(r, const=base_const, c0=c0_coeff) + dk_dl
-                    e_forms += (x + m for m in range(i - first_height(l) - (1 - shift)))
-    return FactoredScalar(r, 1, h_forms), FactoredScalar(r, 1, e_forms)
+                    c = i - j - first_height(l)
+                    e_nums += ((base + m * r, c * r, *d)
+                               for m in range(i - first_height(l) - (1 - shift)))
+    return tuple(FactoredScalar(r, 1, [AffineForm.from_numerators(r, x, r) for x in nums])
+                 for nums in (h_nums, e_nums))

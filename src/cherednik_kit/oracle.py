@@ -138,7 +138,7 @@ class IrrepModel:
     def dim(self) -> int:
         return len(self.tableaux)
 
-    @property
+    @functools.cached_property
     def n(self) -> int:
         return self.shape.size
 
@@ -386,9 +386,12 @@ def validate_irrep(model: IrrepModel) -> list[str]:
 
 
 def _transposition_matrix(model: IrrepModel, i: int, j: int) -> Matrix:
-    w = list(range(1, model.n + 1))
-    w[i - 1], w[j - 1] = w[j - 1], w[i - 1]
-    return model.perm_matrix(tuple(w))
+    """s_ij, kept in _perm_cache under ("s", i, j), apart from the permutations."""
+    cache, key = model._perm_cache, ("s", i, j)
+    if key not in cache:
+        cache[key] = model.perm_matrix(tuple(j if k == i else i if k == j else k
+                                             for k in range(1, model.n + 1)))
+    return cache[key]
 
 
 def _zeta_power_matrix(model: IrrepModel, i: int, l: int) -> Matrix:

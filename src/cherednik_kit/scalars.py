@@ -51,11 +51,12 @@ class ParameterPoint:
     def __init__(self, r: int, c0, d: Sequence):
         if r < 1:
             raise ValueError("r must be >= 1")
-        d = tuple(Fraction(x) for x in d)
+        # a Fraction is kept as it is: Fraction(x) would run the numbers ABC checks
+        d = tuple(x if type(x) is Fraction else Fraction(x) for x in d)
         if len(d) != r:
             raise ValueError(f"expected {r} d-values, got {len(d)}")
         self.r = r
-        self.c0 = Fraction(c0)
+        self.c0 = c0 if type(c0) is Fraction else Fraction(c0)
         self.d = d
 
     def d_at(self, l: int) -> Fraction:
@@ -226,6 +227,16 @@ def render_affine(f: AffineForm) -> str:
     return out or "0"
 
 
+def _decimal(x: int) -> str:
+    """str(x), also past the interpreter's int-to-str digit limit (640 at
+    the least): over 2,000 bits, x is split at a power of ten in halves."""
+    if x.bit_length() <= 2000:
+        return str(x)
+    k = x.bit_length() * 3 // 20            # about half its digits
+    high, low = divmod(abs(x), 10 ** k)
+    return ("-" if x < 0 else "") + _decimal(high) + _decimal(low).zfill(k)
+
+
 class FactoredScalar:
     """coefficient * prod(f ** m for f, m in factors.items()), kept canonical.
 
@@ -241,24 +252,13 @@ class FactoredScalar:
 
     def __init__(self, r: int, coefficient=1, num: Iterable[AffineForm] = (),
                  den: Iterable[AffineForm] = ()):
-        # equal raw forms repeat often in the closed formulas: count them, so
-        # that each distinct one is made primitive once
+        # equal raw forms repeat often: count them, so that each distinct one
+        # is made primitive once, and fold its scale into the coefficient
         counts = Counter(num)
         counts.subtract(den)
-        self._fold(r, coefficient, counts.items())
-
-    @staticmethod
-    def from_counts(r: int, coefficient, counts: Iterable[tuple[AffineForm, int]]) -> "FactoredScalar":
-        """coefficient * prod(f ** m) over (form, signed multiplicity) pairs;
-        a form may occur in several pairs."""
-        return object.__new__(FactoredScalar)._fold(r, coefficient, counts)
-
-    def _fold(self, r: int, coefficient, counts: Iterable[tuple[AffineForm, int]]) -> "FactoredScalar":
-        """Store the product, each form made primitive and its scale folded
-        into the coefficient."""
         coef = Fraction(coefficient)
         factors: dict[AffineForm, int] = {}
-        for f, m in counts:
+        for f, m in counts.items():
             if f.r != r:
                 raise ValueError("factor has wrong r")
             if f.is_zero():
@@ -268,13 +268,18 @@ class FactoredScalar:
                 coef *= scale ** m
             if not prim.is_constant():
                 factors[prim] = factors.get(prim, 0) + m
-        return self._set(r, coef, factors)
+        self._set(r, coef, factors)
 
     def _set(self, r: int, coefficient: Fraction, factors: dict) -> "FactoredScalar":
         """Store the data, dropping zero multiplicities and a zero scalar's factors."""
         self.r, self.coefficient = r, coefficient
         self.factors = {f: m for f, m in factors.items() if m} if coefficient else {}
         return self
+
+    @staticmethod
+    def _canonical(r: int, coefficient: Fraction, factors: dict) -> "FactoredScalar":
+        """From an exact coefficient and primitive, nonconstant forms -> m."""
+        return object.__new__(FactoredScalar)._set(r, coefficient, factors)
 
     @staticmethod
     def one(r: int) -> "FactoredScalar":
@@ -319,7 +324,7 @@ class FactoredScalar:
         for f, m in other.factors.items():
             factors[f] = factors.get(f, 0) + m
         coefficient = self.coefficient * other.coefficient
-        return object.__new__(FactoredScalar)._set(self.r, coefficient, factors)
+        return FactoredScalar._canonical(self.r, coefficient, factors)
 
     __rmul__ = __mul__
 
@@ -327,7 +332,7 @@ class FactoredScalar:
         if self.coefficient == 0:
             raise ZeroDivisionError("reciprocal of zero scalar")
         factors = {f: -m for f, m in self.factors.items()}
-        return object.__new__(FactoredScalar)._set(self.r, 1 / self.coefficient, factors)
+        return FactoredScalar._canonical(self.r, 1 / self.coefficient, factors)
 
     def __truediv__(self, other):
         return self * self._coerce(other).reciprocal()
@@ -359,7 +364,9 @@ class FactoredScalar:
 
     def __str__(self):
         texts = [(f"({f})", m) for f, m in self._sorted()]
-        out = " * ".join([str(self.coefficient)] + [t for t, m in texts for _ in range(m)])
+        q = self.coefficient
+        head = _decimal(q.numerator) + ("" if q.denominator == 1 else f"/{_decimal(q.denominator)}")
+        out = " * ".join([head] + [t for t, m in texts for _ in range(m)])
         den = [t for t, m in texts for _ in range(-m)]
         if den:
             out += " / " + " * ".join(den)

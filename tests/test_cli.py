@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import pathlib
 import re
 import shlex
@@ -114,6 +115,20 @@ class TestGoldenOutputs:
     def test_norm_f_single_cell(self):
         code, out = run_cli("norm-f", "--r", "1", "--shape", "1", "--mu", "3")
         assert code == 0 and out == "6\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_norm_f_prints_values_past_the_int_digit_limit(self, fmt, capsys):
+        # 2000! has 5,736 digits, more than str() takes under Python's
+        # default limit of 4,300; read back in chunks that int() takes
+        assert main(["norm-f", "--r", "1", "--shape", "1", "--mu", "2000", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        digits = json.loads(out)["result"] if fmt == "json" else out.rstrip("\n")
+        assert len(digits) == 5736 and digits.isdigit()
+        value = 0
+        for start in range(0, len(digits), 1000):
+            chunk = digits[start:start + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        assert value == math.factorial(2000)
 
     def test_norm_g_column(self):
         code, out = run_cli("norm-g", "--r", "1", "--shape", "1,1",
