@@ -19,6 +19,7 @@ Text formats (used by the CLI):
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
@@ -301,11 +302,12 @@ def sorting_data(mu: Sequence[int]) -> tuple[Partition, Composition, Permutation
     n = len(mu)
     mu_plus = tuple(sorted(mu, reverse=True))
     mu_minus = tuple(sorted(mu))
-    w = tuple(
-        sum(1 for j in range(i) if mu[j] < mu[i])
-        + sum(1 for j in range(i, n) if mu[j] <= mu[i])
-        for i in range(n)
-    )
+    # w_mu(i) is the place of i when the indices are sorted by mu_i, equal
+    # entries latest index first: a stable sort of the reversed indices
+    w = [0] * n
+    for place, i in enumerate(sorted(range(n - 1, -1, -1), key=mu.__getitem__), start=1):
+        w[i] = place
+    w = tuple(w)
     r = tuple(n + 1 - wi for wi in w)
     return as_partition(mu_plus), mu_minus, w, r
 
@@ -428,13 +430,17 @@ class StandardTableau:
     def entry(self, b: BoxRef) -> int:
         return self.entries[b.component][b.row - 1][b.column - 1]
 
+    @functools.cached_property
+    def _boxes(self) -> tuple[BoxRef, ...]:
+        """The box of each value 1..n, in order."""
+        boxes = {v: BoxRef(l, i, j) for l, rows in enumerate(self.entries)
+                 for i, row in enumerate(rows, start=1) for j, v in enumerate(row, start=1)}
+        return tuple(boxes[v] for v in range(1, len(boxes) + 1))
+
     def box_of(self, value: int) -> BoxRef:
-        for l, rows in enumerate(self.entries):
-            for i, row in enumerate(rows, start=1):
-                for j, v in enumerate(row, start=1):
-                    if v == value:
-                        return BoxRef(l, i, j)
-        raise ValueError(f"value {value} not present")
+        if not 1 <= value <= len(self._boxes):
+            raise ValueError(f"value {value} not present")
+        return self._boxes[value - 1]
 
     def swap_adjacent(self, i: int) -> "StandardTableau":
         """The tableau with entries i and i+1 exchanged."""

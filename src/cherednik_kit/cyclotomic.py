@@ -6,11 +6,14 @@ integer denominator.  It is canonical when built (the denominator and the
 numerators have gcd 1, and zero is all zeros over 1), so equality and
 hashing compare tuples.  Phi_r is monic over Z, so a product reduces modulo
 Phi_r in the integers, with a table of the powers of zeta; a sum or a
-product costs one gcd.  A product with a rational factor scales the other
-factor's numerators, without the polynomial product.  Conjugation is the
-Galois automorphism zeta -> zeta^(-1), and the inverse is the product of the
-other Galois conjugates over the rational norm.  For r in {1, 2} the field
-degenerates to Q: one numerator, and conjugation is the identity.
+product costs one gcd.  Conjugation is the Galois automorphism
+zeta -> zeta^(-1), and the inverse is the product of the other Galois
+conjugates over the rational norm.  For r in {1, 2} the field degenerates
+to Q: one numerator, and conjugation is the identity.
+
+The standard-module oracle computes over Q; it builds CycNumbers only where
+it checks the group relations literally (validate_irrep), and in its
+reference elimination (_kernel).
 """
 from __future__ import annotations
 
@@ -70,7 +73,6 @@ class CyclotomicField:
             if top:
                 for i in range(self.degree):
                     vec[i] -= top * modulus[i]
-        self._tail = self._powers[0][1:]   # the zero numerators after the first
         self._units = [k for k in range(2, r) if gcd(k, r) == 1]   # Galois group minus 1
         self.zero = CycNumber(self, (0,) * self.degree, 1)
         self.one = CycNumber(self, self._powers[0], 1)
@@ -80,19 +82,12 @@ class CyclotomicField:
 
     def from_rational(self, q) -> "CycNumber":
         q = q if type(q) is int or type(q) is Fraction else Fraction(q)
-        return CycNumber(self, (q.numerator,) + self._tail, q.denominator)
-
-    def _ratio(self, n: int, d: int) -> "CycNumber":
-        """The rational n/d, for integers n and d > 0."""
-        g = gcd(n, d)
-        return CycNumber(self, (n // g,) + self._tail, d // g)
+        return CycNumber(self, (q.numerator,) + self._powers[0][1:], q.denominator)
 
 
 def _canonical(field: CyclotomicField, num: list[int], den: int) -> "CycNumber":
     """num/den, for den > 0, divided by the gcd of den and every numerator."""
     g = gcd(den, *num)
-    if g == 1:
-        return CycNumber(field, tuple(num), den)
     return CycNumber(field, tuple(a // g for a in num), den // g)
 
 
@@ -100,9 +95,7 @@ class CycNumber:
     __slots__ = ("field", "num", "den")
 
     def __init__(self, field: CyclotomicField, num: tuple[int, ...], den: int):
-        self.field = field
-        self.num = num
-        self.den = den
+        self.field, self.num, self.den = field, num, den
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -110,15 +103,8 @@ class CycNumber:
         return tuple(Fraction(a, self.den) for a in self.num)
 
     def __add__(self, other):
-        if other.__class__ is not CycNumber or other.field is not self.field:
-            other = self._coerce(other)
+        other = self._coerce(other)
         d1, d2 = self.den, other.den
-        if len(self.num) == 1:   # Q: one numerator
-            n = self.num[0] + other.num[0] if d1 == d2 else self.num[0] * d2 + other.num[0] * d1
-            return self.field._ratio(n, d1 if d1 == d2 else d1 * d2)
-        if d1 == d2:
-            num = [a + b for a, b in zip(self.num, other.num)]
-            return CycNumber(self.field, tuple(num), 1) if d1 == 1 else _canonical(self.field, num, d1)
         return _canonical(self.field, [a * d2 + b * d1 for a, b in zip(self.num, other.num)], d1 * d2)
 
     __radd__ = __add__
@@ -127,16 +113,7 @@ class CycNumber:
         return CycNumber(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
-        if other.__class__ is not CycNumber or other.field is not self.field:
-            other = self._coerce(other)
-        d1, d2 = self.den, other.den
-        if len(self.num) == 1:
-            n = self.num[0] - other.num[0] if d1 == d2 else self.num[0] * d2 - other.num[0] * d1
-            return self.field._ratio(n, d1 if d1 == d2 else d1 * d2)
-        if d1 == d2:
-            num = [a - b for a, b in zip(self.num, other.num)]
-            return CycNumber(self.field, tuple(num), 1) if d1 == 1 else _canonical(self.field, num, d1)
-        return _canonical(self.field, [a * d2 - b * d1 for a, b in zip(self.num, other.num)], d1 * d2)
+        return self + -self._coerce(other)
 
     def __rsub__(self, other):
         return (-self) + self._coerce(other)
@@ -149,31 +126,16 @@ class CycNumber:
         return self.field.from_rational(other)
 
     def __mul__(self, other):
-        if other.__class__ is not CycNumber or other.field is not self.field:
-            other = self._coerce(other)
-        a, b = self.num, other.num
-        if len(a) == 1:
-            return self.field._ratio(a[0] * b[0], self.den * other.den)
-        if not any(b[1:]):
-            return self._scaled(b[0], other.den)
-        if not any(a[1:]):
-            return other._scaled(a[0], self.den)
-        f = self.field
+        other, f = self._coerce(other), self.field
         prod = [0] * (2 * f.degree - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] += x * y
+        for i, x in enumerate(self.num):
+            for j, y in enumerate(other.num):
+                prod[i + j] += x * y
         out = prod[:f.degree]
         for k in range(f.degree, len(prod)):
-            if prod[k]:
-                for i, p in enumerate(f._powers[k]):
-                    out[i] += prod[k] * p
+            for i, p in enumerate(f._powers[k]):
+                out[i] += prod[k] * p
         return _canonical(f, out, self.den * other.den)
-
-    def _scaled(self, n: int, d: int) -> "CycNumber":
-        """self * n/d for integers n and d > 0, skipping zero numerators."""
-        return _canonical(self.field, [a * n if a else 0 for a in self.num], self.den * d)
 
     __rmul__ = __mul__
 
@@ -182,13 +144,11 @@ class CycNumber:
         N(x), the product of all of them, which is rational."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        rest, norm = self.field.one, self
-        if not self.is_rational():
-            for k in self.field._units:
-                rest = rest * self._galois(k)
-            norm = self * rest
-        n = norm.num[0]
-        return rest._scaled(norm.den, n) if n > 0 else rest._scaled(-norm.den, -n)
+        rest = self.field.one
+        for k in self.field._units:
+            rest = rest * self._galois(k)
+        norm = self * rest
+        return rest * Fraction(norm.den, norm.num[0])
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -213,6 +173,9 @@ class CycNumber:
 
     def is_zero(self) -> bool:
         return not any(self.num)
+
+    def __bool__(self) -> bool:
+        return any(self.num)
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])

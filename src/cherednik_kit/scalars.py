@@ -271,14 +271,19 @@ class FactoredScalar:
         self._set(r, coef, factors)
 
     def _set(self, r: int, coefficient: Fraction, factors: dict) -> "FactoredScalar":
-        """Store the data, dropping zero multiplicities and a zero scalar's factors."""
+        """Store the data, dropping zero multiplicities and a zero scalar's
+        factors.  The dict is kept as given unless a multiplicity cancelled to
+        zero, so each form is hashed once."""
         self.r, self.coefficient = r, coefficient
-        self.factors = {f: m for f, m in factors.items() if m} if coefficient else {}
+        if 0 in factors.values():
+            factors = {f: m for f, m in factors.items() if m}
+        self.factors = factors if coefficient else {}
         return self
 
     @staticmethod
     def _canonical(r: int, coefficient: Fraction, factors: dict) -> "FactoredScalar":
-        """From an exact coefficient and primitive, nonconstant forms -> m."""
+        """From an exact coefficient and primitive, nonconstant forms -> m; the
+        dict is stored, not copied."""
         return object.__new__(FactoredScalar)._set(r, coefficient, factors)
 
     @staticmethod

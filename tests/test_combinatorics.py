@@ -347,3 +347,13 @@ class TestProperties:
         onto = [p for p in itertools.permutations(range(1, n + 1))
                 if perm_act(p, nu) == minus[::-1]]
         assert [p for p in onto if perm_length(p) <= perm_length(shortest)] == [shortest]
+
+    @PROPERTY
+    @given(st.lists(st.integers(0, 4), max_size=8).map(tuple))
+    def test_sorting_permutation_matches_the_entrywise_formula(self, mu):
+        # w_mu(i) = #{j < i : mu_j < mu_i} + #{j >= i : mu_j <= mu_i}
+        n = len(mu)
+        expect = tuple(sum(1 for j in range(i) if mu[j] < mu[i])
+                       + sum(1 for j in range(i, n) if mu[j] <= mu[i]) for i in range(n))
+        _, _, w, r = sorting_data(mu)
+        assert w == expect and r == tuple(n + 1 - x for x in expect)

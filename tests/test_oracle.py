@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cherednik_kit import oracle
-from cherednik_kit.cyclotomic import CyclotomicField
+from cherednik_kit.cyclotomic import CycNumber, CyclotomicField
 from cherednik_kit.combinatorics import (
     MultiPartition,
     assignment_pair,
@@ -16,6 +16,7 @@ from cherednik_kit.combinatorics import (
     parse_multipartition,
     perm_longest,
     shape_assignment,
+    simple_transposition,
     sorting_data,
     perm_inverse,
 )
@@ -47,7 +48,8 @@ from test_acceptance import ORACLE_RANGE
 def _bracket_at(mod, i, j, nu, t):
     """[y_i, x_j] on the basis term (nu, t): the irrep's bracket table at the
     module's point."""
-    return ModuleElement._over(mod, mod._specialize(mod.irrep.bracket_table(i, j, nu, t)))
+    return ModuleElement._reduced(mod, mod._specialize(mod.irrep.bracket_table(i, j, nu, t)),
+                                  mod._den)
 
 
 class TestIrrep:
@@ -148,7 +150,7 @@ class TestZAction:
                 data = spectrum(mu0, T)
                 for i in range(1, n + 1):
                     lam = mod.eigenvalue_of(i, elt, "z")
-                    assert lam == mod.field.from_rational(data[i - 1].z_eigenvalue.evaluate(point))
+                    assert lam == data[i - 1].z_eigenvalue.evaluate(point)
 
     def test_z_commute_degree3(self, rng):
         for shape in map(parse_multipartition, POINT_LEVEL_SHAPES):
@@ -173,9 +175,8 @@ class TestZAction:
                     data = spectrum(nu, T)
                     for i in (1, 2):
                         tw = mod.twisted_coordinates(mod.z_act(i, elt))
-                        diag = tw.pop((nu, t), mod.field.zero)
-                        assert diag == mod.field.from_rational(
-                            data[i - 1].z_eigenvalue.evaluate(point))
+                        diag = tw.pop((nu, t), 0)
+                        assert diag == data[i - 1].z_eigenvalue.evaluate(point)
                         for (kappa, _), _c in tw.items():
                             assert composition_compare(nu, kappa) is Comparison.GREATER
 
@@ -187,9 +188,9 @@ class TestPairing:
             for t in range(mod.irrep.dim):
                 val = mod.pairing(mod.basis_vector(s), mod.basis_vector(t))
                 if s == t:
-                    assert val == mod.field.from_rational(mod.irrep.gram[t])
+                    assert val == mod.irrep.gram[t]
                 else:
-                    assert val.is_zero()
+                    assert val == 0
 
     def test_rank_one_factorial(self):
         mod = StandardModule(parse_multipartition("1"), ParameterPoint(1, Fraction(1, 5), [0]))
@@ -205,9 +206,9 @@ class TestPairing:
             for nu in mod.monomials(2):
                 for t in range(mod.irrep.dim):
                     if rng.random() < 0.5:
-                        terms_u[(nu, t)] = mod.field.from_rational(rng.randint(-4, 4))
+                        terms_u[(nu, t)] = rng.randint(-4, 4)
                     if rng.random() < 0.5:
-                        terms_v[(nu, t)] = mod.field.from_rational(rng.randint(-4, 4))
+                        terms_v[(nu, t)] = rng.randint(-4, 4)
             u, v = ModuleElement(mod, terms_u), ModuleElement(mod, terms_v)
             for i in (1, 2):
                 assert mod.pairing(mod.z_act(i, u), v) == mod.pairing(u, mod.z_act(i, v))
@@ -278,7 +279,7 @@ class TestEigenvectors:
             q = c / g.terms[key]
             ratio = q if ratio is None else ratio
             assert q == ratio
-        assert ratio is not None and not ratio.is_zero()
+        assert ratio is not None and ratio != 0
 
 
 class TestTwistedTable:
@@ -340,13 +341,14 @@ class TestTwistedTable:
             for point in points:
                 mod = StandardModule(shape, point, irrep=irrep)
                 for nu, s in itertools.product(compositions(n, 2), range(irrep.dim)):
-                    vec, images, diag = mod.twisted_column(nu, s)
-                    elt = ModuleElement(mod, vec)
+                    den, vec, images, diag, diag_den = mod.twisted_column(nu, s)
+                    elt = ModuleElement._reduced(mod, vec, den)
                     assert elt == mod.x_power(nu, mod.apply_perm(
                         perm_inverse(sorting_data(nu)[2]), mod.basis_vector(s)))
                     for i in range(1, n + 1):
-                        assert images[i - 1] == mod.z_act(i, elt).terms
-                        assert diag[i - 1] == mod._coordinate(images[i - 1], nu, s)
+                        assert ModuleElement._reduced(mod, images[i - 1], den) == mod.z_act(i, elt)
+                        row, row_den = mod._coordinate(images[i - 1], nu, s)
+                        assert Fraction(diag[i - 1], diag_den) == Fraction(row, row_den * den)
 
     def test_eigenvector_leaves_no_reference_cycle(self, rng):
         # the table holds term dicts, not elements, so nothing it keeps
@@ -383,16 +385,14 @@ class TestIntertwiners:
         sf = mod.intertwiner(1, f)
         res_eq = (mod.eigenvalue_of(1, f, "zeta") == mod.eigenvalue_of(2, f, "zeta"))
         if res_eq:
-            g = mod.field.from_rational(
-                Fraction(2) * mod.point.c0) / (
-                    mod.eigenvalue_of(1, f, "z") - mod.eigenvalue_of(2, f, "z"))
+            g = Fraction(2) * mod.point.c0 / (
+                mod.eigenvalue_of(1, f, "z") - mod.eigenvalue_of(2, f, "z"))
         else:
-            g = mod.field.zero
+            g = Fraction(0)
         assert mod.intertwiner_scalar(1, f) == g
-        assert mod.intertwiner(1, sf) == f.scale(mod.field.one - g * g)
+        assert mod.intertwiner(1, sf) == f.scale(1 - g * g)
         if not sf.is_zero():
-            assert mod.norm(sf) == ((mod.field.one - g * g)
-                                    * mod.field.from_rational(norm_before)).as_rational()
+            assert mod.norm(sf) == (1 - g * g) * norm_before
 
     def test_non_column_strict_gives_sign_eigenvector(self, rng):
         # mu_i = mu_{i+1} with the assignment failing column-strictness at the
@@ -506,8 +506,7 @@ def test_coset_symmetrizer_matches_the_permutation_sum(r, n):
     for shape in enumerate_multipartitions(r, n):
         mod = StandardModule(shape, small_point(r, rng))
         for degree in range(3):
-            v = ModuleElement(mod, {(nu, t): mod.field.from_rational(
-                Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+            v = ModuleElement(mod, {(nu, t): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                 for nu in mod.monomials(degree) for t in range(mod.irrep.dim)
                 if rng.random() < 0.5})
             assert mod.symmetrize(v) == _permutation_sum(mod, v), (shape.as_text(), degree)
@@ -630,7 +629,7 @@ def test_verify_report_frontier():
 def _twisted_transposition(mod, i, j, l, nu, t):
     """Reference: zeta_i^l s_ij zeta_i^{-l} applied to the basis term (nu, t),
     with every power of zeta built: [(nu', t', coeff)]."""
-    f = mod.field
+    f = mod.irrep.field
     res = mod.irrep.zeta_residues[i - 1]
     scalar = f.zeta_power(l * (nu[i - 1] - nu[j - 1]))
     nu2, w = list(nu), list(range(1, mod.n + 1))
@@ -643,8 +642,8 @@ def _twisted_transposition(mod, i, j, l, nu, t):
 
 def _literal_bracket(mod, i, j, nu, t):
     """Reference: [y_i, x_j] on (nu, t) with the sum over l = 0..r-1 of the
-    defining relation written out."""
-    f, p, r = mod.field, mod.point, mod.r
+    defining relation written out, over Q(zeta_r); the sum is rational."""
+    f, p, r = mod.irrep.field, mod.point, mod.r
     c0 = f.from_rational(p.c0)
     terms = {}
 
@@ -665,7 +664,7 @@ def _literal_bracket(mod, i, j, nu, t):
         for l in range(r):
             for nu2, t2, coeff in _twisted_transposition(mod, i, j, l, nu, t):
                 add((nu2, t2), c0 * f.zeta_power(-l) * coeff)
-    return ModuleElement(mod, terms)
+    return ModuleElement(mod, {key: c.as_rational() for key, c in terms.items()})
 
 
 def _literal_jm(mod, i, nu, t):
@@ -676,7 +675,7 @@ def _literal_jm(mod, i, nu, t):
             for nu2, t2, coeff in _twisted_transposition(mod, i, j, l, nu, t):
                 key = (nu2, t2)
                 terms[key] = terms[key] + coeff if key in terms else coeff
-    return ModuleElement(mod, terms)
+    return ModuleElement(mod, {key: c.as_rational() for key, c in terms.items()})
 
 
 @pytest.mark.parametrize("r, n", ORACLE_RANGE + [(4, 2), (5, 2), (6, 2)])
@@ -729,18 +728,20 @@ def test_tables_specialize_to_the_point_valued_recursion(r, n):
             keys = [(nu, t) for deg in range(4) for nu in mod.monomials(deg)
                     for t in range(irrep.dim)]
             for (nu, t), i in itertools.product(keys, range(1, n + 1)):
-                assert mod._y_basis(i, nu, t) == _point_valued_y(mod, i, nu, t, cache)
-                assert mod._z_basis(i, (nu, t)) == _point_valued_z(mod, i, nu, t, cache)
+                e = mod.basis_vector(t, nu)
+                assert mod.y_act(i, e) == _point_valued_y(mod, i, nu, t, cache)
+                assert mod.z_act(i, e) == _point_valued_z(mod, i, nu, t, cache)
                 for j in range(1, n + 1):
                     assert _bracket_at(mod, i, j, nu, t) == _literal_bracket(mod, i, j, nu, t)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_specialize_matches_a_fraction_sum(r):
-    # _specialize sums each integer entry over the table's denominator with the
-    # point scaled to integers; the reference sums Fractions.  Denominators come
-    # from one small pool, so that equal, nested and coprime ones all meet,
-    # numerators take both signs, and some entries cancel
+    # _specialize sums each integer entry, over the table's denominator times
+    # the point's, with the point scaled to integers; the reference sums
+    # Fractions.  Denominators come from one small pool, so that equal, nested
+    # and coprime ones all meet, numerators take both signs, and some entries
+    # cancel
     rng = random.Random(7100 + r)
     pool = (1, 2, 3, 4, 5, 6, 7, 12)
 
@@ -753,7 +754,6 @@ def test_specialize_matches_a_fraction_sum(r):
 
     shape = enumerate_multipartitions(r, 1)[0]
     irrep = build_irrep(shape)
-    f = irrep.field
     points = [ParameterPoint(r, q(), [q() for _ in range(r)]) for _ in range(30)]
     points += [random_point(r, rng) for _ in range(5)]
     for point in points:
@@ -772,11 +772,11 @@ def test_specialize_matches_a_fraction_sum(r):
             total = Fraction(const, den) + sum(
                 (Fraction(a, den) * p for a, p in zip(vec, params)), Fraction(0))
             if total:
-                expect[key] = f.from_rational(total)
-        terms = StandardModule(shape, point, irrep=irrep)._specialize(table, den)
-        assert terms == expect
-        for c in terms.values():
-            assert c.den > 0 and math.gcd(c.den, *c.num) == 1
+                expect[key] = total
+        mod = StandardModule(shape, point, irrep=irrep)
+        terms = mod._specialize(table)
+        assert {key: Fraction(a, den * mod._point[0]) for key, a in terms.items()} == expect
+        assert all(terms.values())
 
 
 def _dense_kernel(rows, width, f):
@@ -849,7 +849,7 @@ def _kernel_eigenvector(mod, mu, T):
     """Reference: the joint eigenvector by one stacked elimination of the
     z_i - lambda_i over the whole residue block of its degree, after a scan
     of the predicted spectra of every (nu, S) of the block for collisions."""
-    f, n = mod.field, mod.n
+    f, n = mod.irrep.field, mod.n
     data = spectrum(mu, T)
     target_res = tuple(d.zeta_residue for d in data)
     target_z = tuple(d.z_eigenvalue.evaluate(mod.point) for d in data)
@@ -868,8 +868,8 @@ def _kernel_eigenvector(mod, mu, T):
     for i in range(1, n + 1):
         mat = [[f.zero] * len(block) for _ in block]
         for b, key in enumerate(block):
-            for key2, c in mod.z_act(i, ModuleElement(mod, {key: f.one})).terms.items():
-                mat[pos[key2]][b] = c
+            for key2, c in mod.z_act(i, ModuleElement(mod, {key: 1})).terms.items():
+                mat[pos[key2]][b] = f.from_rational(c)
             mat[b][b] = mat[b][b] - f.from_rational(target_z[i - 1])
         stacked.extend(mat)
     kernel = _kernel(stacked, len(block), f)
@@ -877,13 +877,14 @@ def _kernel_eigenvector(mod, mu, T):
         raise EigenvalueCollision(f"kernel dimension {len(kernel)}")
     lead = mod.x_power(mu, mod.apply_perm(perm_inverse(sorting_data(mu)[2]),
                                           mod.tableau_vector(T)))
-    assert lead.terms == mod.twisted_column(mu, mod.irrep.index[T])[0]
+    den, vec = mod.twisted_column(mu, mod.irrep.index[T])[:2]
+    assert lead == ModuleElement._reduced(mod, vec, den)
     anchor, want = min(lead.terms.items())
     got = kernel[0][pos[anchor]]
     if got.is_zero():
         raise EigenvalueCollision("kernel vector misses the leading term")
     scale = want / got
-    return ModuleElement(mod, {key: c * scale for key, c in zip(block, kernel[0])})
+    return ModuleElement(mod, {key: (c * scale).as_rational() for key, c in zip(block, kernel[0])})
 
 
 @pytest.mark.parametrize("r, n", ORACLE_RANGE + [(1, 4), (4, 2)])
@@ -970,3 +971,56 @@ def test_eigenvector_rejects_a_z_action_that_is_not_triangular(corruption, rng):
     irrep.z_table = corrupted
     with pytest.raises(AssertionError, match="not triangular"):
         mod.eigenvector(mu, T)
+
+
+@pytest.mark.parametrize("r, n", [(1, 3), (2, 3), (3, 2), (4, 2)])
+def test_module_operators_build_no_cyclotomic_number(r, n, monkeypatch):
+    # the module computes over Q: once build_irrep has checked the group
+    # relations over Q(zeta_r), no operator builds a CycNumber
+    rng = random.Random(7900 + r)
+    shapes = enumerate_multipartitions(r, n)
+    irreps = [build_irrep(shape) for shape in shapes]
+
+    def refuse(*_args):
+        raise AssertionError("a CycNumber was built")
+
+    monkeypatch.setattr(CycNumber, "__init__", refuse)
+    for shape, irrep in zip(shapes, irreps):
+        mod = StandardModule(shape, small_point(r, rng), irrep=irrep)
+        for T, mu in itertools.product(irrep.tableaux, [(0,) * n, (1,) + (0,) * (n - 1)]):
+            mod2, f = mod.eigenvector_generic(mu, T, rng)
+            expect = mod2.gram_weight(T) * nonsymmetric_norm(mu, T).evaluate(mod2.point)
+            assert mod2.norm(f) == expect
+            for i in range(1, n + 1):
+                lam = mod2.eigenvalue_of(i, f)
+                assert mod2.z_act(i, f) == f.scale(lam)
+                assert mod2.pairing(mod2.z_act(i, f), f) == lam * expect
+                xf = mod2.x_mul(i, f)
+                assert mod2.pairing(xf, xf) == mod2.pairing(f, mod2.y_act(i, xf))
+            s1f = mod2.apply_perm(simple_transposition(n, 1), f)
+            assert mod2.symmetrize(s1f) == mod2.symmetrize(f)
+            try:
+                square = 1 - mod2.intertwiner_scalar(1, f) ** 2
+            except ZeroGapError:
+                continue
+            assert mod2.intertwiner(1, mod2.intertwiner(1, f)) == f.scale(square)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_form_check_sees_a_cross_residue_term(r, monkeypatch):
+    # a symmetric term between two basis terms of different zeta_1-residues
+    # breaks the invariance under zeta_1 alone
+    honest = StandardModule.pairing
+
+    def leaky(self, u, v):
+        keys = [(nu, t) for nu in self.monomials(2) for t in range(self.irrep.dim)]
+        k1 = keys[0]
+        k2 = next(k for k in keys if self.residue(1, k) != self.residue(1, k1))
+        a, b = u.terms, v.terms
+        return honest(self, u, v) + a.get(k1, 0) * b.get(k2, 0) + a.get(k2, 0) * b.get(k1, 0)
+
+    assert verify_report(r, 2, degree=2, seed=7)["ok"]
+    monkeypatch.setattr(StandardModule, "pairing", leaky)
+    checks = {c["name"]: c for c in verify_report(r, 2, degree=2, seed=7)["checks"]}
+    form = checks["contravariant form properties"]
+    assert (form["status"], form["details"]) == ("fail", "AssertionError: pairing not W-invariant")
