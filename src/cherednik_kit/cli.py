@@ -284,7 +284,11 @@ def cmd_core_quotient(args, out) -> int:
 def cmd_oracle_verify(args, out) -> int:
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("CHEREDNIK_SEED", "0"))
+        text = os.environ.get("CHEREDNIK_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise UsageError(f"CHEREDNIK_SEED must be an integer, not {text!r}") from None
     try:
         report = verify_report(args.r, args.n, degree=args.degree, seed=seed,
                                shape_text=args.shape)

@@ -20,6 +20,7 @@ Text formats (used by the CLI):
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
@@ -53,20 +54,22 @@ def conjugate(part: Partition) -> Partition:
     return tuple(sum(1 for x in part if x >= j) for j in range(1, part[0] + 1))
 
 
+def _partitions(total: int, cap: int) -> Iterator[Partition]:
+    """The partitions of total with parts at most cap, in descending
+    lexicographic order."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, cap), 0, -1):
+        for rest in _partitions(total - first, first):
+            yield (first,) + rest
+
+
 def partitions_of(n: int) -> list[Partition]:
     """All partitions of n, in descending lexicographic order ((n) first)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-
-    def gen(total: int, cap: int) -> Iterator[Partition]:
-        if total == 0:
-            yield ()
-            return
-        for first in range(min(total, cap), 0, -1):
-            for rest in gen(total - first, first):
-                yield (first,) + rest
-
-    return list(gen(n, n))
+    return list(_partitions(n, n))
 
 
 def multipartition_count(r: int, n: int) -> int:
@@ -172,35 +175,25 @@ def parse_multipartition(text: str, r: int | None = None, name: str = "shape") -
     return MultiPartition(len(comps), comps)
 
 
+def _splits(total: int, slots: int) -> Iterator[tuple[int, ...]]:
+    """The compositions of total into slots non-negative parts, in
+    lexicographically decreasing order."""
+    if slots == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in _splits(total - first, slots - 1):
+            yield (first,) + rest
+
+
 def enumerate_multipartitions(r: int, n: int) -> list[MultiPartition]:
     """All r-partitions of n, deterministic order (component sizes in
     lexicographically decreasing order, partitions of each size in descending
     lex order, leftmost component slowest)."""
     if r < 1 or n < 0:
         raise ValueError("need r >= 1, n >= 0")
-
-    def splits(total: int, slots: int) -> Iterator[tuple[int, ...]]:
-        if slots == 1:
-            yield (total,)
-            return
-        for first in range(total, -1, -1):
-            for rest in splits(total - first, slots - 1):
-                yield (first,) + rest
-
-    out = []
-    for sizes in splits(n, r):
-        choices = [partitions_of(k) for k in sizes]
-
-        def assemble(idx: int, acc: tuple) -> Iterator[tuple]:
-            if idx == r:
-                yield acc
-                return
-            for c in choices[idx]:
-                yield from assemble(idx + 1, acc + (c,))
-
-        for comps in assemble(0, ()):
-            out.append(MultiPartition(r, comps))
-    return out
+    return [MultiPartition(r, comps) for sizes in _splits(n, r)
+            for comps in itertools.product(*(partitions_of(k) for k in sizes))]
 
 
 # ---------------------------------------------------------------------------
@@ -452,13 +445,18 @@ class StandardTableau:
             tuple(tuple(row) for row in comp) for comp in rows))
 
     def as_text(self) -> str:
-        return "|".join(
-            "/".join(",".join(str(v) for v in row) for row in comp)
-            for comp in self.entries
-        )
+        return _filling_text(self.entries)
 
     def __str__(self):
         return self.as_text()
+
+
+def _filling_text(filling: tuple[tuple[tuple[int, ...], ...], ...]) -> str:
+    """entries[comp][row][col] as tableau / shape assignment text."""
+    return "|".join(
+        "/".join(",".join(str(v) for v in row) for row in comp)
+        for comp in filling
+    )
 
 
 def _parse_filling(text: str, name: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -474,36 +472,29 @@ def parse_tableau(text: str, shape: MultiPartition, name: str = "tableau") -> St
     return StandardTableau(shape, _parse_filling(text, name))
 
 
+def _place(shape: MultiPartition, filling: list[list[list[int]]], value: int,
+           out: list[StandardTableau]) -> None:
+    """Append to out every standard tableau that completes the partial
+    filling (filling[comp][row] lists the entries 1..value-1 so far), putting
+    value into each addable box in lex box order."""
+    if value > shape.size:
+        out.append(StandardTableau(shape, tuple(
+            tuple(tuple(row) for row in comp) for comp in filling)))
+        return
+    for comp, rows in zip(shape.components, filling):
+        for i, row_len in enumerate(comp):
+            cur = len(rows[i])
+            if cur < row_len and (i == 0 or len(rows[i - 1]) > cur):
+                rows[i].append(value)
+                _place(shape, filling, value + 1, out)
+                rows[i].pop()
+
+
 def enumerate_syt(shape: MultiPartition) -> list[StandardTableau]:
     """All standard Young tableaux on an r-partition, placing 1..n in lex box
     order of the growing sub-shape (deterministic)."""
-    n = shape.size
-    target = shape.components
-    r = shape.r
-
     out: list[StandardTableau] = []
-    filling = [[[] for _ in comp] for comp in target]
-
-    def addable(l: int) -> Iterator[int]:
-        comp = target[l]
-        rows = filling[l]
-        for i in range(len(comp)):
-            cur = len(rows[i])
-            if cur < comp[i] and (i == 0 or len(rows[i - 1]) > cur):
-                yield i
-
-    def place(value: int):
-        if value > n:
-            out.append(StandardTableau(shape, tuple(
-                tuple(tuple(row) for row in comp) for comp in filling)))
-            return
-        for l in range(r):
-            for i in addable(l):
-                filling[l][i].append(value)
-                place(value + 1)
-                filling[l][i].pop()
-
-    place(1)
+    _place(shape, [[[] for _ in comp] for comp in shape.components], 1, out)
     return out
 
 
@@ -556,10 +547,7 @@ class ShapeAssignment:
         return tuple(sorted(self.value(b) for b in self.shape.boxes()))
 
     def as_text(self) -> str:
-        return "|".join(
-            "/".join(",".join(str(v) for v in row) for row in comp)
-            for comp in self.values
-        )
+        return _filling_text(self.values)
 
     def __str__(self):
         return self.as_text()

@@ -65,26 +65,25 @@ def _eig_form(r: int, const: int, beta_hi: int, beta_lo: int, ct: int) -> Affine
     return AffineForm.from_numerators(r, numerators)
 
 
+def _indexed_boxes(mu: Sequence[int], T: StandardTableau) -> list[tuple[int, BoxRef]]:
+    """(mu_i, T^{-1}(w_mu(i))) for each index i, in order."""
+    mu = tuple(mu)
+    if len(mu) != T.shape.size:
+        raise ValueError("composition length must equal shape size")
+    _, _, w_mu, _ = sorting_data(mu)
+    return [(m, T.box_of(w)) for m, w in zip(mu, w_mu)]
+
+
 def spectrum(mu: Sequence[int], T: StandardTableau) -> list[SpectralDatum]:
     """Per index i: the residue beta(T^{-1}(w_mu(i))) - mu_i mod r and the
     eigenvalue mu_i + 1 - (d_{beta(b)} - d_{beta(b)-mu_i-1}) - r*ct(b)*c0,
     with b = T^{-1}(w_mu(i))."""
-    mu = tuple(mu)
-    shape = T.shape
-    r = shape.r
-    if len(mu) != shape.size:
-        raise ValueError("composition length must equal shape size")
-    _, _, w_mu, _ = sorting_data(mu)
-    out = []
-    for i in range(1, len(mu) + 1):
-        b = T.box_of(w_mu[i - 1])
-        m = mu[i - 1]
-        out.append(SpectralDatum(
-            index=i,
-            zeta_residue=(b.component - m) % r,
-            z_eigenvalue=_eig_form(r, m + 1, b.component, b.component - m - 1, b.content),
-        ))
-    return out
+    r = T.shape.r
+    return [SpectralDatum(
+        index=i,
+        zeta_residue=(b.component - m) % r,
+        z_eigenvalue=_eig_form(r, m + 1, b.component, b.component - m - 1, b.content),
+    ) for i, (m, b) in enumerate(_indexed_boxes(mu, T), start=1)]
 
 
 def _keys(r: int, terms: Iterable[Term]) -> Counter:
@@ -138,16 +137,12 @@ def nonsymmetric_norm(mu: Sequence[int], T: StandardTableau) -> FactoredScalar:
     """Norm of the joint eigenvector with leading term x^mu v_T^mu, as a
     factored product of affine forms (squares kept as repeated factors,
     difference-of-squares split into two affine factors)."""
-    mu = tuple(mu)
-    shape = T.shape
-    r = shape.r
-    n = shape.size
-    if len(mu) != n:
-        raise ValueError("composition length must equal shape size")
-    _, _, w_mu, _ = sorting_data(mu)
-    boxes = [T.box_of(w_mu[i - 1]) for i in range(1, n + 1)]
-    a = [b.content for b in boxes]
-    beta = [b.component for b in boxes]
+    r = T.shape.r
+    walk = _indexed_boxes(mu, T)
+    n = len(walk)
+    mu = [m for m, _ in walk]
+    a = [b.content for _, b in walk]
+    beta = [b.component for _, b in walk]
     parts = [_own_part(r, mu[i], beta[i], a[i]) for i in range(n)]
     # per pair, ((X - r c0)(X + r c0)) / X^2 = X(ct - 1) X(ct + 1) / X(ct)^2,
     # ct = a_hi - a_lo, for k up to mu_i - mu_j at (i, j), mu_j - mu_i - 1 at (j, i)

@@ -138,7 +138,6 @@ class IrrepModel:
     s_mats: list[Matrix]            # s_1 .. s_{n-1}
     zeta_residues: list[tuple[int, ...]]  # zeta_residues[i-1][t] = beta of box of i in T_t
     gram: list[Fraction]
-    _perm_cache: dict = dataclass_field(default_factory=dict, repr=False, compare=False)
     _tables: dict = dataclass_field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -169,14 +168,12 @@ class IrrepModel:
         return tuple({b: self.field.zeta_power(power * res)}
                      for b, res in enumerate(self.zeta_residues[i - 1]))
 
+    @_per_irrep
     def perm_matrix(self, w: tuple[int, ...]) -> Matrix:
-        cache = self._perm_cache
-        if w not in cache:
-            mat = self.identity()
-            for i in reduced_word(w):
-                mat = _mat_mul(mat, self.s_mats[i - 1])
-            cache[w] = mat
-        return cache[w]
+        mat = self.identity()
+        for i in reduced_word(w):
+            mat = _mat_mul(mat, self.s_mats[i - 1])
+        return mat
 
     @_per_irrep
     def perm_numerators(self, w: tuple[int, ...]) -> tuple[tuple[dict[int, int], ...], int]:

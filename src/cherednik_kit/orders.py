@@ -130,6 +130,34 @@ def equiv_c(lam: MultiPartition, chi: MultiPartition, ctx: OrderContext) -> bool
 # linkage matchings
 
 
+def _linkage_mu(left: tuple[int, int], right: tuple[int, int], m: int, r: int) -> Optional[int]:
+    """mu_i for a pair of boxes with scaled linkage terms and components
+    left = (term, beta) and right = (term2, beta2): the integer mu_i >= 0 with
+    term - term2 = m mu_i and beta - mu_i = beta2 mod r, or None if the pair
+    is not admissible."""
+    (term, beta), (term2, beta2) = left, right
+    if term < term2 or (term - term2) % m:
+        return None
+    mu = (term - term2) // m
+    if (beta - mu - beta2) % r != 0:
+        return None
+    return mu
+
+
+def _augment(i: int, adj: list[list[int]], match_right: list[Optional[int]],
+             visited: set[int]) -> bool:
+    """Whether an augmenting path starts at left vertex i, avoiding the right
+    vertices in visited; if so, match_right is flipped along it."""
+    for j in adj[i]:
+        if j in visited:
+            continue
+        visited.add(j)
+        if match_right[j] is None or _augment(match_right[j], adj, match_right, visited):
+            match_right[j] = i
+            return True
+    return False
+
+
 def linkage_matching(lam: MultiPartition, chi: MultiPartition,
                      ctx: OrderContext) -> Optional[list[tuple[BoxRef, BoxRef, int]]]:
     """A bijection b_i <-> b_i' between the boxes together with non-negative
@@ -143,35 +171,14 @@ def linkage_matching(lam: MultiPartition, chi: MultiPartition,
     m, r = ctx.links[0], ctx.point.r
     # m (d_beta(b) + r ct(b) c0) and beta(b) per box, in the order of boxes()
     terms_left, terms_right = _scaled(lam, ctx.links), _scaled(chi, ctx.links)
-
-    def admissible(i: int, j: int) -> Optional[int]:
-        (term, beta), (term2, beta2) = terms_left[i], terms_right[j]
-        if term < term2 or (term - term2) % m:
-            return None
-        mu = (term - term2) // m
-        if (beta - mu - beta2) % r != 0:
-            return None
-        return mu
-
-    adj = [[j for j in range(len(terms_right)) if admissible(i, j) is not None]
-           for i in range(len(terms_left))]
+    adj = [[j for j, y in enumerate(terms_right) if _linkage_mu(x, y, m, r) is not None]
+           for x in terms_left]
     match_right: list[Optional[int]] = [None] * len(terms_right)
-
-    def augment(i: int, visited: set[int]) -> bool:
-        for j in adj[i]:
-            if j in visited:
-                continue
-            visited.add(j)
-            if match_right[j] is None or augment(match_right[j], visited):
-                match_right[j] = i
-                return True
-        return False
-
-    if not all(augment(i, set()) for i in range(len(terms_left))):
+    if not all(_augment(i, adj, match_right, set()) for i in range(len(terms_left))):
         return None
     left, right = lam.boxes(), chi.boxes()
     # boxes() lists the boxes in BoxRef.sort_key order, so sorting by i sorts by left box
-    return [(left[i], right[j], admissible(i, j))
+    return [(left[i], right[j], _linkage_mu(terms_left[i], terms_right[j], m, r))
             for i, j in sorted((i, j) for j, i in enumerate(match_right))]
 
 

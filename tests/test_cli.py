@@ -327,6 +327,12 @@ class TestDeterminism:
                     "--seed", "9", "--no-timings")
         assert a == b
 
+    def test_oracle_verify_env_seed_not_an_integer(self, monkeypatch, capsys):
+        # a usage error naming the variable, the exit code of `--seed abc`
+        monkeypatch.setenv("CHEREDNIK_SEED", "abc")
+        assert main(["oracle", "verify", "--r", "1", "--n", "2"]) == 2
+        assert capsys.readouterr().err == "error: CHEREDNIK_SEED must be an integer, not 'abc'\n"
+
 
 class TestErrorHandling:
     def test_domain_error_exit_code(self, capsys):

@@ -85,7 +85,7 @@ class TestIrrep:
         bad = [dict(col) for col in m.s_mats[0]]
         bad[0][0] = bad[0].get(0, m.field.zero) + m.field.one
         m.s_mats[0] = tuple(bad)
-        m._perm_cache = {}
+        m._tables = {}
         assert validate_irrep(m)
 
     def test_gram_positive(self):
