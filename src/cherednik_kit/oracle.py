@@ -16,14 +16,16 @@ type G(r,1,n) degree by degree, straight from the defining relations:
   sum on the Jucys-Murphy sums phi_i), and z_i = y_i x_i + c0 * phi_i;
 - joint eigenvectors of the z_i are solved by back-substitution down their
   triangular order on the twisted basis x^nu (tensor) w_nu^{-1} v_S, with
-  the eigenvalues read off the diagonal; each twisted column (the vector and
-  its z-images) is a point-free integer table kept per irrep
-  (twisted_table), which a module specializes once (twisted_column);
+  the eigenvalues read off the diagonal.  The point-free work is kept per
+  irrep: the twisted columns (the vector, its z-images and their diagonal
+  coordinates, twisted_table) and, per (mu, residue), the reachable
+  exponents in topological order (eigen_plan); a module specializes each
+  column once (twisted_column) and solves along the plan;
 - zeta_i acts on x^nu (tensor) v_t by the root of unity zeta^e, with e the
   residue beta_t(i) - nu_i mod r, so the zeta eigenvalues are read as residues;
 - the intertwiner sigma_i is s_i + f_i, with f_i from intertwiner_scalar;
 - the contravariant pairing moves x's on the left to y's on the right and
-  reads the degree-0 gram form.
+  reads the degree-0 gram form, summing integer numerators.
 
 The module is the standard module over Q(zeta_r), but every structure
 constant it reads at a rational ParameterPoint is rational: a ModuleElement
@@ -196,6 +198,12 @@ class IrrepModel:
                 for col in self.twist(nu)[1][0]]
 
     @_per_irrep
+    def transposition(self, i: int, j: int) -> tuple[dict[int, int], ...]:
+        """s_ij as integer columns, times r * denominator."""
+        scale = self.shape.r * self.denominator
+        return tuple({a: q.numerator * (scale // q.denominator) for a, q in col.items()}
+                     for col in _transposition_matrix(self, i, j))
+
     def bracket_table(self, i: int, j: int, nu: tuple[int, ...], t: int) -> Table:
         """[y_i, x_j] on the basis term (nu, t): c0 (shift-1 average of s_ij) if
         i != j, else 1 - c0 sum_{k != i} (average of s_ik) - d_res + d_{res-1}."""
@@ -239,14 +247,43 @@ class IrrepModel:
 
     @_per_irrep
     def twisted_table(self, nu: tuple[int, ...], s: int) -> tuple:
-        """(x^nu (tensor) w_nu^{-1} v_s, its keys in one residue block, and its
-        z_1..z_n-images, as tables over den; den)."""
-        untwist, untwist_den = self.twist(nu)[1]
-        column, zeros = untwist[s], (0,) * (self.shape.r + 1)
+        """(den; x^nu (tensor) w_nu^{-1} v_s, its keys in one residue block, and
+        its z_1..z_n-images, as tables over den; the images' coordinates at
+        (nu, s), as vectors over diag_den; diag_den)."""
+        (twist, twist_den), (untwist, untwist_den) = self.twist(nu)
+        column, width = untwist[s], self.shape.r + 2
         images = [_combination([(c, self.z_table(i, (nu, a))) for a, c in column.items()])
                   for i in range(1, self.n + 1)]
-        return ({(nu, a): (c * self.denominator,) + zeros for a, c in column.items()},
-                images, self.denominator * untwist_den)
+        # row s of w_nu on the support of column s of w_nu^{-1} (w_nu is gram-unitary)
+        diag = [tuple(sum(twist[a][s] * image[nu, a][p] for a in column if (nu, a) in image)
+                      for p in range(width)) for image in images]
+        den = self.denominator * untwist_den
+        return (den, {(nu, a): (c * self.denominator,) + (0,) * (width - 1)
+                      for a, c in column.items()}, images, diag, den * twist_den)
+
+    @_per_irrep
+    def eigen_plan(self, mu: tuple[int, ...], residues: tuple[int, ...]) -> list[tuple]:
+        """The point-free part of eigenvector, once per irrep: the exponents
+        that the z-images of the twisted columns with these residues reach
+        from mu, in a topological order (mu first), as (nu, [(s, row s of w_nu
+        as [((nu, a), entry)])] over the block's columns s, den of w_nu)."""
+        block: dict[tuple, tuple] = {}         # reachable exponent -> (its columns, den)
+        above: dict[tuple, set] = {mu: set()}  # exponent -> exponents reaching it
+        pending = [mu]
+        while pending:
+            nu = pending.pop()
+            (twist, den), (untwist, _) = self.twist(nu)
+            columns = [s for s, res in enumerate(self.column_residues(nu)) if res == residues]
+            block[nu] = [(s, [((nu, a), twist[a][s]) for a in untwist[s]]) for s in columns], den
+            for kappa in {key[0] for s in columns for image in self.twisted_table(nu, s)[2]
+                          for key in image} - {nu}:
+                if kappa not in above:
+                    pending.append(kappa)
+                above.setdefault(kappa, set()).add(nu)
+        try:
+            return [(nu, *block[nu]) for nu in graphlib.TopologicalSorter(above).static_order()]
+        except graphlib.CycleError as exc:
+            raise AssertionError(f"z-action is not triangular: cycle {exc.args[1]}") from None
 
 
 def _combination(pairs: list) -> Table:
@@ -263,15 +300,18 @@ def _commutator_vanishes(op, i: int, j: int, key: tuple) -> bool:
     """Whether op(i, .) op(j, .) - op(j, .) op(i, .) kills the basis term key at
     every point, op(i, key) being a table.  A composite is quadratic in (1, c0,
     d_0, ..): its entries are outer products of numerators, M with p^T M p at
-    the point p, so M is symmetrized before the zero test."""
-    out: Table = {}
+    the point p, so only M_pq + M_qp (p < q) and M_pp count, summed here."""
+    out: dict = {}
     for a, b, sign in ((i, j, 1), (j, i, -1)):
         for mid, u in op(b, key).items():
-            u = tuple(sign * x for x in u)
+            u = [(p, sign * x) for p, x in enumerate(u) if x]
             for end, v in op(a, mid).items():
-                _add_coeffs(out, end, tuple(x * y for x in u for y in v))
-    return not any(vec[p * w + q] + vec[q * w + p] for vec in out.values()
-                   for w in [math.isqrt(len(vec))] for p in range(w) for q in range(p, w))
+                for q, y in enumerate(v):
+                    if y:
+                        for p, x in u:
+                            pair = (end, p, q) if p <= q else (end, q, p)
+                            out[pair] = out.get(pair, 0) + x * y
+    return not any(out.values())
 
 
 def _swap_rule(T: StandardTableau, i: int) -> tuple[Fraction, Fraction]:
@@ -411,14 +451,12 @@ def _averaged_transposition(irrep: IrrepModel, i: int, j: int, shift: int,
     with k = nu_i - nu_j + beta_i(a) - beta_i(t); as sum_{l<r} zeta^{l*m}
     is r when r | m and 0 otherwise, the sum keeps r * s_ij[a, t] where
     k = shift (mod r) and nothing else.  The seminormal s_ij is rational."""
-    r, den, res = irrep.shape.r, irrep.denominator, irrep.zeta_residues[i - 1]
+    r, res = irrep.shape.r, irrep.zeta_residues[i - 1]
     nu2 = list(nu)
     nu2[i - 1], nu2[j - 1] = nu2[j - 1], nu2[i - 1]
     nu2 = tuple(nu2)
     k0 = nu[i - 1] - nu[j - 1] - res[t] - shift
-    col = _transposition_matrix(irrep, i, j)[t]
-    return [(nu2, a, r * coef.numerator * (den // coef.denominator)) for a, coef in col.items()
-            if (k0 + res[a]) % r == 0]
+    return [(nu2, a, q) for a, q in irrep.transposition(i, j)[t].items() if (k0 + res[a]) % r == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +536,9 @@ class StandardModule:
             raise ValueError("point and shape disagree on r")
         self.shape, self.point, self.n, self.r = shape, point, shape.size, shape.r
         self.irrep = irrep if irrep is not None else build_irrep(shape)
-        # (1, c0, d_0, ..) times their lcm denominator L: an entry is vec . point / (den L)
-        params = (point.c0,) + point.d
-        scale = math.lcm(*(p.denominator for p in params))
-        self._point = (scale,) + tuple(p.numerator * (scale // p.denominator) for p in params)
-        self._den = self.irrep.denominator * scale   # of every y- and z-image
+        # (L, L c0, L d_0, ..): a table entry is vec . _point / (den L)
+        self._point = point.integer_form
+        self._den = self.irrep.denominator * self._point[0]   # of every y- and z-image
         # y_i and z_i of basis terms, numerator dicts over _den: no cycle through self
         self._y_cache: list[dict] = [{} for _ in range(self.n)]
         self._z_cache: list[dict] = [{} for _ in range(self.n)]
@@ -596,12 +632,13 @@ class StandardModule:
             return result
 
         gram, gram_den = self.irrep.gram_numerators
-        total = Fraction(0)
+        total, den = 0, 1   # integer numerator over den, the lcm of the lowered denominators
         for nu, terms in itertools.groupby(sorted(u.nums.items()), key=lambda term: term[0][0]):
             w = lowered(nu)
-            total += Fraction(sum(c * w.nums.get((zero_exp, t), 0) * gram[t]
-                                  for (_, t), c in terms), w.den)
-        return total / (u.den * gram_den)
+            part = sum(c * w.nums.get((zero_exp, t), 0) * gram[t] for (_, t), c in terms)
+            lcm = math.lcm(den, w.den)
+            total, den = total * (lcm // den) + part * (lcm // w.den), lcm
+        return Fraction(total, den * u.den * gram_den)
 
     def norm(self, v: ModuleElement) -> Fraction:
         return self.pairing(v, v)
@@ -619,59 +656,44 @@ class StandardModule:
         Each z_i is triangular on the twisted basis x^nu (tensor) w_nu^{-1} v_S
         (Dunkl-Opdam, Knop-Sahi): it sends (nu, S) to diag_i(nu, S) times
         itself plus vectors at exponents that never lead back to nu.  Going
-        down a topological order of the exponents reachable from mu, the
-        coordinate at (nu, S) is that of z_i applied to the part solved so
-        far, over the first nonzero gap lambda_i - diag_i(nu, S); lambda is
-        the diagonal at (mu, T).  The result is checked: z_i v = lambda_i v.
+        down the irrep's eigen_plan, a topological order of the exponents
+        reachable from mu kept per (mu, residue), the coordinate at (nu, S)
+        is that of z_i applied to the part solved so far, over the first
+        nonzero gap lambda_i - diag_i(nu, S); lambda is the diagonal at
+        (mu, T).  The result is checked: z_i v = lambda_i v.
 
         Raises EigenvalueCollision when the point is not generic for (mu, T):
-        some reachable (nu, S) other than (mu, T) has every gap zero.
+        some (nu, S) other than (mu, T) that the z-images reach at this point
+        has every gap zero.  Off its own exponent, every entry of a z-image is
+        a multiple of c0, so at c0 = 0 they reach no exponent but mu.
         """
-        mu = tuple(mu)
-        n, irrep = self.n, self.irrep
+        mu, n, irrep = tuple(mu), self.n, self.irrep
         tau = irrep.index[T]
         lead_den, lead, _, lam, lam_den = self.twisted_column(mu, tau)
-        target = irrep.column_residues(mu)[tau]
-        block: dict[tuple, dict] = {}          # reachable exponent -> its columns in the block
-        above: dict[tuple, set] = {mu: set()}  # exponent -> exponents reaching it
-        pending = [mu]
-        while pending:
-            nu = pending.pop()
-            block[nu] = {s: self.twisted_column(nu, s)
-                         for s, res in enumerate(irrep.column_residues(nu)) if res == target}
-            for _, _, zb, _, _ in block[nu].values():
-                for kappa, _ in itertools.chain(*zb):
-                    if kappa not in above:
-                        above[kappa] = set()
-                        pending.append(kappa)
-                    if kappa != nu:
-                        above[kappa].add(nu)
-        try:
-            order = list(graphlib.TopologicalSorter(above).static_order())
-        except graphlib.CycleError as exc:
-            raise AssertionError(f"z-action is not triangular: cycle {exc.args[1]}") from None
+        plan = irrep.eigen_plan(mu, irrep.column_residues(mu)[tau])
 
         # the part solved so far and its z_i-images, as numerators over den,
         # the lcm of the denominators of the terms solved so far
-        solved: dict = {}
-        images: list[dict] = [{} for _ in range(n)]
-        den = 1
-        for nu in order:   # mu comes first
+        solved, images, den = {}, [{} for _ in range(n)], 1
+        for nu, columns, twist_den in plan:   # mu comes first
             coeffs = {tau: Fraction(1)} if nu == mu else {}
-            for s, (_, _, _, diag, diag_den) in block[nu].items():
+            for s, row_s in columns:
                 if (nu, s) == (mu, tau):
                     continue
+                _, _, _, diag, diag_den = self.twisted_column(nu, s)
                 gaps = (lam[i] * diag_den - diag[i] * lam_den for i in range(n))
                 gap, i = next(((g, i) for i, g in enumerate(gaps) if g), (0, 0))
                 if not gap:
-                    raise EigenvalueCollision(
-                        f"{(mu, T.as_text())} vs {(nu, irrep.tableaux[s].as_text())}")
-                row, twist_den = self._coordinate(images[i], nu, s)
+                    if nu == mu or self.point.c0:
+                        raise EigenvalueCollision(
+                            f"{(mu, T.as_text())} vs {(nu, irrep.tableaux[s].as_text())}")
+                    break   # c0 = 0: the point does not reach nu
+                row = sum(a * images[i].get(key, 0) for key, a in row_s)
                 c = Fraction(row * lam_den * diag_den, twist_den * den * gap)
                 if c:
                     coeffs[s] = c
             for s, c in coeffs.items():
-                col_den, vec, zb, _, _ = block[nu][s]
+                col_den, vec, zb, _, _ = self.twisted_column(nu, s)
                 q = c.denominator * col_den
                 if den % q:   # a new factor: bring everything over the lcm
                     k = q // math.gcd(den, q)
@@ -700,21 +722,12 @@ class StandardModule:
         over diag_den; diag_den): the irrep's twisted table, specialized once."""
         column = self._twisted.get((nu, s))
         if column is None:
-            vec, images, den = self.irrep.twisted_table(nu, s)
-            images = [self._specialize(table) for table in images]
+            den, vec, images, diag, diag_den = self.irrep.twisted_table(nu, s)
+            point = self._point
             column = self._twisted[nu, s] = (
-                den * self._point[0], self._specialize(vec), images,
-                [self._coordinate(image, nu, s)[0] for image in images],
-                den * self._point[0] * self.irrep.twist(nu)[0][1])
+                den * point[0], self._specialize(vec), [self._specialize(t) for t in images],
+                [sum(map(operator.mul, d, point)) for d in diag], diag_den * point[0])
         return column
-
-    def _coordinate(self, nums: dict, nu: tuple[int, ...], s: int) -> tuple[int, int]:
-        """The twisted coordinate at (nu, s) of a numerator dict, as an integer
-        over a denominator, both times the dict's own denominator: row s of
-        w_nu on its terms at nu, over the support of column s of w_nu^{-1}
-        (w_nu is gram-unitary)."""
-        (twist, den), (untwist, _) = self.irrep.twist(nu)
-        return sum(twist[a][s] * nums[nu, a] for a in untwist[s] if (nu, a) in nums), den
 
     def x_power(self, nu: Sequence[int], elt: ModuleElement) -> ModuleElement:
         out = {(tuple(map(operator.add, kappa, nu)), t): c for (kappa, t), c in elt.nums.items()}
@@ -904,10 +917,10 @@ def verify_report(r: int, n: int, degree: int = 2, seed: int = 0,
         for mod, nu, t in basis(3):
             y = mod.irrep.y_table
             for i, j in itertools.product(range(1, n + 1), repeat=2):
-                rhs = dict(mod.irrep.bracket_table(i, j, nu, t))
+                rhs = mod.irrep.bracket_table(i, j, nu, t)
                 for (kappa, s), vec in y(i, nu, t).items():
                     _add_coeffs(rhs, (_bump(kappa, j - 1), s), vec)
-                if _nonzero(y(i, _bump(nu, j - 1), t)) != _nonzero(rhs):
+                if y(i, _bump(nu, j - 1), t) != _nonzero(rhs):
                     raise AssertionError(f"relation y_{i} x_{j} at {nu}")
                 count += 1
         return f"{count} operator identities"

@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 import random
 
@@ -46,7 +47,7 @@ def parse_rational(text: str) -> Fraction:
 class ParameterPoint:
     """A rational specialization (c0, d_0, ..., d_{r-1})."""
 
-    __slots__ = ("r", "c0", "d")
+    __slots__ = ("r", "c0", "d", "_integer_form")
 
     def __init__(self, r: int, c0, d: Sequence):
         if r < 1:
@@ -58,6 +59,17 @@ class ParameterPoint:
         self.r = r
         self.c0 = c0 if type(c0) is Fraction else Fraction(c0)
         self.d = d
+        self._integer_form = None
+
+    @property
+    def integer_form(self) -> tuple[int, ...]:
+        """(L, L*c0, L*d_0, ...), L the least common denominator of c0 and d:
+        built on first use, as most points drawn are never evaluated at."""
+        if self._integer_form is None:
+            params = (self.c0, *self.d)
+            L = lcm(*(x.denominator for x in params))
+            self._integer_form = (L, *(x.numerator * (L // x.denominator) for x in params))
+        return self._integer_form
 
     def d_at(self, l: int) -> Fraction:
         return self.d[l % self.r]
@@ -174,14 +186,11 @@ class AffineForm:
         return not any(self.numerators)
 
     def evaluate(self, p: ParameterPoint) -> Fraction:
-        """Summed as n/d in integers, one Fraction at the end."""
+        """One integer dot product with p.integer_form, one Fraction at the end."""
         if p.r != self.r:
             raise ValueError("point has wrong r")
-        n, d = self.numerators[0], 1
-        for a, x in zip(self.numerators[1:], (p.c0,) + p.d):
-            if a:
-                n, d = n * x.denominator + a * x.numerator * d, d * x.denominator
-        return Fraction(n, d * self.denominator)
+        point = p.integer_form
+        return Fraction(sum(map(mul, self.numerators, point)), self.denominator * point[0])
 
     def primitive(self) -> tuple["AffineForm", Fraction]:
         """Return (prim, scale) with self = scale * prim, prim having coprime
@@ -343,16 +352,17 @@ class FactoredScalar:
         return self * self._coerce(other).reciprocal()
 
     def evaluate(self, p: ParameterPoint) -> Fraction:
-        """Exact value at p; PoleError where a net denominator factor vanishes."""
+        """Exact value at p, as integer products made one Fraction at the
+        end; PoleError where a net denominator factor vanishes."""
         if p.r != self.r:
             raise ValueError("point has wrong r")
-        value = self.coefficient
+        point, num, den = p.integer_form, self.coefficient.numerator, self.coefficient.denominator
         for f, m in self.factors.items():
-            v = f.evaluate(p)
-            if v == 0 and m < 0:
+            v, w = sum(map(mul, f.numerators, point)), f.denominator * point[0]
+            if m < 0 and not v:
                 raise PoleError(f)
-            value *= v ** m
-        return value
+            num, den = (num * v ** m, den * w ** m) if m > 0 else (num * w ** -m, den * v ** -m)
+        return Fraction(num, den)
 
     def normalize(self) -> "FactoredScalar":
         """The identity: a FactoredScalar is canonical from construction."""

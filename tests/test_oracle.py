@@ -1,10 +1,12 @@
 import gc
+import graphlib
 import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cherednik_kit import oracle
 from cherednik_kit.cyclotomic import CycNumber, CyclotomicField
@@ -346,9 +348,10 @@ class TestTwistedTable:
                     assert elt == mod.x_power(nu, mod.apply_perm(
                         perm_inverse(sorting_data(nu)[2]), mod.basis_vector(s)))
                     for i in range(1, n + 1):
-                        assert ModuleElement._reduced(mod, images[i - 1], den) == mod.z_act(i, elt)
-                        row, row_den = mod._coordinate(images[i - 1], nu, s)
-                        assert Fraction(diag[i - 1], diag_den) == Fraction(row, row_den * den)
+                        image = ModuleElement._reduced(mod, images[i - 1], den)
+                        assert image == mod.z_act(i, elt)
+                        assert (Fraction(diag[i - 1], diag_den)
+                                == mod.twisted_coordinates(image).get((nu, s), 0))
 
     def test_eigenvector_leaves_no_reference_cycle(self, rng):
         # the table holds term dicts, not elements, so nothing it keeps
@@ -615,6 +618,70 @@ class TestTableCertificates:
         assert mod._specialize(table) == mod._specialize(clean)
         status = {c["name"]: c["status"] for c in report["checks"]}
         assert status[check] == "fail" and not report["ok"]
+
+
+def _outer_product_commutator_vanishes(op, i, j, key):
+    """Reference: the commutator kernel as it was before it kept only the
+    symmetric coefficients: full outer products of the numerator vectors,
+    symmetrized after the sum."""
+    out = {}
+    for a, b, sign in ((i, j, 1), (j, i, -1)):
+        for mid, u in op(b, key).items():
+            u = tuple(sign * x for x in u)
+            for end, v in op(a, mid).items():
+                old = out.get(end, (0,) * (len(u) * len(v)))
+                out[end] = tuple(x + y for x, y in zip(old, (x * y for x in u for y in v)))
+    return not any(vec[p * w + q] + vec[q * w + p] for vec in out.values()
+                   for w in [math.isqrt(len(vec))] for p in range(w) for q in range(p, w))
+
+
+@st.composite
+def _commutator_tables(draw):
+    """(kind, tables): op(i, key) = tables.get((i, key), {}) for i = 1, 2 on
+    keys 0..2, with vectors of width r + 2.  "random" tables rarely commute;
+    "equal" ones make op(1, .) = op(2, .); "antisymmetric" ones compose to
+    u (x) v - v (x) u at key 0, a zero quadratic form that is not zero as a
+    matrix; "perturbed" ones add one random entry to an antisymmetric pair."""
+    r = draw(st.integers(1, 3))
+    vec = st.lists(st.integers(-3, 3), min_size=r + 2, max_size=r + 2).map(tuple)
+    table = st.dictionaries(st.integers(0, 2), vec, max_size=3)
+    kind = draw(st.sampled_from(("random", "equal", "antisymmetric", "perturbed")))
+    if kind in ("random", "equal"):
+        tables = {(i, k): draw(table) for i in (1, 2) for k in range(3)}
+        if kind == "equal":
+            tables.update({(2, k): tables[1, k] for k in range(3)})
+        return kind, tables
+    u, v = draw(vec), draw(vec)
+    tables = {(2, 0): {1: u}, (1, 1): {0: v}, (1, 0): {2: v}, (2, 2): {0: u}}
+    if kind == "perturbed":
+        tables[1, 1] = dict(tables[1, 1], **{"x": draw(vec)})
+    return kind, tables
+
+
+@settings(deadline=None, database=None, derandomize=True, max_examples=300)
+@given(_commutator_tables())
+def test_commutator_kernel_matches_the_outer_products(case):
+    kind, tables = case
+
+    def op(i, key):
+        return tables.get((i, key), {})
+
+    got = oracle._commutator_vanishes(op, 1, 2, 0)
+    assert got == _outer_product_commutator_vanishes(op, 1, 2, 0)
+    if kind in ("equal", "antisymmetric"):
+        assert got
+
+
+def test_commutator_kernel_sees_a_symmetric_defect():
+    # u (x) v + v (x) u is a nonzero quadratic form: both kernels reject it
+    u, v = (1, 0, 2), (0, 3, -1)
+    tables = {(2, 0): {1: u}, (1, 1): {0: v}, (1, 0): {2: v}, (2, 2): {0: tuple(-x for x in u)}}
+
+    def op(i, key):
+        return tables.get((i, key), {})
+
+    assert not oracle._commutator_vanishes(op, 1, 2, 0)
+    assert not _outer_product_commutator_vanishes(op, 1, 2, 0)
 
 
 def test_verify_report_frontier():
@@ -924,6 +991,158 @@ def test_collision_between_tableaux_of_the_leading_slice(mu):
             mod.eigenvector(mu, T)
         with pytest.raises(EigenvalueCollision):
             _kernel_eigenvector(mod, mu, T)
+
+
+def _walk_eigenvector(mod, mu, T):
+    """Reference: the eigenvector as solved before the irrep kept a plan per
+    (mu, residue), by a walk of the exponents that the module's specialized
+    z-images reach from mu and a graphlib order of them, on every call.
+    Returns (the vector, the exponents walked)."""
+    n, irrep = mod.n, mod.irrep
+    tau = irrep.index[T]
+    _, _, _, lam, lam_den = mod.twisted_column(mu, tau)
+    target = irrep.column_residues(mu)[tau]
+
+    def coordinate(nums, nu, s):
+        (twist, den), (untwist, _) = irrep.twist(nu)
+        return sum(twist[a][s] * nums[nu, a] for a in untwist[s] if (nu, a) in nums), den
+
+    block, above, pending = {}, {mu: set()}, [mu]
+    while pending:
+        nu = pending.pop()
+        block[nu] = {s: mod.twisted_column(nu, s)
+                     for s, res in enumerate(irrep.column_residues(nu)) if res == target}
+        for _, _, zb, _, _ in block[nu].values():
+            for kappa, _ in itertools.chain(*zb):
+                if kappa not in above:
+                    above[kappa] = set()
+                    pending.append(kappa)
+                if kappa != nu:
+                    above[kappa].add(nu)
+    solved, images, den = {}, [{} for _ in range(n)], 1
+    for nu in graphlib.TopologicalSorter(above).static_order():
+        coeffs = {tau: Fraction(1)} if nu == mu else {}
+        for s, (_, _, _, diag, diag_den) in block[nu].items():
+            if (nu, s) == (mu, tau):
+                continue
+            gaps = [lam[i] * diag_den - diag[i] * lam_den for i in range(n)]
+            i = next((i for i, g in enumerate(gaps) if g), None)
+            if i is None:
+                raise EigenvalueCollision(f"{(mu, T.as_text())} vs {(nu, irrep.tableaux[s].as_text())}")
+            row, twist_den = coordinate(images[i], nu, s)
+            c = Fraction(row * lam_den * diag_den, twist_den * den * gaps[i])
+            if c:
+                coeffs[s] = c
+        for s, c in coeffs.items():
+            col_den, vec, zb, _, _ = block[nu][s]
+            q = c.denominator * col_den
+            k = q // math.gcd(den, q)
+            den *= k
+            for acc in (solved, *images):
+                for key in acc:
+                    acc[key] *= k
+            w = c.numerator * (den // q)
+            for acc, add in zip((solved, *images), (vec, *zb)):
+                for key, a in add.items():
+                    acc[key] = acc.get(key, 0) + w * a
+    return ModuleElement._reduced(mod, solved, den), set(block)
+
+
+def _compare_with_the_walk(shape, irrep, point, degree=2):
+    """Every (mu, T) with |mu| <= degree at point, by the plan and by the
+    walk, on two modules at that point; returns how many vectors agree."""
+    planned = StandardModule(shape, point, irrep=irrep)
+    walked = StandardModule(shape, point, irrep=irrep)
+    agreed = 0
+    for T, mu in itertools.product(irrep.tableaux, compositions(shape.size, degree)):
+        try:
+            expect, _ = _walk_eigenvector(walked, mu, T)
+        except EigenvalueCollision:
+            with pytest.raises(EigenvalueCollision):
+                planned.eigenvector(mu, T)
+            continue
+        assert planned.eigenvector(mu, T) == expect, (shape.as_text(), mu, T.as_text())
+        agreed += 1
+    return agreed
+
+
+class TestEigenPlan:
+    @pytest.mark.parametrize("r, n", ORACLE_RANGE)
+    def test_plan_matches_the_walk(self, r, n):
+        # three points share one irrep, so the second and third solve along
+        # plans the first built
+        rng = random.Random(7700 + 10 * r + n)
+        agreed = 0
+        for shape in enumerate_multipartitions(r, n):
+            irrep = build_irrep(shape)
+            for _ in range(3):
+                agreed += _compare_with_the_walk(shape, irrep, small_point(r, rng))
+        assert agreed > 0
+
+    @pytest.mark.parametrize("r, n", ORACLE_RANGE)
+    def test_plan_matches_the_walk_at_c0_zero(self, r, n):
+        # at c0 = 0 every z-image stays at its own exponent, so the point
+        # reaches only mu while the plan lists more exponents; with integer
+        # d some of those have every gap zero, and the solve must skip them,
+        # collide exactly where the walk collides, and agree elsewhere
+        agreed = wider = silent = 0
+        for shape in enumerate_multipartitions(r, n):
+            irrep = build_irrep(shape)
+            for d in itertools.product(range(-1, 2), repeat=r):
+                point = ParameterPoint(r, 0, list(d))
+                agreed += _compare_with_the_walk(shape, irrep, point)
+                mod = StandardModule(shape, point, irrep=irrep)
+                for T, mu in itertools.product(irrep.tableaux, compositions(n, 2)):
+                    try:
+                        _, walked = _walk_eigenvector(mod, mu, T)
+                    except EigenvalueCollision:
+                        continue
+                    tau = irrep.index[T]
+                    _, _, _, lam, lam_den = mod.twisted_column(mu, tau)
+                    plan = irrep.eigen_plan(mu, irrep.column_residues(mu)[tau])
+                    assert walked == {mu}
+                    wider += len(plan) > 1
+                    silent += sum(all(Fraction(a, diag_den) == Fraction(b, lam_den)
+                                      for a, b in zip(diag, lam))
+                                  for nu, columns, _ in plan[1:] for s, _ in columns
+                                  for _, _, _, diag, diag_den in [mod.twisted_column(nu, s)])
+        assert agreed > 0 and wider > 0
+        assert silent > 0 or r == 1
+
+    @pytest.mark.parametrize("r, n", ORACLE_RANGE + [(1, 4)])
+    def test_images_leave_their_exponent_only_through_c0(self, r, n):
+        # what the solve relies on at c0 = 0: a twisted column's z-images
+        # have only a c0 coefficient at every key off the column's exponent
+        for shape in enumerate_multipartitions(r, n):
+            irrep = build_irrep(shape)
+            for nu, s in itertools.product(compositions(n, 2), range(irrep.dim)):
+                for image in irrep.twisted_table(nu, s)[2]:
+                    for (kappa, _), (const, c0, *d) in image.items():
+                        assert kappa == nu or (const == 0 and c0 and not any(d))
+
+    def test_a_second_module_builds_no_plan(self, monkeypatch):
+        # the plans are point-free: a module at a new point on the same irrep
+        # finds every one of them kept, and never runs graphlib
+        rng = random.Random(7850)
+        shape = parse_multipartition("2,1|1")
+        irrep = build_irrep(shape)
+        cases = list(itertools.product(irrep.tableaux, compositions(shape.size, 2)))
+        first = StandardModule(shape, small_point(2, rng), irrep=irrep)
+        for T, mu in cases:
+            first.eigenvector(mu, T)
+        plans = {key for key in irrep._tables if key[0] == "eigen_plan"}
+        assert plans
+        point = small_point(2, rng)
+        walked = StandardModule(shape, point, irrep=irrep)
+        expect = [_walk_eigenvector(walked, mu, T)[0] for T, mu in cases]
+
+        def refuse(*_args):
+            raise AssertionError("a plan was built again")
+
+        monkeypatch.setattr(oracle.graphlib, "TopologicalSorter", refuse)
+        second = StandardModule(shape, point, irrep=irrep)
+        assert [second.eigenvector(mu, T) for T, mu in cases] == expect
+        assert {key for key in irrep._tables if key[0] == "eigen_plan"} == plans
 
 
 def test_eigenvector_does_not_use_the_closed_spectrum(monkeypatch, rng):

@@ -326,6 +326,83 @@ class TestAffineFormProperties:
         assert render_affine(prim) == reference_render(prim)
 
 
+def _fraction_value(f: AffineForm, p: ParameterPoint) -> Fraction:
+    """Reference: k + a c0 + sum_l b_l d_l, summed as Fractions."""
+    return f.const + f.c0 * p.c0 + sum((b * x for b, x in zip(f.d, p.d)), Fraction(0))
+
+
+def _fraction_product(s: FactoredScalar, p: ParameterPoint) -> Fraction:
+    """Reference: the coefficient times one Fraction power per factor, as
+    `FactoredScalar.evaluate` was before it multiplied integers."""
+    value = s.coefficient
+    for f, m in s.factors.items():
+        v = _fraction_value(f, p)
+        if v == 0 and m < 0:
+            raise PoleError(f)
+        value *= v ** m
+    return value
+
+
+def _former_module_point(p: ParameterPoint) -> tuple:
+    """Reference: the integer point a StandardModule built for itself before
+    ParameterPoint kept one, (L, L c0, L d_0, ..)."""
+    params = (p.c0,) + p.d
+    scale = math.lcm(*(x.denominator for x in params))
+    return (scale,) + tuple(x.numerator * (scale // x.denominator) for x in params)
+
+
+def _outcome(evaluate, *args):
+    try:
+        return evaluate(*args)
+    except PoleError as exc:
+        return ("PoleError", str(exc))
+
+
+class TestIntegerEvaluation:
+    @PROPERTY
+    @given(st.data())
+    def test_affine_forms_match_the_fraction_sum(self, data):
+        r = data.draw(st.integers(1, 4))
+        f = AffineForm(r, *data.draw(_coefficient_lists(r)))
+        p = data.draw(_points(r))
+        assert f.evaluate(p) == _fraction_value(f, p)
+        assert p.integer_form == _former_module_point(p)
+
+    @PROPERTY
+    @given(st.data())
+    def test_factored_scalars_match_the_fraction_product(self, data):
+        # a factor that vanishes at the point joins the numerator (value 0)
+        # or the denominator (PoleError, with the reference's message)
+        r = data.draw(st.integers(1, 3))
+        _, coef, ops = data.draw(_scalar_ops(r))
+        p = data.draw(_points(r))
+        vanishing = data.draw(st.sampled_from((None, 1, -1)))
+        forms = [f for f, _ in ops]
+        if vanishing and forms and not forms[0].is_constant():
+            ops = ops + [(forms[0] - forms[0].evaluate(p), vanishing)]
+        s = FactoredScalar(r, coef, [f for f, m in ops if m > 0], [f for f, m in ops if m < 0])
+        assert _outcome(s.evaluate, p) == _outcome(_fraction_product, s, p)
+
+    def test_vanishing_factors(self):
+        r = 2
+        p = ParameterPoint(r, Fraction(1, 3), [Fraction(-2, 5), 4])
+        zero = AffineForm(r, 1, -3)            # 1 - 3 c0
+        other = AffineForm(r, 2, 1, {1: Fraction(1, 2)})
+        on_top = FactoredScalar(r, Fraction(5, 7), (zero, other), (other + 1,))
+        assert on_top.evaluate(p) == 0 == _fraction_product(on_top, p)
+        below = FactoredScalar(r, Fraction(5, 7), (other, other), (zero, zero))
+        with pytest.raises(PoleError) as err:
+            below.evaluate(p)
+        assert str(err.value) == _outcome(_fraction_product, below, p)[1]
+        assert err.value.factor == zero.primitive()[0]
+
+    def test_points_keep_the_former_module_point(self, rng):
+        for r in (1, 2, 3, 4):
+            for p in [random_point(r, rng) for _ in range(20)] + [ParameterPoint(r, 0, [0] * r)]:
+                assert p.integer_form == _former_module_point(p)
+                assert p.integer_form[0] > 0
+
+
 class TestPochhammer:
     def test_empty(self):
         one = pochhammer(form(1, c0=1), 0)
