@@ -5,15 +5,17 @@ type G(r,1,n) degree by degree, straight from the defining relations:
 
 - build_irrep constructs the underlying irreducible G(r,1,n) representation
   in rational seminormal form (basis indexed by standard tableaux, sparse
-  rational columns, diagonal gram weights, both from one rule, _swap_rule)
-  and validates every group relation at construction, over Q(zeta_r);
+  rational s_i columns from one rule, _swap_rule, and gram weights propagated
+  over them), validates every group relation over Q(zeta_r), and keeps the
+  group action once, as integer columns (perm_numerators, transposition);
 - the y- and z-images of basis terms are point-free integer tables over one
   denominator, built lazily once per irrep (y_table, z_table) and
   specialized at each module's point: y kills degree 0, commuting y past x
   inserts the bracket [y_i, x_j], affine in (1, c0, d_0..d_{r-1}), whose
   averages sum_l zeta^{-l*shift} zeta_i^l s_ij zeta_i^{-l} are r s_ij on
   the entries of zeta-weight shift mod r (validate_irrep checks the literal
-  sum on the Jucys-Murphy sums phi_i), and z_i = y_i x_i + c0 * phi_i;
+  sum on the Jucys-Murphy sums phi_i, reading the kept transposition tables),
+  and z_i = y_i x_i + c0 * phi_i;
 - joint eigenvectors of the z_i are solved by back-substitution down their
   triangular order on the twisted basis x^nu (tensor) w_nu^{-1} v_S, with
   the eigenvalues read off the diagonal.  The point-free work is kept per
@@ -61,7 +63,6 @@ from .combinatorics import (
     sorting_data,
 )
 from .cyclotomic import CycNumber, CyclotomicField
-from .norms import spectrum
 from .scalars import ParameterPoint, random_point
 
 
@@ -76,9 +77,9 @@ class ZeroGapError(ZeroDivisionError):
 COLLISION_RETRIES = 5   # fresh points eigenvector_generic draws on collisions
 
 # a matrix is its tuple of columns: mat[b] = {a: coefficient of a in the image
-# of b}, nonzero entries only, in increasing a.  The seminormal matrices are
-# rational (Fraction entries); validate_irrep also multiplies them with the
-# diagonal zeta_i, whose entries are CycNumbers in Q(zeta_r)
+# of b}, nonzero entries only, in increasing a: Fractions in the seminormal
+# s_i, integers in the transposition tables, and CycNumbers in Q(zeta_r) in
+# the diagonal zeta_i that validate_irrep multiplies them with
 Matrix = tuple[dict, ...]
 
 
@@ -153,8 +154,8 @@ class IrrepModel:
     @functools.cached_property
     def denominator(self) -> int:
         """The tables' denominator: the lcm of every s_ij entry's denominator."""
-        return math.lcm(*(c.denominator for i, j in itertools.combinations(range(1, self.n + 1), 2)
-                          for col in _transposition_matrix(self, i, j) for c in col.values()))
+        return math.lcm(*(self.perm_numerators(_transposition(self.n, i, j))[1]
+                          for i, j in itertools.combinations(range(1, self.n + 1), 2)))
 
     @functools.cached_property
     def gram_numerators(self) -> tuple[tuple[int, ...], int]:
@@ -162,25 +163,18 @@ class IrrepModel:
         den = math.lcm(*(g.denominator for g in self.gram))
         return tuple(g.numerator * (den // g.denominator) for g in self.gram), den
 
-    def identity(self) -> Matrix:
-        return tuple({b: Fraction(1)} for b in range(self.dim))
-
     def zeta_matrix(self, i: int, power: int = 1) -> Matrix:
         """zeta_i^power, diagonal, over Q(zeta_r)."""
         return tuple({b: self.field.zeta_power(power * res)}
                      for b, res in enumerate(self.zeta_residues[i - 1]))
 
     @_per_irrep
-    def perm_matrix(self, w: tuple[int, ...]) -> Matrix:
-        mat = self.identity()
+    def perm_numerators(self, w: tuple[int, ...]) -> tuple[tuple[dict[int, int], ...], int]:
+        """The product of the s_i along reduced_word(w), as integer columns
+        over one denominator."""
+        mat = tuple({b: Fraction(1)} for b in range(self.dim))
         for i in reduced_word(w):
             mat = _mat_mul(mat, self.s_mats[i - 1])
-        return mat
-
-    @_per_irrep
-    def perm_numerators(self, w: tuple[int, ...]) -> tuple[tuple[dict[int, int], ...], int]:
-        """perm_matrix(w) as integer columns over one denominator."""
-        mat = self.perm_matrix(w)
         den = math.lcm(*(q.denominator for col in mat for q in col.values()))
         return tuple({a: q.numerator * (den // q.denominator) for a, q in col.items()}
                      for col in mat), den
@@ -200,9 +194,9 @@ class IrrepModel:
     @_per_irrep
     def transposition(self, i: int, j: int) -> tuple[dict[int, int], ...]:
         """s_ij as integer columns, times r * denominator."""
-        scale = self.shape.r * self.denominator
-        return tuple({a: q.numerator * (scale // q.denominator) for a, q in col.items()}
-                     for col in _transposition_matrix(self, i, j))
+        cols, den = self.perm_numerators(_transposition(self.n, i, j))
+        scale = self.shape.r * self.denominator // den
+        return tuple({a: q * scale for a, q in col.items()} for col in cols)
 
     def bracket_table(self, i: int, j: int, nu: tuple[int, ...], t: int) -> Table:
         """[y_i, x_j] on the basis term (nu, t): c0 (shift-1 average of s_ij) if
@@ -335,25 +329,6 @@ def build_irrep(shape: MultiPartition) -> IrrepModel:
     index = {t: k for k, t in enumerate(tableaux)}
     dim = len(tableaux)
 
-    # gram weights by propagation from the first tableau
-    gram: list[Optional[Fraction]] = [None] * dim
-    gram[0] = Fraction(1)
-    pending = [0]
-    while pending:
-        t = pending.pop()
-        T = tableaux[t]
-        for i in range(1, n):
-            rho, theta = _swap_rule(T, i)
-            if not theta:
-                continue
-            t2 = index[T.swap_adjacent(i)]
-            value = gram[t] * (1 - rho * rho) / (theta * theta)
-            if gram[t2] is None:   # validate_irrep checks every other edge
-                gram[t2] = value
-                pending.append(t2)
-    if any(g is None for g in gram):
-        raise AssertionError("tableau graph not connected under adjacent swaps")
-
     # s_i matrices, column by column: at most two entries each
     s_mats = []
     for i in range(1, n):
@@ -366,10 +341,25 @@ def build_irrep(shape: MultiPartition) -> IrrepModel:
             cols.append({a: q for a, q in sorted(col.items()) if q})
         s_mats.append(tuple(cols))
 
+    # gram weights by propagation from the first tableau over the s_i columns:
+    # gram[t2] = gram[t] (1 - s_i[t, t]^2) / s_i[t2, t]^2
+    gram: list[Optional[Fraction]] = [None] * dim
+    gram[0] = Fraction(1)
+    pending = [0]
+    while pending:
+        t = pending.pop()
+        for s_i in s_mats:
+            rho = s_i[t].get(t, 0)
+            for t2, theta in s_i[t].items():
+                if gram[t2] is None:   # validate_irrep checks every other edge
+                    gram[t2] = gram[t] * (1 - rho * rho) / (theta * theta)
+                    pending.append(t2)
+    if None in gram:
+        raise AssertionError("tableau graph not connected under adjacent swaps")
+
     zeta_residues = [tuple(T.box_of(i).component for T in tableaux) for i in range(1, n + 1)]
 
-    model = IrrepModel(shape, tableaux, index, CyclotomicField(r), s_mats, zeta_residues,
-                       [Fraction(g) for g in gram])
+    model = IrrepModel(shape, tableaux, index, CyclotomicField(r), s_mats, zeta_residues, gram)
     errors = validate_irrep(model)
     if errors:
         raise AssertionError("irrep validation failed: " + "; ".join(errors))
@@ -377,18 +367,19 @@ def build_irrep(shape: MultiPartition) -> IrrepModel:
 
 
 def validate_irrep(model: IrrepModel) -> list[str]:
-    """All G(r,1,n) relations over Q(zeta_r), gram self-adjointness/unitarity,
-    the Jucys-Murphy diagonal, and that the s_i and gram weights are rational.
-    Returns a list of failures (empty = valid)."""
-    errors, f, n, r, ident = [], model.field, model.n, model.shape.r, model.identity()
+    """That the s_i and gram weights are rational, and then all G(r,1,n)
+    relations over Q(zeta_r), gram self-adjointness/unitarity, and the
+    Jucys-Murphy diagonal on the kept transposition tables.  Returns a list of
+    failures (empty = valid)."""
+    if not all(type(q) is Fraction for q in itertools.chain(
+            model.gram, *(col.values() for mat in model.s_mats for col in mat))):
+        return ["s_i entries and gram weights rational"]
+    errors, f, n, r = [], model.field, model.n, model.shape.r
+    ident = tuple({b: Fraction(1)} for b in range(model.dim))
 
     def close(name, got, expect):
         if got != expect:
             errors.append(name)
-
-    if not all(type(q) is Fraction for q in itertools.chain(
-            model.gram, *(col.values() for mat in model.s_mats for col in mat))):
-        errors.append("s_i entries and gram weights rational")
 
     for i in range(1, n):
         close(f"s_{i}^2 = 1", _mat_mul(model.s_mats[i - 1], model.s_mats[i - 1]), ident)
@@ -419,27 +410,27 @@ def validate_irrep(model: IrrepModel) -> list[str]:
         m = model.s_mats[i - 1]
         for b, col in enumerate(m):
             for a, c in col.items():
-                if c * model.gram[a] != m[a].get(b, 0).conjugate() * model.gram[b]:
+                if c * model.gram[a] != m[a].get(b, 0) * model.gram[b]:
                     errors.append(f"s_{i} gram self-adjointness")
-    # Jucys-Murphy diagonal: phi_i = sum_{j<i} sum_l zeta_i^l s_ij zeta_i^-l
+    # Jucys-Murphy diagonal: phi_i = sum_{j<i} sum_l zeta_i^l s_ij zeta_i^-l, on the
+    # kept s_ij tables (times r * denominator) that the y- and z-tables read
     for i in range(2, n + 1):
         terms = [_mat_mul(model.zeta_matrix(i, l),
-                          _mat_mul(_transposition_matrix(model, i, j), model.zeta_matrix(i, -l)))
+                          _mat_mul(model.transposition(i, j), model.zeta_matrix(i, -l)))
                  for j in range(1, i) for l in range(r)]
         for t, T in enumerate(model.tableaux):
             # column t of phi_i: the sum of the terms' columns t
             phi_t = _apply(tuple(term[t] for term in terms),
                            dict.fromkeys(range(len(terms)), f.one))
-            expect = f.from_rational(r * T.box_of(i).content)
+            expect = f.from_rational(r * r * model.denominator * T.box_of(i).content)
             if phi_t != ({} if expect.is_zero() else {t: expect}):
                 errors.append(f"jucys-murphy phi_{i} not diagonal with r*ct")
     return sorted(set(errors))
 
 
-def _transposition_matrix(model: IrrepModel, i: int, j: int) -> Matrix:
-    """s_ij."""
-    return model.perm_matrix(tuple(j if k == i else i if k == j else k
-                                   for k in range(1, model.n + 1)))
+def _transposition(n: int, i: int, j: int) -> tuple[int, ...]:
+    """s_ij in one-line notation."""
+    return tuple(j if k == i else i if k == j else k for k in range(1, n + 1))
 
 
 def _averaged_transposition(irrep: IrrepModel, i: int, j: int, shift: int,
@@ -864,7 +855,7 @@ def verify_report(r: int, n: int, degree: int = 2, seed: int = 0,
     irrep's or the module's own methods, never a copy of them."""
     from .combinatorics import enumerate_multipartitions, parse_multipartition
     from .combinatorics import assignment_pair, composition_compare, Comparison
-    from .norms import (minimal_assignment, minimal_norm, nonsymmetric_norm,
+    from .norms import (minimal_assignment, minimal_norm, nonsymmetric_norm, spectrum,
                         symmetric_norm, symmetrization_block_factor)
 
     rng = random.Random(seed)
@@ -964,7 +955,7 @@ def verify_report(r: int, n: int, degree: int = 2, seed: int = 0,
             for _ in range(2):
                 u, v = rand_elt(mod, min(degree, 2)), rand_elt(mod, min(degree, 2))
                 form = mod.pairing(u, v)
-                if form != mod.pairing(v, u).conjugate():
+                if form != mod.pairing(v, u):
                     raise AssertionError("pairing not conjugate-symmetric")
                 for e in sorted({mod.residue(1, key) for key in u.nums}) if n else ():
                     if mod.pairing(by_residue(u, lambda x: x == e),

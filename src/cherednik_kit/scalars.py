@@ -24,7 +24,6 @@ from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 import random
 
-Rational = Fraction
 _ONE = Fraction(1)
 
 

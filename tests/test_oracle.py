@@ -1,3 +1,4 @@
+import functools
 import gc
 import graphlib
 import itertools
@@ -17,6 +18,8 @@ from cherednik_kit.combinatorics import (
     enumerate_syt,
     parse_multipartition,
     perm_longest,
+    perm_mul,
+    reduced_word,
     shape_assignment,
     simple_transposition,
     sorting_data,
@@ -63,7 +66,7 @@ class TestIrrep:
             assert m.s_mats[0] == ({0: m.field.one},)
             assert m.zeta_residues[0][0] == 0
             empty = build_irrep(MultiPartition(r, ((),) * r))
-            assert empty.dim == 1 and empty.perm_matrix(()) == ({0: empty.field.one},)
+            assert empty.dim == 1 and empty.perm_numerators(()) == (({0: 1},), 1)
         for r in (1, 2):
             assert verify_report(r, 0, degree=2, seed=0)["ok"]
 
@@ -81,14 +84,45 @@ class TestIrrep:
             total = sum(build_irrep(s).dim ** 2 for s in enumerate_multipartitions(r, n))
             assert total == r ** n * math.factorial(n)
 
-    def test_validation_catches_corruption(self):
-        m = build_irrep(parse_multipartition("2,1"))
-        # entry (0, 0) of s_1; columns are {row: coefficient}
+    @staticmethod
+    def _corrupted(text, one):
+        """The irrep of the shape with one added to entry (0, 0) of s_1, its
+        kept tables and denominator dropped; columns are {row: coefficient}."""
+        m = build_irrep(parse_multipartition(text))
         bad = [dict(col) for col in m.s_mats[0]]
-        bad[0][0] = bad[0].get(0, m.field.zero) + m.field.one
+        bad[0][0] = bad[0].get(0, 0) + one
         m.s_mats[0] = tuple(bad)
         m._tables = {}
-        assert validate_irrep(m)
+        m.__dict__.pop("denominator", None)   # a cached_property, outside _tables
+        return m
+
+    def test_validation_catches_corruption(self):
+        # an irrational entry stops at the rationality check, alone
+        m = self._corrupted("2,1", CyclotomicField(1).one)
+        assert validate_irrep(m) == ["s_i entries and gram weights rational"]
+        # a rational one breaks the relations, and the Jucys-Murphy diagonal of
+        # the transposition tables rebuilt from the corrupted s_1
+        assert validate_irrep(self._corrupted("2,1", Fraction(1))) == [
+            "braid s_1 s_2 s_1", "jucys-murphy phi_2 not diagonal with r*ct",
+            "jucys-murphy phi_3 not diagonal with r*ct", "s_1 zeta_1 s_1 = zeta_2", "s_1^2 = 1"]
+
+    @pytest.mark.parametrize("text", ["2,1", "1|1|1", "1,1|1"])
+    def test_validation_reads_the_kept_transposition_tables(self, text):
+        # the y- and z-tables read the kept s_ij tables: one corrupted entry
+        # there, with the s_i untouched, fails the Jucys-Murphy check alone
+        m = build_irrep(parse_multipartition(text))
+        assert validate_irrep(m) == []
+        bad = [dict(col) for col in m.transposition(3, 1)]
+        bad[0][0] = bad[0].get(0, 0) + 1
+        m._tables["transposition", 3, 1] = tuple(bad)
+        assert validate_irrep(m) == ["jucys-murphy phi_3 not diagonal with r*ct"]
+
+    @pytest.mark.parametrize("text", ["1|2,1", "4,2", "|1|2,1"])
+    def test_gram_propagates_over_both_kinds_of_edge(self, text):
+        # the first tableau reaches some tableaux of these shapes first over an
+        # edge whose s_i entry is 1 - rho^2, not 1: the gram weight there is
+        # divided by that entry squared, which validation checks on every edge
+        assert validate_irrep(build_irrep(parse_multipartition(text))) == []
 
     def test_gram_positive(self):
         for shape in enumerate_multipartitions(2, 3):
@@ -693,6 +727,72 @@ def test_verify_report_frontier():
     assert verify_report(5, 2, degree=1, seed=7)["ok"]
 
 
+def _perm_column(irrep, w, t):
+    """Reference: column t of the matrix of w, the Fraction product of the s_i
+    along reduced_word(w), applied to the basis vector t; kept on the irrep
+    beside (not in) its _tables."""
+    columns = vars(irrep).setdefault("reference_columns", {})
+    if (w, t) not in columns:
+        col = {t: Fraction(1)}
+        for i in reversed(reduced_word(w)):
+            col = oracle._apply(irrep.s_mats[i - 1], col)
+        columns[w, t] = col
+    return columns[w, t]
+
+
+_cached_irrep = functools.cache(build_irrep)
+
+
+@st.composite
+def _shape_and_two_perms(draw):
+    """A shape over ORACLE_RANGE and (1, 4), and two permutations of its size."""
+    shape = draw(st.sampled_from([shape for r, n in ORACLE_RANGE + [(1, 4)]
+                                  for shape in enumerate_multipartitions(r, n)]))
+    perm = st.permutations(range(1, shape.size + 1)).map(tuple)
+    return shape, draw(perm), draw(perm)
+
+
+@settings(deadline=None, database=None, derandomize=True, max_examples=200)
+@given(_shape_and_two_perms())
+def test_perm_numerators_multiply(case):
+    # the matrix of v w is the product of those of v and w, each over its own
+    # denominator, reduced by one gcd; and it is the Fraction product
+    shape, v, w = case
+    irrep = _cached_irrep(shape)
+    (a, a_den), (b, b_den) = irrep.perm_numerators(v), irrep.perm_numerators(w)
+    product = [oracle._apply(a, col) for col in b]
+    g = math.gcd(a_den * b_den, *(x for col in product for x in col.values()))
+    cols, den = irrep.perm_numerators(perm_mul(v, w))
+    assert (cols, den) == (tuple({k: x // g for k, x in col.items()} for col in product),
+                           a_den * b_den // g)
+    for t, col in enumerate(cols):
+        assert _perm_column(irrep, perm_mul(v, w), t) == {k: Fraction(x, den) for k, x in col.items()}
+
+
+def _leaves(x):
+    """The scalars in nested dicts, lists and tuples, keys included."""
+    if isinstance(x, dict):
+        x = [*x.keys(), *x.values()]
+    if isinstance(x, (list, tuple)):
+        for y in x:
+            yield from _leaves(y)
+    else:
+        yield x
+
+
+@pytest.mark.parametrize("text", ["2,1", "1|1", "1|1|1"])
+def test_kept_tables_hold_only_integers(text, rng):
+    # the group action and every table derived from it are kept once, as
+    # integers: after validation, eigenvectors, symmetrization and twisted
+    # coordinates, the irrep's _tables hold ints (and the names of its tables)
+    irrep = build_irrep(parse_multipartition(text))
+    mod = StandardModule(irrep.shape, small_point(irrep.shape.r, rng), irrep=irrep)
+    for T in irrep.tableaux:
+        f = mod.eigenvector_generic((1,) + (0,) * (mod.n - 1), T, rng)[1]
+        mod.twisted_coordinates(mod.symmetrize(f))
+    assert {type(x) for x in _leaves(irrep._tables)} == {int, str}
+
+
 def _twisted_transposition(mod, i, j, l, nu, t):
     """Reference: zeta_i^l s_ij zeta_i^{-l} applied to the basis term (nu, t),
     with every power of zeta built: [(nu', t', coeff)]."""
@@ -702,7 +802,7 @@ def _twisted_transposition(mod, i, j, l, nu, t):
     nu2, w = list(nu), list(range(1, mod.n + 1))
     nu2[i - 1], nu2[j - 1] = nu2[j - 1], nu2[i - 1]
     w[i - 1], w[j - 1] = w[j - 1], w[i - 1]
-    col = mod.irrep.perm_matrix(tuple(w))[t]
+    col = _perm_column(mod.irrep, tuple(w), t)
     return [(tuple(nu2), a, scalar * f.zeta_power(l * (res[a] - res[t])) * coef)
             for a, coef in col.items()]
 
@@ -1146,7 +1246,8 @@ class TestEigenPlan:
 
 
 def test_eigenvector_does_not_use_the_closed_spectrum(monkeypatch, rng):
-    import cherednik_kit.oracle as oracle
+    # the oracle holds no name from norms, so it could only read norms.spectrum
+    from cherednik_kit import norms
 
     def closed_formula(*_args):
         raise AssertionError("the oracle read the closed-formula spectrum")
@@ -1155,7 +1256,7 @@ def test_eigenvector_does_not_use_the_closed_spectrum(monkeypatch, rng):
     mod = StandardModule(parse_multipartition("1|1"), point)
     T = mod.irrep.tableaux[0]
     expect = mod.gram_weight(T) * nonsymmetric_norm((2, 1), T).evaluate(point)
-    monkeypatch.setattr(oracle, "spectrum", closed_formula)
+    monkeypatch.setattr(norms, "spectrum", closed_formula)
     assert mod.norm(mod.eigenvector((2, 1), T)) == expect
 
 
@@ -1243,3 +1344,12 @@ def test_form_check_sees_a_cross_residue_term(r, monkeypatch):
     checks = {c["name"]: c for c in verify_report(r, 2, degree=2, seed=7)["checks"]}
     form = checks["contravariant form properties"]
     assert (form["status"], form["details"]) == ("fail", "AssertionError: pairing not W-invariant")
+
+
+def test_oracle_holds_nothing_from_the_closed_formulas():
+    # the oracle certifies the closed formulas without sharing their code: no
+    # module-level name of the oracle is defined in norms (verify_report
+    # imports what it compares with locally)
+    from cherednik_kit import norms
+    assert not [name for name, value in vars(oracle).items()
+                if value is norms or getattr(value, "__module__", None) == norms.__name__]
