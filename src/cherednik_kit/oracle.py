@@ -9,20 +9,21 @@ type G(r,1,n) degree by degree, straight from the defining relations:
   over them), validates every group relation over Q(zeta_r), and keeps the
   group action once, as integer columns (perm_numerators, transposition);
 - the y- and z-images of basis terms are point-free integer tables over one
-  denominator, built lazily once per irrep (y_table, z_table) and
-  specialized at each module's point: y kills degree 0, commuting y past x
-  inserts the bracket [y_i, x_j], affine in (1, c0, d_0..d_{r-1}), whose
-  averages sum_l zeta^{-l*shift} zeta_i^l s_ij zeta_i^{-l} are r s_ij on
-  the entries of zeta-weight shift mod r (validate_irrep checks the literal
-  sum on the Jucys-Murphy sums phi_i, reading the kept transposition tables),
-  and z_i = y_i x_i + c0 * phi_i;
+  denominator, kept once per irrep (y_table, z_table) with no zero vector,
+  keyed by the basis term (nu, t), and specialized at each module's point: y
+  kills degree 0, commuting y past x inserts the bracket [y_i, x_j]
+  (bracket_table), affine in (1, c0, d_0..d_{r-1}), whose averages sum_l
+  zeta^{-l*shift} zeta_i^l s_ij zeta_i^{-l} are r s_ij on the entries of
+  zeta-weight shift mod r (validate_irrep checks the literal sum on the
+  Jucys-Murphy sums phi_i, reading the kept transposition tables), and
+  z_i = y_i x_i + c0 * phi_i;
 - joint eigenvectors of the z_i are solved by back-substitution down their
   triangular order on the twisted basis x^nu (tensor) w_nu^{-1} v_S, with
-  the eigenvalues read off the diagonal.  The point-free work is kept per
-  irrep: the twisted columns (the vector, its z-images and their diagonal
-  coordinates, twisted_table) and, per (mu, residue), the reachable
-  exponents in topological order (eigen_plan); a module specializes each
-  column once (twisted_column) and solves along the plan;
+  the eigenvalues read off the diagonal.  The irrep keeps the z-images of
+  each twisted column (twisted_table) and, per (mu, residue), the reachable
+  exponents in topological order (eigen_plan); a module derives a column's
+  vector and diagonal from w_nu once (twisted_column) and solves along the
+  plan;
 - zeta_i acts on x^nu (tensor) v_t by the root of unity zeta^e, with e the
   residue beta_t(i) - nu_i mod r, so the zeta eigenvalues are read as residues;
 - the intertwiner sigma_i is s_i + f_i, with f_i from intertwiner_scalar;
@@ -104,18 +105,19 @@ Table = dict[tuple, tuple[int, ...]]
 
 
 def _add_coeffs(table: Table, key: tuple, vec: tuple[int, ...]) -> None:
-    """table[key] += vec, in place."""
+    """table[key] += vec, in place; a key whose sum vanishes is dropped, so a
+    table built by adding stays canonical: no zero vector."""
     old = table.get(key)
-    table[key] = vec if old is None else tuple(map(operator.add, old, vec))
+    new = vec if old is None else tuple(map(operator.add, old, vec))
+    if any(new):
+        table[key] = new
+    else:
+        table.pop(key, None)
 
 
 def _bump(nu: tuple[int, ...], j: int, by: int = 1) -> tuple[int, ...]:
     """nu with its entry j (counted from 0) moved by `by`."""
     return nu[:j] + (nu[j] + by,) + nu[j + 1:]
-
-
-def _nonzero(table: Table) -> Table:
-    return {k: v for k, v in table.items() if any(v)}
 
 
 def _per_irrep(build):
@@ -163,9 +165,9 @@ class IrrepModel:
         den = math.lcm(*(g.denominator for g in self.gram))
         return tuple(g.numerator * (den // g.denominator) for g in self.gram), den
 
-    def zeta_matrix(self, i: int, power: int = 1) -> Matrix:
-        """zeta_i^power, diagonal, over Q(zeta_r)."""
-        return tuple({b: self.field.zeta_power(power * res)}
+    def zeta_matrix(self, i: int) -> Matrix:
+        """zeta_i, diagonal, over Q(zeta_r)."""
+        return tuple({b: self.field.zeta_power(res)}
                      for b, res in enumerate(self.zeta_residues[i - 1]))
 
     @_per_irrep
@@ -198,10 +200,10 @@ class IrrepModel:
         scale = self.shape.r * self.denominator // den
         return tuple({a: q * scale for a, q in col.items()} for col in cols)
 
-    def bracket_table(self, i: int, j: int, nu: tuple[int, ...], t: int) -> Table:
-        """[y_i, x_j] on the basis term (nu, t): c0 (shift-1 average of s_ij) if
-        i != j, else 1 - c0 sum_{k != i} (average of s_ik) - d_res + d_{res-1}."""
-        r, den = self.shape.r, self.denominator
+    def bracket_table(self, i: int, j: int, key: tuple) -> Table:
+        """[y_i, x_j] on the basis term key = (nu, t): c0 (shift-1 average of
+        s_ij) if i != j, else 1 - c0 sum_{k != i} (average of s_ik) - d_res + d_{res-1}."""
+        (nu, t), r, den = key, self.shape.r, self.denominator
         if i != j:
             return {(nu2, a): (0, q) + (0,) * r
                     for nu2, a, q in _averaged_transposition(self, i, j, 1, nu, t)}
@@ -217,43 +219,36 @@ class IrrepModel:
         return table
 
     @_per_irrep
-    def y_table(self, i: int, nu: tuple[int, ...], t: int) -> Table:
-        """y_i on the basis term (nu, t), for every point: y kills degree 0, and
-        y_i x_j = x_j y_i + [y_i, x_j] for the first j with nu_j > 0."""
-        table, j = {}, next((k for k, e in enumerate(nu) if e), None)
+    def y_table(self, i: int, key: tuple) -> Table:
+        """y_i on the basis term key = (nu, t), for every point: y kills degree
+        0, and y_i x_j = x_j y_i + [y_i, x_j] for the first j with nu_j > 0."""
+        (nu, t), table = key, {}
+        j = next((k for k, e in enumerate(nu) if e), None)
         if j is not None:
-            low = _bump(nu, j, -1)
-            for (kappa, s), vec in self.y_table(i, low, t).items():
+            low = (_bump(nu, j, -1), t)
+            for (kappa, s), vec in self.y_table(i, low).items():
                 table[_bump(kappa, j), s] = vec
-            for key, vec in self.bracket_table(i, j + 1, low, t).items():
-                _add_coeffs(table, key, vec)
-        return _nonzero(table)
+            for term, vec in self.bracket_table(i, j + 1, low).items():
+                _add_coeffs(table, term, vec)
+        return table
 
     @_per_irrep
     def z_table(self, i: int, key: tuple) -> Table:
         """z_i = y_i x_i + c0 phi_i on the basis term key = (nu, t)."""
         nu, t = key
-        table = dict(self.y_table(i, _bump(nu, i - 1), t))
+        table = dict(self.y_table(i, (_bump(nu, i - 1), t)))
         for j in range(1, i):
             for nu2, a, q in _averaged_transposition(self, i, j, 0, nu, t):
                 _add_coeffs(table, (nu2, a), (0, q) + (0,) * self.shape.r)
-        return _nonzero(table)
+        return table
 
     @_per_irrep
-    def twisted_table(self, nu: tuple[int, ...], s: int) -> tuple:
-        """(den; x^nu (tensor) w_nu^{-1} v_s, its keys in one residue block, and
-        its z_1..z_n-images, as tables over den; the images' coordinates at
-        (nu, s), as vectors over diag_den; diag_den)."""
-        (twist, twist_den), (untwist, untwist_den) = self.twist(nu)
-        column, width = untwist[s], self.shape.r + 2
-        images = [_combination([(c, self.z_table(i, (nu, a))) for a, c in column.items()])
-                  for i in range(1, self.n + 1)]
-        # row s of w_nu on the support of column s of w_nu^{-1} (w_nu is gram-unitary)
-        diag = [tuple(sum(twist[a][s] * image[nu, a][p] for a in column if (nu, a) in image)
-                      for p in range(width)) for image in images]
-        den = self.denominator * untwist_den
-        return (den, {(nu, a): (c * self.denominator,) + (0,) * (width - 1)
-                      for a, c in column.items()}, images, diag, den * twist_den)
+    def twisted_table(self, nu: tuple[int, ...], s: int) -> list[Table]:
+        """The z_1..z_n-images of x^nu (tensor) w_nu^{-1} v_s, whose keys lie in
+        one residue block, as tables over denominator * den of w_nu^{-1}."""
+        column = self.twist(nu)[1][0][s]
+        return [_combination([(c, self.z_table(i, (nu, a))) for a, c in column.items()])
+                for i in range(1, self.n + 1)]
 
     @_per_irrep
     def eigen_plan(self, mu: tuple[int, ...], residues: tuple[int, ...]) -> list[tuple]:
@@ -269,7 +264,7 @@ class IrrepModel:
             (twist, den), (untwist, _) = self.twist(nu)
             columns = [s for s, res in enumerate(self.column_residues(nu)) if res == residues]
             block[nu] = [(s, [((nu, a), twist[a][s]) for a in untwist[s]]) for s in columns], den
-            for kappa in {key[0] for s in columns for image in self.twisted_table(nu, s)[2]
+            for kappa in {key[0] for s in columns for image in self.twisted_table(nu, s)
                           for key in image} - {nu}:
                 if kappa not in above:
                     pending.append(kappa)
@@ -281,13 +276,12 @@ class IrrepModel:
 
 
 def _combination(pairs: list) -> Table:
-    """The sum of c * table over the (c, table) pairs, for integers c; zero
-    entries dropped."""
+    """The sum of c * table over the (c, table) pairs, for integers c."""
     out: Table = {}
     for c, table in pairs:
         for key, vec in table.items():
             _add_coeffs(out, key, tuple(c * x for x in vec))
-    return _nonzero(out)
+    return out
 
 
 def _commutator_vanishes(op, i: int, j: int, key: tuple) -> bool:
@@ -413,17 +407,16 @@ def validate_irrep(model: IrrepModel) -> list[str]:
                 if c * model.gram[a] != m[a].get(b, 0) * model.gram[b]:
                     errors.append(f"s_{i} gram self-adjointness")
     # Jucys-Murphy diagonal: phi_i = sum_{j<i} sum_l zeta_i^l s_ij zeta_i^-l, on the
-    # kept s_ij tables (times r * denominator) that the y- and z-tables read
-    for i in range(2, n + 1):
-        terms = [_mat_mul(model.zeta_matrix(i, l),
-                          _mat_mul(model.transposition(i, j), model.zeta_matrix(i, -l)))
-                 for j in range(1, i) for l in range(r)]
+    # kept s_ij tables (times r * denominator) that the y- and z-tables read; zeta_i
+    # is diagonal, so the l-th term is s_ij with entry (a, t) times zeta^(l (beta_a - beta_t))
+    for i, res in enumerate(model.zeta_residues[1:], 2):
         for t, T in enumerate(model.tableaux):
-            # column t of phi_i: the sum of the terms' columns t
-            phi_t = _apply(tuple(term[t] for term in terms),
-                           dict.fromkeys(range(len(terms)), f.one))
+            phi_t: dict = {}   # column t of phi_i
+            for j, l in itertools.product(range(1, i), range(r)):
+                for a, q in model.transposition(i, j)[t].items():
+                    phi_t[a] = phi_t.get(a, f.zero) + q * f.zeta_power(l * (res[a] - res[t]))
             expect = f.from_rational(r * r * model.denominator * T.box_of(i).content)
-            if phi_t != ({} if expect.is_zero() else {t: expect}):
+            if {a: c for a, c in phi_t.items() if c} != ({} if expect.is_zero() else {t: expect}):
                 errors.append(f"jucys-murphy phi_{i} not diagonal with r*ct")
     return sorted(set(errors))
 
@@ -595,7 +588,7 @@ class StandardModule:
         return ModuleElement._reduced(self, out, elt.den * self._den)
 
     def y_act(self, i: int, elt: ModuleElement) -> ModuleElement:
-        return self._act(self._y_cache[i - 1], lambda key: self.irrep.y_table(i, *key), elt)
+        return self._act(self._y_cache[i - 1], functools.partial(self.irrep.y_table, i), elt)
 
     def z_act(self, i: int, elt: ModuleElement) -> ModuleElement:
         return self._act(self._z_cache[i - 1], functools.partial(self.irrep.z_table, i), elt)
@@ -710,14 +703,19 @@ class StandardModule:
     def twisted_column(self, nu: tuple[int, ...], s: int) -> tuple:
         """(den; x^nu (tensor) w_nu^{-1} v_s and its z_i-images, as numerator
         dicts over den; their coordinates at (nu, s), as a list of numerators
-        over diag_den; diag_den): the irrep's twisted table, specialized once."""
+        over diag_den; diag_den), once per module: the vector from column s of
+        w_nu^{-1}, and the images from the irrep's twisted table."""
         column = self._twisted.get((nu, s))
         if column is None:
-            den, vec, images, diag, diag_den = self.irrep.twisted_table(nu, s)
-            point = self._point
+            (twist, twist_den), (untwist, untwist_den) = self.irrep.twist(nu)
+            images = [self._specialize(table) for table in self.irrep.twisted_table(nu, s)]
+            den = self._den * untwist_den
+            # row s of w_nu on the support of column s of w_nu^{-1} (w_nu is gram-unitary)
+            diag = [sum(twist[a][s] * image.get((nu, a), 0) for a in untwist[s])
+                    for image in images]
             column = self._twisted[nu, s] = (
-                den * point[0], self._specialize(vec), [self._specialize(t) for t in images],
-                [sum(map(operator.mul, d, point)) for d in diag], diag_den * point[0])
+                den, {(nu, a): c * self._den for a, c in untwist[s].items()}, images,
+                diag, den * twist_den)
         return column
 
     def x_power(self, nu: Sequence[int], elt: ModuleElement) -> ModuleElement:
@@ -738,30 +736,34 @@ class StandardModule:
 
     # -- eigen-structure helpers -------------------------------------------------
 
-    def eigenvalue_of(self, i: int, v: ModuleElement, kind: str = "z"):
-        """The scalar by which z_i acts on the eigenvector v, or for kind "zeta"
-        the residue e by which zeta_i acts, as zeta^e; verifies v really is an
-        eigenvector."""
+    def eigenvalue_of(self, i: int, v: ModuleElement) -> Fraction:
+        """The scalar by which z_i acts on the eigenvector v; verifies that v
+        really is one."""
         if v.is_zero():
             raise ValueError("zero vector")
-        if kind == "zeta":
-            residues = {self.residue(i, key) for key in v.nums}
-            if len(residues) != 1:
-                raise ValueError(f"not a zeta_{i} eigenvector")
-            return residues.pop()
         image, key = self.z_act(i, v), min(v.nums)
         lam = Fraction(image.nums.get(key, 0) * v.den, image.den * v.nums[key])
         if image != v.scale(lam):
             raise ValueError(f"not a z_{i} eigenvector")
         return lam
 
+    def zeta_residue(self, i: int, v: ModuleElement) -> int:
+        """The residue e by which zeta_i acts on the eigenvector v, as zeta^e;
+        verifies that v really is one."""
+        if v.is_zero():
+            raise ValueError("zero vector")
+        residues = {self.residue(i, key) for key in v.nums}
+        if len(residues) != 1:
+            raise ValueError(f"not a zeta_{i} eigenvector")
+        return residues.pop()
+
     def intertwiner_scalar(self, i: int, v: ModuleElement) -> Fraction:
         """The scalar f_i on the joint eigenvector v: r*c0/(z_i - z_{i+1}) when
         the zeta-residues at i, i+1 agree, 0 otherwise.  Raises ZeroGapError
         at a pole."""
-        if self.eigenvalue_of(i, v, "zeta") != self.eigenvalue_of(i + 1, v, "zeta"):
+        if self.zeta_residue(i, v) != self.zeta_residue(i + 1, v):
             return Fraction(0)
-        gap = self.eigenvalue_of(i, v, "z") - self.eigenvalue_of(i + 1, v, "z")
+        gap = self.eigenvalue_of(i, v) - self.eigenvalue_of(i + 1, v)
         if not gap:
             raise ZeroGapError(f"zero spectral gap at position {i}")
         return self.r * self.point.c0 / gap
@@ -850,9 +852,10 @@ def verify_report(r: int, n: int, degree: int = 2, seed: int = 0,
     n! <f, g>) against the closed formulas, intertwiner braid and square
     relations, and the S_n symmetrizer identity.
     The triangularity and eigenvector checks read the twisted columns
-    (twisted_table, specialized once per module); the triangularity check
-    asserts that each image is z_act of its vector.  Every check calls the
-    irrep's or the module's own methods, never a copy of them."""
+    (twisted_column, the irrep's twisted images specialized once per module);
+    the triangularity check asserts that each image is z_act of its vector.
+    Each check returns its details as a string, and calls the irrep's or the
+    module's own methods, never a copy of them."""
     from .combinatorics import enumerate_multipartitions, parse_multipartition
     from .combinatorics import assignment_pair, composition_compare, Comparison
     from .norms import (minimal_assignment, minimal_norm, nonsymmetric_norm, spectrum,
@@ -877,7 +880,7 @@ def verify_report(r: int, n: int, degree: int = 2, seed: int = 0,
             detail, status = f"{type(exc).__name__}: {exc}", "fail"
         checks.append({"name": name, "status": status,
                        "seconds": round(time.perf_counter() - t0, 4),
-                       "details": detail if isinstance(detail, str) else (detail or "")})
+                       "details": detail})
 
     modules: dict[str, StandardModule] = {}
 
@@ -908,10 +911,10 @@ def verify_report(r: int, n: int, degree: int = 2, seed: int = 0,
         for mod, nu, t in basis(3):
             y = mod.irrep.y_table
             for i, j in itertools.product(range(1, n + 1), repeat=2):
-                rhs = mod.irrep.bracket_table(i, j, nu, t)
-                for (kappa, s), vec in y(i, nu, t).items():
+                rhs = mod.irrep.bracket_table(i, j, (nu, t))
+                for (kappa, s), vec in y(i, (nu, t)).items():
                     _add_coeffs(rhs, (_bump(kappa, j - 1), s), vec)
-                if y(i, _bump(nu, j - 1), t) != _nonzero(rhs):
+                if y(i, (_bump(nu, j - 1), t)) != rhs:
                     raise AssertionError(f"relation y_{i} x_{j} at {nu}")
                 count += 1
         return f"{count} operator identities"
@@ -921,7 +924,7 @@ def verify_report(r: int, n: int, degree: int = 2, seed: int = 0,
     def check_commutation():
         count = 0
         for mod, nu, t in basis(3):
-            ops = (("y", lambda i, key: mod.irrep.y_table(i, *key)), ("z", mod.irrep.z_table))
+            ops = (("y", mod.irrep.y_table), ("z", mod.irrep.z_table))
             for i, j in itertools.combinations(range(1, n + 1), 2):
                 for name, op in ops:
                     if not _commutator_vanishes(op, i, j, (nu, t)):

@@ -139,12 +139,6 @@ class AffineForm:
     c0 = property(lambda self: Fraction(self.numerators[1], self.denominator))
     d = property(lambda self: tuple(Fraction(b, self.denominator) for b in self.numerators[2:]))
 
-    # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def constant(r: int, value) -> "AffineForm":
-        return AffineForm(r, const=value)
-
     # -- ring-ish operations ---------------------------------------------------
 
     def __add__(self, other):

@@ -315,11 +315,11 @@ def test_criterion_7_structural_suite(rng):
         rhs = m2.intertwiner(2, m2.intertwiner(1, m2.intertwiner(2, f)))
         assert lhs == rhs
         for i in (1, 2):
-            res_eq = (m2.eigenvalue_of(i, f, "zeta") == m2.eigenvalue_of(i + 1, f, "zeta"))
+            res_eq = m2.zeta_residue(i, f) == m2.zeta_residue(i + 1, f)
             g = Fraction(0)
             if res_eq:
                 g = Fraction(r) * m2.point.c0 / (
-                    m2.eigenvalue_of(i, f, "z") - m2.eigenvalue_of(i + 1, f, "z"))
+                    m2.eigenvalue_of(i, f) - m2.eigenvalue_of(i + 1, f))
             assert m2.intertwiner(i, m2.intertwiner(i, f)) == f.scale(1 - g * g)
 
     # symmetrizer kills non-column-strict assignments; equal assignments give

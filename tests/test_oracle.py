@@ -53,7 +53,7 @@ from test_acceptance import ORACLE_RANGE
 def _bracket_at(mod, i, j, nu, t):
     """[y_i, x_j] on the basis term (nu, t): the irrep's bracket table at the
     module's point."""
-    return ModuleElement._reduced(mod, mod._specialize(mod.irrep.bracket_table(i, j, nu, t)),
+    return ModuleElement._reduced(mod, mod._specialize(mod.irrep.bracket_table(i, j, (nu, t))),
                                   mod._den)
 
 
@@ -185,7 +185,7 @@ class TestZAction:
                 elt = mod.apply_perm(perm_inverse(sorting_data(mu0)[2]), mod.tableau_vector(T))
                 data = spectrum(mu0, T)
                 for i in range(1, n + 1):
-                    lam = mod.eigenvalue_of(i, elt, "z")
+                    lam = mod.eigenvalue_of(i, elt)
                     assert lam == data[i - 1].z_eigenvalue.evaluate(point)
 
     def test_z_commute_degree3(self, rng):
@@ -404,6 +404,16 @@ class TestTwistedTable:
 
 
 class TestIntertwiners:
+    def test_eigenvalue_and_residue_reject_what_is_not_an_eigenvector(self, rng):
+        mod = StandardModule(parse_multipartition("1|1"), small_point(2, rng))
+        for read in (mod.eigenvalue_of, mod.zeta_residue):
+            with pytest.raises(ValueError, match="zero vector"):
+                read(1, mod.zero())
+        # x_1 v and v have zeta_1-residues one apart mod 2
+        mixed = mod.basis_vector(0) + mod.basis_vector(0, (1, 0))
+        with pytest.raises(ValueError, match="not a zeta_1 eigenvector"):
+            mod.zeta_residue(1, mixed)
+
     def test_braid_on_eigenvector(self, rng):
         shape = parse_multipartition("2,1|")
         mod = StandardModule(shape, small_point(2, rng))
@@ -420,10 +430,10 @@ class TestIntertwiners:
         f = mod.eigenvector((0, 1), T)
         norm_before = mod.norm(f)
         sf = mod.intertwiner(1, f)
-        res_eq = (mod.eigenvalue_of(1, f, "zeta") == mod.eigenvalue_of(2, f, "zeta"))
+        res_eq = mod.zeta_residue(1, f) == mod.zeta_residue(2, f)
         if res_eq:
             g = Fraction(2) * mod.point.c0 / (
-                mod.eigenvalue_of(1, f, "z") - mod.eigenvalue_of(2, f, "z"))
+                mod.eigenvalue_of(1, f) - mod.eigenvalue_of(2, f))
         else:
             g = Fraction(0)
         assert mod.intertwiner_scalar(1, f) == g
@@ -624,7 +634,7 @@ class TestTableCertificates:
     even where it vanishes at the drawn point."""
 
     @pytest.mark.parametrize("kind, args, check", [
-        ("y_table", (1, (1, 0), 0), "defining relations up to degree cap"),
+        ("y_table", (1, ((1, 0), 0)), "defining relations up to degree cap"),
         ("z_table", (1, ((1, 0), 0)), "y- and z-family commutativity"),
     ])
     def test_poisoned_d_coefficient_fails(self, monkeypatch, kind, args, check):
@@ -652,6 +662,40 @@ class TestTableCertificates:
         assert mod._specialize(table) == mod._specialize(clean)
         status = {c["name"]: c["status"] for c in report["checks"]}
         assert status[check] == "fail" and not report["ok"]
+
+
+class TestCanonicalTables:
+    """The irrep's tables are canonical as they are built: a key whose
+    coefficients cancel is dropped, so no table holds a zero vector."""
+
+    def test_add_coeffs_drops_a_cancelled_key_and_sets_it_again(self):
+        table = {"a": (1, 2, 0), "b": (0, 1, 1)}
+        oracle._add_coeffs(table, "a", (-1, -2, 0))
+        assert table == {"b": (0, 1, 1)}
+        oracle._add_coeffs(table, "a", (0, 0, 3))
+        assert table == {"b": (0, 1, 1), "a": (0, 0, 3)}
+        oracle._add_coeffs(table, "c", (0, 0, 0))
+        assert "c" not in table
+
+    @pytest.mark.parametrize("r, n", ORACLE_RANGE + [(1, 4)])
+    def test_no_table_holds_a_zero_vector(self, r, n):
+        for shape in enumerate_multipartitions(r, n):
+            irrep = build_irrep(shape)
+            for key in itertools.product(compositions(n, 2), range(irrep.dim)):
+                for i in range(1, n + 1):
+                    irrep.z_table(i, key)   # and the y-tables below it
+                    for j in range(1, n + 1):
+                        assert all(map(any, irrep.bracket_table(i, j, key).values()))
+                irrep.twisted_table(*key)
+            kept = {"y_table": [], "z_table": [], "twisted_table": []}
+            for (kind, *_), value in irrep._tables.items():
+                if kind in ("y_table", "z_table"):
+                    kept[kind].append(value)
+                elif kind == "twisted_table":
+                    kept[kind].extend(value)
+            assert all(kept.values())
+            assert all(any(vec) for tables in kept.values() for table in tables
+                       for vec in table.values())
 
 
 def _outer_product_commutator_vanishes(op, i, j, key):
@@ -1216,7 +1260,7 @@ class TestEigenPlan:
         for shape in enumerate_multipartitions(r, n):
             irrep = build_irrep(shape)
             for nu, s in itertools.product(compositions(n, 2), range(irrep.dim)):
-                for image in irrep.twisted_table(nu, s)[2]:
+                for image in irrep.twisted_table(nu, s):
                     for (kappa, _), (const, c0, *d) in image.items():
                         assert kappa == nu or (const == 0 and c0 and not any(d))
 
