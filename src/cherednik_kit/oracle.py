@@ -34,11 +34,12 @@ The module is the standard module over Q(zeta_r), but every structure
 constant it reads at a rational ParameterPoint is rational: a ModuleElement
 holds integer numerators over one denominator, and Q(zeta_r) appears only in
 validate_irrep, which checks the group relations literally.  verify_report
-certifies the defining relations and the commutativity of the y- and
-z-families on the irrep's point-free tables, for every parameter at once;
-its other checks run at the point.  This certifies the closed norm formulas
-without sharing their code: only verify_report's triangularity check reads
-the closed spectrum, to compare it with the z-diagonal.
+runs shape by shape, one module alive at a time.  It certifies the defining
+relations and the y/z commutativity on the irrep's point-free tables, for
+every parameter at once, and runs its other checks at the point: each draws
+from its own named stream, the form check from the report's.  It shares no
+code with the closed norm formulas: only its triangularity check reads the
+closed spectrum, to compare it with the z-diagonal.
 """
 from __future__ import annotations
 
@@ -55,9 +56,14 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .combinatorics import (
+    Comparison,
     MultiPartition,
     StandardTableau,
+    assignment_pair,
+    composition_compare,
+    enumerate_multipartitions,
     enumerate_syt,
+    parse_multipartition,
     perm_inverse,
     reduced_word,
     simple_transposition,
@@ -836,6 +842,203 @@ def _kernel(rows: list[list[CycNumber]], width: int, f: CyclotomicField) -> list
     return basis
 
 
+def _basis(mod: StandardModule, degree: int, cap: int):
+    """(nu, t) for each basis term x^nu v_t up to degree min(degree, cap)."""
+    return [(nu, t) for deg in range(min(degree, cap) + 1) for nu in mod.monomials(deg)
+            for t in range(mod.irrep.dim)]
+
+
+def _check_relations(mod: StandardModule, degree: int, rng: random.Random) -> int:
+    basis = _basis(mod, degree, 3)
+    for nu, t in basis:
+        for i, j in itertools.product(range(1, mod.n + 1), repeat=2):
+            rhs = mod.irrep.bracket_table(i, j, (nu, t))
+            for (kappa, s), vec in mod.irrep.y_table(i, (nu, t)).items():
+                _add_coeffs(rhs, (_bump(kappa, j - 1), s), vec)
+            if mod.irrep.y_table(i, (_bump(nu, j - 1), t)) != rhs:
+                raise AssertionError(f"relation y_{i} x_{j} at {nu}")
+    return len(basis) * mod.n ** 2
+
+
+def _check_commutation(mod: StandardModule, degree: int, rng: random.Random) -> int:
+    basis = _basis(mod, degree, 3)
+    for nu, t in basis:
+        for i, j in itertools.combinations(range(1, mod.n + 1), 2):
+            for name, op in (("y", mod.irrep.y_table), ("z", mod.irrep.z_table)):
+                if not _commutator_vanishes(op, i, j, (nu, t)):
+                    raise AssertionError(f"[{name}_{i}, {name}_{j}] != 0")
+    return len(basis) * math.comb(mod.n, 2)
+
+
+def _random_element(mod: StandardModule, deg: int, rng: random.Random) -> ModuleElement:
+    """Each term of degree deg kept on a draw < 0.6, then drawn its coefficient."""
+    return ModuleElement(mod, {(nu, t): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                               for nu in mod.monomials(deg) for t in range(mod.irrep.dim)
+                               if rng.random() < 0.6})
+
+
+def _by_residue(elt: ModuleElement, keep) -> ModuleElement:
+    """The part of elt on the basis terms whose zeta_1-residue passes keep."""
+    nums = {key: a for key, a in elt.nums.items() if keep(elt.module.residue(1, key))}
+    return ModuleElement._reduced(elt.module, nums, elt.den)
+
+
+def _check_form(mod: StandardModule, degree: int, rng: random.Random) -> int:
+    # W-invariance on the generators s_1..s_{n-1} and zeta_1 of W: for a
+    # sesquilinear form that is invariance under every element.  zeta_1 is
+    # diagonal and unitary, so the form is invariant under it exactly when
+    # terms of different zeta_1-residues pair to 0
+    generators = [functools.partial(mod.apply_perm, simple_transposition(mod.n, i))
+                  for i in range(1, mod.n)]
+    for _ in range(2):
+        u, v = _random_element(mod, min(degree, 2), rng), _random_element(mod, min(degree, 2), rng)
+        form = mod.pairing(u, v)
+        if form != mod.pairing(v, u):
+            raise AssertionError("pairing not conjugate-symmetric")
+        for e in sorted({mod.residue(1, key) for key in u.nums}) if mod.n else ():
+            if mod.pairing(_by_residue(u, lambda x: x == e), _by_residue(v, lambda x: x != e)):
+                raise AssertionError("pairing not W-invariant")
+        for i in range(1, mod.n + 1):
+            if mod.pairing(mod.z_act(i, u), v) != mod.pairing(u, mod.z_act(i, v)):
+                raise AssertionError(f"z_{i} not self-adjoint")
+        for g in generators:
+            if mod.pairing(g(u), g(v)) != form:
+                raise AssertionError("pairing not W-invariant")
+    return 2
+
+
+def _check_triangular(mod: StandardModule, degree: int, rng: random.Random) -> int:
+    from .norms import spectrum
+    count = 0
+    for nu, t in _basis(mod, degree, 2):
+        T = mod.irrep.tableaux[t]
+        den, vec, images, diag, diag_den = mod.twisted_column(nu, t)
+        elt = ModuleElement._reduced(mod, vec, den)
+        for i, data in enumerate(spectrum(nu, T)):
+            image = ModuleElement._reduced(mod, images[i], den)
+            if image != mod.z_act(i + 1, elt):
+                raise AssertionError(f"twisted table image z_{i + 1} at {nu}, {T.as_text()}")
+            image = mod.twisted_coordinates(image)
+            expect = data.z_eigenvalue.evaluate(mod.point)
+            if not image.pop((nu, t), 0) == Fraction(diag[i], diag_den) == expect:
+                raise AssertionError(f"diagonal at {nu}, {T.as_text()}")
+            for (kappa, u), c in image.items():
+                if composition_compare(nu, kappa) is not Comparison.GREATER:
+                    raise AssertionError(f"non-triangular entry {(kappa, u)} from {(nu, t)}")
+            count += 1
+    return count
+
+
+def _check_eigen_norms(mod: StandardModule, degree: int, rng: random.Random) -> int:
+    from .norms import nonsymmetric_norm
+    mus = sorted(nu for total in range(min(degree, 2) + 1) for nu in mod.monomials(total))
+    for T in mod.irrep.tableaux:
+        gam = mod.gram_weight(T)
+        for mu in mus:
+            m2, f = mod.eigenvector_generic(mu, T, rng)
+            if m2.norm(f) != gam * nonsymmetric_norm(mu, T).evaluate(m2.point):
+                raise AssertionError(f"norm mismatch at mu={mu}, T={T.as_text()}")
+    return len(mod.irrep.tableaux) * len(mus)
+
+
+def _check_minimal_norms(mod: StandardModule, degree: int, rng: random.Random) -> int:
+    from .norms import minimal_assignment, minimal_norm, symmetric_norm, symmetrization_block_factor
+    S = minimal_assignment(mod.shape)
+    mu, T = assignment_pair(S)
+    m2, f = mod.eigenvector_generic(mu, T, rng)
+    g = m2.symmetrize(f)
+    closed = minimal_norm(mod.shape)
+    expect = (m2.gram_weight(T) * symmetrization_block_factor(S).evaluate(m2.point)
+              * closed.evaluate(m2.point))
+    # <g, g> = n! <f, g>, as g is S_n-invariant and the form W-invariant
+    if m2.pairing(f, g) * math.factorial(mod.n) != expect:
+        raise AssertionError(f"minimal norm mismatch for {mod.shape.as_text()}")
+    if symmetric_norm(S) != closed:
+        raise AssertionError("product formula disagrees with n! H E")
+    return 1
+
+
+def _check_intertwiners(mod: StandardModule, degree: int, rng: random.Random) -> int:
+    count = 0
+    for T in mod.irrep.tableaux[:2]:
+        mu = tuple(rng.randint(0, max(0, degree - 1)) for _ in range(mod.n))
+        try:
+            m2, f = mod.eigenvector_generic(mu, T, rng)
+        except EigenvalueCollision:
+            continue
+        norm_f_val = m2.norm(f)
+        for i in range(1, mod.n):
+            try:
+                sf = m2.intertwiner(i, f)
+            except ZeroGapError:
+                continue
+            # sigma^2 = 1 - f^2 and the norm scaling
+            g = m2.intertwiner_scalar(i, f)
+            square = 1 - g * g
+            if m2.intertwiner(i, sf) != f.scale(square):
+                raise AssertionError(f"sigma_{i}^2 != 1 - f^2")
+            if sf.is_zero():
+                if square:
+                    raise AssertionError(f"sigma_{i} vanished away from g = +-1")
+            elif m2.norm(sf) != square * norm_f_val:
+                raise AssertionError(f"sigma_{i} norm scaling")
+            count += 1
+        if mod.n >= 3:
+            try:
+                lhs = m2.intertwiner(1, m2.intertwiner(2, m2.intertwiner(1, f)))
+                rhs = m2.intertwiner(2, m2.intertwiner(1, m2.intertwiner(2, f)))
+                if lhs != rhs:
+                    raise AssertionError("braid relation")
+                count += 1
+            except ZeroGapError:
+                pass
+    return count
+
+
+# The checks verify_report runs on each shape's module, in order: a check
+# takes (mod, degree, rng), draws only from rng, and returns a count; its row's
+# details are the format string applied to the sum over the shapes.
+_CHECKS = (
+    ("defining relations up to degree cap", _check_relations, "{} operator identities"),
+    ("y- and z-family commutativity", _check_commutation, "{} commutators"),
+    ("contravariant form properties", _check_form, "symmetry, self-adjointness, W-invariance"),
+    ("z-matrix triangularity and diagonal", _check_triangular,
+     "{} columns triangular with predicted diagonal"),
+    ("eigenvector norms vs closed formula", _check_eigen_norms,
+     "{} eigenvector norms match the closed formula"),
+    ("symmetrized minimal norms vs closed formula", _check_minimal_norms,
+     "{} minimal symmetric norms match n! H E"),
+    ("intertwiner square, norm scaling, braid", _check_intertwiners, "{} intertwiner identities"),
+)
+
+
+def _check_dimensions(r: int, n: int, total: int) -> None:
+    expect = (r ** n) * math.factorial(n)
+    if total != expect:
+        raise AssertionError(f"sum of dim^2 = {total}, expected {expect}")
+
+
+def _check_symmetrizer(r: int, n: int, rng: random.Random) -> None:
+    for _ in range(5):
+        z = []
+        while len(set(z)) != n:
+            z = [Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(n)]
+        c0 = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        if not symmetrizer_identity_check(n, z, c0, r):
+            raise AssertionError(f"identity failed at z={z}, c0={c0}")
+
+
+def _record(row: dict, fn, *args):
+    """fn(*args), its time added to row; None if it raises, failing the row."""
+    t0 = time.perf_counter()
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - report, don't crash
+        row["status"], row["details"] = "fail", f"{type(exc).__name__}: {exc}"
+    finally:
+        row["seconds"] += time.perf_counter() - t0
+
+
 def verify_report(r: int, n: int, degree: int = 2, seed: int = 0,
                   shape_text: str | None = None) -> dict:
     """Structured pass/fail report over the oracle's identity suite for all
@@ -854,13 +1057,13 @@ def verify_report(r: int, n: int, degree: int = 2, seed: int = 0,
     The triangularity and eigenvector checks read the twisted columns
     (twisted_column, the irrep's twisted images specialized once per module);
     the triangularity check asserts that each image is z_act of its vector.
-    Each check returns its details as a string, and calls the irrep's or the
-    module's own methods, never a copy of them."""
-    from .combinatorics import enumerate_multipartitions, parse_multipartition
-    from .combinatorics import assignment_pair, composition_compare, Comparison
-    from .norms import (minimal_assignment, minimal_norm, nonsymmetric_norm, spectrum,
-                        symmetric_norm, symmetrization_block_factor)
 
+    The report runs shape by shape: it builds a shape's module (the irrep
+    check), runs each check of _CHECKS on it and drops it, so only one module
+    is alive at a time.  A failed check keeps its first message and skips
+    later shapes.  The point and the form check draw from random.Random(seed);
+    each other check from its own stream, random.Random(f"{seed}/{name}/{shape}")
+    (the symmetrizer's without the shape)."""
     rng = random.Random(seed)
     point = ParameterPoint(r, Fraction(rng.randint(1, 40), rng.randint(1, 40)),
                            [Fraction(rng.randint(-40, 40), rng.randint(1, 40)) for _ in range(r)])
@@ -870,223 +1073,35 @@ def verify_report(r: int, n: int, degree: int = 2, seed: int = 0,
             raise ValueError(f"shape {shape_text!r} has size {shapes[0].size}, not n = {n}")
     else:
         shapes = enumerate_multipartitions(r, n)
-    checks: list[dict] = []
-
-    def run(name, fn):
-        t0 = time.perf_counter()
-        try:
-            detail, status = fn(), "pass"
-        except Exception as exc:  # noqa: BLE001 - report, don't crash
-            detail, status = f"{type(exc).__name__}: {exc}", "fail"
-        checks.append({"name": name, "status": status,
-                       "seconds": round(time.perf_counter() - t0, 4),
-                       "details": detail})
-
-    modules: dict[str, StandardModule] = {}
-
-    def check_irreps():
-        total = 0
-        for s in shapes:
-            modules[s.as_text()] = StandardModule(s, point)  # validates
-            total += modules[s.as_text()].irrep.dim ** 2
-        if shape_text is None:
-            expect = (r ** n) * math.factorial(n)
-            if total != expect:
-                raise AssertionError(f"sum of dim^2 = {total}, expected {expect}")
-            return f"sum dim^2 = {total}"
-        return f"{len(shapes)} shape(s) validated"
-
-    run("irrep relations and dimension count", check_irreps)
-
-    def basis(cap):
-        """(module, nu, t) for each basis term x^nu v_t up to degree min(degree, cap)."""
-        for mod in modules.values():
-            for deg in range(min(degree, cap) + 1):
-                for nu in mod.monomials(deg):
-                    for t in range(mod.irrep.dim):
-                        yield mod, nu, t
-
-    def check_relations():
-        count = 0
-        for mod, nu, t in basis(3):
-            y = mod.irrep.y_table
-            for i, j in itertools.product(range(1, n + 1), repeat=2):
-                rhs = mod.irrep.bracket_table(i, j, (nu, t))
-                for (kappa, s), vec in y(i, (nu, t)).items():
-                    _add_coeffs(rhs, (_bump(kappa, j - 1), s), vec)
-                if y(i, (_bump(nu, j - 1), t)) != rhs:
-                    raise AssertionError(f"relation y_{i} x_{j} at {nu}")
-                count += 1
-        return f"{count} operator identities"
-
-    run("defining relations up to degree cap", check_relations)
-
-    def check_commutation():
-        count = 0
-        for mod, nu, t in basis(3):
-            ops = (("y", mod.irrep.y_table), ("z", mod.irrep.z_table))
-            for i, j in itertools.combinations(range(1, n + 1), 2):
-                for name, op in ops:
-                    if not _commutator_vanishes(op, i, j, (nu, t)):
-                        raise AssertionError(f"[{name}_{i}, {name}_{j}] != 0")
-                count += 1
-        return f"{count} commutators"
-
-    run("y- and z-family commutativity", check_commutation)
-
-    def rand_elt(mod, deg):
-        terms = {}
-        for nu in mod.monomials(deg):
-            for t in range(mod.irrep.dim):
-                if rng.random() < 0.6:
-                    terms[(nu, t)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        return ModuleElement(mod, terms)
-
-    def by_residue(elt, keep):
-        """The part of elt on the basis terms whose zeta_1-residue passes keep."""
-        nums = {key: a for key, a in elt.nums.items() if keep(elt.module.residue(1, key))}
-        return ModuleElement._reduced(elt.module, nums, elt.den)
-
-    def check_form():
-        # W-invariance on the generators s_1..s_{n-1} and zeta_1 of W: for a
-        # sesquilinear form that is invariance under every element.  zeta_1 is
-        # diagonal and unitary, so the form is invariant under it exactly when
-        # terms of different zeta_1-residues pair to 0
-        for mod in modules.values():
-            generators = [functools.partial(mod.apply_perm, simple_transposition(n, i))
-                          for i in range(1, n)]
-            for _ in range(2):
-                u, v = rand_elt(mod, min(degree, 2)), rand_elt(mod, min(degree, 2))
-                form = mod.pairing(u, v)
-                if form != mod.pairing(v, u):
-                    raise AssertionError("pairing not conjugate-symmetric")
-                for e in sorted({mod.residue(1, key) for key in u.nums}) if n else ():
-                    if mod.pairing(by_residue(u, lambda x: x == e),
-                                   by_residue(v, lambda x: x != e)):
-                        raise AssertionError("pairing not W-invariant")
-                for i in range(1, n + 1):
-                    if mod.pairing(mod.z_act(i, u), v) != mod.pairing(u, mod.z_act(i, v)):
-                        raise AssertionError(f"z_{i} not self-adjoint")
-                for g in generators:
-                    if mod.pairing(g(u), g(v)) != form:
-                        raise AssertionError("pairing not W-invariant")
-        return "symmetry, self-adjointness, W-invariance"
-
-    run("contravariant form properties", check_form)
-
-    def check_triangular():
-        count = 0
-        for mod, nu, t in basis(2):
-            T = mod.irrep.tableaux[t]
-            den, vec, images, diag, diag_den = mod.twisted_column(nu, t)
-            elt = ModuleElement._reduced(mod, vec, den)
-            for i, data in enumerate(spectrum(nu, T)):
-                image = ModuleElement._reduced(mod, images[i], den)
-                if image != mod.z_act(i + 1, elt):
-                    raise AssertionError(f"twisted table image z_{i + 1} at {nu}, {T.as_text()}")
-                image = mod.twisted_coordinates(image)
-                expect = data.z_eigenvalue.evaluate(point)
-                if not image.pop((nu, t), 0) == Fraction(diag[i], diag_den) == expect:
-                    raise AssertionError(f"diagonal at {nu}, {T.as_text()}")
-                for (kappa, u), c in image.items():
-                    if composition_compare(nu, kappa) is not Comparison.GREATER:
-                        raise AssertionError(f"non-triangular entry {(kappa, u)} from {(nu, t)}")
-                count += 1
-        return f"{count} columns triangular with predicted diagonal"
-
-    run("z-matrix triangularity and diagonal", check_triangular)
-
-    def check_eigen_norms():
-        count = 0
-        for mod in modules.values():
-            mus = sorted(nu for total in range(min(degree, 2) + 1) for nu in mod.monomials(total))
-            for T in mod.irrep.tableaux:
-                gam = mod.gram_weight(T)
-                for mu in mus:
-                    m2, f = mod.eigenvector_generic(mu, T, rng)
-                    if m2.norm(f) != gam * nonsymmetric_norm(mu, T).evaluate(m2.point):
-                        raise AssertionError(f"norm mismatch at mu={mu}, T={T.as_text()}")
-                    count += 1
-        return f"{count} eigenvector norms match the closed formula"
-
-    run("eigenvector norms vs closed formula", check_eigen_norms)
-
-    def check_minimal_norms():
-        count = 0
-        for s in shapes:
-            mod = modules[s.as_text()]
-            S = minimal_assignment(s)
-            mu, T = assignment_pair(S)
-            m2, f = mod.eigenvector_generic(mu, T, rng)
-            g = m2.symmetrize(f)
-            closed = minimal_norm(s)
-            expect = (m2.gram_weight(T) * symmetrization_block_factor(S).evaluate(m2.point)
-                      * closed.evaluate(m2.point))
-            # <g, g> = n! <f, g>, as g is S_n-invariant and the form W-invariant
-            if m2.pairing(f, g) * math.factorial(n) != expect:
-                raise AssertionError(f"minimal norm mismatch for {s.as_text()}")
-            if symmetric_norm(S) != closed:
-                raise AssertionError("product formula disagrees with n! H E")
-            count += 1
-        return f"{count} minimal symmetric norms match n! H E"
-
-    run("symmetrized minimal norms vs closed formula", check_minimal_norms)
-
-    def check_intertwiners():
-        count = 0
-        for mod in modules.values():
-            for T in mod.irrep.tableaux[:2]:
-                mu = tuple(rng.randint(0, max(0, degree - 1)) for _ in range(n))
-                try:
-                    m2, f = mod.eigenvector_generic(mu, T, rng)
-                except EigenvalueCollision:
-                    continue
-                norm_f_val = m2.norm(f)
-                for i in range(1, n):
-                    try:
-                        sf = m2.intertwiner(i, f)
-                    except ZeroGapError:
-                        continue
-                    # sigma^2 = 1 - f^2 and the norm scaling
-                    g = m2.intertwiner_scalar(i, f)
-                    square = 1 - g * g
-                    if m2.intertwiner(i, sf) != f.scale(square):
-                        raise AssertionError(f"sigma_{i}^2 != 1 - f^2")
-                    if sf.is_zero():
-                        if square:
-                            raise AssertionError(f"sigma_{i} vanished away from g = +-1")
-                    elif m2.norm(sf) != square * norm_f_val:
-                        raise AssertionError(f"sigma_{i} norm scaling")
-                    count += 1
-                if n >= 3:
-                    try:
-                        lhs = m2.intertwiner(1, m2.intertwiner(2, m2.intertwiner(1, f)))
-                        rhs = m2.intertwiner(2, m2.intertwiner(1, m2.intertwiner(2, f)))
-                        if lhs != rhs:
-                            raise AssertionError("braid relation")
-                        count += 1
-                    except ZeroGapError:
-                        pass
-        return f"{count} intertwiner identities"
-
-    run("intertwiner square, norm scaling, braid", check_intertwiners)
-
-    def check_symmetrizer_identity():
-        for trial in range(5):
-            z = []
-            while len(set(z)) != n:
-                z = [Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(n)]
-            c0 = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-            if not symmetrizer_identity_check(n, z, c0, r):
-                raise AssertionError(f"identity failed at z={z}, c0={c0}")
-        return "5 random evaluations equal n!"
-
-    run("symmetrizer rational-function identity", check_symmetrizer_identity)
-
+    rows = [{"name": name, "status": "pass", "seconds": 0.0, "details": details, "count": 0}
+            for name, details in [("irrep relations and dimension count",
+                                   "sum dim^2 = {}" if shape_text is None else "1 shape(s) validated"),
+                                  *((name, details) for name, _, details in _CHECKS),
+                                  ("symmetrizer rational-function identity",
+                                   "5 random evaluations equal n!")]]
+    irreps, *per_shape, symmetrizer = rows
+    for shape in shapes:
+        mod = _record(irreps, StandardModule, shape, point)   # validates the irrep
+        if mod is None:
+            break
+        irreps["count"] += mod.irrep.dim ** 2
+        for row, (name, check, _) in zip(per_shape, _CHECKS):
+            if row["status"] == "pass":
+                stream = rng if check is _check_form else random.Random(f"{seed}/{name}/{shape}")
+                row["count"] += _record(row, check, mod, degree, stream) or 0
+        del mod   # before the next shape's module is built
+    if shape_text is None and irreps["status"] == "pass":
+        _record(irreps, _check_dimensions, r, n, irreps["count"])
+    _record(symmetrizer, _check_symmetrizer, r, n, random.Random(f"{seed}/{symmetrizer['name']}"))
+    for row in rows:
+        count = row.pop("count")
+        row["seconds"] = round(row["seconds"], 4)
+        if row["status"] == "pass":
+            row["details"] = row["details"].format(count)
     return {"r": r, "n": n, "degree": degree, "seed": seed,
             "point": {"c0": str(point.c0), "d": [str(x) for x in point.d]},
-            "shapes": [s.as_text() for s in shapes], "checks": checks,
-            "ok": all(c["status"] == "pass" for c in checks)}
+            "shapes": [s.as_text() for s in shapes], "checks": rows,
+            "ok": all(row["status"] == "pass" for row in rows)}
 
 
 def symmetrizer_identity_check(n: int, z: Sequence[Fraction], c0, r: int = 1) -> bool:

@@ -4,6 +4,7 @@ import graphlib
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -1307,6 +1308,41 @@ def test_eigenvector_does_not_use_the_closed_spectrum(monkeypatch, rng):
 def test_verify_report_rejects_a_shape_of_another_size():
     with pytest.raises(ValueError, match="size 3"):
         verify_report(1, 2, shape_text="3")
+
+
+class TestReportShapeByShape:
+    """verify_report runs shape by shape, dropping each shape's module before
+    it builds the next, and each check draws from its own stream."""
+
+    @staticmethod
+    def _peak(**kwargs):
+        tracemalloc.start()
+        try:
+            verify_report(2, 2, degree=2, seed=7, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_whole_report_peaks_near_its_largest_shape(self):
+        largest = max(self._peak(shape_text=s.as_text()) for s in enumerate_multipartitions(2, 2))
+        assert self._peak() <= 2.5 * largest
+
+    @pytest.mark.parametrize("table", [
+        lambda checks: [c for c in checks if c[0] != "eigenvector norms vs closed formula"],
+        lambda checks: checks[::-1],
+    ], ids=["without-eigenvector-norms", "reversed"])
+    def test_a_check_reads_the_same_draws_whatever_runs_beside_it(self, monkeypatch, table):
+        def rows():
+            # at this seed the intertwiner count depends on the draws: a
+            # shared stream moves it when another check's draws change
+            report = verify_report(1, 3, degree=2, seed=63)
+            return {c["name"]: (c["status"], c["details"]) for c in report["checks"]}
+
+        full = rows()
+        monkeypatch.setattr(oracle, "_CHECKS", tuple(table(oracle._CHECKS)))
+        part = rows()
+        assert len(part) == 2 + len(oracle._CHECKS)
+        assert part == {name: full[name] for name in part}
 
 
 @pytest.mark.parametrize("corruption", ["cycle", "off-diagonal"])
