@@ -295,14 +295,19 @@ def sorting_data(mu: Sequence[int]) -> tuple[Partition, Composition, Permutation
     n = len(mu)
     mu_plus = tuple(sorted(mu, reverse=True))
     mu_minus = tuple(sorted(mu))
-    # w_mu(i) is the place of i when the indices are sorted by mu_i, equal
-    # entries latest index first: a stable sort of the reversed indices
-    w = [0] * n
-    for place, i in enumerate(sorted(range(n - 1, -1, -1), key=mu.__getitem__), start=1):
-        w[i] = place
-    w = tuple(w)
+    w = sorting_permutation(mu)
     r = tuple(n + 1 - wi for wi in w)
     return as_partition(mu_plus), mu_minus, w, r
+
+
+def sorting_permutation(mu: tuple[int, ...]) -> Permutation:
+    """w_mu of sorting_data alone, for a tuple of integers mu."""
+    # w_mu(i) is the place of i when the indices are sorted by mu_i, equal
+    # entries latest index first: a stable sort of the reversed indices
+    w = [0] * len(mu)
+    for place, i in enumerate(sorted(range(len(mu) - 1, -1, -1), key=mu.__getitem__), start=1):
+        w[i] = place
+    return tuple(w)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,14 @@ AffineForm / FactoredScalar values:
 Each product formula lists its numerator and denominator as terms
 (top, hi, lo, ct), each the residue forms k - (d_hi - d_lo) - r*ct*c0 for
 1 <= k <= top, k = hi - lo mod r.  `_product` counts the forms by integer key
-(k, hi mod r, lo mod r, ct) and turns each nonzero net key straight into
-primitive integer numerators, so an AffineForm is built only for each
-factor of the canonical FactoredScalar.  symmetric_norm's ratios
-over box pairs (b, b2) telescope along each run of equal S-values in a row,
-so it lists O(n * runs) terms, not O(n^2).  minimal_norm is one product
+(k, hi mod r, lo mod r, ct), and `_from_keys` turns each nonzero net key
+straight into primitive integer numerators, so an AffineForm is built only
+for each factor of the canonical FactoredScalar.  nonsymmetric_norm lists no
+terms: it counts its keys straight into one dict, one per k for each box's
+own factors and +1, -2, +1 at ct - 1, ct, ct + 1 for each pair, and hands
+it to `_from_keys`.  symmetric_norm's ratios over box pairs (b, b2)
+telescope along each run of equal S-values in a row, so it lists
+O(n * runs) terms, not O(n^2).  minimal_norm is one product
 over the minimal assignment's closed-form hook and extra terms, and
 pochhammer_products, the independent reference, lists the forms of its
 Pochhammer symbols as integer numerators over r.  Empty products are 1.
@@ -42,7 +45,7 @@ from .combinatorics import (
     ShapeAssignment,
     StandardTableau,
     conjugate,
-    sorting_data,
+    sorting_permutation,
 )
 from .scalars import AffineForm, FactoredScalar
 
@@ -70,8 +73,9 @@ def _indexed_boxes(mu: Sequence[int], T: StandardTableau) -> list[tuple[int, Box
     mu = tuple(mu)
     if len(mu) != T.shape.size:
         raise ValueError("composition length must equal shape size")
-    _, _, w_mu, _ = sorting_data(mu)
-    return [(m, T.box_of(w)) for m, w in zip(mu, w_mu)]
+    if mu and min(mu) < 0:
+        raise ValueError("composition entries must be >= 0")
+    return [(m, T.box_of(w)) for m, w in zip(mu, sorting_permutation(mu))]
 
 
 def spectrum(mu: Sequence[int], T: StandardTableau) -> list[SpectralDatum]:
@@ -107,13 +111,20 @@ def _run_part(hi: int, lo: int, top_minus: int, top_plus: int, t_lo: int, t_hi: 
 
 
 def _product(r: int, coefficient, parts: Sequence[Part]) -> FactoredScalar:
-    """One FactoredScalar from all parts.  Each nonzero net key becomes
-    primitive integer numerators directly: as k >= 1, the form is primitive
-    when hi != lo; when hi = lo it is g * (k/g - (r*ct/g)*c0) with
-    g = gcd(k, r*ct), a constant when ct = 0, and g^m joins the coefficient.
-    Keys with equal numerators merge, and only a surviving factor becomes a form."""
+    """One FactoredScalar from all parts: their forms counted by integer key,
+    numerator minus denominator, and folded by _from_keys."""
     net = _keys(r, (term for num, _ in parts for term in num))
     net.subtract(_keys(r, (term for _, den in parts for term in den)))
+    return _from_keys(r, coefficient, net)
+
+
+def _from_keys(r: int, coefficient, net: dict) -> FactoredScalar:
+    """coefficient times the forms _eig_form(r, *key) to the power m, over the
+    net counts key -> m.  Each nonzero net key becomes primitive integer
+    numerators directly: as k >= 1, the form is primitive when hi != lo; when
+    hi = lo it is g * (k/g - (r*ct/g)*c0) with g = gcd(k, r*ct), a constant
+    when ct = 0, and g^m joins the coefficient.  Keys with equal numerators
+    merge, and only a surviving factor becomes a form."""
     zeros, prims, num, den = [0] * r, {}, coefficient, 1
     for (k, hi, lo, ct), m in net.items():
         if not m:
@@ -136,20 +147,27 @@ def _product(r: int, coefficient, parts: Sequence[Part]) -> FactoredScalar:
 def nonsymmetric_norm(mu: Sequence[int], T: StandardTableau) -> FactoredScalar:
     """Norm of the joint eigenvector with leading term x^mu v_T^mu, as a
     factored product of affine forms (squares kept as repeated factors,
-    difference-of-squares split into two affine factors)."""
-    r = T.shape.r
-    walk = _indexed_boxes(mu, T)
-    n = len(walk)
-    mu = [m for m, _ in walk]
-    a = [b.content for _, b in walk]
-    beta = [b.component for _, b in walk]
-    parts = [_own_part(r, mu[i], beta[i], a[i]) for i in range(n)]
+    difference-of-squares split into two affine factors), its integer keys
+    counted straight into one dict."""
+    r = T.shape.r   # components lie in 0..r-1 already
+    walk = [(m, b.component, b.content) for m, b in _indexed_boxes(mu, T)]
+    net: dict = {}
+    for m, beta, ct in walk:   # a box's own factors: one key per k, lo = beta - k
+        for k in range(1, m + 1):
+            key = (k, beta, (beta - k) % r, ct)
+            net[key] = net.get(key, 0) + 1
     # per pair, ((X - r c0)(X + r c0)) / X^2 = X(ct - 1) X(ct + 1) / X(ct)^2,
     # ct = a_hi - a_lo, for k up to mu_i - mu_j at (i, j), mu_j - mu_i - 1 at (j, i)
-    parts += [_run_part(beta[hi], beta[lo], top, top, a[hi] - a[lo], a[hi] - a[lo])
-              for i in range(n) for j in range(i + 1, n)
-              for hi, lo, top in ((i, j, mu[i] - mu[j]), (j, i, mu[j] - mu[i] - 1)) if top > 0]
-    return _product(r, 1, parts)
+    for i, (m_i, beta_i, a_i) in enumerate(walk):
+        for m_j, beta_j, a_j in walk[i + 1:]:
+            for top, hi, lo, ct in ((m_i - m_j, beta_i, beta_j, a_i - a_j),
+                                    (m_j - m_i - 1, beta_j, beta_i, a_j - a_i)):
+                for k in range((hi - lo - 1) % r + 1, top + 1, r):
+                    below, above, at = (k, hi, lo, ct - 1), (k, hi, lo, ct + 1), (k, hi, lo, ct)
+                    net[below] = net.get(below, 0) + 1
+                    net[above] = net.get(above, 0) + 1
+                    net[at] = net.get(at, 0) - 2
+    return _from_keys(r, 1, net)
 
 
 def _runs(S: ShapeAssignment) -> list[tuple[int, int, int, int]]:

@@ -28,7 +28,10 @@ type G(r,1,n) degree by degree, straight from the defining relations:
   residue beta_t(i) - nu_i mod r, so the zeta eigenvalues are read as residues;
 - the intertwiner sigma_i is s_i + f_i, with f_i from intertwiner_scalar;
 - the contravariant pairing moves x's on the left to y's on the right and
-  reads the degree-0 gram form, summing integer numerators.
+  reads the degree-0 gram form: for each exponent of its left argument it
+  lowers the right one through the same numerator-level kernel as y_act,
+  keeping each lowered vector as (numerators, denominator), canonical at
+  every step, and builds one Fraction at the end.
 
 The module is the standard module over Q(zeta_r), but every structure
 constant it reads at a rational ParameterPoint is rational: a ModuleElement
@@ -471,13 +474,14 @@ class ModuleElement:
 
     @classmethod
     def _reduced(cls, module: "StandardModule", nums: dict, den: int) -> "ModuleElement":
-        """nums/den for integer numerators, zeros allowed, and den > 0: the
-        zeros dropped and one gcd divided out."""
-        elt, nums = cls.__new__(cls), {k: a for k, a in nums.items() if a}
-        g = math.gcd(den, *nums.values())
-        if g != 1:
-            nums = {k: a // g for k, a in nums.items()}
-        elt.module, elt.nums, elt.den = module, nums, den // g
+        """nums/den for integer numerators, zeros allowed, and den > 0."""
+        return cls._canonical(module, *_reduce(nums, den))
+
+    @classmethod
+    def _canonical(cls, module: "StandardModule", nums: dict, den: int) -> "ModuleElement":
+        """nums/den for data already canonical, stored as given."""
+        elt = cls.__new__(cls)
+        elt.module, elt.nums, elt.den = module, nums, den
         return elt
 
     @property
@@ -509,6 +513,16 @@ class ModuleElement:
     def __repr__(self):
         items = sorted(self.terms.items())
         return " + ".join(f"{c}*x^{nu}v[{t}]" for (nu, t), c in items) or "0"
+
+
+def _reduce(nums: dict, den: int) -> tuple[dict, int]:
+    """Integer numerators over den > 0, zeros allowed, made canonical: the
+    zeros dropped and one gcd divided out."""
+    nums = {k: a for k, a in nums.items() if a}
+    g = math.gcd(den, *nums.values())
+    if g != 1:
+        nums = {k: a // g for k, a in nums.items()}
+    return nums, den // g
 
 
 def _accumulate(out: dict, nums: dict, c: int) -> None:
@@ -581,53 +595,54 @@ class StandardModule:
                 terms[key] = num
         return terms
 
-    def _act(self, cache: dict, table, elt: ModuleElement) -> ModuleElement:
-        """An operator on elt from the table of each basis term's image, each
-        specialized once into cache: integer multiply-adds over elt.den * _den,
-        and one reduction."""
+    def _act(self, i: int, cache: dict, table, nums: dict, den: int) -> tuple[dict, int]:
+        """An operator on the vector nums/den, from table(i, key), the image
+        of each basis term, specialized once into cache: integer
+        multiply-adds over den * _den, and the result made canonical."""
         out: dict = {}
-        for key, c in elt.nums.items():
+        for key, c in nums.items():
             image = cache.get(key)
             if image is None:
-                image = cache[key] = self._specialize(table(key))
+                image = cache[key] = self._specialize(table(i, key))
             _accumulate(out, image, c)
-        return ModuleElement._reduced(self, out, elt.den * self._den)
+        return _reduce(out, den * self._den)
 
     def y_act(self, i: int, elt: ModuleElement) -> ModuleElement:
-        return self._act(self._y_cache[i - 1], functools.partial(self.irrep.y_table, i), elt)
+        return ModuleElement._canonical(self, *self._act(
+            i, self._y_cache[i - 1], self.irrep.y_table, elt.nums, elt.den))
 
     def z_act(self, i: int, elt: ModuleElement) -> ModuleElement:
-        return self._act(self._z_cache[i - 1], functools.partial(self.irrep.z_table, i), elt)
+        return ModuleElement._canonical(self, *self._act(
+            i, self._z_cache[i - 1], self.irrep.z_table, elt.nums, elt.den))
 
     # -- contravariant pairing -------------------------------------------------
 
     def pairing(self, u: ModuleElement, v: ModuleElement) -> Fraction:
         """<u, v>, x adjoint to y: conjugate-linear in u and linear in v, so
-        bilinear on these rational elements."""
-        zero_exp = (0,) * self.n
-        cache: dict[tuple, ModuleElement] = {zero_exp: v}
-
-        def lowered(nu: tuple[int, ...]) -> ModuleElement:
-            # y_j for the first j with nu_j > 0, down to a cached exponent; a
-            # loop, not a recursive closure, so the cache dies with the call
-            # rather than in a reference cycle
-            steps = []
-            while nu not in cache:
-                j = next(k for k, e in enumerate(nu) if e > 0)
-                steps.append((nu, j + 1))
-                nu = nu[:j] + (nu[j] - 1,) + nu[j + 1:]
-            result = cache[nu]
-            for up, j in reversed(steps):
-                result = cache[up] = self.y_act(j, result)
-            return result
-
+        bilinear on these rational elements.  For each exponent nu of u, v is
+        lowered by y_j for the first j with nu_j > 0, down to an exponent
+        already lowered; each lowered vector is kept as (numerators, den)."""
+        zero_exp, y_cache, y_table = (0,) * self.n, self._y_cache, self.irrep.y_table
+        lowered = {zero_exp: (v.nums, v.den)}
+        by_exp: dict[tuple, list] = {}
+        for (nu, t), c in u.nums.items():
+            by_exp.setdefault(nu, []).append((t, c))
         gram, gram_den = self.irrep.gram_numerators
         total, den = 0, 1   # integer numerator over den, the lcm of the lowered denominators
-        for nu, terms in itertools.groupby(sorted(u.nums.items()), key=lambda term: term[0][0]):
-            w = lowered(nu)
-            part = sum(c * w.nums.get((zero_exp, t), 0) * gram[t] for (_, t), c in terms)
-            lcm = math.lcm(den, w.den)
-            total, den = total * (lcm // den) + part * (lcm // w.den), lcm
+        for nu, terms in by_exp.items():
+            steps, kappa = [], nu
+            while kappa not in lowered:
+                j = next(k for k, e in enumerate(kappa) if e)
+                steps.append((kappa, j))
+                kappa = _bump(kappa, j, -1)
+            w_nums, w_den = lowered[kappa]
+            for kappa, j in reversed(steps):
+                w_nums, w_den = lowered[kappa] = self._act(j + 1, y_cache[j], y_table,
+                                                           w_nums, w_den)
+            part = sum(c * w_nums.get((zero_exp, t), 0) * gram[t] for t, c in terms)
+            if part:
+                lcm = math.lcm(den, w_den)
+                total, den = total * (lcm // den) + part * (lcm // w_den), lcm
         return Fraction(total, den * u.den * gram_den)
 
     def norm(self, v: ModuleElement) -> Fraction:
@@ -666,32 +681,35 @@ class StandardModule:
         # the lcm of the denominators of the terms solved so far
         solved, images, den = {}, [{} for _ in range(n)], 1
         for nu, columns, twist_den in plan:   # mu comes first
-            coeffs = {tau: Fraction(1)} if nu == mu else {}
+            coeffs = [(tau, 1, 1)] if nu == mu else []   # (s, numerator, denominator > 0)
             for s, row_s in columns:
-                if (nu, s) == (mu, tau):
+                if s == tau and nu == mu:
                     continue
                 _, _, _, diag, diag_den = self.twisted_column(nu, s)
-                gaps = (lam[i] * diag_den - diag[i] * lam_den for i in range(n))
-                gap, i = next(((g, i) for i, g in enumerate(gaps) if g), (0, 0))
-                if not gap:
+                for i in range(n):
+                    gap = lam[i] * diag_den - diag[i] * lam_den
+                    if gap:
+                        break
+                else:
                     if nu == mu or self.point.c0:
                         raise EigenvalueCollision(
                             f"{(mu, T.as_text())} vs {(nu, irrep.tableaux[s].as_text())}")
                     break   # c0 = 0: the point does not reach nu
                 row = sum(a * images[i].get(key, 0) for key, a in row_s)
-                c = Fraction(row * lam_den * diag_den, twist_den * den * gap)
-                if c:
-                    coeffs[s] = c
-            for s, c in coeffs.items():
+                if row:
+                    num, c_den = row * lam_den * diag_den, twist_den * den * gap
+                    g = math.gcd(num, c_den) if c_den > 0 else -math.gcd(num, c_den)
+                    coeffs.append((s, num // g, c_den // g))
+            for s, num, c_den in coeffs:
                 col_den, vec, zb, _, _ = self.twisted_column(nu, s)
-                q = c.denominator * col_den
+                q = c_den * col_den
                 if den % q:   # a new factor: bring everything over the lcm
                     k = q // math.gcd(den, q)
                     den *= k
                     for acc in (solved, *images):
                         for key in acc:
                             acc[key] *= k
-                w = c.numerator * (den // q)
+                w = num * (den // q)
                 _accumulate(solved, vec, w)
                 for i in range(n):
                     _accumulate(images[i], zb[i], w)
@@ -1107,12 +1125,21 @@ def verify_report(r: int, n: int, degree: int = 2, seed: int = 0,
 def symmetrizer_identity_check(n: int, z: Sequence[Fraction], c0, r: int = 1) -> bool:
     """Exact evaluation of
     sum_{w in S_n} prod_{inversions} (1 + rc0/(z_i - z_j))
-                   prod_{non-inversions} (1 - rc0/(z_i - z_j)) = n!."""
+                   prod_{non-inversions} (1 - rc0/(z_i - z_j)) = n!,
+    multiplied through by prod_{i<j} g_ij, g_ij = z_i - z_j: the sum over w of
+    prod (g_ij +- rc0) is n! prod g_ij.  z and rc0 are first scaled to
+    integers by the lcm of their denominators, which scales both sides by the
+    same power of it."""
     z = [Fraction(x) for x in z]
     if len(set(z)) != len(z):
         raise ValueError("z values must be distinct")
     q = Fraction(c0) * r
-    return math.factorial(n) == sum(
-        math.prod(1 + q / (z[i] - z[j]) if w[i] > w[j] else 1 - q / (z[i] - z[j])
-                  for i, j in itertools.combinations(range(n), 2))
+    scale = math.lcm(q.denominator, *(x.denominator for x in z))
+    q = q.numerator * (scale // q.denominator)
+    z = [x.numerator * (scale // x.denominator) for x in z]
+    pairs = list(itertools.combinations(range(n), 2))
+    gaps = [z[i] - z[j] for i, j in pairs]
+    signed = [(g + q, g - q) for g in gaps]
+    return math.factorial(n) * math.prod(gaps) == sum(
+        math.prod(plus if w[i] > w[j] else minus for (i, j), (plus, minus) in zip(pairs, signed))
         for w in itertools.permutations(range(n)))

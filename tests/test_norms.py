@@ -18,6 +18,9 @@ from cherednik_kit.combinatorics import (
     sorting_data,
 )
 from cherednik_kit.norms import (
+    _own_part,
+    _product,
+    _run_part,
     extra_product,
     hook_product,
     minimal_assignment,
@@ -94,6 +97,21 @@ def pairwise_nonsymmetric_norm(mu, T):
                 num += _residues(r, top, bh.component, bl.component, t + 1)
                 den += 2 * _residues(r, top, bh.component, bl.component, t)
     return FactoredScalar(r, 1, num, den)
+
+
+def parts_nonsymmetric_norm(mu, T):
+    """The parts-based construction nonsymmetric_norm counts its keys in
+    place of: each index's own part and each pair's run part, folded by
+    _product."""
+    r, n = T.shape.r, len(mu)
+    w_mu = sorting_data(mu)[2]
+    boxes = [T.box_of(w_mu[i]) for i in range(n)]
+    a, beta = [b.content for b in boxes], [b.component for b in boxes]
+    parts = [_own_part(r, mu[i], beta[i], a[i]) for i in range(n)]
+    parts += [_run_part(beta[hi], beta[lo], top, top, a[hi] - a[lo], a[hi] - a[lo])
+              for i in range(n) for j in range(i + 1, n)
+              for hi, lo, top in ((i, j, mu[i] - mu[j]), (j, i, mu[j] - mu[i] - 1)) if top > 0]
+    return _product(r, 1, parts)
 
 
 def lower_rim(shape):
@@ -327,6 +345,21 @@ class TestTelescopedProducts:
                 for T in enumerate_syt(shape):
                     for mu in compositions(n, 3):
                         assert nonsymmetric_norm(mu, T) == pairwise_nonsymmetric_norm(mu, T)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_nonsymmetric_norm_counts_the_parts_keys(self, r):
+        for n in range(5):
+            for shape in enumerate_multipartitions(r, n):
+                for T in enumerate_syt(shape):
+                    for mu in compositions(n, 3):
+                        p, reference = nonsymmetric_norm(mu, T), parts_nonsymmetric_norm(mu, T)
+                        assert p == reference and str(p) == str(reference)
+
+    def test_nonsymmetric_norm_rejects_a_negative_entry(self):
+        T = enumerate_syt(parse_multipartition("1,1"))[0]
+        for norm_or_spectrum in (nonsymmetric_norm, spectrum):
+            with pytest.raises(ValueError, match="must be >= 0"):
+                norm_or_spectrum((1, -1), T)
 
 
 class TestMinimalAssignment:

@@ -264,6 +264,72 @@ class TestPairing:
         finally:
             gc.enable()
 
+    def test_an_operator_result_of_zero_is_empty_over_one(self, rng):
+        # y kills degree 0; test_pairing_matches_lowering_term_by_term checks
+        # that every other y- and z-image is canonical
+        mod = StandardModule(parse_multipartition("1|1,1", 2), small_point(2, rng))
+        zero = mod.y_act(2, mod.basis_vector(1).scale(Fraction(3, 4)))
+        assert (zero.nums, zero.den) == ({}, 1)
+
+
+def _assert_canonical(elt):
+    """No zero numerator and gcd 1, so equal elements have equal data."""
+    assert elt.den > 0 and all(elt.nums.values())
+    assert math.gcd(elt.den, *elt.nums.values()) == 1
+    assert elt == ModuleElement(elt.module, elt.terms)
+
+
+def _lowered_pairing(mod, u, v):
+    """Reference for pairing: <u, v> term by term over u, each term pairing
+    with v lowered from scratch through y_act, one exponent at a time, in a
+    module of its own, so no lowered vector is shared."""
+    ref = StandardModule(mod.shape, mod.point, irrep=mod.irrep)
+    zero, total = (0,) * mod.n, Fraction(0)
+    for (nu, t), c in u.terms.items():
+        w = v
+        for i, e in enumerate(nu, start=1):
+            for _ in range(e):
+                w = ref.y_act(i, w)
+        total += c * w.terms.get((zero, t), 0) * mod.irrep.gram[t]
+    return total
+
+
+@st.composite
+def _module_and_two_elements(draw):
+    """A module with r <= 3, n <= 3 at a drawn point, and two elements of
+    mixed degree up to 2 with drawn Fraction coefficients, each either as
+    drawn, symmetrized, or its difference with its s_1-image, so that many
+    of its terms cancel."""
+    shape = draw(st.sampled_from([shape for r in (1, 2, 3) for n in (1, 2, 3)
+                                  for shape in enumerate_multipartitions(r, n)]))
+    fraction = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    point = ParameterPoint(shape.r, draw(fraction), [draw(fraction) for _ in range(shape.r)])
+    mod = StandardModule(shape, point, irrep=_cached_irrep(shape))
+    basis = [(nu, t) for deg in range(3) for nu in mod.monomials(deg)
+             for t in range(mod.irrep.dim)]
+    elements = []
+    for _ in range(2):
+        elt = ModuleElement(mod, draw(st.dictionaries(st.sampled_from(basis), fraction,
+                                                      max_size=6)))
+        kind = draw(st.sampled_from(("drawn", "symmetrized", "antisymmetrized")))
+        if kind == "symmetrized":
+            elt = mod.symmetrize(elt)
+        elif kind == "antisymmetrized" and mod.n > 1:
+            elt = elt - mod.apply_perm(simple_transposition(mod.n, 1), elt)
+        elements.append(elt)
+    return mod, *elements
+
+
+@settings(deadline=None, database=None, derandomize=True, max_examples=80)
+@given(_module_and_two_elements())
+def test_pairing_matches_lowering_term_by_term(case):
+    mod, u, v = case
+    form = mod.pairing(u, v)
+    assert form == _lowered_pairing(mod, u, v) == mod.pairing(v, u)
+    for i in range(1, mod.n + 1):
+        _assert_canonical(mod.y_act(i, v))
+        _assert_canonical(mod.z_act(i, v))
+
 
 class TestEigenvectors:
     def test_degree_zero_is_twisted_tableau_vector(self, rng):
