@@ -93,7 +93,7 @@ class TestIrrep:
         bad = [dict(col) for col in m.s_mats[0]]
         bad[0][0] = bad[0].get(0, 0) + one
         m.s_mats[0] = tuple(bad)
-        m._tables = {}
+        m._tables.clear()
         m.__dict__.pop("denominator", None)   # a cached_property, outside _tables
         return m
 
@@ -113,10 +113,24 @@ class TestIrrep:
         # there, with the s_i untouched, fails the Jucys-Murphy check alone
         m = build_irrep(parse_multipartition(text))
         assert validate_irrep(m) == []
-        bad = [dict(col) for col in m.transposition(3, 1)]
-        bad[0][0] = bad[0].get(0, 0) + 1
-        m._tables["transposition", 3, 1] = tuple(bad)
+        bad = [[dict(group) for group in col] for col in m.transposition(3, 1)]
+        entry = bad[0][m.zeta_residues[2][0]]   # entry (0, 0), in its residue group
+        entry[0] = entry.get(0, 0) + 1
+        m._tables["transposition"][3, 1] = tuple(map(tuple, bad))
         assert validate_irrep(m) == ["jucys-murphy phi_3 not diagonal with r*ct"]
+
+    @pytest.mark.parametrize("text", ["1|1|1", "1,1|1", "|2,1"])
+    def test_validation_sees_an_entry_in_another_residue_group(self, text):
+        # the brackets read one residue group of a kept s_ij column: an entry
+        # moved to the next group, its value kept, leaves phi_i as it is and
+        # fails the grouping check alone
+        m = build_irrep(parse_multipartition(text))
+        moved = [[dict(group) for group in col] for col in m.transposition(3, 1)]
+        rho = next(rho for rho, group in enumerate(moved[0]) if group)
+        a, q = moved[0][rho].popitem()
+        moved[0][(rho + 1) % m.shape.r][a] = q
+        m._tables["transposition"][3, 1] = tuple(map(tuple, moved))
+        assert validate_irrep(m) == ["kept s_ij entries grouped by residue"]
 
     @pytest.mark.parametrize("text", ["1|2,1", "4,2", "|1|2,1"])
     def test_gram_propagates_over_both_kinds_of_edge(self, text):
@@ -695,6 +709,38 @@ def test_verify_report_cancelled_factor_is_not_a_pole():
     assert verify_report(2, 3, degree=3, seed=275012945, shape_text="|3")["ok"]
 
 
+class TestIntertwinerSkips:
+    """The intertwiner check counts the identities it skips at a pole or at
+    an eigenvalue collision, and its row says how many."""
+
+    @staticmethod
+    def _details(report):
+        row = next(c for c in report["checks"] if c["name"].startswith("intertwiner"))
+        assert row["status"] == "pass"
+        return row["details"]
+
+    def test_a_pole_at_the_drawn_point_is_reported(self):
+        # one of the shape's three identities meets a pole at this point
+        report = verify_report(1, 3, degree=3, seed=124, shape_text="3")
+        assert self._details(report) == "2 intertwiner identities, 1 skipped at a pole or collision"
+        assert report["ok"]
+
+    def test_a_report_without_skips_says_nothing_more(self):
+        assert self._details(verify_report(1, 3, degree=2, seed=7)) == "12 intertwiner identities"
+
+    @pytest.mark.parametrize("error, method", [(ZeroGapError, "intertwiner_scalar"),
+                                               (EigenvalueCollision, "eigenvector_generic")])
+    def test_every_identity_is_certified_or_skipped(self, monkeypatch, error, method):
+        # the check takes the first two tableaux of each shape, 4 at (1, 3),
+        # each with two square identities and one braid identity
+        def refuse(*_args):
+            raise error("forced")
+
+        monkeypatch.setattr(StandardModule, method, refuse)
+        report = verify_report(1, 3, degree=2, seed=7)
+        assert self._details(report) == "0 intertwiner identities, 12 skipped at a pole or collision"
+
+
 class TestTableCertificates:
     """verify_report checks the defining relations and commutativity on the
     irrep's point-free tables, so a fault in one table entry fails the check
@@ -714,7 +760,7 @@ class TestTableCertificates:
             table = dict(clean)
             key = min(table)
             table[key] = table[key][:2] + (table[key][2] + 1,) + table[key][3:]
-            irrep._tables[(kind, *args)] = table
+            irrep._tables[kind][args] = table
             built.append((irrep, clean, table))
             return irrep
 
@@ -755,11 +801,12 @@ class TestCanonicalTables:
                         assert all(map(any, irrep.bracket_table(i, j, key).values()))
                 irrep.twisted_table(*key)
             kept = {"y_table": [], "z_table": [], "twisted_table": []}
-            for (kind, *_), value in irrep._tables.items():
-                if kind in ("y_table", "z_table"):
-                    kept[kind].append(value)
-                elif kind == "twisted_table":
-                    kept[kind].extend(value)
+            for kind, store in irrep._tables.items():
+                for value in store.values():
+                    if kind in ("y_table", "z_table"):
+                        kept[kind].append(value)
+                    elif kind == "twisted_table":
+                        kept[kind].extend(value)
             assert all(kept.values())
             assert all(any(vec) for tables in kept.values() for table in tables
                        for vec in table.values())
@@ -811,7 +858,7 @@ def test_commutator_kernel_matches_the_outer_products(case):
     def op(i, key):
         return tables.get((i, key), {})
 
-    got = oracle._commutator_vanishes(op, 1, 2, 0)
+    got = oracle._commutator_vanishes(op, tables, 1, 2, 0)
     assert got == _outer_product_commutator_vanishes(op, 1, 2, 0)
     if kind in ("equal", "antisymmetric"):
         assert got
@@ -825,7 +872,7 @@ def test_commutator_kernel_sees_a_symmetric_defect():
     def op(i, key):
         return tables.get((i, key), {})
 
-    assert not oracle._commutator_vanishes(op, 1, 2, 0)
+    assert not oracle._commutator_vanishes(op, tables, 1, 2, 0)
     assert not _outer_product_commutator_vanishes(op, 1, 2, 0)
 
 
@@ -968,6 +1015,37 @@ def test_averaged_transposition_matches_the_literal_sum(r, n):
                     for i in range(1, n + 1):
                         for j in range(1, n + 1):
                             assert _bracket_at(mod, i, j, nu, t) == _literal_bracket(mod, i, j, nu, t)
+
+
+@st.composite
+def _averaging_cases(draw):
+    """A shape with r <= 4 and 2 <= n <= 4, and (i, j, shift, nu, t) for it:
+    i != j, any shift (beyond r too), entries of nu up to 3, t a tableau."""
+    r, n = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    shape = draw(st.sampled_from(enumerate_multipartitions(r, n)))
+    i, j = draw(st.permutations(range(1, n + 1)))[:2]
+    nu = tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    t = draw(st.integers(0, _cached_irrep(shape).dim - 1))
+    return shape, i, j, draw(st.integers(-r, 2 * r)), nu, t
+
+
+@settings(deadline=None, database=None, derandomize=True, max_examples=150)
+@given(_averaging_cases())
+def test_averaged_transposition_is_the_literal_average(case):
+    # the residue group read from the kept s_ij column against sum over l of
+    # zeta^{-l*shift} zeta_i^l s_ij zeta_i^{-l} on (nu, t), built over Q(zeta_r)
+    shape, i, j, shift, nu, t = case
+    irrep = _cached_irrep(shape)
+    f, r = irrep.field, shape.r
+    mod = StandardModule(shape, small_point(r, random.Random(0)), irrep=irrep)
+    literal = {}
+    for l in range(r):
+        for nu2, a, coeff in _twisted_transposition(mod, i, j, l, nu, t):
+            term = f.zeta_power(-l * shift) * coeff
+            literal[nu2, a] = literal[nu2, a] + term if (nu2, a) in literal else term
+    nu2, group = oracle._averaged_transposition(irrep, i, j, shift, nu, t)
+    assert {(nu2, a): f.from_rational(Fraction(q, irrep.denominator)) for a, q in group.items()} \
+        == {key: c for key, c in literal.items() if c}
 
 
 def _point_valued_y(mod, i, nu, t, cache):
@@ -1341,7 +1419,7 @@ class TestEigenPlan:
         first = StandardModule(shape, small_point(2, rng), irrep=irrep)
         for T, mu in cases:
             first.eigenvector(mu, T)
-        plans = {key for key in irrep._tables if key[0] == "eigen_plan"}
+        plans = set(irrep._tables["eigen_plan"])
         assert plans
         point = small_point(2, rng)
         walked = StandardModule(shape, point, irrep=irrep)
@@ -1353,7 +1431,7 @@ class TestEigenPlan:
         monkeypatch.setattr(oracle.graphlib, "TopologicalSorter", refuse)
         second = StandardModule(shape, point, irrep=irrep)
         assert [second.eigenvector(mu, T) for T, mu in cases] == expect
-        assert {key for key in irrep._tables if key[0] == "eigen_plan"} == plans
+        assert set(irrep._tables["eigen_plan"]) == plans
 
 
 def test_eigenvector_does_not_use_the_closed_spectrum(monkeypatch, rng):
@@ -1437,6 +1515,98 @@ def test_eigenvector_rejects_a_z_action_that_is_not_triangular(corruption, rng):
     irrep.z_table = corrupted
     with pytest.raises(AssertionError, match="not triangular"):
         mod.eigenvector(mu, T)
+
+
+def _fraction_triangular(mod, degree, rng):
+    """Reference: the triangularity check with a Fraction per twisted
+    coordinate, every coordinate compared with nu on its own."""
+    from cherednik_kit.combinatorics import Comparison, composition_compare
+    count = 0
+    for nu, t in oracle._basis(mod, degree, 2):
+        T = mod.irrep.tableaux[t]
+        den, vec, images, diag, diag_den = mod.twisted_column(nu, t)
+        elt = ModuleElement._reduced(mod, vec, den)
+        for i, data in enumerate(spectrum(nu, T)):
+            image = ModuleElement._reduced(mod, images[i], den)
+            if image != mod.z_act(i + 1, elt):
+                raise AssertionError(f"twisted table image z_{i + 1} at {nu}, {T.as_text()}")
+            image = mod.twisted_coordinates(image)
+            expect = data.z_eigenvalue.evaluate(mod.point)
+            if not image.pop((nu, t), 0) == Fraction(diag[i], diag_den) == expect:
+                raise AssertionError(f"diagonal at {nu}, {T.as_text()}")
+            for (kappa, u), c in image.items():
+                if composition_compare(nu, kappa) is not Comparison.GREATER:
+                    raise AssertionError(f"non-triangular entry {(kappa, u)} from {(nu, t)}")
+            count += 1
+    return count
+
+
+class TestIntegerTriangularity:
+    """The triangularity check compares integers: the twisted diagonal of
+    each z-image with the twisted column's diag, and diag with the closed
+    eigenvalue by one cross-product; and each exponent an image reaches with
+    nu, once.  The mutations below keep a column's z-images, its diag and
+    the module's z-action consistent with each other, so only those
+    comparisons can see them."""
+
+    @pytest.mark.parametrize("r, n", ORACLE_RANGE)
+    def test_counts_match_the_fraction_reference(self, r, n):
+        rng = random.Random(2800 + 10 * r + n)
+        for shape in enumerate_multipartitions(r, n):
+            mod = StandardModule(shape, small_point(r, rng))
+            assert oracle._check_triangular(mod, 2, rng) == _fraction_triangular(mod, 2, rng)
+
+    @staticmethod
+    def _poisoned(text, nu, t, i, to=None, into=("image", "diag")):
+        """A module whose twisted column (nu, t) is one basis vector x^nu v_a
+        (w_nu v_a = v_t), with one more unit, over the column's denominator,
+        in its z_{i+1}-image: at the basis term (to, b), b the other tableau
+        when to is nu and 0 otherwise, or at (nu, a), on the diagonal, when
+        to is None.  With "image" in `into`, the unit goes into the twisted
+        table's image and into z_act's specialized image of x^nu v_a; with
+        "diag", on the diagonal, into diag."""
+        shape = parse_multipartition(text)
+        mod = StandardModule(shape, small_point(shape.r, random.Random(2801)))
+        assert oracle._check_triangular(mod, 2, None)
+        den, vec, images, diag, diag_den = mod.twisted_column(nu, t)
+        ((_, a), c), = vec.items()
+        swap = {a: t, t: a}   # w_nu, a permutation matrix
+        assert c == den == diag_den == mod._den and mod.irrep.twist(nu)[0] == (
+            tuple({swap.get(b, b): 1} for b in range(mod.irrep.dim)), 1)
+        term = (nu, a) if to is None else (to, 1 - a if to == nu else 0)
+        mod.z_act(i + 1, mod.basis_vector(a, nu))
+        if "image" in into:
+            for table in (images[i], mod._images["z_table"][i][nu, a]):
+                table[term] = table.get(term, 0) + 1
+        if "diag" in into and term == (nu, a):
+            diag[i] += 1
+        return mod
+
+    @pytest.mark.parametrize("text, nu, t, i, to", [
+        # exponents of nu's degree above it in the composition order
+        ("2", (0, 1), 0, 0, (1, 0)), ("|2", (1, 1), 0, 1, (2, 0)), ("||2", (1, 1), 0, 0, (0, 2)),
+        # nu itself, at the other tableau's coordinate
+        ("1|1", (0, 0), 0, 0, (0, 0)), ("1|1", (1, 0), 1, 1, (1, 0)),
+    ])
+    @pytest.mark.parametrize("check", [oracle._check_triangular, _fraction_triangular],
+                             ids=["integers", "fractions"])
+    def test_an_entry_at_an_exponent_not_lower_fails(self, text, nu, t, i, to, check):
+        mod = self._poisoned(text, nu, t, i, to)
+        with pytest.raises(AssertionError, match="non-triangular entry"):
+            check(mod, 2, None)
+
+    @pytest.mark.parametrize("text, nu, t, i", [
+        ("2", (0, 0), 0, 0), ("|2", (1, 0), 0, 1), ("||2", (1, 1), 0, 0), ("1|1", (0, 1), 1, 1),
+    ])
+    @pytest.mark.parametrize("into", [("image", "diag"), ("diag",), ("image",)],
+                             ids=["image-and-diag", "diag-alone", "image-alone"])
+    @pytest.mark.parametrize("check", [oracle._check_triangular, _fraction_triangular],
+                             ids=["integers", "fractions"])
+    def test_a_diagonal_off_by_one_unit_fails(self, text, nu, t, i, into, check):
+        # against the closed eigenvalue, and the image against diag
+        mod = self._poisoned(text, nu, t, i, into=into)
+        with pytest.raises(AssertionError, match="diagonal at"):
+            check(mod, 2, None)
 
 
 @pytest.mark.parametrize("r, n", [(1, 3), (2, 3), (3, 2), (4, 2)])
