@@ -265,7 +265,7 @@ def cmd_core_quotient(args, out) -> int:
         if args.a is not None or args.quotient is not None:
             raise UsageError("decode reads --shape, not --a or --quotient")
         if args.shape is None:
-            raise DomainError("decode requires --shape")
+            raise UsageError("decode requires --shape")
         charges, shape = disassemble(parse_partition(args.shape, "--shape"), args.r)
         result = {"a": ",".join(str(x) for x in charges), "quotient": _gordon_text(shape)}
         lines = [f'a={result["a"]}; quotient={result["quotient"]}']
@@ -273,7 +273,7 @@ def cmd_core_quotient(args, out) -> int:
         if args.shape is not None:
             raise UsageError("encode reads --a and --quotient, not --shape")
         if args.a is None or args.quotient is None:
-            raise DomainError("encode requires --a and --quotient")
+            raise UsageError("encode requires --a and --quotient")
         charges = parse_int_list(args.a, "--a")
         shape = _shape_from_gordon(args.quotient, args.r)
         result = ",".join(str(x) for x in assemble(charges, shape))

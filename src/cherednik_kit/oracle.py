@@ -9,18 +9,20 @@ type G(r,1,n) degree by degree, straight from the defining relations:
   over them), validates every group relation over Q(zeta_r), and keeps the
   group action once, as integer columns (perm_numerators, transposition);
   each kind of kept table has its own store, _tables[name], keyed by the
-  method's arguments, which the hot readers read directly;
+  method's arguments, and is read only through that method;
 - the y- and z-images of basis terms are point-free integer tables over one
   denominator, kept once per irrep (y_table, z_table) with no zero vector,
   keyed by the basis term (nu, t), and specialized at each module's point: y
-  kills degree 0, commuting y past x inserts the bracket [y_i, x_j]
-  (bracket_table), affine in (1, c0, d_0..d_{r-1}), whose averages sum_l
-  zeta^{-l*shift} zeta_i^l s_ij zeta_i^{-l} are r s_ij on the entries of
-  zeta-weight shift mod r.  The one kept form of s_ij groups each column's
-  entries a by the residue beta_i(a), so an average is one group of a
-  column; validate_irrep checks the literal sum on the Jucys-Murphy sums
-  phi_i, and each entry's group, reading that same form.  And
-  z_i = y_i x_i + c0 * phi_i;
+  kills degree 0, and one relation step, raised_table, writes y_i x_j as
+  x_j y_i + [y_i, x_j]; y_table takes it for the first j with nu_j > 0, and
+  the relations check for every j.  The bracket (bracket_table) is affine in
+  (1, c0, d_0..d_{r-1}), and its averages sum_l zeta^{-l*shift} zeta_i^l
+  s_ij zeta_i^{-l} are r s_ij on the entries of zeta-weight shift mod r.
+  The one kept form of s_ij groups each column's entries a by the residue
+  beta_i(a), so an average is one group of a column; one helper,
+  _add_averages, adds them up for bracket_table and z_table.
+  validate_irrep checks the literal sum on the Jucys-Murphy sums phi_i, and
+  each entry's group, reading that same form.  And z_i = y_i x_i + c0 * phi_i;
 - joint eigenvectors of the z_i are solved by back-substitution down their
   triangular order on the twisted basis x^nu (tensor) w_nu^{-1} v_S, with
   the eigenvalues read off the diagonal.  The irrep keeps the z-images of
@@ -138,8 +140,8 @@ def _bump(nu: tuple[int, ...], j: int, by: int = 1) -> tuple[int, ...]:
 
 def _per_irrep(build):
     """Keep an IrrepModel method's results in its store of that kind,
-    _tables[name], keyed by the argument tuple: built once per irrep.  A hot
-    reader reads the store itself and calls the method only on a miss."""
+    _tables[name], keyed by the argument tuple: built once per irrep, and
+    read through the method."""
     name = build.__name__
 
     @functools.wraps(build)
@@ -159,7 +161,6 @@ class IrrepModel:
     shape: MultiPartition
     tableaux: list[StandardTableau]
     index: dict[StandardTableau, int]
-    field: CyclotomicField
     s_mats: list[Matrix]            # s_1 .. s_{n-1}
     zeta_residues: list[tuple[int, ...]]  # zeta_residues[i-1][t] = beta of box of i in T_t
     gram: list[Fraction]
@@ -186,11 +187,6 @@ class IrrepModel:
         """The gram weights as integer numerators over one denominator."""
         den = math.lcm(*(g.denominator for g in self.gram))
         return tuple(g.numerator * (den // g.denominator) for g in self.gram), den
-
-    def zeta_matrix(self, i: int) -> Matrix:
-        """zeta_i, diagonal, over Q(zeta_r)."""
-        return tuple({b: self.field.zeta_power(res)}
-                     for b, res in enumerate(self.zeta_residues[i - 1]))
 
     @_per_irrep
     def perm_numerators(self, w: tuple[int, ...]) -> tuple[tuple[dict[int, int], ...], int]:
@@ -230,50 +226,52 @@ class IrrepModel:
             out.append(groups)
         return tuple(out)
 
+    def _add_averages(self, table: Table, c: int, i: int, ks, shift: int, key: tuple) -> Table:
+        """table, with c c0 (shift-average of s_ik) on the basis term key
+        added in place for each k in ks."""
+        (nu, t), zeros = key, (0,) * self.shape.r
+        for k in ks:
+            nu2, group = _averaged_transposition(self, i, k, shift, nu, t)
+            for a, q in group.items():
+                _add_coeffs(table, (nu2, a), (0, c * q) + zeros)
+        return table
+
     def bracket_table(self, i: int, j: int, key: tuple) -> Table:
         """[y_i, x_j] on the basis term key = (nu, t): c0 (shift-1 average of
         s_ij) if i != j, else 1 - c0 sum_{k != i} (average of s_ik) - d_res + d_{res-1}."""
-        (nu, t), r, den = key, self.shape.r, self.denominator
-        zeros = (0,) * r
         if i != j:
-            nu2, group = _averaged_transposition(self, i, j, 1, nu, t)
-            return {(nu2, a): (0, q) + zeros for a, q in group.items()}
+            return self._add_averages({}, 1, i, [j], 1, key)
+        (nu, t), r, den = key, self.shape.r, self.denominator
         res = (self.zeta_residues[i - 1][t] - nu[i - 1]) % r
         own = [den] + [0] * (r + 1)
         own[2 + res] -= den
         own[2 + (res - 1) % r] += den
-        table = {(nu, t): tuple(own)}
-        for k in range(1, self.n + 1):
-            if k != i:
-                nu2, group = _averaged_transposition(self, i, k, 0, nu, t)
-                for a, q in group.items():
-                    _add_coeffs(table, (nu2, a), (0, -q) + zeros)
+        others = [k for k in range(1, self.n + 1) if k != i]
+        return self._add_averages({key: tuple(own)}, -1, i, others, 0, key)
+
+    def raised_table(self, i: int, j: int, key: tuple) -> Table:
+        """y_i x_j on the basis term key, for every point, by the defining
+        relation: x_j y_i (key) + [y_i, x_j] (key).  Moving every exponent up
+        at j is injective on keys, so only the bracket is added term by term."""
+        table = {(_bump(kappa, j - 1), s): vec for (kappa, s), vec in self.y_table(i, key).items()}
+        for term, vec in self.bracket_table(i, j, key).items():
+            _add_coeffs(table, term, vec)
         return table
 
     @_per_irrep
     def y_table(self, i: int, key: tuple) -> Table:
         """y_i on the basis term key = (nu, t), for every point: y kills degree
-        0, and y_i x_j = x_j y_i + [y_i, x_j] for the first j with nu_j > 0."""
-        (nu, t), table = key, {}
+        0, and y_i x_j (nu - e_j) is raised_table for the first j with nu_j > 0."""
+        nu, t = key
         j = next((k for k, e in enumerate(nu) if e), None)
-        if j is not None:
-            low = (_bump(nu, j, -1), t)
-            for (kappa, s), vec in self.y_table(i, low).items():
-                table[_bump(kappa, j), s] = vec
-            for term, vec in self.bracket_table(i, j + 1, low).items():
-                _add_coeffs(table, term, vec)
-        return table
+        return {} if j is None else self.raised_table(i, j + 1, (_bump(nu, j, -1), t))
 
     @_per_irrep
     def z_table(self, i: int, key: tuple) -> Table:
         """z_i = y_i x_i + c0 phi_i on the basis term key = (nu, t)."""
         nu, t = key
-        table, zeros = dict(self.y_table(i, (_bump(nu, i - 1), t))), (0,) * self.shape.r
-        for j in range(1, i):
-            nu2, group = _averaged_transposition(self, i, j, 0, nu, t)
-            for a, q in group.items():
-                _add_coeffs(table, (nu2, a), (0, q) + zeros)
-        return table
+        return self._add_averages(dict(self.y_table(i, (_bump(nu, i - 1), t))), 1, i,
+                                  range(1, i), 0, key)
 
     @_per_irrep
     def twisted_table(self, nu: tuple[int, ...], s: int) -> list[Table]:
@@ -317,19 +315,19 @@ def _combination(pairs: list) -> Table:
     return out
 
 
-def _commutator_vanishes(op, kept: dict, i: int, j: int, key: tuple) -> bool:
+def _commutator_vanishes(op, i: int, j: int, key: tuple) -> bool:
     """Whether op(i, .) op(j, .) - op(j, .) op(i, .) kills the basis term key at
-    every point, op(i, key) being a table and kept[i, key] the same table once
-    op has built it.  A composite is quadratic in (1, c0, d_0, ..): its entries
-    are outer products of numerators, M with p^T M p at the point p, so only
+    every point, op(i, key) being a table read through its kept method.  A
+    composite is quadratic in (1, c0, d_0, ..): its entries are outer
+    products of numerators, M with p^T M p at the point p, so only
     M_pq + M_qp (p < q) and M_pp count, summed here per basis term into a
     flat w x w list (w the vectors' width) at p * w + q, p <= q."""
     out: dict = {}
     for a, b, sign in ((i, j, 1), (j, i, -1)):
-        for mid, u in (kept.get((b, key)) or op(b, key)).items():
+        for mid, u in op(b, key).items():
             w = len(u)
             u = [(p, sign * x) for p, x in enumerate(u) if x]
-            for end, v in (kept.get((a, mid)) or op(a, mid)).items():
+            for end, v in op(a, mid).items():
                 acc = out.get(end)
                 if acc is None:
                     acc = out[end] = [0] * (w * w)
@@ -391,7 +389,7 @@ def build_irrep(shape: MultiPartition) -> IrrepModel:
 
     zeta_residues = [tuple(T.box_of(i).component for T in tableaux) for i in range(1, n + 1)]
 
-    model = IrrepModel(shape, tableaux, index, CyclotomicField(r), s_mats, zeta_residues, gram)
+    model = IrrepModel(shape, tableaux, index, s_mats, zeta_residues, gram)
     errors = validate_irrep(model)
     if errors:
         raise AssertionError("irrep validation failed: " + "; ".join(errors))
@@ -406,7 +404,8 @@ def validate_irrep(model: IrrepModel) -> list[str]:
     if not all(type(q) is Fraction for q in itertools.chain(
             model.gram, *(col.values() for mat in model.s_mats for col in mat))):
         return ["s_i entries and gram weights rational"]
-    errors, f, n, r = [], model.field, model.n, model.shape.r
+    errors, n, r = [], model.n, model.shape.r
+    f = CyclotomicField(r)   # built here only: the model itself is rational
     ident = tuple({b: Fraction(1)} for b in range(model.dim))
 
     def close(name, got, expect):
@@ -423,7 +422,8 @@ def validate_irrep(model: IrrepModel) -> list[str]:
         for j in range(i + 2, n):
             a, b = model.s_mats[i - 1], model.s_mats[j - 1]
             close(f"s_{i} s_{j} commute", _mat_mul(a, b), _mat_mul(b, a))
-    zetas = [model.zeta_matrix(i) for i in range(1, n + 1)]
+    # zeta_i, diagonal, over Q(zeta_r)
+    zetas = [tuple({b: f.zeta_power(e)} for b, e in enumerate(res)) for res in model.zeta_residues]
     for i in range(1, n + 1):
         power = ident
         for _ in range(r):
@@ -480,11 +480,10 @@ def _averaged_transposition(irrep: IrrepModel, i: int, j: int, shift: int,
     k = shift (mod r) and nothing else: one residue group of the kept
     column, beta_i(a) = -k0 (mod r) with k0 = nu_i - nu_j - beta_i(t) - shift.
     The seminormal s_ij is rational."""
-    cols = irrep._tables["transposition"].get((i, j)) or irrep.transposition(i, j)
     nu2 = list(nu)
     nu2[i - 1], nu2[j - 1] = nu[j - 1], nu[i - 1]
     k0 = nu[i - 1] - nu[j - 1] - irrep.zeta_residues[i - 1][t] - shift
-    return tuple(nu2), cols[t][-k0 % irrep.shape.r]
+    return tuple(nu2), irrep.transposition(i, j)[t][-k0 % irrep.shape.r]
 
 
 # ---------------------------------------------------------------------------
@@ -635,11 +634,11 @@ class StandardModule:
         from the irrep's table of that kind on each basis term, specialized
         once into _images: integer multiply-adds over den * _den, and the
         result made canonical."""
-        cache, kept, out = self._images[kind][i - 1], self.irrep._tables[kind], {}
+        cache, out = self._images[kind][i - 1], {}
         for key, c in nums.items():
             image = cache.get(key)
             if image is None:
-                table = kept.get((i, key)) or getattr(self.irrep, kind)(i, key)
+                table = getattr(self.irrep, kind)(i, key)
                 image = cache[key] = self._specialize(table)
             _accumulate(out, image, c)
         return _reduce(out, den * self._den)
@@ -901,33 +900,24 @@ def _basis(mod: StandardModule, degree: int, cap: int):
 
 
 def _check_relations(mod: StandardModule, degree: int, rng: random.Random) -> int:
-    # x_j y_i (key) is y_i (key) with every exponent moved up at j, a shift
-    # that is injective on keys, so only the bracket is added term by term
+    # y_i (nu + e_j) against the relation step for every j.  For j at or
+    # before nu's first nonzero entry that is the step y_table was built by;
+    # those identities are kept, so the check does not depend on which j the
+    # builder picks
     irrep, basis = mod.irrep, _basis(mod, degree, 3)
-    kept = irrep._tables["y_table"]
-    for key in basis:
-        nu, t = key
-        for i in range(1, mod.n + 1):
-            low = kept.get((i, key)) or irrep.y_table(i, key)
-            for j in range(mod.n):
-                rhs = {(kappa[:j] + (kappa[j] + 1,) + kappa[j + 1:], s): vec
-                       for (kappa, s), vec in low.items()}
-                for term, vec in irrep.bracket_table(i, j + 1, key).items():
-                    _add_coeffs(rhs, term, vec)
-                up = (nu[:j] + (nu[j] + 1,) + nu[j + 1:], t)
-                if (kept.get((i, up)) or irrep.y_table(i, up)) != rhs:
-                    raise AssertionError(f"relation y_{i} x_{j + 1} at {nu}")
+    for nu, t in basis:
+        for i, j in itertools.product(range(1, mod.n + 1), repeat=2):
+            if irrep.y_table(i, (_bump(nu, j - 1), t)) != irrep.raised_table(i, j, (nu, t)):
+                raise AssertionError(f"relation y_{i} x_{j} at {nu}")
     return len(basis) * mod.n ** 2
 
 
 def _check_commutation(mod: StandardModule, degree: int, rng: random.Random) -> int:
     irrep, basis = mod.irrep, _basis(mod, degree, 3)
-    families = [(letter, getattr(irrep, f"{letter}_table"), irrep._tables[f"{letter}_table"])
-                for letter in "yz"]
     for key in basis:
         for i, j in itertools.combinations(range(1, mod.n + 1), 2):
-            for letter, op, kept in families:
-                if not _commutator_vanishes(op, kept, i, j, key):
+            for letter, op in (("y", irrep.y_table), ("z", irrep.z_table)):
+                if not _commutator_vanishes(op, i, j, key):
                     raise AssertionError(f"[{letter}_{i}, {letter}_{j}] != 0")
     return len(basis) * math.comb(mod.n, 2)
 
@@ -1132,7 +1122,9 @@ def verify_report(r: int, n: int, degree: int = 2, seed: int = 0,
     Certified on the irrep's point-free tables, for every parameter at once
     and with nothing specialized, up to the degree cap: the defining relations
     y_i x_j - x_j y_i = [y_i, x_j], and the commutativity of the y- and
-    z-families.  At a seeded random rational point: group relations and gram
+    z-families.  The point-free rows certify the tables against
+    bracket_table, and a constant shift of [y_i, x_i] is caught at the
+    point.  At a seeded random rational point: group relations and gram
     data at irrep construction, the sum of squared dimensions, pairing
     symmetry, z self-adjointness and W-invariance (on the generators s_i, and
     on zeta_1 as the orthogonality of its residues), triangularity of z with

@@ -459,6 +459,18 @@ class TestErrorHandling:
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
         assert flags <= set(re.findall(r"--[a-z-]+", captured.err))
 
+    @pytest.mark.parametrize("argv, flags", [
+        (["core-quotient", "decode", "--r", "2"], {"--shape"}),
+        (["core-quotient", "encode", "--r", "2", "--a", "0,0"], {"--a", "--quotient"}),
+    ])
+    def test_missing_required_flag_is_usage_error(self, argv, flags, capsys):
+        # the flags argparse cannot require, as each action reads its own
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert flags <= set(re.findall(r"--[a-z-]+", captured.err))
+
     def test_aspherical_list_json_agrees_with_format_json(self):
         code, out = run_cli("aspherical", "list", "--r", "2", "--n", "1", "--json",
                             "--format", "json")

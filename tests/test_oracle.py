@@ -64,7 +64,7 @@ class TestIrrep:
             shape = MultiPartition(r, ((2,),) + ((),) * (r - 1))
             m = build_irrep(shape)
             assert m.dim == 1
-            assert m.s_mats[0] == ({0: m.field.one},)
+            assert m.s_mats[0] == ({0: CyclotomicField(r).one},)
             assert m.zeta_residues[0][0] == 0
             empty = build_irrep(MultiPartition(r, ((),) * r))
             assert empty.dim == 1 and empty.perm_numerators(()) == (({0: 1},), 1)
@@ -77,8 +77,9 @@ class TestIrrep:
         m = build_irrep(shape)
         assert m.dim == 1
         # zeta acts by zeta^{r-1}, reflections by -1
-        assert m.zeta_matrix(1)[0][0] == m.field.zeta_power(r - 1)
-        assert m.s_mats[0][0][0] == -m.field.one
+        f = CyclotomicField(r)
+        assert f.zeta_power(m.zeta_residues[0][0]) == f.zeta_power(r - 1)
+        assert m.s_mats[0][0][0] == -f.one
 
     def test_dimension_identity(self):
         for r, n in [(2, 3), (3, 2)]:
@@ -777,6 +778,47 @@ class TestTableCertificates:
         assert status[check] == "fail" and not report["ok"]
 
 
+class TestBracketFaults:
+    """verify_report against a faulty bracket_table.  The point-free rows
+    certify the y- and z-tables against the brackets they are built from: a
+    wrong off-diagonal bracket breaks the defining relations, but a diagonal
+    one that stays consistent passes them and is caught at the point."""
+
+    @staticmethod
+    def _faulty(fault):
+        honest = oracle.IrrepModel.bracket_table
+
+        def bracket_table(self, i, j, key):
+            table = honest(self, i, j, key)
+            if fault == "negated off-diagonal" and i != j:
+                return {term: tuple(-x for x in vec) for term, vec in table.items()}
+            if fault == "doubled off-diagonal" and i != j:
+                return {term: tuple(2 * x for x in vec) for term, vec in table.items()}
+            if fault == "diagonal plus one" and i == j:
+                const, *rest = table[key]
+                return {**table, key: (const + self.denominator, *rest)}
+            if fault == "diagonal without d" and i == j:
+                return {term: vec[:2] + (0,) * (len(vec) - 2) for term, vec in table.items()
+                        if any(vec[:2])}
+            return table
+        return bracket_table
+
+    # at r = 1 the d-terms of [y_i, x_i] cancel, so dropping them is no fault
+    @pytest.mark.parametrize("fault, row, r, n", [
+        (fault, row, r, n) for fault, row in [
+            ("negated off-diagonal", "defining relations up to degree cap"),
+            ("doubled off-diagonal", "defining relations up to degree cap"),
+            ("diagonal plus one", "z-matrix triangularity and diagonal"),
+            ("diagonal without d", "z-matrix triangularity and diagonal")]
+        for r, n in [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)]
+        if r >= 2 or fault != "diagonal without d"])
+    def test_the_report_fails(self, monkeypatch, fault, row, r, n):
+        monkeypatch.setattr(oracle.IrrepModel, "bracket_table", self._faulty(fault))
+        report = verify_report(r, n, degree=2, seed=7)
+        status = {c["name"]: c["status"] for c in report["checks"]}
+        assert not report["ok"] and status[row] == "fail"
+
+
 class TestCanonicalTables:
     """The irrep's tables are canonical as they are built: a key whose
     coefficients cancel is dropped, so no table holds a zero vector."""
@@ -858,7 +900,7 @@ def test_commutator_kernel_matches_the_outer_products(case):
     def op(i, key):
         return tables.get((i, key), {})
 
-    got = oracle._commutator_vanishes(op, tables, 1, 2, 0)
+    got = oracle._commutator_vanishes(op, 1, 2, 0)
     assert got == _outer_product_commutator_vanishes(op, 1, 2, 0)
     if kind in ("equal", "antisymmetric"):
         assert got
@@ -872,7 +914,7 @@ def test_commutator_kernel_sees_a_symmetric_defect():
     def op(i, key):
         return tables.get((i, key), {})
 
-    assert not oracle._commutator_vanishes(op, tables, 1, 2, 0)
+    assert not oracle._commutator_vanishes(op, 1, 2, 0)
     assert not _outer_product_commutator_vanishes(op, 1, 2, 0)
 
 
@@ -954,7 +996,7 @@ def test_kept_tables_hold_only_integers(text, rng):
 def _twisted_transposition(mod, i, j, l, nu, t):
     """Reference: zeta_i^l s_ij zeta_i^{-l} applied to the basis term (nu, t),
     with every power of zeta built: [(nu', t', coeff)]."""
-    f = mod.irrep.field
+    f = CyclotomicField(mod.r)
     res = mod.irrep.zeta_residues[i - 1]
     scalar = f.zeta_power(l * (nu[i - 1] - nu[j - 1]))
     nu2, w = list(nu), list(range(1, mod.n + 1))
@@ -968,7 +1010,7 @@ def _twisted_transposition(mod, i, j, l, nu, t):
 def _literal_bracket(mod, i, j, nu, t):
     """Reference: [y_i, x_j] on (nu, t) with the sum over l = 0..r-1 of the
     defining relation written out, over Q(zeta_r); the sum is rational."""
-    f, p, r = mod.irrep.field, mod.point, mod.r
+    f, p, r = CyclotomicField(mod.r), mod.point, mod.r
     c0 = f.from_rational(p.c0)
     terms = {}
 
@@ -1036,7 +1078,7 @@ def test_averaged_transposition_is_the_literal_average(case):
     # zeta^{-l*shift} zeta_i^l s_ij zeta_i^{-l} on (nu, t), built over Q(zeta_r)
     shape, i, j, shift, nu, t = case
     irrep = _cached_irrep(shape)
-    f, r = irrep.field, shape.r
+    f, r = CyclotomicField(shape.r), shape.r
     mod = StandardModule(shape, small_point(r, random.Random(0)), irrep=irrep)
     literal = {}
     for l in range(r):
@@ -1205,7 +1247,7 @@ def _kernel_eigenvector(mod, mu, T):
     """Reference: the joint eigenvector by one stacked elimination of the
     z_i - lambda_i over the whole residue block of its degree, after a scan
     of the predicted spectra of every (nu, S) of the block for collisions."""
-    f, n = mod.irrep.field, mod.n
+    f, n = CyclotomicField(mod.r), mod.n
     data = spectrum(mu, T)
     target_res = tuple(d.zeta_residue for d in data)
     target_z = tuple(d.z_eigenvalue.evaluate(mod.point) for d in data)
