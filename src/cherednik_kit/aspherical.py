@@ -6,17 +6,19 @@ Hyperplanes come in two kinds:
 - c0-type: m*c0 + k = 0 for integers 1 <= k < m <= n;
 - d-type:  d_l - d_{l-k} + r*m*c0 - k = 0 for integers k with k != 0 mod r.
 
-Two enumerations are provided: one over rectangles (the index bound is
-k <= l + (rows-1)*r with m the corner content), and one over contents m with
-the row bound resolved by exact integer arithmetic (largest x >= max(1, 1-m)
-with x*(x+m) <= n); they produce identical sets.  Hyperplanes are
-deduplicated by primitive normalized form; descriptors are kept as
-provenance.
+Two enumerations are provided, which differ only in their index bounds: one
+over rectangles (k <= l + (rows-1)*r with m the corner content), and one over
+contents m with the row bound resolved by exact integer arithmetic (largest
+x >= max(1, 1-m) with x*(x+m) <= n).  These two, the twists and the
+G(r,p,n) restriction all list candidates as (kind, k, l, m, primitive
+integer numerators) and share one dedup path, `_planes`: each plane keeps
+its least descriptor as provenance.  tests/test_aspherical.py pins the
+output of every enumeration.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 from typing import Iterable, Optional
 
 from .combinatorics import enumerate_multipartitions
@@ -26,7 +28,7 @@ from .scalars import AffineForm, ParameterPoint
 
 @dataclass(frozen=True)
 class LinearCharacter:
-    """sign_exponent in {0,1}; rotation in [0, r)."""
+    """sign_exponent in {0,1}; rotation >= 0, read mod r."""
     sign_exponent: int
     rotation: int
 
@@ -51,10 +53,6 @@ class Hyperplane:
     l: Optional[int]
     m: int
 
-    def sort_key(self) -> tuple:
-        return (0 if self.kind == "c0" else 1, self.k, -1 if self.l is None else self.l,
-                self.m) + self.form.key()
-
     def contains(self, p: ParameterPoint) -> bool:
         return self.form.evaluate(p) == 0
 
@@ -69,54 +67,57 @@ class Hyperplane:
         }
 
 
-def _normalized(form: AffineForm) -> AffineForm:
-    prim, _ = form.primitive()
-    return prim
+def _c0_candidates(r: int, n: int, sign: int) -> list[tuple]:
+    """The loci of sign*m*c0 + k, 1 <= k < m <= n: (k, sign*m) over gcd(k, m)."""
+    zeros = (0,) * r
+    return [(0, k, -1, sign * m, (k // g, sign * m // g) + zeros)
+            for m in range(2, n + 1) for k in range(1, m) for g in (gcd(k, m),)]
 
 
-def _c0_hyperplane(r: int, k: int, m: int) -> Hyperplane:
-    form = _normalized(AffineForm(r, const=k, c0=m))
-    return Hyperplane(form, "c0", k, None, m)
+def _d_candidate(r: int, k: int, l: int, m: int) -> tuple:
+    """The locus of d_l - d_{l-k} + r*m*c0 - k, k != 0 mod r: its d-coefficients
+    are +-1, so its primitive numerators are k, -r*m, -1 at l, +1 at l - k."""
+    nums = [k, -r * m] + [0] * r
+    nums[2 + l % r], nums[2 + (l - k) % r] = -1, 1
+    return (1, k, l % r, m, tuple(nums))
 
 
-def _d_hyperplane(r: int, k: int, l: int, m: int) -> Hyperplane:
-    form = _normalized(AffineForm(r, const=-k, c0=r * m, d={l: 1, l - k: -1}))
-    return Hyperplane(form, "d", k, l % r, m)
+def _planes(candidates: Iterable[tuple]) -> list[Hyperplane]:
+    """One Hyperplane per distinct numerators, with the least descriptor, in
+    descriptor order.  A candidate is (0, k, -1, m, nums) for the c0-type
+    locus of m*c0 + k, or (1, k, l, m, nums) for a d-type one, nums its
+    primitive integer numerators (first nonzero entry positive): equal loci
+    have equal nums, and tuple order is (kind, k, l, m) order."""
+    least: dict[tuple, tuple] = {}
+    for cand in candidates:
+        old = least.get(cand[4])
+        if old is None or cand < old:
+            least[cand[4]] = cand
+    return [Hyperplane(AffineForm.from_numerators(len(nums) - 2, nums),
+                       "d" if kind else "c0", k, None if l < 0 else l, m)
+            for kind, k, l, m, nums in sorted(least.values())]
 
 
-def _dedup(planes: Iterable[Hyperplane]) -> list[Hyperplane]:
-    by_form: dict[tuple, Hyperplane] = {}
-    for h in planes:
-        key = h.form.key()
-        if key not in by_form or h.sort_key() < by_form[key].sort_key():
-            by_form[key] = h
-    return sorted(by_form.values(), key=Hyperplane.sort_key)
-
-
-def _c0_family(r: int, n: int, sign: int = 1) -> list[Hyperplane]:
-    return [_c0_hyperplane(r, k, sign * m) for m in range(2, n + 1) for k in range(1, m)]
-
-
-def _rectangle_planes(r: int, n: int, sign: int, j: int) -> list[Hyperplane]:
+def _rectangle_candidates(r: int, n: int, sign: int, j: int) -> list[tuple]:
     """hyperplanes_rectangle twisted by a sign and a rotation j: the loci of
     sign*m*c0 + k and of d_{l+j} - d_{l+j-k} + sign*r*ct(b)*c0 - k."""
     if r < 1 or n < 1:
         raise ValueError("need r >= 1, n >= 1")
-    planes = _c0_family(r, n, sign)
+    cands = _c0_candidates(r, n, sign)
     for rows in range(1, n + 1):
         for cols in range(1, n // rows + 1):
             for l in range(r):
                 for k in range(1, l + (rows - 1) * r + 1):
                     if k % r != 0:
-                        planes.append(_d_hyperplane(r, k, l + j, sign * (cols - rows)))
-    return _dedup(planes)
+                        cands.append(_d_candidate(r, k, l + j, sign * (cols - rows)))
+    return cands
 
 
 def hyperplanes_rectangle(r: int, n: int) -> list[Hyperplane]:
     """Union of the c0-family with, for every rectangle of at most n boxes
     with corner box b, every l in [0,r) and k != 0 mod r with
     1 <= k <= l + (row(b)-1)*r, the hyperplane k = d_l - d_{l-k} + r*ct(b)*c0."""
-    return _rectangle_planes(r, n, 1, 0)
+    return _planes(_rectangle_candidates(r, n, 1, 0))
 
 
 def max_rectangle_rows(n: int, m: int) -> Optional[int]:
@@ -139,7 +140,7 @@ def hyperplanes_sqrt(r: int, n: int) -> list[Hyperplane]:
     comparisons (no floating point)."""
     if r < 1 or n < 1:
         raise ValueError("need r >= 1, n >= 1")
-    planes = _c0_family(r, n)
+    cands = _c0_candidates(r, n, 1)
     for m in range(-(n - 1), n):
         x = max_rectangle_rows(n, m)
         if x is None:
@@ -148,8 +149,8 @@ def hyperplanes_sqrt(r: int, n: int) -> list[Hyperplane]:
             for k in range(1, l + (x - 1) * r + 1):
                 if k % r == 0:
                     continue
-                planes.append(_d_hyperplane(r, k, l, m))
-    return _dedup(planes)
+                cands.append(_d_candidate(r, k, l, m))
+    return _planes(cands)
 
 
 def is_aspherical(p: ParameterPoint, r: int, n: int) -> tuple[bool, list[Hyperplane]]:
@@ -164,7 +165,7 @@ def hyperplanes_twisted(r: int, n: int, xi: LinearCharacter) -> list[Hyperplane]
     """Arrangement for the twist by the linear character with sign exponent i
     and rotation j: c0 = (-1)^(i+1) k/m, and
     k = d_{l+j} - d_{l+j-k} + (-1)^i r ct(b) c0 over the same rectangles."""
-    return _rectangle_planes(r, n, (-1) ** xi.sign_exponent, xi.rotation)
+    return _planes(_rectangle_candidates(r, n, (-1) ** xi.sign_exponent, xi.rotation))
 
 
 def hyperplanes_rpn(r: int, p: int, n: int) -> list[Hyperplane]:
@@ -178,22 +179,20 @@ def hyperplanes_rpn(r: int, p: int, n: int) -> list[Hyperplane]:
     if p < 1 or r % p != 0:
         raise ValueError("p must divide r")
     rq = r // p
-    reduced: list[Hyperplane] = []
-    for h in hyperplanes_rectangle(r, n):
-        const = h.form.const
-        c0 = h.form.c0
-        d = [Fraction(0)] * rq
-        for l, coef in enumerate(h.form.d):
-            d[l % rq] += coef
-        form = AffineForm(rq, const, c0, d)
-        if form.is_constant():
-            # k = r*m*c0 with m = 0 collapses to a nonzero constant: the
+    reduced = []
+    for kind, k, l, m, nums in _rectangle_candidates(r, n, 1, 0):
+        d = [0] * rq
+        for i, coef in enumerate(nums[2:]):
+            d[i % rq] += coef
+        if not (nums[1] or any(d)):
+            # k = r*m*c0 with m = 0 collapses to the constant k >= 1: the
             # hyperplane misses the restricted space entirely.
-            if form.const != 0:
-                continue
-            raise AssertionError("restricted form vanished identically")
-        reduced.append(Hyperplane(_normalized(form), h.kind, h.k, h.l, h.m))
-    return _dedup(reduced)
+            continue
+        # the constant k >= 1 leads, so dividing by the gcd makes it primitive
+        restricted = (nums[0], nums[1], *d)
+        g = gcd(*restricted)
+        reduced.append((kind, k, l, m, tuple(x // g for x in restricted)))
+    return _planes(reduced)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import factorial
 
 from . import __version__
 from .aspherical import (
@@ -183,8 +184,10 @@ def cmd_norm_min(args, out) -> int:
 
 def cmd_hook(args, out) -> int:
     shape = _shape(args)
-    result = {"hook": str(hook_product(shape)), "extra": str(extra_product(shape)),
-              "minimal_norm": str(minimal_norm(shape))}
+    hook, extra = hook_product(shape), extra_product(shape)
+    # minimal_norm = n! * hook * extra (criterion 3), from the two products above
+    result = {"hook": str(hook), "extra": str(extra),
+              "minimal_norm": str(factorial(shape.size) * hook * extra)}
     return _emit(args, out, result, [f"{k}: {v}" for k, v in result.items()])
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
@@ -216,15 +217,25 @@ class AffineForm:
     __repr__ = __str__
 
 
+@cache
+def _variable_names(r: int) -> tuple:
+    """(None, "c0", "d0", ..., "d{r-1}"), the names of a form's numerators."""
+    return (None, "c0", *(f"d{l}" for l in range(r)))
+
+
 def render_affine(f: AffineForm) -> str:
     """Canonical text form: `k + a*c0 + b*d0 + ...` with rational literals."""
     den, out = f.denominator, ""
-    for x, var in zip(f.numerators, (None, "c0", *(f"d{l}" for l in range(f.r)))):
+    for x, var in zip(f.numerators, _variable_names(f.r)):
         if not x:
             continue
-        g = gcd(x, den)
-        mag = f"{abs(x) // g}" if g == den else f"{abs(x) // g}/{den // g}"
-        body = mag if var is None else var if abs(x) == den else f"{mag}*{var}"
+        a = abs(x)
+        if den == 1:
+            mag = str(a)
+        else:
+            g = gcd(x, den)
+            mag = f"{a // g}" if g == den else f"{a // g}/{den // g}"
+        body = mag if var is None else var if a == den else f"{mag}*{var}"
         out += (" - " if x < 0 else " + ") + body if out else ("-" if x < 0 else "") + body
     return out or "0"
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -167,3 +168,39 @@ class TestJson:
         blob2 = json.dumps([h.as_json_obj() for h in hyperplanes_rectangle(2, 2)],
                            sort_keys=True)
         assert blob1 == blob2
+
+
+# every enumeration's output, descriptors and rendering included, over r <= 4
+# and n <= 6 (every twist with rotation < r; rpn at p | r, 3 <= n <= 6)
+ARRANGEMENT_CALLS = {
+    "rectangle": [(hyperplanes_rectangle, (r, n)) for r in range(1, 5) for n in range(1, 7)],
+    "sqrt": [(hyperplanes_sqrt, (r, n)) for r in range(1, 5) for n in range(1, 7)],
+    "twisted": [(hyperplanes_twisted, (r, n, LinearCharacter(i, j)))
+                for r in range(1, 5) for n in range(1, 7) for i in (0, 1) for j in range(r)],
+    "rpn": [(hyperplanes_rpn, (r, p, n))
+            for r in range(1, 5) for p in range(1, r + 1) if r % p == 0 for n in range(3, 7)],
+}
+
+
+def arrangement_digest(calls):
+    h = hashlib.sha256()
+    for enumerate_planes, args in calls:
+        h.update(f"{args}\n".encode())
+        for p in enumerate_planes(*args):
+            row = (p.kind, p.k, p.l, p.m, p.form.numerators, p.form.denominator, str(p.form))
+            h.update(f"{row}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name, digest", [
+    pytest.param("rectangle", "f0e716b0e21b6686ff8d3dd4cc4ce86eedc92b7337377486dc3b41a54037859b",
+                 id="rectangle"),
+    pytest.param("sqrt", "f0e716b0e21b6686ff8d3dd4cc4ce86eedc92b7337377486dc3b41a54037859b",
+                 id="sqrt"),
+    pytest.param("twisted", "391a72a2fb9c4faadb4aa59038585c8698660805d816264498cac4659d6ab43e",
+                 id="twisted"),
+    pytest.param("rpn", "15b99210997ea97697e045057de17b016543158c1b9ce2d35908adcb6654eaa0",
+                 id="rpn"),
+])
+def test_arrangement_pinned_by_digest(name, digest):
+    assert arrangement_digest(ARRANGEMENT_CALLS[name]) == digest

@@ -149,6 +149,10 @@ class TestGoldenOutputs:
          "749f27d240703d90beccb9bdbab88438318a7de8e45b4e954f68688e2cf3dd17"),
         (("aspherical", "list", "--r", "2", "--n", "4", "--format", "json"), 3312,
          "0550fe60d967bdcfab769ebe9097ae6b77df197c390a6b104989e37c2ae617d7"),
+        (("aspherical", "list", "--r", "4", "--n", "6", "--format", "json"), 44012,
+         "4327f0c0855838d3f384f85624588bd6d8eb9e29a0cbe7b604600b68a2f0f7f6"),
+        (("aspherical", "list", "--r", "3", "--n", "5", "--xi", "1,2", "--format", "tsv"), 2692,
+         "df24c5243a5968fdbd0d312783f3b26ec53cf334d17394f6e62f172b13fdae3d"),
     ])
     def test_large_outputs_pinned_by_digest(self, argv, size, digest):
         code, out = run_cli(*argv)
