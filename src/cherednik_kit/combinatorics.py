@@ -115,6 +115,15 @@ class MultiPartition:
             raise ValueError(f"expected {self.r} components, got {len(comps)}")
         object.__setattr__(self, "components", comps)
 
+    @classmethod
+    def _valid(cls, r: int, components: tuple[Partition, ...]) -> "MultiPartition":
+        """The r-partition of these components, already r partitions as
+        tuples: built without the per-component check."""
+        shape = object.__new__(cls)
+        object.__setattr__(shape, "r", r)
+        object.__setattr__(shape, "components", components)
+        return shape
+
     @property
     def size(self) -> int:
         return sum(sum(c) for c in self.components)
@@ -175,25 +184,47 @@ def parse_multipartition(text: str, r: int | None = None, name: str = "shape") -
     return MultiPartition(len(comps), comps)
 
 
-def _splits(total: int, slots: int) -> Iterator[tuple[int, ...]]:
-    """The compositions of total into slots non-negative parts, in
-    lexicographically decreasing order."""
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _splits(total - first, slots - 1):
-            yield (first,) + rest
+def _splits(total: int, slots: int) -> Iterator[list[tuple[int, int]]]:
+    """The compositions of total into slots >= 1 non-negative parts, in
+    lexicographically decreasing order, each as its nonzero parts, a list of
+    (slot, part) in slot order.  The next one moves a unit out of the last
+    nonzero part before the final slot into the slot after it, together with
+    the final part; `filled` lists the slots of those parts, so a step costs
+    O(1) beyond the parts it yields."""
+    parts, last = [total] + [0] * (slots - 1), slots - 1
+    filled = [0] if total and last else []
+    while True:
+        yield [(k, parts[k]) for k in filled] + ([(last, parts[last])] if parts[last] else [])
+        if not filled:
+            return
+        p = filled[-1]
+        parts[p] -= 1
+        if not parts[p]:
+            filled.pop()
+        moved, parts[last] = parts[last] + 1, 0
+        if p + 1 < last:
+            parts[p + 1] = moved
+            filled.append(p + 1)
+        else:
+            parts[last] = moved
 
 
 def enumerate_multipartitions(r: int, n: int) -> list[MultiPartition]:
     """All r-partitions of n, deterministic order (component sizes in
     lexicographically decreasing order, partitions of each size in descending
-    lex order, leftmost component slowest)."""
+    lex order, leftmost component slowest).  Only the nonzero sizes are
+    expanded: a shape costs O(n) steps and one tuple of its r components."""
     if r < 1 or n < 0:
         raise ValueError("need r >= 1, n >= 0")
-    return [MultiPartition(r, comps) for sizes in _splits(n, r)
-            for comps in itertools.product(*(partitions_of(k) for k in sizes))]
+    choices = functools.cache(partitions_of)   # each size met, once
+    out = []
+    for parts in _splits(n, r):
+        comps = [()] * r
+        for picked in itertools.product(*(choices(size) for _, size in parts)):
+            for (k, _), part in zip(parts, picked):
+                comps[k] = part
+            out.append(MultiPartition._valid(r, tuple(comps)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,28 +1,10 @@
 """Brute-force standard-module engine.
 
 Builds the standard module of a specialized rational Cherednik algebra of
-type G(r,1,n) degree by degree, straight from the defining relations:
+type G(r,1,n) degree by degree, straight from the defining relations, on the
+irreducible representation and the point-free y- and z-tables that irrep.py
+builds and keeps:
 
-- build_irrep constructs the underlying irreducible G(r,1,n) representation
-  in rational seminormal form (basis indexed by standard tableaux, sparse
-  rational s_i columns from one rule, _swap_rule, and gram weights propagated
-  over them), validates every group relation over Q(zeta_r), and keeps the
-  group action once, as integer columns (perm_numerators, transposition);
-  each kind of kept table has its own store, _tables[name], keyed by the
-  method's arguments, and is read only through that method;
-- the y- and z-images of basis terms are point-free integer tables over one
-  denominator, kept once per irrep (y_table, z_table) with no zero vector,
-  keyed by the basis term (nu, t), and specialized at each module's point: y
-  kills degree 0, and one relation step, raised_table, writes y_i x_j as
-  x_j y_i + [y_i, x_j]; y_table takes it for the first j with nu_j > 0, and
-  the relations check for every j.  The bracket (bracket_table) is affine in
-  (1, c0, d_0..d_{r-1}), and its averages sum_l zeta^{-l*shift} zeta_i^l
-  s_ij zeta_i^{-l} are r s_ij on the entries of zeta-weight shift mod r.
-  The one kept form of s_ij groups each column's entries a by the residue
-  beta_i(a), so an average is one group of a column; one helper,
-  _add_averages, adds them up for bracket_table and z_table.
-  validate_irrep checks the literal sum on the Jucys-Murphy sums phi_i, and
-  each entry's group, reading that same form.  And z_i = y_i x_i + c0 * phi_i;
 - joint eigenvectors of the z_i are solved by back-substitution down their
   triangular order on the twisted basis x^nu (tensor) w_nu^{-1} v_S, with
   the eigenvalues read off the diagonal.  The irrep keeps the z-images of
@@ -41,12 +23,13 @@ type G(r,1,n) degree by degree, straight from the defining relations:
 
 The module is the standard module over Q(zeta_r), but every structure
 constant it reads at a rational ParameterPoint is rational: a ModuleElement
-holds integer numerators over one denominator, and Q(zeta_r) appears only in
-validate_irrep, which checks the group relations literally.  verify_report
-runs shape by shape, one module alive at a time.  It certifies the defining
-relations and the y/z commutativity on the irrep's point-free tables, for
-every parameter at once, and runs its other checks at the point: each draws
-from its own named stream, the form check from the report's.  It shares no
+holds integer numerators over one denominator, as the irrep's tables do.  No
+oracle path builds a CycNumber; only _kernel, kept for the tests and the
+benchmark, takes them.  verify_report runs shape by shape, one
+module alive at a time.  It certifies the defining relations and the y/z
+commutativity on the irrep's point-free tables, for every parameter at once,
+and runs its other checks at the point: each draws from its own named
+stream, the form check from the report's.  It shares no
 code with the closed norm formulas: only its triangularity check reads the
 closed spectrum, to compare it with the z-diagonal, in integers.  The
 intertwiner check reports how many identities it skipped at a pole or an
@@ -54,18 +37,15 @@ eigenvalue collision.
 """
 from __future__ import annotations
 
-import collections
 import functools
-import graphlib
 import itertools
 import math
 import operator
 import random
 import time
 import types
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .combinatorics import (
     Comparison,
@@ -74,14 +54,12 @@ from .combinatorics import (
     assignment_pair,
     composition_compare,
     enumerate_multipartitions,
-    enumerate_syt,
     parse_multipartition,
     perm_inverse,
-    reduced_word,
     simple_transposition,
-    sorting_data,
 )
 from .cyclotomic import CycNumber, CyclotomicField
+from .irrep import IrrepModel, Table, _apply, _bump, _commutator_vanishes, build_irrep
 from .scalars import ParameterPoint, random_point
 
 
@@ -94,396 +72,6 @@ class ZeroGapError(ZeroDivisionError):
 
 
 COLLISION_RETRIES = 5   # fresh points eigenvector_generic draws on collisions
-
-# a matrix is its tuple of columns: mat[b] = {a: coefficient of a in the image
-# of b}, nonzero entries only, in increasing a: Fractions in the seminormal
-# s_i, integers in the transposition tables, and CycNumbers in Q(zeta_r) in
-# the diagonal zeta_i that validate_irrep multiplies them with
-Matrix = tuple[dict, ...]
-
-
-def _apply(mat: Matrix, vec: dict) -> dict:
-    """The image of the vector {b: coefficient} under mat, zeros dropped."""
-    out: dict = {}
-    for b, c in vec.items():
-        for a, m in mat[b].items():
-            add = m * c
-            out[a] = out[a] + add if a in out else add
-    return {a: out[a] for a in sorted(out) if out[a]}
-
-
-def _mat_mul(m1: Matrix, m2: Matrix) -> Matrix:
-    return tuple(_apply(m1, col) for col in m2)
-
-
-# a y- or z-image of a basis term at every point at once: {(nu, t): the
-# integer numerators of the coefficients of (1, c0, d_0, .., d_{r-1}) in that
-# coordinate}, over a denominator kept beside the table
-Table = dict[tuple, tuple[int, ...]]
-
-
-def _add_coeffs(table: Table, key: tuple, vec: tuple[int, ...]) -> None:
-    """table[key] += vec, in place; a key whose sum vanishes is dropped, so a
-    table built by adding stays canonical: no zero vector."""
-    old = table.get(key)
-    new = vec if old is None else tuple(map(operator.add, old, vec))
-    if any(new):
-        table[key] = new
-    else:
-        table.pop(key, None)
-
-
-def _bump(nu: tuple[int, ...], j: int, by: int = 1) -> tuple[int, ...]:
-    """nu with its entry j (counted from 0) moved by `by`."""
-    return nu[:j] + (nu[j] + by,) + nu[j + 1:]
-
-
-def _per_irrep(build):
-    """Keep an IrrepModel method's results in its store of that kind,
-    _tables[name], keyed by the argument tuple: built once per irrep, and
-    read through the method."""
-    name = build.__name__
-
-    @functools.wraps(build)
-    def kept(self, *args):
-        store = self._tables[name]
-        value = store.get(args)
-        if value is None:
-            value = store[args] = build(self, *args)
-        return value
-    return kept
-
-
-@dataclass
-class IrrepModel:
-    """Rational seminormal model of the irreducible indexed by an r-partition."""
-
-    shape: MultiPartition
-    tableaux: list[StandardTableau]
-    index: dict[StandardTableau, int]
-    s_mats: list[Matrix]            # s_1 .. s_{n-1}
-    zeta_residues: list[tuple[int, ...]]  # zeta_residues[i-1][t] = beta of box of i in T_t
-    gram: list[Fraction]
-    # one store per kind of kept table: _tables[name][args] is name(*args)
-    _tables: dict = dataclass_field(default_factory=lambda: collections.defaultdict(dict),
-                                    repr=False, compare=False)
-
-    @property
-    def dim(self) -> int:
-        return len(self.tableaux)
-
-    @functools.cached_property
-    def n(self) -> int:
-        return self.shape.size
-
-    @functools.cached_property
-    def denominator(self) -> int:
-        """The tables' denominator: the lcm of every s_ij entry's denominator."""
-        return math.lcm(*(self.perm_numerators(_transposition(self.n, i, j))[1]
-                          for i, j in itertools.combinations(range(1, self.n + 1), 2)))
-
-    @functools.cached_property
-    def gram_numerators(self) -> tuple[tuple[int, ...], int]:
-        """The gram weights as integer numerators over one denominator."""
-        den = math.lcm(*(g.denominator for g in self.gram))
-        return tuple(g.numerator * (den // g.denominator) for g in self.gram), den
-
-    @_per_irrep
-    def perm_numerators(self, w: tuple[int, ...]) -> tuple[tuple[dict[int, int], ...], int]:
-        """The product of the s_i along reduced_word(w), as integer columns
-        over one denominator."""
-        mat = tuple({b: Fraction(1)} for b in range(self.dim))
-        for i in reduced_word(w):
-            mat = _mat_mul(mat, self.s_mats[i - 1])
-        den = math.lcm(*(q.denominator for col in mat for q in col.values()))
-        return tuple({a: q.numerator * (den // q.denominator) for a, q in col.items()}
-                     for col in mat), den
-
-    @_per_irrep
-    def twist(self, nu: tuple[int, ...]) -> tuple:
-        """(w_nu, w_nu^{-1}) as perm_numerators, w_nu the sorting permutation of nu."""
-        w = sorting_data(nu)[2]
-        return self.perm_numerators(w), self.perm_numerators(perm_inverse(w))
-
-    @_per_irrep
-    def column_residues(self, nu: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """The residue tuple at nu of each column s of w_nu^{-1} (one block each)."""
-        return [tuple((zs[min(col)] - e) % self.shape.r for zs, e in zip(self.zeta_residues, nu))
-                for col in self.twist(nu)[1][0]]
-
-    @_per_irrep
-    def transposition(self, i: int, j: int) -> tuple[tuple[dict[int, int], ...], ...]:
-        """s_ij as integer columns, times r * denominator, each column's
-        entries grouped by residue: column t is a tuple over rho < r of
-        {a: entry} for the rows a with beta_i(a) = rho."""
-        cols, den = self.perm_numerators(_transposition(self.n, i, j))
-        scale, res = self.shape.r * self.denominator // den, self.zeta_residues[i - 1]
-        out = []
-        for col in cols:
-            groups = tuple({} for _ in range(self.shape.r))
-            for a, q in col.items():
-                groups[res[a]][a] = q * scale
-            out.append(groups)
-        return tuple(out)
-
-    def _add_averages(self, table: Table, c: int, i: int, ks, shift: int, key: tuple) -> Table:
-        """table, with c c0 (shift-average of s_ik) on the basis term key
-        added in place for each k in ks."""
-        (nu, t), zeros = key, (0,) * self.shape.r
-        for k in ks:
-            nu2, group = _averaged_transposition(self, i, k, shift, nu, t)
-            for a, q in group.items():
-                _add_coeffs(table, (nu2, a), (0, c * q) + zeros)
-        return table
-
-    def bracket_table(self, i: int, j: int, key: tuple) -> Table:
-        """[y_i, x_j] on the basis term key = (nu, t): c0 (shift-1 average of
-        s_ij) if i != j, else 1 - c0 sum_{k != i} (average of s_ik) - d_res + d_{res-1}."""
-        if i != j:
-            return self._add_averages({}, 1, i, [j], 1, key)
-        (nu, t), r, den = key, self.shape.r, self.denominator
-        res = (self.zeta_residues[i - 1][t] - nu[i - 1]) % r
-        own = [den] + [0] * (r + 1)
-        own[2 + res] -= den
-        own[2 + (res - 1) % r] += den
-        others = [k for k in range(1, self.n + 1) if k != i]
-        return self._add_averages({key: tuple(own)}, -1, i, others, 0, key)
-
-    def raised_table(self, i: int, j: int, key: tuple) -> Table:
-        """y_i x_j on the basis term key, for every point, by the defining
-        relation: x_j y_i (key) + [y_i, x_j] (key).  Moving every exponent up
-        at j is injective on keys, so only the bracket is added term by term."""
-        table = {(_bump(kappa, j - 1), s): vec for (kappa, s), vec in self.y_table(i, key).items()}
-        for term, vec in self.bracket_table(i, j, key).items():
-            _add_coeffs(table, term, vec)
-        return table
-
-    @_per_irrep
-    def y_table(self, i: int, key: tuple) -> Table:
-        """y_i on the basis term key = (nu, t), for every point: y kills degree
-        0, and y_i x_j (nu - e_j) is raised_table for the first j with nu_j > 0."""
-        nu, t = key
-        j = next((k for k, e in enumerate(nu) if e), None)
-        return {} if j is None else self.raised_table(i, j + 1, (_bump(nu, j, -1), t))
-
-    @_per_irrep
-    def z_table(self, i: int, key: tuple) -> Table:
-        """z_i = y_i x_i + c0 phi_i on the basis term key = (nu, t)."""
-        nu, t = key
-        return self._add_averages(dict(self.y_table(i, (_bump(nu, i - 1), t))), 1, i,
-                                  range(1, i), 0, key)
-
-    @_per_irrep
-    def twisted_table(self, nu: tuple[int, ...], s: int) -> list[Table]:
-        """The z_1..z_n-images of x^nu (tensor) w_nu^{-1} v_s, whose keys lie in
-        one residue block, as tables over denominator * den of w_nu^{-1}."""
-        column = self.twist(nu)[1][0][s]
-        return [_combination([(c, self.z_table(i, (nu, a))) for a, c in column.items()])
-                for i in range(1, self.n + 1)]
-
-    @_per_irrep
-    def eigen_plan(self, mu: tuple[int, ...], residues: tuple[int, ...]) -> list[tuple]:
-        """The point-free part of eigenvector, once per irrep: the exponents
-        that the z-images of the twisted columns with these residues reach
-        from mu, in a topological order (mu first), as (nu, [(s, row s of w_nu
-        as [((nu, a), entry)])] over the block's columns s, den of w_nu)."""
-        block: dict[tuple, tuple] = {}         # reachable exponent -> (its columns, den)
-        above: dict[tuple, set] = {mu: set()}  # exponent -> exponents reaching it
-        pending = [mu]
-        while pending:
-            nu = pending.pop()
-            (twist, den), (untwist, _) = self.twist(nu)
-            columns = [s for s, res in enumerate(self.column_residues(nu)) if res == residues]
-            block[nu] = [(s, [((nu, a), twist[a][s]) for a in untwist[s]]) for s in columns], den
-            for kappa in {key[0] for s in columns for image in self.twisted_table(nu, s)
-                          for key in image} - {nu}:
-                if kappa not in above:
-                    pending.append(kappa)
-                above.setdefault(kappa, set()).add(nu)
-        try:
-            return [(nu, *block[nu]) for nu in graphlib.TopologicalSorter(above).static_order()]
-        except graphlib.CycleError as exc:
-            raise AssertionError(f"z-action is not triangular: cycle {exc.args[1]}") from None
-
-
-def _combination(pairs: list) -> Table:
-    """The sum of c * table over the (c, table) pairs, for integers c."""
-    out: Table = {}
-    for c, table in pairs:
-        for key, vec in table.items():
-            _add_coeffs(out, key, tuple(c * x for x in vec))
-    return out
-
-
-def _commutator_vanishes(op, i: int, j: int, key: tuple) -> bool:
-    """Whether op(i, .) op(j, .) - op(j, .) op(i, .) kills the basis term key at
-    every point, op(i, key) being a table read through its kept method.  A
-    composite is quadratic in (1, c0, d_0, ..): its entries are outer
-    products of numerators, M with p^T M p at the point p, so only
-    M_pq + M_qp (p < q) and M_pp count, summed here per basis term into a
-    flat w x w list (w the vectors' width) at p * w + q, p <= q."""
-    out: dict = {}
-    for a, b, sign in ((i, j, 1), (j, i, -1)):
-        for mid, u in op(b, key).items():
-            w = len(u)
-            u = [(p, sign * x) for p, x in enumerate(u) if x]
-            for end, v in op(a, mid).items():
-                acc = out.get(end)
-                if acc is None:
-                    acc = out[end] = [0] * (w * w)
-                for q, y in enumerate(v):
-                    if y:
-                        for p, x in u:
-                            acc[p * w + q if p <= q else q * w + p] += x * y
-    return not any(map(any, out.values()))
-
-
-def _swap_rule(T: StandardTableau, i: int) -> tuple[Fraction, Fraction]:
-    """(rho, theta) with s_i v_T = rho v_T + theta v_{s_i T}: rho = 1/(ct(i+1) -
-    ct(i)) in one component, else 0; theta = 0 when i, i+1 share a row or a
-    column (rho = +-1), else 1 if i's (component, row) comes first, else 1 - rho^2."""
-    b, b2 = T.box_of(i), T.box_of(i + 1)
-    rho = Fraction(1, b2.content - b.content) if b.component == b2.component else Fraction(0)
-    if rho * rho == 1:
-        return rho, Fraction(0)
-    return rho, Fraction(1) if (b.component, b.row) < (b2.component, b2.row) else 1 - rho * rho
-
-
-def build_irrep(shape: MultiPartition) -> IrrepModel:
-    """Construct the seminormal model and validate every group relation,
-    gram compatibility, and the Jucys-Murphy diagonal."""
-    r, n = shape.r, shape.size
-    tableaux = enumerate_syt(shape)
-    if not tableaux:
-        raise ValueError("shape has no standard tableaux")
-    index = {t: k for k, t in enumerate(tableaux)}
-    dim = len(tableaux)
-
-    # s_i matrices, column by column: at most two entries each
-    s_mats = []
-    for i in range(1, n):
-        cols = []
-        for t, T in enumerate(tableaux):
-            rho, theta = _swap_rule(T, i)
-            col = {t: rho}
-            if theta:
-                col[index[T.swap_adjacent(i)]] = theta
-            cols.append({a: q for a, q in sorted(col.items()) if q})
-        s_mats.append(tuple(cols))
-
-    # gram weights by propagation from the first tableau over the s_i columns:
-    # gram[t2] = gram[t] (1 - s_i[t, t]^2) / s_i[t2, t]^2
-    gram: list[Optional[Fraction]] = [None] * dim
-    gram[0] = Fraction(1)
-    pending = [0]
-    while pending:
-        t = pending.pop()
-        for s_i in s_mats:
-            rho = s_i[t].get(t, 0)
-            for t2, theta in s_i[t].items():
-                if gram[t2] is None:   # validate_irrep checks every other edge
-                    gram[t2] = gram[t] * (1 - rho * rho) / (theta * theta)
-                    pending.append(t2)
-    if None in gram:
-        raise AssertionError("tableau graph not connected under adjacent swaps")
-
-    zeta_residues = [tuple(T.box_of(i).component for T in tableaux) for i in range(1, n + 1)]
-
-    model = IrrepModel(shape, tableaux, index, s_mats, zeta_residues, gram)
-    errors = validate_irrep(model)
-    if errors:
-        raise AssertionError("irrep validation failed: " + "; ".join(errors))
-    return model
-
-
-def validate_irrep(model: IrrepModel) -> list[str]:
-    """That the s_i and gram weights are rational, and then all G(r,1,n)
-    relations over Q(zeta_r), gram self-adjointness/unitarity, and the
-    Jucys-Murphy diagonal on the kept transposition tables.  Returns a list of
-    failures (empty = valid)."""
-    if not all(type(q) is Fraction for q in itertools.chain(
-            model.gram, *(col.values() for mat in model.s_mats for col in mat))):
-        return ["s_i entries and gram weights rational"]
-    errors, n, r = [], model.n, model.shape.r
-    f = CyclotomicField(r)   # built here only: the model itself is rational
-    ident = tuple({b: Fraction(1)} for b in range(model.dim))
-
-    def close(name, got, expect):
-        if got != expect:
-            errors.append(name)
-
-    for i in range(1, n):
-        close(f"s_{i}^2 = 1", _mat_mul(model.s_mats[i - 1], model.s_mats[i - 1]), ident)
-    for i in range(1, n - 1):
-        a, b = model.s_mats[i - 1], model.s_mats[i]
-        close(f"braid s_{i} s_{i+1} s_{i}",
-              _mat_mul(a, _mat_mul(b, a)), _mat_mul(b, _mat_mul(a, b)))
-    for i in range(1, n):
-        for j in range(i + 2, n):
-            a, b = model.s_mats[i - 1], model.s_mats[j - 1]
-            close(f"s_{i} s_{j} commute", _mat_mul(a, b), _mat_mul(b, a))
-    # zeta_i, diagonal, over Q(zeta_r)
-    zetas = [tuple({b: f.zeta_power(e)} for b, e in enumerate(res)) for res in model.zeta_residues]
-    for i in range(1, n + 1):
-        power = ident
-        for _ in range(r):
-            power = _mat_mul(power, zetas[i - 1])
-        close(f"zeta_{i}^r = 1", power, ident)
-    for i in range(1, n):
-        got = _mat_mul(model.s_mats[i - 1], _mat_mul(zetas[i - 1], model.s_mats[i - 1]))
-        close(f"s_{i} zeta_{i} s_{i} = zeta_{i+1}", got, zetas[i])
-        for j in set(range(1, n + 1)) - {i, i + 1}:
-            close(f"s_{i} zeta_{j} commute",
-                  _mat_mul(model.s_mats[i - 1], zetas[j - 1]),
-                  _mat_mul(zetas[j - 1], model.s_mats[i - 1]))
-    # gram conditions: s_i self-adjoint, zeta_i unitary (diagonal root of unity);
-    # each nonzero entry is compared with its transposed entry, zero or not
-    for i in range(1, n):
-        m = model.s_mats[i - 1]
-        for b, col in enumerate(m):
-            for a, c in col.items():
-                if c * model.gram[a] != m[a].get(b, 0) * model.gram[b]:
-                    errors.append(f"s_{i} gram self-adjointness")
-    # Jucys-Murphy diagonal: phi_i = sum_{j<i} sum_l zeta_i^l s_ij zeta_i^-l, on the
-    # kept s_ij tables (times r * denominator) that the y- and z-tables read; zeta_i
-    # is diagonal, so the l-th term is s_ij with entry (a, t) times zeta^(l (beta_a - beta_t)).
-    # The brackets read one residue group of a column, so each entry's group is checked
-    for i, res in enumerate(model.zeta_residues[1:], 2):
-        for t, T in enumerate(model.tableaux):
-            phi_t: dict = {}   # column t of phi_i
-            for j, l in itertools.product(range(1, i), range(r)):
-                for rho, group in enumerate(model.transposition(i, j)[t]):
-                    for a, q in group.items():
-                        if res[a] != rho:
-                            errors.append("kept s_ij entries grouped by residue")
-                        phi_t[a] = phi_t.get(a, f.zero) + q * f.zeta_power(l * (res[a] - res[t]))
-            expect = f.from_rational(r * r * model.denominator * T.box_of(i).content)
-            if {a: c for a, c in phi_t.items() if c} != ({} if expect.is_zero() else {t: expect}):
-                errors.append(f"jucys-murphy phi_{i} not diagonal with r*ct")
-    return sorted(set(errors))
-
-
-def _transposition(n: int, i: int, j: int) -> tuple[int, ...]:
-    """s_ij in one-line notation."""
-    return tuple(j if k == i else i if k == j else k for k in range(1, n + 1))
-
-
-def _averaged_transposition(irrep: IrrepModel, i: int, j: int, shift: int,
-                            nu: tuple[int, ...], t: int) -> tuple[tuple[int, ...], dict]:
-    """sum_{l<r} zeta^{-l*shift} zeta_i^l s_{ij} zeta_i^{-l} applied to the
-    basis term (nu, t): returns nu' = s_ij nu and {t': coefficient times
-    irrep.denominator}, the image being sum_t' coefficient x^nu' v_t'.
-
-    The l-th term has coefficient zeta^{l*k} s_ij[a, t] at (nu', a),
-    with k = nu_i - nu_j + beta_i(a) - beta_i(t); as sum_{l<r} zeta^{l*m}
-    is r when r | m and 0 otherwise, the sum keeps r * s_ij[a, t] where
-    k = shift (mod r) and nothing else: one residue group of the kept
-    column, beta_i(a) = -k0 (mod r) with k0 = nu_i - nu_j - beta_i(t) - shift.
-    The seminormal s_ij is rational."""
-    nu2 = list(nu)
-    nu2[i - 1], nu2[j - 1] = nu[j - 1], nu[i - 1]
-    k0 = nu[i - 1] - nu[j - 1] - irrep.zeta_residues[i - 1][t] - shift
-    return tuple(nu2), irrep.transposition(i, j)[t][-k0 % irrep.shape.r]
 
 
 # ---------------------------------------------------------------------------
@@ -900,16 +488,18 @@ def _basis(mod: StandardModule, degree: int, cap: int):
 
 
 def _check_relations(mod: StandardModule, degree: int, rng: random.Random) -> int:
-    # y_i (nu + e_j) against the relation step for every j.  For j at or
-    # before nu's first nonzero entry that is the step y_table was built by;
-    # those identities are kept, so the check does not depend on which j the
-    # builder picks
-    irrep, basis = mod.irrep, _basis(mod, degree, 3)
-    for nu, t in basis:
+    # y_i (nu + e_j) against the relation step for every j, a whole block of
+    # tableaux at a time.  For j at or before nu's first nonzero entry that is
+    # the step the y-block was built by; those identities are kept, so the
+    # check does not depend on which j the builder picks
+    irrep, ts = mod.irrep, range(mod.irrep.dim)
+    exponents = [nu for deg in range(min(degree, 3) + 1) for nu in mod.monomials(deg)]
+    for nu in exponents:
+        ups = [_bump(nu, j) for j in range(mod.n)]
         for i, j in itertools.product(range(1, mod.n + 1), repeat=2):
-            if irrep.y_table(i, (_bump(nu, j - 1), t)) != irrep.raised_table(i, j, (nu, t)):
+            if irrep._block("y_table", i, ups[j - 1], ts) != irrep.raised_table(i, j, nu, ts):
                 raise AssertionError(f"relation y_{i} x_{j} at {nu}")
-    return len(basis) * mod.n ** 2
+    return len(exponents) * irrep.dim * mod.n ** 2
 
 
 def _check_commutation(mod: StandardModule, degree: int, rng: random.Random) -> int:

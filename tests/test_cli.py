@@ -238,6 +238,11 @@ class TestRoundTrips:
         code, out = run_cli("partitions", "--r", "2", "--n", "2")
         assert code == 0 and len(out.splitlines()) == 5
 
+    def test_partitions_with_a_thousand_components(self):
+        # once a RecursionError: one nested generator per component
+        code, out = run_cli("partitions", "--r", "1000", "--n", "1")
+        assert code == 0 and len(out.splitlines()) == 1000
+
     def test_syt_listing(self):
         code, out = run_cli("syt", "--r", "2", "--shape", "1|1")
         assert code == 0 and out.splitlines() == ["1|2", "2|1"]

@@ -1,10 +1,12 @@
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cherednik_kit.combinatorics import (
+    _splits,
     BoxRef,
     Comparison,
     MultiPartition,
@@ -195,6 +197,48 @@ class TestEnumeration:
         assert a == b
         assert len({s.as_text() for s in a}) == len(a)
         assert len(a) == multipartition_count(3, 4)
+
+    @pytest.mark.parametrize("total, slots", itertools.product(range(7), range(1, 6)))
+    def test_splits_match_the_recursive_reference(self, total, slots):
+        dense = []
+        for parts in _splits(total, slots):
+            assert all(part for _, part in parts) and parts == sorted(parts)
+            sizes = [0] * slots
+            for k, part in parts:
+                sizes[k] = part
+            dense.append(tuple(sizes))
+        assert dense == list(_recursive_splits(total, slots))
+
+    def test_shapes_equal_validated_ones(self):
+        # the enumeration builds its shapes without the per-component check:
+        # they equal, and hash as, shapes built through it, in the order of
+        # the product over the recursive compositions
+        for r, n in [(1, 4), (2, 3), (3, 3), (4, 2)]:
+            expect = [MultiPartition(r, comps) for sizes in _recursive_splits(n, r)
+                      for comps in itertools.product(*map(partitions_of, sizes))]
+            got = enumerate_multipartitions(r, n)
+            assert got == expect and list(map(hash, got)) == list(map(hash, expect))
+
+    def test_many_components_come_sparse(self):
+        # each composition comes as its nonzero parts only, so its cost does
+        # not grow with the number of slots, and no generator nests per slot
+        sizes = [len(parts) for parts in _splits(2, 300)]
+        assert len(sizes) == math.comb(301, 2) and set(sizes) == {1, 2}
+        shapes = enumerate_multipartitions(300, 2)
+        assert len(shapes) == 45450 == multipartition_count(300, 2)
+        assert shapes[0].as_text() == "2" + "|" * 299 and shapes[-1].as_text() == "|" * 299 + "1,1"
+        assert len(enumerate_multipartitions(1000, 1)) == 1000
+
+
+def _recursive_splits(total, slots):
+    """Reference: the compositions of total into slots parts, lexicographically
+    decreasing, by one nested generator per slot."""
+    if slots == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in _recursive_splits(total - first, slots - 1):
+            yield (first,) + rest
 
 
 class TestSYT:

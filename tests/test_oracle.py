@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import functools
 import gc
 import graphlib
@@ -34,6 +36,7 @@ from cherednik_kit.norms import (
     symmetric_norm,
     symmetrization_block_factor,
 )
+from cherednik_kit.irrep import _add_coeffs, _mat_mul, _swapped, validate_irrep
 from cherednik_kit.oracle import (
     EigenvalueCollision,
     ModuleElement,
@@ -42,7 +45,6 @@ from cherednik_kit.oracle import (
     _kernel,
     build_irrep,
     symmetrizer_identity_check,
-    validate_irrep,
     verify_report,
 )
 from cherednik_kit.scalars import ParameterPoint, random_point
@@ -54,7 +56,7 @@ from test_acceptance import ORACLE_RANGE
 def _bracket_at(mod, i, j, nu, t):
     """[y_i, x_j] on the basis term (nu, t): the irrep's bracket table at the
     module's point."""
-    return ModuleElement._reduced(mod, mod._specialize(mod.irrep.bracket_table(i, j, (nu, t))),
+    return ModuleElement._reduced(mod, mod._specialize(mod.irrep.bracket_table(i, j, nu, [t])[0]),
                                   mod._den)
 
 
@@ -144,6 +146,94 @@ class TestIrrep:
         for shape in enumerate_multipartitions(2, 3):
             m = build_irrep(shape)
             assert all(g > 0 for g in m.gram)
+
+
+def _literal_validation(model):
+    """Reference: validate_irrep with every relation that has a zeta written
+    out over Q(zeta_r): zeta_i as the diagonal matrix of its roots of unity,
+    the products taken literally, and phi_i summed over l."""
+    if not all(type(q) is Fraction for q in itertools.chain(
+            model.gram, *(col.values() for mat in model.s_mats for col in mat))):
+        return ["s_i entries and gram weights rational"]
+    errors, n, r, mul = [], model.n, model.shape.r, _mat_mul
+    f = CyclotomicField(r)
+    ident = tuple({b: Fraction(1)} for b in range(model.dim))
+
+    def close(name, got, expect):
+        if got != expect:
+            errors.append(name)
+
+    for i in range(1, n):
+        close(f"s_{i}^2 = 1", mul(model.s_mats[i - 1], model.s_mats[i - 1]), ident)
+    for i in range(1, n - 1):
+        a, b = model.s_mats[i - 1], model.s_mats[i]
+        close(f"braid s_{i} s_{i+1} s_{i}", mul(a, mul(b, a)), mul(b, mul(a, b)))
+    for i in range(1, n):
+        for j in range(i + 2, n):
+            a, b = model.s_mats[i - 1], model.s_mats[j - 1]
+            close(f"s_{i} s_{j} commute", mul(a, b), mul(b, a))
+    zetas = [tuple({b: f.zeta_power(e)} for b, e in enumerate(res)) for res in model.zeta_residues]
+    for i in range(1, n + 1):
+        power = ident
+        for _ in range(r):
+            power = mul(power, zetas[i - 1])
+        close(f"zeta_{i}^r = 1", power, ident)
+    for i in range(1, n):
+        got = mul(model.s_mats[i - 1], mul(zetas[i - 1], model.s_mats[i - 1]))
+        close(f"s_{i} zeta_{i} s_{i} = zeta_{i+1}", got, zetas[i])
+        for j in set(range(1, n + 1)) - {i, i + 1}:
+            close(f"s_{i} zeta_{j} commute", mul(model.s_mats[i - 1], zetas[j - 1]),
+                  mul(zetas[j - 1], model.s_mats[i - 1]))
+    for i in range(1, n):
+        m = model.s_mats[i - 1]
+        for b, col in enumerate(m):
+            for a, c in col.items():
+                if c * model.gram[a] != m[a].get(b, 0) * model.gram[b]:
+                    errors.append(f"s_{i} gram self-adjointness")
+    for i, res in enumerate(model.zeta_residues[1:], 2):
+        for t, T in enumerate(model.tableaux):
+            phi_t = {}
+            for j, l in itertools.product(range(1, i), range(r)):
+                for rho, group in enumerate(model.transposition(i, j)[t]):
+                    for a, q in group.items():
+                        if res[a] % r != rho:
+                            errors.append("kept s_ij entries grouped by residue")
+                        phi_t[a] = phi_t.get(a, f.zero) + q * f.zeta_power(l * (res[a] - res[t]))
+            expect = f.from_rational(r * r * model.denominator * T.box_of(i).content)
+            if {a: c for a, c in phi_t.items() if c} != ({} if expect.is_zero() else {t: expect}):
+                errors.append(f"jucys-murphy phi_{i} not diagonal with r*ct")
+    return sorted(set(errors))
+
+
+@pytest.mark.parametrize("r, n", [(r, n) for r in range(1, 5) for n in range(1, 5 if r <= 2 else 4)])
+def test_integer_validation_matches_the_literal_products(r, n):
+    # on every shape, and on copies of it with one residue moved or one s_i
+    # entry changed; each copy gets an empty store, so its kept tables and its
+    # denominator are rebuilt from the copy, not read from the original
+    rng = random.Random(4100 + 10 * r + n)
+    rejected = 0
+    for shape in enumerate_multipartitions(r, n):
+        model = build_irrep(shape)
+        assert validate_irrep(model) == _literal_validation(model) == []
+        for _ in range(3):
+            residues = [list(res) for res in model.zeta_residues]
+            residues[rng.randrange(n)][rng.randrange(model.dim)] += rng.randint(1, 2 * r)
+            moved = dataclasses.replace(model, zeta_residues=[tuple(res) for res in residues],
+                                        _tables=collections.defaultdict(dict))
+            errors = validate_irrep(moved)
+            assert errors == _literal_validation(moved)
+            rejected += bool(errors)
+        for _ in range(3 if n >= 2 else 0):
+            mats = [[dict(col) for col in mat] for mat in model.s_mats]
+            col = mats[rng.randrange(n - 1)][rng.randrange(model.dim)]
+            a = rng.randrange(model.dim)
+            col[a] = col.get(a, 0) + Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3))
+            changed = dataclasses.replace(model, s_mats=[tuple(mat) for mat in mats],
+                                          _tables=collections.defaultdict(dict))
+            errors = validate_irrep(changed)
+            assert errors == _literal_validation(changed)
+            rejected += bool(errors)
+    assert rejected > 0 or n == 1   # at n = 1 no relation reads a residue
 
 
 # the module's own y_act, z_act and x_mul at a point, beside verify_report's
@@ -750,18 +840,24 @@ class TestTableCertificates:
     @pytest.mark.parametrize("kind, args, check", [
         ("y_table", (1, ((1, 0), 0)), "defining relations up to degree cap"),
         ("z_table", (1, ((1, 0), 0)), "y- and z-family commutativity"),
+        # the last tableau of a degree-3 block, which is built whole
+        ("y_table", (2, ((2, 1), 1)), "defining relations up to degree cap"),
     ])
     def test_poisoned_d_coefficient_fails(self, monkeypatch, kind, args, check):
         built = []
 
         def poisoned_build(shape):
-            # one entry of the table moved in its d_0 coefficient only
+            # one entry of the table moved in its d_0 coefficient only, in
+            # the store of its exponent's block
             irrep = build_irrep(shape)
             clean = getattr(irrep, kind)(*args)
+            i, (nu, t) = args
+            block = irrep._tables[kind][i, nu]
+            assert None not in block   # built whole
             table = dict(clean)
             key = min(table)
             table[key] = table[key][:2] + (table[key][2] + 1,) + table[key][3:]
-            irrep._tables[kind][args] = table
+            block[t] = table
             built.append((irrep, clean, table))
             return irrep
 
@@ -788,8 +884,7 @@ class TestBracketFaults:
     def _faulty(fault):
         honest = oracle.IrrepModel.bracket_table
 
-        def bracket_table(self, i, j, key):
-            table = honest(self, i, j, key)
+        def faulty(self, i, j, key, table):
             if fault == "negated off-diagonal" and i != j:
                 return {term: tuple(-x for x in vec) for term, vec in table.items()}
             if fault == "doubled off-diagonal" and i != j:
@@ -801,6 +896,10 @@ class TestBracketFaults:
                 return {term: vec[:2] + (0,) * (len(vec) - 2) for term, vec in table.items()
                         if any(vec[:2])}
             return table
+
+        def bracket_table(self, i, j, nu, ts):
+            return [faulty(self, i, j, (nu, t), table)
+                    for t, table in zip(ts, honest(self, i, j, nu, ts))]
         return bracket_table
 
     # at r = 1 the d-terms of [y_i, x_i] cancel, so dropping them is no fault
@@ -825,12 +924,14 @@ class TestCanonicalTables:
 
     def test_add_coeffs_drops_a_cancelled_key_and_sets_it_again(self):
         table = {"a": (1, 2, 0), "b": (0, 1, 1)}
-        oracle._add_coeffs(table, "a", (-1, -2, 0))
+        _add_coeffs(table, [("a", (-1, -2, 0))])
         assert table == {"b": (0, 1, 1)}
-        oracle._add_coeffs(table, "a", (0, 0, 3))
+        _add_coeffs(table, [("a", (0, 0, 3))])
         assert table == {"b": (0, 1, 1), "a": (0, 0, 3)}
-        oracle._add_coeffs(table, "c", (0, 0, 0))
+        _add_coeffs(table, [("c", (0, 0, 0))])
         assert "c" not in table
+        _add_coeffs(table, [("c", (1, 0, 0)), ("c", (-1, 0, 0)), ("b", (0, 1, 0))])
+        assert table == {"b": (0, 2, 1), "a": (0, 0, 3)}
 
     @pytest.mark.parametrize("r, n", ORACLE_RANGE + [(1, 4)])
     def test_no_table_holds_a_zero_vector(self, r, n):
@@ -840,18 +941,123 @@ class TestCanonicalTables:
                 for i in range(1, n + 1):
                     irrep.z_table(i, key)   # and the y-tables below it
                     for j in range(1, n + 1):
-                        assert all(map(any, irrep.bracket_table(i, j, key).values()))
+                        bracket, = irrep.bracket_table(i, j, key[0], [key[1]])
+                        assert all(map(any, bracket.values()))
                 irrep.twisted_table(*key)
             kept = {"y_table": [], "z_table": [], "twisted_table": []}
             for kind, store in irrep._tables.items():
                 for value in store.values():
-                    if kind in ("y_table", "z_table"):
-                        kept[kind].append(value)
+                    if kind in ("y_table", "z_table"):   # a block: a table per tableau
+                        kept[kind].extend(table for table in value if table is not None)
                     elif kind == "twisted_table":
                         kept[kind].extend(value)
             assert all(kept.values())
             assert all(any(vec) for tables in kept.values() for table in tables
                        for vec in table.values())
+
+
+def _reference_average(irrep, c, i, k, shift, nu, t):
+    """Reference: c c0 (shift-average of s_ik) on the basis term (nu, t), as
+    (key, vector) pairs: r s_ik[a, t] at (s_ik nu, a) where beta_i(a) =
+    beta_i(t) + shift - (nu_i - nu_k) mod r, read off the kept s_ik column."""
+    r = irrep.shape.r
+    nu2 = list(nu)
+    nu2[i - 1], nu2[k - 1] = nu[k - 1], nu[i - 1]
+    group = irrep.transposition(i, k)[t][(irrep.zeta_residues[i - 1][t] + shift
+                                          - nu[i - 1] + nu[k - 1]) % r]
+    return [((tuple(nu2), a), (0, c * q) + (0,) * r) for a, q in group.items()]
+
+
+def _reference_bracket(irrep, i, j, nu, t):
+    """Reference: [y_i, x_j] on one basis term, built term by term."""
+    if i != j:
+        table = {}
+        _add_coeffs(table, _reference_average(irrep, 1, i, j, 1, nu, t))
+        return table
+    r, den = irrep.shape.r, irrep.denominator
+    res = (irrep.zeta_residues[i - 1][t] - nu[i - 1]) % r
+    own = [den] + [0] * (r + 1)
+    own[2 + res] -= den
+    own[2 + (res - 1) % r] += den
+    table = {(nu, t): tuple(own)}
+    for k in range(1, irrep.n + 1):
+        if k != i:
+            _add_coeffs(table, _reference_average(irrep, -1, i, k, 0, nu, t))
+    return table
+
+
+def _reference_y(irrep, i, nu, t, cache):
+    """Reference: y_i on the basis term (nu, t) by the per-key recursion, y_i
+    x_j = x_j y_i + [y_i, x_j] for the first j with nu_j > 0."""
+    if (i, nu, t) not in cache:
+        j = next((k for k, e in enumerate(nu) if e), None)
+        table = {}
+        if j is not None:
+            low = nu[:j] + (nu[j] - 1,) + nu[j + 1:]
+            table = {(kappa[:j] + (kappa[j] + 1,) + kappa[j + 1:], s): vec
+                     for (kappa, s), vec in _reference_y(irrep, i, low, t, cache).items()}
+            _add_coeffs(table, _reference_bracket(irrep, i, j + 1, low, t).items())
+        cache[i, nu, t] = table
+    return cache[i, nu, t]
+
+
+def _reference_z(irrep, i, nu, t, cache):
+    """Reference: z_i = y_i x_i + c0 phi_i on the basis term (nu, t)."""
+    table = dict(_reference_y(irrep, i, nu[:i - 1] + (nu[i - 1] + 1,) + nu[i:], t, cache))
+    for k in range(1, i):
+        _add_coeffs(table, _reference_average(irrep, 1, i, k, 0, nu, t))
+    return table
+
+
+class TestBlockLayout:
+    """The y- and z-tables are kept one block per (i, nu), holding the table
+    of each tableau built so far: whole blocks up to irrep.BLOCK_DEGREE (in
+    the y-degree), and one tableau at a time above it."""
+
+    @pytest.mark.parametrize("r, n", [(1, 4), (2, 3), (3, 2)])
+    def test_blocks_match_the_per_key_recursion(self, r, n):
+        # single-tableau reads first, then whole blocks, on one irrep, up to
+        # degree 6; each table against the per-key reference
+        for shape in enumerate_multipartitions(r, n):
+            irrep, cache = build_irrep(shape), {}
+            last, exponents = irrep.dim - 1, sorted(compositions(n, 6), key=sum)
+            top = [nu for nu in exponents if sum(nu) == 6]
+            for nu, i in itertools.product(top, range(1, n + 1)):
+                assert irrep.z_table(i, (nu, last)) == _reference_z(irrep, i, nu, last, cache)
+                up = nu[:i - 1] + (nu[i - 1] + 1,) + nu[i:]
+                for kind, exponent in (("z_table", nu), ("y_table", up)):
+                    block = irrep._tables[kind][i, exponent]
+                    assert [t for t, table in enumerate(block) if table is not None] == [last]
+            for nu, i in itertools.product(exponents, range(1, n + 1)):
+                ts = range(irrep.dim)
+                assert irrep._block("y_table", i, nu, ts) == [
+                    _reference_y(irrep, i, nu, t, cache) for t in ts]
+                assert irrep._block("z_table", i, nu, ts) == [
+                    _reference_z(irrep, i, nu, t, cache) for t in ts]
+
+    @pytest.mark.parametrize("r, n, y_entries, z_entries", [(2, 4, 3988, 236), (3, 4, 22921, 608)])
+    def test_reads_above_the_block_degree_build_one_tableau(self, monkeypatch, r, n, y_entries,
+                                                            z_entries):
+        # the minimal-norm and intertwiner checks are the ones that read past
+        # degree 4 at degree 2: after them, the stores hold no more entries
+        # there than one table per basis term read, as counted when each
+        # basis term had its own entry (seed 7)
+        irreps = []
+
+        def kept_build(shape):
+            irreps.append(build_irrep(shape))
+            return irreps[-1]
+
+        monkeypatch.setattr(oracle, "build_irrep", kept_build)
+        monkeypatch.setattr(oracle, "_CHECKS", tuple(
+            c for c in oracle._CHECKS if c[1] in (oracle._check_minimal_norms,
+                                                  oracle._check_intertwiners)))
+        assert verify_report(r, n, degree=2, seed=7)["ok"]
+        above = {kind: sum(len(block) - block.count(None) for irrep in irreps
+                           for (_, nu), block in irrep._tables[kind].items()
+                           if sum(nu) > 4)
+                 for kind in ("y_table", "z_table")}
+        assert above["y_table"] <= y_entries and above["z_table"] <= z_entries
 
 
 def _outer_product_commutator_vanishes(op, i, j, key):
@@ -1085,9 +1291,13 @@ def test_averaged_transposition_is_the_literal_average(case):
         for nu2, a, coeff in _twisted_transposition(mod, i, j, l, nu, t):
             term = f.zeta_power(-l * shift) * coeff
             literal[nu2, a] = literal[nu2, a] + term if (nu2, a) in literal else term
-    nu2, group = oracle._averaged_transposition(irrep, i, j, shift, nu, t)
-    assert {(nu2, a): f.from_rational(Fraction(q, irrep.denominator)) for a, q in group.items()} \
+    rows = irrep.averages(i, j, shift, 1)[(nu[i - 1] - nu[j - 1]) % r][t]
+    assert all(vec[0] == 0 and not any(vec[2:]) for _, vec in rows)
+    nu2 = _swapped(nu, i, j)
+    assert {(nu2, a): f.from_rational(Fraction(vec[1], irrep.denominator)) for a, vec in rows} \
         == {key: c for key, c in literal.items() if c}
+    assert irrep.averages(i, j, shift, -1)[(nu[i - 1] - nu[j - 1]) % r][t] == tuple(
+        (a, tuple(-x for x in vec)) for a, vec in rows)
 
 
 def _point_valued_y(mod, i, nu, t, cache):
@@ -1470,7 +1680,7 @@ class TestEigenPlan:
         def refuse(*_args):
             raise AssertionError("a plan was built again")
 
-        monkeypatch.setattr(oracle.graphlib, "TopologicalSorter", refuse)
+        monkeypatch.setattr(graphlib, "TopologicalSorter", refuse)
         second = StandardModule(shape, point, irrep=irrep)
         assert [second.eigenvector(mu, T) for T, mu in cases] == expect
         assert set(irrep._tables["eigen_plan"]) == plans
