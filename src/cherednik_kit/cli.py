@@ -427,12 +427,20 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()   # so that a closed pipe raises here, not at exit
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, ValueError, ZeroDivisionError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout: what is left unwritten goes to devnull, so
+        # that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output pipe closed before all output was written", file=sys.stderr)
         return 1
 
 

@@ -11,9 +11,9 @@ zeta -> zeta^(-1), and the inverse is the product of the other Galois
 conjugates over the rational norm.  For r in {1, 2} the field degenerates
 to Q: one numerator, and conjugation is the identity.
 
-The standard-module oracle computes over Q; it builds CycNumbers only where
-it checks the group relations literally (validate_irrep), and in its
-reference elimination (_kernel).
+The standard-module oracle computes over Q, and validate_irrep reads the
+relations with a zeta on integer residues: only the oracle's reference
+elimination (_kernel), which the tests call, and the tests build CycNumbers.
 """
 from __future__ import annotations
 

@@ -290,7 +290,21 @@ class IrrepModel:
                     built = self._add_phi([dict(y) for y in built], i, nu, missing)
             elif any(nu):
                 j = next(k for k, e in enumerate(nu) if e)
-                built = self.raised_table(i, j + 1, _bump(nu, j, -1), missing)
+                below = _bump(nu, j, -1)
+                # walk down the first-nonzero chain to an exponent whose asked
+                # tableaux are built, then build up it in a loop: each raise
+                # then finds the exponent below built, and the recursion
+                # depth no longer grows with the degree
+                chain, kappa = [], below
+                while sum(kappa) > BLOCK_DEGREE:
+                    low = store.get((i, kappa))
+                    if low is not None and all(low[t] is not None for t in missing):
+                        break
+                    chain.append(kappa)
+                    kappa = _bump(kappa, next(k for k, e in enumerate(kappa) if e), -1)
+                for kappa in reversed(chain):
+                    self._block(kind, i, kappa, missing)
+                built = self.raised_table(i, j + 1, below, missing)
             else:
                 built = [{} for _ in missing]
             for t, table in zip(missing, built):

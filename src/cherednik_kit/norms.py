@@ -14,30 +14,32 @@ AffineForm / FactoredScalar values:
 - pochhammer_products: the alternative Pochhammer-symbol expressions,
   proportional to hook/extra products by nonzero constants.
 
-Each product formula lists its numerator and denominator as terms
-(top, hi, lo, ct), each the residue forms k - (d_hi - d_lo) - r*ct*c0 for
-1 <= k <= top, k = hi - lo mod r.  `_product` counts the forms by integer key
-(k, hi mod r, lo mod r, ct), and `_from_keys` turns each nonzero net key
-straight into primitive integer numerators, so an AffineForm is built only
-for each factor of the canonical FactoredScalar.  nonsymmetric_norm lists no
-terms: it counts its keys straight into one dict, one per k for each box's
-own factors and +1, -2, +1 at ct - 1, ct, ct + 1 for each pair, and hands
-it to `_from_keys`.  symmetric_norm's ratios over box pairs (b, b2)
-telescope along each run of equal S-values in a row, so it lists
-O(n * runs) terms, not O(n^2).  minimal_norm is one product
-over the minimal assignment's closed-form hook and extra terms, and
-pochhammer_products, the independent reference, lists the forms of its
-Pochhammer symbols as integer numerators over r.  Empty products are 1.
+The closed norm products (nonsymmetric_norm, symmetric_norm, hook_product,
+extra_product, minimal_norm, removal_correction) are products, to signed
+powers, of the residue forms k - (d_hi - d_lo) - r*ct*c0 for 1 <= k <= top
+with k = hi - lo mod r.  `_count` is the one place that writes this k-range:
+it adds each form's power at its integer key (k, hi mod r, lo mod r, ct) in
+one dict of net counts, and `_from_keys` turns each nonzero net key straight
+into primitive integer numerators, so an AffineForm is built only for each
+factor of the canonical FactoredScalar.  A box's own factors are one count
+per residue lo.  nonsymmetric_norm counts each box pair's ratio
+X(ct - 1) X(ct + 1) / X(ct)^2 in one call, X(ct) being the pair's residue
+forms.  symmetric_norm's ratios over box pairs (b, b2) telescope along each
+run of equal S-values in a row, to two calls per run, so it counts
+O(n * runs) ranges, not O(n^2).  hook_product, extra_product and
+minimal_norm count the minimal assignment's closed-form hook and extra
+terms (top, hi, lo, ct), one call per term.  pochhammer_products, the
+independent reference, lists the forms of its Pochhammer symbols as integer
+numerators over r.  Empty products are 1.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from math import factorial, gcd
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .combinatorics import (
     BoxRef,
@@ -50,7 +52,6 @@ from .combinatorics import (
 from .scalars import AffineForm, FactoredScalar
 
 Term = tuple[int, int, int, int]  # (top, hi, lo, ct), see the module doc
-Part = tuple[list[Term], list[Term]]  # numerator terms, denominator terms
 
 
 @dataclass(frozen=True)
@@ -90,32 +91,22 @@ def spectrum(mu: Sequence[int], T: StandardTableau) -> list[SpectralDatum]:
     ) for i, (m, b) in enumerate(_indexed_boxes(mu, T), start=1)]
 
 
-def _keys(r: int, terms: Iterable[Term]) -> Counter:
-    """Each term's forms _eig_form(r, k, hi, lo, ct), counted by integer key."""
-    return Counter((k, hi % r, lo % r, ct) for top, hi, lo, ct in terms if top > 0
-                   for k in range((hi - lo - 1) % r + 1, top + 1, r))
+def _count(net: dict, r: int, top: int, hi: int, lo: int, cts) -> None:
+    """Add m at the key (k, hi mod r, lo mod r, ct) of the form
+    _eig_form(r, k, hi, lo, ct) in net, for each (ct, m) of cts and each
+    1 <= k <= top with k = hi - lo mod r."""
+    hi, lo = hi % r, lo % r
+    for k in range((hi - lo - 1) % r + 1, top + 1, r):
+        for ct, m in cts:
+            key = k, hi, lo, ct
+            net[key] = net.get(key, 0) + m
 
 
-def _own_part(r: int, top: int, beta: int, ct: int) -> Part:
-    """A box's own factors: _eig_form(r, k, beta, beta - k, ct) for 1 <= k <= top."""
-    return [(top, beta, lo, ct) for lo in range(r)], []
-
-
-def _run_part(hi: int, lo: int, top_minus: int, top_plus: int, t_lo: int, t_hi: int) -> Part:
-    """The ratios X(t - 1)/X(t) for k <= top_minus and X(t + 1)/X(t) for
-    k <= top_plus over t_lo <= t <= t_hi, with X(t) the residue forms of
-    (hi, lo) at content difference t; they telescope to
-    X(t_lo - 1) X(t_hi + 1) / (X(t_hi) X(t_lo))."""
-    return ([(top_minus, hi, lo, t_lo - 1), (top_plus, hi, lo, t_hi + 1)],
-            [(top_minus, hi, lo, t_hi), (top_plus, hi, lo, t_lo)])
-
-
-def _product(r: int, coefficient, parts: Sequence[Part]) -> FactoredScalar:
-    """One FactoredScalar from all parts: their forms counted by integer key,
-    numerator minus denominator, and folded by _from_keys."""
-    net = _keys(r, (term for num, _ in parts for term in num))
-    net.subtract(_keys(r, (term for _, den in parts for term in den)))
-    return _from_keys(r, coefficient, net)
+def _count_own(net: dict, r: int, top: int, beta: int, ct: int) -> None:
+    """A box's own factors _eig_form(r, k, beta, beta - k, ct), 1 <= k <= top,
+    counted once each: one residue lo at a time."""
+    for lo in range(r):
+        _count(net, r, top, beta, lo, ((ct, 1),))
 
 
 def _from_keys(r: int, coefficient, net: dict) -> FactoredScalar:
@@ -147,26 +138,22 @@ def _from_keys(r: int, coefficient, net: dict) -> FactoredScalar:
 def nonsymmetric_norm(mu: Sequence[int], T: StandardTableau) -> FactoredScalar:
     """Norm of the joint eigenvector with leading term x^mu v_T^mu, as a
     factored product of affine forms (squares kept as repeated factors,
-    difference-of-squares split into two affine factors), its integer keys
-    counted straight into one dict."""
-    r = T.shape.r   # components lie in 0..r-1 already
+    difference-of-squares split into two affine factors): each box's own
+    factors, and per pair the ratio ((X - r c0)(X + r c0)) / X^2 =
+    X(ct - 1) X(ct + 1) / X(ct)^2, ct = a_hi - a_lo, for k up to mu_i - mu_j
+    at (i, j) and mu_j - mu_i - 1 at (j, i), all counted in one dict."""
+    r = T.shape.r
     walk = [(m, b.component, b.content) for m, b in _indexed_boxes(mu, T)]
     net: dict = {}
-    for m, beta, ct in walk:   # a box's own factors: one key per k, lo = beta - k
-        for k in range(1, m + 1):
-            key = (k, beta, (beta - k) % r, ct)
-            net[key] = net.get(key, 0) + 1
-    # per pair, ((X - r c0)(X + r c0)) / X^2 = X(ct - 1) X(ct + 1) / X(ct)^2,
-    # ct = a_hi - a_lo, for k up to mu_i - mu_j at (i, j), mu_j - mu_i - 1 at (j, i)
+    for m, beta, ct in walk:
+        if m > 0:
+            _count_own(net, r, m, beta, ct)
     for i, (m_i, beta_i, a_i) in enumerate(walk):
         for m_j, beta_j, a_j in walk[i + 1:]:
             for top, hi, lo, ct in ((m_i - m_j, beta_i, beta_j, a_i - a_j),
                                     (m_j - m_i - 1, beta_j, beta_i, a_j - a_i)):
-                for k in range((hi - lo - 1) % r + 1, top + 1, r):
-                    below, above, at = (k, hi, lo, ct - 1), (k, hi, lo, ct + 1), (k, hi, lo, ct)
-                    net[below] = net.get(below, 0) + 1
-                    net[above] = net.get(above, 0) + 1
-                    net[at] = net.get(at, 0) - 2
+                if top > 0:
+                    _count(net, r, top, hi, lo, ((ct - 1, 1), (ct + 1, 1), (ct, -2)))
     return _from_keys(r, 1, net)
 
 
@@ -179,14 +166,23 @@ def _runs(S: ShapeAssignment) -> list[tuple[int, int, int, int]]:
             for js in [[j for j, _ in group]]]
 
 
-def _box_parts(S: ShapeAssignment, b: BoxRef, runs: Iterable[tuple]) -> list[Part]:
-    """Box b's share of the symmetric-norm product: its own factors and the
-    ratios of the ordered pairs (b, b2) over every box b2 (b2 = b adds none),
-    telescoped along each run of b2, where top_minus and top_plus are fixed."""
-    r, sb, ct = S.shape.r, S.value(b), b.content
-    return [_own_part(r, sb, b.component, ct)] + [
-        _run_part(b.component, l, sb - v, sb - v - r, ct - c_last, ct - c_first)
-        for v, l, c_first, c_last in runs]
+def _box_product(S: ShapeAssignment, boxes, coefficient) -> FactoredScalar:
+    """coefficient times the share of each box b of boxes in the
+    symmetric-norm product: its own factors and, over every box b2 (b2 = b
+    adds none), the ratios X(t - 1)/X(t) for k <= S(b) - S(b2) and
+    X(t + 1)/X(t) for k <= S(b) - S(b2) - r, with X(t) the residue forms of
+    (beta(b), beta(b2)) at t = ct(b) - ct(b2).  Over a run of b2 both tops
+    are fixed, so its ratios telescope to
+    X(t_lo - 1) X(t_hi + 1) / (X(t_hi) X(t_lo))."""
+    r, runs, net = S.shape.r, _runs(S), {}
+    for b in boxes:
+        sb, beta, ct = S.value(b), b.component, b.content
+        _count_own(net, r, sb, beta, ct)
+        for v, l, c_first, c_last in runs:
+            t_lo, t_hi = ct - c_last, ct - c_first
+            _count(net, r, sb - v, beta, l, ((t_lo - 1, 1), (t_hi, -1)))
+            _count(net, r, sb - v - r, beta, l, ((t_hi + 1, 1), (t_lo, -1)))
+    return _from_keys(r, coefficient, net)
 
 
 def symmetric_norm(S: ShapeAssignment) -> FactoredScalar:
@@ -199,9 +195,7 @@ def symmetric_norm(S: ShapeAssignment) -> FactoredScalar:
         raise ValueError("assignment must be column-strict")
     if not S.satisfies_residues():
         raise ValueError("assignment must satisfy S(b) = beta(b) mod r")
-    runs = _runs(S)
-    parts = [part for b in S.shape.boxes() for part in _box_parts(S, b, runs)]
-    return _product(S.shape.r, factorial(S.shape.size), parts)
+    return _box_product(S, S.shape.boxes(), factorial(S.shape.size))
 
 
 def symmetrization_block_factor(S: ShapeAssignment) -> FactoredScalar:
@@ -252,12 +246,20 @@ def _minimal_terms(shape: MultiPartition) -> tuple[list[Term], list[Term]]:
     return hook, extra
 
 
+def _terms_product(r: int, coefficient, terms: list[Term]) -> FactoredScalar:
+    """coefficient times the forms of each term (top, hi, lo, ct)."""
+    net: dict = {}
+    for top, hi, lo, ct in terms:
+        _count(net, r, top, hi, lo, ((ct, 1),))
+    return _from_keys(r, coefficient, net)
+
+
 def hook_product(shape: MultiPartition) -> FactoredScalar:
     """Product over (b not directly above a box of its component, b' the last
     box of a row) and 1 <= k <= S(b)-S(b'), k = beta(b)-beta(b') mod r, of
     k - (d_beta(b) - d_beta(b')) - r(ct(b) - ct(b') - 1)c0,
     with S the minimal assignment."""
-    return _product(shape.r, 1, [(_minimal_terms(shape)[0], [])])
+    return _terms_product(shape.r, 1, _minimal_terms(shape)[0])
 
 
 def extra_product(shape: MultiPartition) -> FactoredScalar:
@@ -267,14 +269,14 @@ def extra_product(shape: MultiPartition) -> FactoredScalar:
     assignment.  This is the corner convention S_l = l + (h_l - 1)r,
     c_l = 1 - h_l for the lower-left box of each component, uniform over
     empty components: h_l = 0 puts their corner in row 0, column 1."""
-    return _product(shape.r, 1, [(_minimal_terms(shape)[1], [])])
+    return _terms_product(shape.r, 1, _minimal_terms(shape)[1])
 
 
 def minimal_norm(shape: MultiPartition) -> FactoredScalar:
     """n! * hook_product * extra_product, the norm of the minimal-degree
     invariant, as one product over both term lists."""
     hook, extra = _minimal_terms(shape)
-    return _product(shape.r, factorial(shape.size), [(hook + extra, [])])
+    return _terms_product(shape.r, factorial(shape.size), hook + extra)
 
 
 def removal_correction(shape: MultiPartition, b: BoxRef) -> FactoredScalar:
@@ -287,7 +289,7 @@ def removal_correction(shape: MultiPartition, b: BoxRef) -> FactoredScalar:
     S = minimal_assignment(shape)
     if any(S.value(b2) > S.value(b) for b2 in shape.boxes()):
         raise ValueError("box must carry a maximal assignment value")
-    return _product(shape.r, 1, _box_parts(S, b, _runs(S)))
+    return _box_product(S, [b], 1)
 
 
 def pochhammer_products(shape: MultiPartition) -> tuple[FactoredScalar, FactoredScalar]:

@@ -2,12 +2,16 @@ import hashlib
 import io
 import json
 import math
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
 import pytest
 
+import cherednik_kit
 from cherednik_kit.cli import build_parser, main
 from cherednik_kit.combinatorics import enumerate_multipartitions
 
@@ -631,3 +635,17 @@ class TestHelp:
                     "norm-min", "hook", "aspherical", "order", "core-quotient",
                     "oracle", "params"):
             assert cmd in help_text
+
+
+def test_a_closed_pipe_ends_with_one_error_line():
+    # the reader takes one line and closes its end while the command still
+    # writes (about 1 MB of partitions, more than a pipe holds)
+    src = pathlib.Path(cherednik_kit.__file__).parents[1]
+    command = [sys.executable, "-m", "cherednik_kit.cli", "partitions", "--r", "1000", "--n", "1"]
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": str(src)}) as proc:
+        assert proc.stdout.readline().strip()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err

@@ -1,6 +1,7 @@
 import functools
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,9 +19,7 @@ from cherednik_kit.combinatorics import (
     sorting_data,
 )
 from cherednik_kit.norms import (
-    _own_part,
-    _product,
-    _run_part,
+    _from_keys,
     extra_product,
     hook_product,
     minimal_assignment,
@@ -99,9 +98,39 @@ def pairwise_nonsymmetric_norm(mu, T):
     return FactoredScalar(r, 1, num, den)
 
 
+# -- the earlier parts-based construction, literally -------------------------
+
+def _keys(r, terms):
+    """Each term's forms _eig_form(r, k, hi, lo, ct), counted by integer key."""
+    return Counter((k, hi % r, lo % r, ct) for top, hi, lo, ct in terms if top > 0
+                   for k in range((hi - lo - 1) % r + 1, top + 1, r))
+
+
+def _own_part(r, top, beta, ct):
+    """A box's own factors: _eig_form(r, k, beta, beta - k, ct) for 1 <= k <= top."""
+    return [(top, beta, lo, ct) for lo in range(r)], []
+
+
+def _run_part(hi, lo, top_minus, top_plus, t_lo, t_hi):
+    """The ratios X(t - 1)/X(t) for k <= top_minus and X(t + 1)/X(t) for
+    k <= top_plus over t_lo <= t <= t_hi, with X(t) the residue forms of
+    (hi, lo) at content difference t; they telescope to
+    X(t_lo - 1) X(t_hi + 1) / (X(t_hi) X(t_lo))."""
+    return ([(top_minus, hi, lo, t_lo - 1), (top_plus, hi, lo, t_hi + 1)],
+            [(top_minus, hi, lo, t_hi), (top_plus, hi, lo, t_lo)])
+
+
+def _product(r, coefficient, parts):
+    """One FactoredScalar from all parts: their forms counted by integer key,
+    numerator minus denominator, and folded by _from_keys."""
+    net = _keys(r, (term for num, _ in parts for term in num))
+    net.subtract(_keys(r, (term for _, den in parts for term in den)))
+    return _from_keys(r, coefficient, net)
+
+
 def parts_nonsymmetric_norm(mu, T):
-    """The parts-based construction nonsymmetric_norm counts its keys in
-    place of: each index's own part and each pair's run part, folded by
+    """The parts-based construction that nonsymmetric_norm's one counting
+    rule replaced: each index's own part and each pair's run part, folded by
     _product."""
     r, n = T.shape.r, len(mu)
     w_mu = sorting_data(mu)[2]
@@ -194,6 +223,16 @@ def _fillings(draw):
     fillings = enumerate_assignments(shape, 2 * shape.r + 2)
     assume(fillings)        # a column too tall for the bound has none
     return draw(st.sampled_from(fillings))
+
+
+@st.composite
+def _indexed_tableaux(draw):
+    """(mu, T): a tableau T on an r-partition of n <= 5, r <= 4, and a
+    composition mu with entries <= 2r + 2."""
+    shape = draw(_shapes(5, rs=(1, 2, 3, 4)))
+    T = draw(st.sampled_from(enumerate_syt(shape)))
+    return tuple(draw(st.lists(st.integers(0, 2 * shape.r + 2),
+                               min_size=shape.size, max_size=shape.size))), T
 
 
 class TestSpectrum:
@@ -345,6 +384,15 @@ class TestTelescopedProducts:
                 for T in enumerate_syt(shape):
                     for mu in compositions(n, 3):
                         assert nonsymmetric_norm(mu, T) == pairwise_nonsymmetric_norm(mu, T)
+
+    # the exhaustive ranges stop at |mu| <= 3, so at r >= 3 no top exceeds r
+    # and no residue class holds more than one k; this samples past that
+    @PROPERTY
+    @given(_indexed_tableaux())
+    def test_sampled_nonsymmetric_norms_up_to_2r_plus_2(self, drawn):
+        mu, T = drawn
+        p, reference = nonsymmetric_norm(mu, T), pairwise_nonsymmetric_norm(mu, T)
+        assert p == reference and str(p) == str(reference)
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_nonsymmetric_norm_counts_the_parts_keys(self, r):

@@ -1035,6 +1035,18 @@ class TestBlockLayout:
                 assert irrep._block("z_table", i, nu, ts) == [
                     _reference_z(irrep, i, nu, t, cache) for t in ts]
 
+    def test_a_y_chain_far_above_the_block_degree_is_built_in_a_loop(self):
+        # y_1 at degree 700 and the pairing's lowering read the first-nonzero
+        # chain down to degree 0; each raise finds the exponent below it built
+        mod = StandardModule(parse_multipartition("1"), ParameterPoint(1, Fraction(1, 5), [0]))
+        v = mod.x_power((700,), mod.basis_vector(0))
+        assert mod.y_act(1, v) == mod.x_power((699,), mod.basis_vector(0)).scale(700)
+        assert mod.norm(v) == math.factorial(700)
+
+    def test_a_minimal_norm_far_above_the_block_degree(self):
+        # component 599 of r = 600: the minimal-norm check reads y at degree 599
+        assert verify_report(600, 1, degree=2, seed=7, shape_text="|" * 599 + "1")["ok"]
+
     @pytest.mark.parametrize("r, n, y_entries, z_entries", [(2, 4, 3988, 236), (3, 4, 22921, 608)])
     def test_reads_above_the_block_degree_build_one_tableau(self, monkeypatch, r, n, y_entries,
                                                             z_entries):

@@ -1,12 +1,12 @@
 """The closed-formula products against the code they replaced.
 
-`norms._product` turns integer keys straight into primitive factors, and
-`pochhammer_products` builds its forms as integer numerators over r.  The
-references below are the earlier code, kept literally: the fold of
-`FactoredScalar.from_counts` over `_eig_form` forms, and the Pochhammer
-forms built by Fraction-valued AffineForm sums.  The sha256 pins were
-computed with that code, over every r-partition with r <= 4 and
-n <= 6, 6, 5, 4.
+`norms._from_keys` turns the integer keys that `norms._count` counts
+straight into primitive factors, and `pochhammer_products` builds its forms
+as integer numerators over r.  The references below are the earlier code,
+kept literally: the fold of `FactoredScalar.from_counts` over `_eig_form`
+forms, and the Pochhammer forms built by Fraction-valued AffineForm sums.
+The sha256 pins were computed with that code, over every r-partition with
+r <= 4 and n <= 6, 6, 5, 4.
 """
 import hashlib
 import math
@@ -23,7 +23,8 @@ from cherednik_kit.combinatorics import (
     enumerate_syt,
 )
 from cherednik_kit.norms import (
-    _product,
+    _count,
+    _from_keys,
     extra_product,
     hook_product,
     minimal_assignment,
@@ -131,6 +132,17 @@ def reference_pochhammer_products(shape: MultiPartition) -> tuple[FactoredScalar
 
 # -- the new code against them ------------------------------------------------
 
+def counted_product(r, coefficient, parts):
+    """The parts' terms counted through `_count`, numerator terms +1 and
+    denominator terms -1, and folded by `_from_keys`."""
+    net = {}
+    for num, den in parts:
+        for terms, m in ((num, 1), (den, -1)):
+            for top, hi, lo, ct in terms:
+                _count(net, r, top, hi, lo, ((ct, m),))
+    return _from_keys(r, coefficient, net)
+
+
 def assert_canonical(p):
     assert all(f.primitive() == (f, 1) and not f.is_constant() for f in p.factors)
     assert all(p.factors.values())
@@ -160,7 +172,8 @@ class TestProductAgainstTheFold:
     @given(_products())
     def test_equal_canonical_scalars(self, drawn):
         r, coefficient, parts = drawn
-        p, reference = _product(r, coefficient, parts), reference_product(r, coefficient, parts)
+        p = counted_product(r, coefficient, parts)
+        reference = reference_product(r, coefficient, parts)
         assert p == reference and str(p) == str(reference)
         assert_canonical(p)
 
@@ -171,7 +184,7 @@ class TestProductAgainstTheFold:
         # over ct = 2: r - 2r*c0 = r * (1 - 2c0) and 2r - 2r*c0 = 2r * (1 - c0),
         # which cancels the numerator's 1 - c0.
         parts = [([(12, 1, 1 + r, 0), (4 * r, 0, 0, 1)], [(5 * r, 2, 2 + r, 0), (2 * r, 3, 3, 2)])]
-        p = _product(r, 1, parts)
+        p = counted_product(r, 1, parts)
         assert p == reference_product(r, 1, parts)
         assert_canonical(p)
         assert p.factors == {AffineForm(r, 2, -1): 1, AffineForm(r, 3, -1): 1,
@@ -180,7 +193,7 @@ class TestProductAgainstTheFold:
                                          r ** 5 * 120 * r * 2 * r)
 
     def test_zero_coefficient_has_no_factors(self):
-        p = _product(2, 0, [([(6, 1, 0, 2)], [])])
+        p = counted_product(2, 0, [([(6, 1, 0, 2)], [])])
         assert p.is_zero() and not p.factors
 
 
