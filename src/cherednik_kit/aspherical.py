@@ -169,11 +169,14 @@ def hyperplanes_twisted(r: int, n: int, xi: LinearCharacter) -> list[Hyperplane]
 
 
 def hyperplanes_rpn(r: int, p: int, n: int) -> list[Hyperplane]:
-    """The arrangement for G(r,p,n), n >= 3: the G(r,1,n) hyperplanes
-    restricted to the quotient coordinate space where d_i = d_j for
-    i = j mod r/p, re-normalized and deduplicated there.  The returned forms
-    live in a parameter space with r/p d-coordinates (the c0 coefficient
-    still refers to the original r)."""
+    """The restriction of the G(r,1,n) arrangement to the G(r,p,n)
+    parameters, n >= 3: the G(r,1,n) hyperplanes restricted to the quotient
+    coordinate space where d_i = d_j for i = j mod r/p, re-normalized and
+    deduplicated there.  The returned forms live in a parameter space with
+    r/p d-coordinates (the c0 coefficient still refers to the original r).
+
+    This is not yet the G(r,p,n) aspherical set: at (2,2,3) it lists 9 c0
+    values where S4's set has 5."""
     if n < 3:
         raise ValueError("G(r,p,n) restriction needs n >= 3 (fusion of reflections below that)")
     if p < 1 or r % p != 0:

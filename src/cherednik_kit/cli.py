@@ -384,8 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
     asub = p.add_subparsers(dest="action", required=True)
     _leaf(asub, "list", cmd_aspherical_list, "enumerate the arrangement", n,
           ("--xi", dict(help="linear character twist 'i,j' (sign exponent, rotation)")),
-          ("--p", dict(type=int, help="restrict to G(r,p,n) (p | r, n >= 3); "
-                                      "forms then live over d_0..d_{r/p-1}")),
+          ("--p", dict(type=int, help="restrict the G(r,1,n) arrangement to the G(r,p,n) "
+                                      "parameters (p | r, n >= 3), forms then over "
+                                      "d_0..d_{r/p-1}; not yet the G(r,p,n) aspherical "
+                                      "set")),
           ("--json", dict(action="store_true", help="emit the bare JSON array")),
           formats=("text", "json", "tsv"), default=None)
     _leaf(asub, "test", cmd_aspherical_test, "membership test for a parameter point", n, c0, d)

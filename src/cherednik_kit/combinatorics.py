@@ -143,10 +143,17 @@ class MultiPartition:
         return b.row <= len(comp) and b.column <= comp[b.row - 1]
 
     def as_text(self) -> str:
-        return "|".join(",".join(str(x) for x in c) for c in self.components)
+        return "|".join(map(_partition_text, self.components))
 
     def __str__(self):
         return self.as_text()
+
+
+@functools.lru_cache(maxsize=4096)
+def _partition_text(part: Partition) -> str:
+    """A partition as its comma list, rendered once per distinct partition
+    (of the last 4,096): an r-partition's text joins r of them."""
+    return ",".join(map(str, part))
 
 
 def box_stats(shape: MultiPartition, b: BoxRef) -> tuple[int, int]:

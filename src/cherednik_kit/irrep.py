@@ -6,9 +6,9 @@ point-free tables of the module's operators that it keeps.
   rational s_i columns from one rule, _swap_rule, and gram weights propagated
   over them), validates every group relation, the ones with a zeta on the
   integer residues (validate_irrep), and keeps the group action once, as
-  integer columns (perm_numerators, transposition); each kind of kept table
-  has its own store, _tables[name], keyed by the method's arguments, and is
-  read only through that method;
+  integer columns (perm_numerators, the one kept form of each s_ij); each
+  kind of kept table has its own store, _tables[name], keyed by the method's
+  arguments, and is read only through that method;
 - the y- and z-images of basis terms are point-free integer tables over one
   denominator with no zero vector, specialized at each module's point, and
   kept per exponent: _tables["y_table"][i, nu] lists the table of y_i on
@@ -16,15 +16,15 @@ point-free tables of the module's operators that it keeps.
   Up to y-degree BLOCK_DEGREE a block is built whole, above it one tableau
   at a time.  y kills degree 0, and one relation step, raised_table, writes
   y_i x_j as x_j y_i + [y_i, x_j] on tableaux of one exponent; a y-block
-  takes it for the first j with nu_j > 0, and the relations row for every j,
-  a whole block per (i, j, nu).  The bracket (bracket_table) is affine in
-  (1, c0, d_0..d_{r-1}), and its averages sum_l zeta^{-l*shift} zeta_i^l
-  s_ij zeta_i^{-l} are r s_ij on the entries of zeta-weight shift mod r.
-  The one kept form of s_ij groups each column's entries a by the residue
-  beta_i(a), so an average is one group of a column, kept as ready table
-  vectors per (i, j, shift, sign) (averages).  validate_irrep checks the sum
-  on the Jucys-Murphy sums phi_i, and each entry's group, reading that same
-  form.  And z_i = y_i x_i + c0 * phi_i (_add_phi).
+  takes it for the first j with nu_j > 0, once per level of that chain
+  (_descent, the one walk down it), and the relations row for every j.  The
+  bracket (bracket_table) is affine in (1, c0, d_0..d_{r-1}), and its
+  averages sum_l zeta^{-l*shift} zeta_i^l s_ij zeta_i^{-l} are r s_ij on
+  the entries of zeta-weight shift mod r: one residue of the kept s_ij
+  column, kept as ready table vectors per (i, j, shift, sign) (averages).
+  One helper, _add_averages, adds c0 times their sum over k to tables: the
+  diagonal bracket, and z_i = y_i x_i + c0 phi_i.  validate_irrep checks
+  the sum on the Jucys-Murphy sums phi_i, reading the same kept columns.
 
 Every structure constant here is rational: the tables hold integer
 numerators over one denominator, and validate_irrep reads each relation with
@@ -51,14 +51,15 @@ from .combinatorics import (
     sorting_data,
 )
 
-# the point-free rows certify keys up to degree 3, and the relations row reads y
-# one degree up: up to this y-degree the y- and z-tables are built a whole
-# block (every tableau of one exponent) at a time, and above it one at a time
-BLOCK_DEGREE = 4
+# the point-free rows certify keys up to degree POINT_FREE_DEGREE, and the
+# relations row reads y one degree up: up to this y-degree the y- and z-tables
+# are built a whole block (every tableau of one exponent) at a time
+POINT_FREE_DEGREE = 3
+BLOCK_DEGREE = POINT_FREE_DEGREE + 1
 
 # a matrix is its tuple of columns: mat[b] = {a: coefficient of a in the image
 # of b}, nonzero entries only, in increasing a: Fractions in the seminormal
-# s_i, and integers in the transposition tables
+# s_i, and integers in the kept products (perm_numerators)
 Matrix = tuple[dict, ...]
 
 
@@ -102,6 +103,16 @@ def _add_coeffs(table: Table, pairs) -> None:
 def _bump(nu: tuple[int, ...], j: int, by: int = 1) -> tuple[int, ...]:
     """nu with its entry j (counted from 0) moved by `by`."""
     return nu[:j] + (nu[j] + by,) + nu[j + 1:]
+
+
+def _descent(nu: tuple[int, ...]):
+    """The first-nonzero chain below nu: the steps (j, nu - e_j), j the first
+    entry (counted from 0) with nu_j > 0, then the same from nu - e_j, down
+    to degree 0."""
+    for j in range(len(nu)):
+        while nu[j]:
+            nu = _bump(nu, j, -1)
+            yield j, nu
 
 
 def _swapped(nu: tuple[int, ...], i: int, k: int) -> tuple[int, ...]:
@@ -192,21 +203,6 @@ class IrrepModel:
                 for col in self.twist(nu)[1][0]]
 
     @_per_irrep
-    def transposition(self, i: int, j: int) -> tuple[tuple[dict[int, int], ...], ...]:
-        """s_ij as integer columns, times r * denominator, each column's
-        entries grouped by residue: column t is a tuple over rho < r of
-        {a: entry} for the rows a with beta_i(a) = rho mod r."""
-        cols, den = self.perm_numerators(_swapped(tuple(range(1, self.n + 1)), i, j))
-        scale, res = self.shape.r * self.denominator // den, self.zeta_residues[i - 1]
-        out = []
-        for col in cols:
-            groups = tuple({} for _ in range(self.shape.r))
-            for a, q in col.items():
-                groups[res[a] % self.shape.r][a] = q * scale
-            out.append(groups)
-        return tuple(out)
-
-    @_per_irrep
     def averages(self, i: int, k: int, shift: int, c: int) -> tuple:
         """c c0 (shift-average of s_ik) as ready table vectors, by the class
         m = nu_i - nu_k mod r of the exponent and the tableau t: [m][t] lists
@@ -216,21 +212,23 @@ class IrrepModel:
         Its l-th term has coefficient zeta^{l*e} s_ik[a, t] at (s_ik nu, a),
         with e = m + beta_i(a) - beta_i(t) - shift; as sum_{l<r} zeta^{l*e}
         is r when r | e and 0 otherwise, the sum keeps r s_ik[a, t] where
-        beta_i(a) = beta_i(t) + shift - m (mod r) and nothing else: one
-        residue group of the kept column, times the denominator in the c0
-        slot."""
+        beta_i(a) = beta_i(t) + shift - m (mod r) and nothing else: the
+        entries of the kept column of s_ik (perm_numerators) with that
+        residue, times r and the denominator in the c0 slot."""
         r, res, zeros = self.shape.r, self.zeta_residues[i - 1], (0,) * self.shape.r
-        return tuple(tuple(tuple((a, (0, c * q) + zeros)
-                                 for a, q in col[(res[t] + shift - m) % r].items())
-                           for t, col in enumerate(self.transposition(i, k)))
+        cols, den = self.perm_numerators(_swapped(tuple(range(1, self.n + 1)), i, k))
+        scale = c * r * self.denominator // den
+        return tuple(tuple(tuple((a, (0, q * scale) + zeros) for a, q in col.items()
+                                 if (res[a] - res[t] - shift + m) % r == 0)
+                           for t, col in enumerate(cols))
                      for m in range(r))
 
-    def _add_phi(self, tables: list, i: int, nu: tuple[int, ...], ts) -> list:
-        """tables, with c0 phi_i = c0 sum_{k<i} (average of s_ik) on x^nu v_t
-        added in place to the table of each t of ts."""
+    def _add_averages(self, tables: list, c: int, i: int, ks, nu: tuple[int, ...], ts) -> list:
+        """tables, with c c0 sum_{k of ks, k != i} (average of s_ik) on x^nu
+        v_t added in place to the table of each t of ts."""
         r = self.shape.r
-        groups = [(_swapped(nu, i, k), self.averages(i, k, 0, 1)[(nu[i - 1] - nu[k - 1]) % r])
-                  for k in range(1, i)]
+        groups = [(_swapped(nu, i, k), self.averages(i, k, 0, c)[(nu[i - 1] - nu[k - 1]) % r])
+                  for k in ks if k != i]
         for table, t in zip(tables, ts):
             _add_coeffs(table, [((nu2, a), vec) for nu2, rows in groups for a, vec in rows[t]])
         return tables
@@ -244,25 +242,21 @@ class IrrepModel:
             nu2 = _swapped(nu, i, j)
             return [{(nu2, a): vec for a, vec in rows[t]} for t in ts]
         r, ni, den, res = self.shape.r, nu[i - 1], self.denominator, self.zeta_residues[i - 1]
-        others = [(_swapped(nu, i, k), self.averages(i, k, 0, -1)[(ni - nu[k - 1]) % r])
-                  for k in range(1, self.n + 1) if k != i]
         tables = []
         for t in ts:
             own, e = [den] + [0] * (r + 1), (res[t] - ni) % r
             own[2 + e] -= den
             own[2 + (e - 1) % r] += den
-            table = {(nu, t): tuple(own)}
-            _add_coeffs(table, [((nu2, a), vec) for nu2, rows in others for a, vec in rows[t]])
-            tables.append(table)
-        return tables
+            tables.append({(nu, t): tuple(own)})
+        return self._add_averages(tables, -1, i, range(1, self.n + 1), nu, ts)
 
-    def raised_table(self, i: int, j: int, nu: tuple[int, ...], ts) -> list[Table]:
-        """y_i x_j on x^nu v_t, for each t of ts and every point, by the
-        defining relation: x_j y_i (x^nu v_t) + [y_i, x_j] (x^nu v_t).  Moving
-        every exponent up at j is injective on keys, so only the bracket is
-        added term by term."""
+    def raised_table(self, i: int, j: int, nu: tuple[int, ...], ts, lows: list) -> list[Table]:
+        """y_i x_j on x^nu v_t, for each t of ts and every point, from lows,
+        the tables of y_i on those x^nu v_t, by the defining relation: x_j y_i
+        (x^nu v_t) + [y_i, x_j] (x^nu v_t).  Moving every exponent up at j is
+        injective on keys, so only the bracket is added term by term."""
         tables, up = [], self._raised[j - 1]
-        for low, bracket in zip(self._block("y_table", i, nu, ts), self.bracket_table(i, j, nu, ts)):
+        for low, bracket in zip(lows, self.bracket_table(i, j, nu, ts)):
             table = {(up.get(kappa) or up.setdefault(kappa, _bump(kappa, j - 1)), s): vec
                      for (kappa, s), vec in low.items()}
             _add_coeffs(table, bracket.items())
@@ -287,26 +281,30 @@ class IrrepModel:
             if kind == "z_table":
                 built = self._block("y_table", i, _bump(nu, i - 1), missing)
                 if i > 1:   # z_1 = y_1 x_1: the same tables
-                    built = self._add_phi([dict(y) for y in built], i, nu, missing)
-            elif any(nu):
-                j = next(k for k, e in enumerate(nu) if e)
-                below = _bump(nu, j, -1)
-                # walk down the first-nonzero chain to an exponent whose asked
-                # tableaux are built, then build up it in a loop: each raise
-                # then finds the exponent below built, and the recursion
-                # depth no longer grows with the degree
-                chain, kappa = [], below
-                while sum(kappa) > BLOCK_DEGREE:
-                    low = store.get((i, kappa))
+                    built = self._add_averages([dict(y) for y in built], 1, i, range(1, i), nu,
+                                               missing)
+            elif not any(nu):   # y kills degree 0
+                built = [{} for _ in missing]
+            else:
+                # walk down the first-nonzero chain to an exponent at or below
+                # BLOCK_DEGREE, built whole, or whose asked tableaux are built;
+                # then raise them up it once per level, keeping the tables each
+                # level on the way has built
+                levels = []
+                for j, below in _descent(nu):
+                    if sum(below) <= BLOCK_DEGREE:
+                        break
+                    low = store.get((i, below))
                     if low is not None and all(low[t] is not None for t in missing):
                         break
-                    chain.append(kappa)
-                    kappa = _bump(kappa, next(k for k, e in enumerate(kappa) if e), -1)
-                for kappa in reversed(chain):
-                    self._block(kind, i, kappa, missing)
-                built = self.raised_table(i, j + 1, below, missing)
-            else:
-                built = [{} for _ in missing]
+                    levels.append((j, below))
+                low = self._block(kind, i, below, missing)
+                built = self.raised_table(i, j + 1, below, missing, low)
+                for j, below in reversed(levels):
+                    level = store.setdefault((i, below), [None] * self.dim)
+                    for t, table in zip(missing, built):
+                        level[t] = level[t] or table
+                    built = self.raised_table(i, j + 1, below, missing, built)
             for t, table in zip(missing, built):
                 block[t] = table
         return block if len(ts) == len(block) else [block[t] for t in ts]
@@ -448,8 +446,7 @@ def build_irrep(shape: MultiPartition) -> IrrepModel:
 def validate_irrep(model: IrrepModel) -> list[str]:
     """That the s_i and gram weights are rational, and then all G(r,1,n)
     relations, gram self-adjointness/unitarity, and the Jucys-Murphy diagonal
-    on the kept transposition tables.  Returns a list of failures (empty =
-    valid).
+    on the kept s_ij columns.  Returns a list of failures (empty = valid).
 
     zeta_i is diagonal with entries zeta^beta, beta its integer residues, so
     zeta_i^r = 1, and the other relations with a zeta are read on the
@@ -509,21 +506,19 @@ def validate_irrep(model: IrrepModel) -> list[str]:
                 if c * model.gram[a] != m[a].get(b, 0) * model.gram[b]:
                     errors.append(f"s_{i} gram self-adjointness")
     # Jucys-Murphy diagonal: phi_i = sum_{j<i} sum_l zeta_i^l s_ij zeta_i^-l, on the
-    # kept s_ij tables (times r * denominator) that the y- and z-tables read; zeta_i
-    # is diagonal, so the l-th term is s_ij with entry (a, t) times zeta^(l (beta_a - beta_t)),
-    # and the sum over l keeps r s_ij[a, t] where beta_a = beta_t mod r.
-    # The brackets read one residue group of a column, so each entry's group is checked
+    # kept s_ij columns (perm_numerators) that the averages of the y- and z-tables
+    # read, over the denominator; zeta_i is diagonal, so the l-th term is s_ij
+    # with entry (a, t) times zeta^(l (beta_a - beta_t)), and the sum over l keeps
+    # r s_ij[a, t] where beta_a = beta_t mod r
     for i, res in enumerate(model.zeta_residues[1:], 2):
+        kept = [model.perm_numerators(_swapped(tuple(range(1, n + 1)), i, j)) for j in range(1, i)]
         for t, T in enumerate(model.tableaux):
             phi_t: dict = {}   # column t of phi_i
-            for j in range(1, i):
-                for rho, group in enumerate(model.transposition(i, j)[t]):
-                    for a, q in group.items():
-                        if res[a] % r != rho:
-                            errors.append("kept s_ij entries grouped by residue")
-                        if (res[a] - res[t]) % r == 0:
-                            phi_t[a] = phi_t.get(a, 0) + r * q
-            expect = r * r * model.denominator * T.box_of(i).content
+            for cols, den in kept:
+                for a, q in cols[t].items():
+                    if (res[a] - res[t]) % r == 0:
+                        phi_t[a] = phi_t.get(a, 0) + r * q * (model.denominator // den)
+            expect = r * model.denominator * T.box_of(i).content
             if {a: c for a, c in phi_t.items() if c} != ({t: expect} if expect else {}):
                 errors.append(f"jucys-murphy phi_{i} not diagonal with r*ct")
     return sorted(set(errors))

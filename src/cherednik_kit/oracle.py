@@ -59,7 +59,8 @@ from .combinatorics import (
     simple_transposition,
 )
 from .cyclotomic import CycNumber, CyclotomicField
-from .irrep import IrrepModel, Table, _apply, _bump, _commutator_vanishes, build_irrep
+from .irrep import (POINT_FREE_DEGREE, IrrepModel, Table, _apply, _bump, _commutator_vanishes,
+                    _descent, build_irrep)
 from .scalars import ParameterPoint, random_point
 
 
@@ -253,10 +254,11 @@ class StandardModule:
         total, den = 0, 1   # integer numerator over den, the lcm of the lowered denominators
         for nu, terms in by_exp.items():
             steps, kappa = [], nu
-            while kappa not in lowered:
-                j = next(k for k, e in enumerate(kappa) if e)
+            for j, below in _descent(nu):
+                if kappa in lowered:
+                    break
                 steps.append((kappa, j))
-                kappa = _bump(kappa, j, -1)
+                kappa = below
             w_nums, w_den = lowered[kappa]
             for kappa, j in reversed(steps):
                 w_nums, w_den = lowered[kappa] = self._act("y_table", j + 1, w_nums, w_den)
@@ -493,17 +495,19 @@ def _check_relations(mod: StandardModule, degree: int, rng: random.Random) -> in
     # the step the y-block was built by; those identities are kept, so the
     # check does not depend on which j the builder picks
     irrep, ts = mod.irrep, range(mod.irrep.dim)
-    exponents = [nu for deg in range(min(degree, 3) + 1) for nu in mod.monomials(deg)]
+    exponents = [nu for deg in range(min(degree, POINT_FREE_DEGREE) + 1)
+                 for nu in mod.monomials(deg)]
     for nu in exponents:
         ups = [_bump(nu, j) for j in range(mod.n)]
         for i, j in itertools.product(range(1, mod.n + 1), repeat=2):
-            if irrep._block("y_table", i, ups[j - 1], ts) != irrep.raised_table(i, j, nu, ts):
+            if irrep._block("y_table", i, ups[j - 1], ts) != irrep.raised_table(
+                    i, j, nu, ts, irrep._block("y_table", i, nu, ts)):
                 raise AssertionError(f"relation y_{i} x_{j} at {nu}")
     return len(exponents) * irrep.dim * mod.n ** 2
 
 
 def _check_commutation(mod: StandardModule, degree: int, rng: random.Random) -> int:
-    irrep, basis = mod.irrep, _basis(mod, degree, 3)
+    irrep, basis = mod.irrep, _basis(mod, degree, POINT_FREE_DEGREE)
     for key in basis:
         for i, j in itertools.combinations(range(1, mod.n + 1), 2):
             for letter, op in (("y", irrep.y_table), ("z", irrep.z_table)):

@@ -157,6 +157,9 @@ class TestGoldenOutputs:
          "4327f0c0855838d3f384f85624588bd6d8eb9e29a0cbe7b604600b68a2f0f7f6"),
         (("aspherical", "list", "--r", "3", "--n", "5", "--xi", "1,2", "--format", "tsv"), 2692,
          "df24c5243a5968fdbd0d312783f3b26ec53cf334d17394f6e62f172b13fdae3d"),
+        # 1,890 r-partitions joined from the texts of their distinct partitions
+        (("partitions", "--r", "60", "--n", "2"), 117180,
+         "8057d7a0cdc0e9c4cd0947b220ece9be9d49b4ba2fdaeef22e7e30e52b369345"),
     ])
     def test_large_outputs_pinned_by_digest(self, argv, size, digest):
         code, out = run_cli(*argv)

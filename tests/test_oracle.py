@@ -36,7 +36,7 @@ from cherednik_kit.norms import (
     symmetric_norm,
     symmetrization_block_factor,
 )
-from cherednik_kit.irrep import _add_coeffs, _mat_mul, _swapped, validate_irrep
+from cherednik_kit.irrep import BLOCK_DEGREE, _add_coeffs, _descent, _mat_mul, _swapped, validate_irrep
 from cherednik_kit.oracle import (
     EigenvalueCollision,
     ModuleElement,
@@ -105,35 +105,23 @@ class TestIrrep:
         m = self._corrupted("2,1", CyclotomicField(1).one)
         assert validate_irrep(m) == ["s_i entries and gram weights rational"]
         # a rational one breaks the relations, and the Jucys-Murphy diagonal of
-        # the transposition tables rebuilt from the corrupted s_1
+        # the kept s_ij columns rebuilt from the corrupted s_1
         assert validate_irrep(self._corrupted("2,1", Fraction(1))) == [
             "braid s_1 s_2 s_1", "jucys-murphy phi_2 not diagonal with r*ct",
             "jucys-murphy phi_3 not diagonal with r*ct", "s_1 zeta_1 s_1 = zeta_2", "s_1^2 = 1"]
 
     @pytest.mark.parametrize("text", ["2,1", "1|1|1", "1,1|1"])
     def test_validation_reads_the_kept_transposition_tables(self, text):
-        # the y- and z-tables read the kept s_ij tables: one corrupted entry
+        # the y- and z-tables read the kept s_ij columns: one corrupted entry
         # there, with the s_i untouched, fails the Jucys-Murphy check alone
         m = build_irrep(parse_multipartition(text))
         assert validate_irrep(m) == []
-        bad = [[dict(group) for group in col] for col in m.transposition(3, 1)]
-        entry = bad[0][m.zeta_residues[2][0]]   # entry (0, 0), in its residue group
-        entry[0] = entry.get(0, 0) + 1
-        m._tables["transposition"][3, 1] = tuple(map(tuple, bad))
+        w = _swapped((1, 2, 3), 3, 1)
+        cols, den = m.perm_numerators(w)
+        bad = [dict(col) for col in cols]
+        bad[0][0] = bad[0].get(0, 0) + 1   # entry (0, 0)
+        m._tables["perm_numerators"][w,] = tuple(bad), den
         assert validate_irrep(m) == ["jucys-murphy phi_3 not diagonal with r*ct"]
-
-    @pytest.mark.parametrize("text", ["1|1|1", "1,1|1", "|2,1"])
-    def test_validation_sees_an_entry_in_another_residue_group(self, text):
-        # the brackets read one residue group of a kept s_ij column: an entry
-        # moved to the next group, its value kept, leaves phi_i as it is and
-        # fails the grouping check alone
-        m = build_irrep(parse_multipartition(text))
-        moved = [[dict(group) for group in col] for col in m.transposition(3, 1)]
-        rho = next(rho for rho, group in enumerate(moved[0]) if group)
-        a, q = moved[0][rho].popitem()
-        moved[0][(rho + 1) % m.shape.r][a] = q
-        m._tables["transposition"][3, 1] = tuple(map(tuple, moved))
-        assert validate_irrep(m) == ["kept s_ij entries grouped by residue"]
 
     @pytest.mark.parametrize("text", ["1|2,1", "4,2", "|1|2,1"])
     def test_gram_propagates_over_both_kinds_of_edge(self, text):
@@ -194,11 +182,10 @@ def _literal_validation(model):
         for t, T in enumerate(model.tableaux):
             phi_t = {}
             for j, l in itertools.product(range(1, i), range(r)):
-                for rho, group in enumerate(model.transposition(i, j)[t]):
-                    for a, q in group.items():
-                        if res[a] % r != rho:
-                            errors.append("kept s_ij entries grouped by residue")
-                        phi_t[a] = phi_t.get(a, f.zero) + q * f.zeta_power(l * (res[a] - res[t]))
+                cols, den = model.perm_numerators(_swapped(tuple(range(1, n + 1)), i, j))
+                for a, q in cols[t].items():
+                    q *= r * model.denominator // den
+                    phi_t[a] = phi_t.get(a, f.zero) + q * f.zeta_power(l * (res[a] - res[t]))
             expect = f.from_rational(r * r * model.denominator * T.box_of(i).content)
             if {a: c for a, c in phi_t.items() if c} != ({} if expect.is_zero() else {t: expect}):
                 errors.append(f"jucys-murphy phi_{i} not diagonal with r*ct")
@@ -960,12 +947,14 @@ def _reference_average(irrep, c, i, k, shift, nu, t):
     """Reference: c c0 (shift-average of s_ik) on the basis term (nu, t), as
     (key, vector) pairs: r s_ik[a, t] at (s_ik nu, a) where beta_i(a) =
     beta_i(t) + shift - (nu_i - nu_k) mod r, read off the kept s_ik column."""
-    r = irrep.shape.r
-    nu2 = list(nu)
+    r, res = irrep.shape.r, irrep.zeta_residues[i - 1]
+    nu2, w = list(nu), list(range(1, irrep.n + 1))
     nu2[i - 1], nu2[k - 1] = nu[k - 1], nu[i - 1]
-    group = irrep.transposition(i, k)[t][(irrep.zeta_residues[i - 1][t] + shift
-                                          - nu[i - 1] + nu[k - 1]) % r]
-    return [((tuple(nu2), a), (0, c * q) + (0,) * r) for a, q in group.items()]
+    w[i - 1], w[k - 1] = k, i
+    cols, den = irrep.perm_numerators(tuple(w))
+    want = (res[t] + shift - nu[i - 1] + nu[k - 1]) % r
+    return [((tuple(nu2), a), (0, c * r * q * irrep.denominator // den) + (0,) * r)
+            for a, q in cols[t].items() if res[a] % r == want]
 
 
 def _reference_bracket(irrep, i, j, nu, t):
@@ -1009,6 +998,18 @@ def _reference_z(irrep, i, nu, t, cache):
     return table
 
 
+@st.composite
+def _reads_in_any_order(draw):
+    """A shape with r <= 3 and n <= 3, and single-tableau reads (kind, i, nu,
+    t) of its y- and z-tables at exponents up to degree 8, in a drawn order."""
+    r, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    shape = draw(st.sampled_from(enumerate_multipartitions(r, n)))
+    dim = _cached_irrep(shape).dim
+    return shape, draw(st.lists(st.tuples(
+        st.sampled_from(["y_table", "z_table"]), st.integers(1, n),
+        st.sampled_from(list(compositions(n, 8))), st.integers(0, dim - 1)), max_size=8))
+
+
 class TestBlockLayout:
     """The y- and z-tables are kept one block per (i, nu), holding the table
     of each tableau built so far: whole blocks up to irrep.BLOCK_DEGREE (in
@@ -1034,6 +1035,41 @@ class TestBlockLayout:
                     _reference_y(irrep, i, nu, t, cache) for t in ts]
                 assert irrep._block("z_table", i, nu, ts) == [
                     _reference_z(irrep, i, nu, t, cache) for t in ts]
+
+    @settings(deadline=None, database=None, derandomize=True, max_examples=80)
+    @given(_reads_in_any_order())
+    def test_reads_in_any_order_match_the_per_key_recursion(self, case):
+        # a read may find the levels of its chain partly built by earlier
+        # reads of other tableaux: single reads first, then their whole blocks
+        shape, reads = case
+        irrep, cache = build_irrep(shape), {}
+        reference = {"y_table": _reference_y, "z_table": _reference_z}
+        for kind, i, nu, t in reads:
+            assert getattr(irrep, kind)(i, (nu, t)) == reference[kind](irrep, i, nu, t, cache)
+        for kind, i, nu, _ in reads:
+            assert irrep._block(kind, i, nu, range(irrep.dim)) == [
+                reference[kind](irrep, i, nu, t, cache) for t in range(irrep.dim)]
+
+    @pytest.mark.parametrize("text, i, nu", [("1|1", 2, (0, 7)), ("2,1", 1, (3, 0, 4)),
+                                             ("1|1,1", 3, (2, 5, 1))])
+    def test_a_read_above_the_block_degree_keeps_each_level_of_its_chain(self, text, i, nu):
+        # one y read far above BLOCK_DEGREE walks the first-nonzero chain down
+        # to a whole block and raises back up it: each level on the way keeps
+        # the table of the tableau read, and only that one
+        steps = list(_descent(nu))
+        assert [sum(kappa) for _, kappa in steps] == list(range(sum(nu) - 1, -1, -1))
+        assert all(j == next(k for k, e in enumerate(prev) if e)
+                   for (j, _), prev in zip(steps, [nu] + [kappa for _, kappa in steps]))
+        irrep, cache = build_irrep(parse_multipartition(text)), {}
+        last = irrep.dim - 1
+        assert irrep.y_table(i, (nu, last)) == _reference_y(irrep, i, nu, last, cache)
+        for _, kappa in steps:
+            block = irrep._tables["y_table"][i, kappa]
+            if sum(kappa) <= BLOCK_DEGREE:
+                assert None not in block
+                break
+            assert [t for t, table in enumerate(block) if table is not None] == [last]
+            assert block[last] == _reference_y(irrep, i, kappa, last, cache)
 
     def test_a_y_chain_far_above_the_block_degree_is_built_in_a_loop(self):
         # y_1 at degree 700 and the pairing's lowering read the first-nonzero
@@ -1292,7 +1328,7 @@ def _averaging_cases(draw):
 @settings(deadline=None, database=None, derandomize=True, max_examples=150)
 @given(_averaging_cases())
 def test_averaged_transposition_is_the_literal_average(case):
-    # the residue group read from the kept s_ij column against sum over l of
+    # the entries of one residue of the kept s_ij column against sum over l of
     # zeta^{-l*shift} zeta_i^l s_ij zeta_i^{-l} on (nu, t), built over Q(zeta_r)
     shape, i, j, shift, nu, t = case
     irrep = _cached_irrep(shape)
