@@ -20,9 +20,10 @@ Conventions shared by all subcommands:
 Every subcommand but `aspherical list` and `oracle verify` writes through one
 output path, `_emit`: with `--format json` the envelope {"schema":
 "cherednik-kit/1", "command": <subcommand and action, e.g. "order compare">,
-"result": ...}, otherwise its text lines.  `aspherical list --json` emits the
-documented bare array of hyperplane objects, and `oracle verify`'s report
-(which carries the schema) is its JSON.
+"result": ...}, otherwise its text lines.  `aspherical list --json` and
+`aspherical list --format json` both emit the documented bare array of
+hyperplane objects, and `oracle verify`'s report (which carries the schema)
+is its JSON.
 """
 from __future__ import annotations
 
@@ -45,7 +46,6 @@ from .aspherical import (
 from .combinatorics import (
     Comparison,
     MultiPartition,
-    dominance_compare,
     enumerate_multipartitions,
     enumerate_syt,
     parse_assignment,
@@ -69,6 +69,7 @@ from .orders import (
     disassemble,
     equiv_c,
     geq_c,
+    quotient_compare,
     quotient_component,
     shape_from_quotient,
 )
@@ -240,10 +241,10 @@ def cmd_order_compare(args, out) -> int:
     eq = equiv_c(lam, chi, ctx)
     charges = ctx.integer_charges()
     quotient_verdict = None
-    if charges is not None and sum(charges) == 0:   # >='_c: dominance of the assembled
-        verdict = dominance_compare(assemble(charges, lam), assemble(charges, chi))
+    if charges is not None and sum(charges) == 0:
         quotient_verdict = {Comparison.EQUAL: "=", Comparison.GREATER: ">='_c",
-                            Comparison.LESS: "<='_c"}.get(verdict, "incomparable")
+                            Comparison.LESS: "<='_c"}.get(quotient_compare(lam, chi, ctx),
+                                                           "incomparable")
     lines = [relation, "equiv: " + ("yes" if eq else "no")]
     if quotient_verdict is not None:
         lines.append("quotient order: " + quotient_verdict)

@@ -7,12 +7,14 @@ point-free tables of the module's operators that it keeps.
   over them), validates every group relation, the ones with a zeta on the
   integer residues (validate_irrep), and keeps the group action once, as
   integer columns (perm_numerators, the one kept form of each s_ij); each
-  kind of kept table has its own store, _tables[name], keyed by the method's
-  arguments, and is read only through that method;
+  kind of kept table has its own store, _tables[kind]: a kind names a store,
+  not a method.  A _per_irrep method keeps its results in the store of its
+  name, keyed by its arguments, and is the only reader of it;
 - the y- and z-images of basis terms are point-free integer tables over one
   denominator with no zero vector, specialized at each module's point, and
   kept per exponent: _tables["y_table"][i, nu] lists the table of y_i on
-  x^nu v_t for each tableau t built so far (y_table and z_table read one).
+  x^nu v_t for each tableau t built so far, and _tables["z_table"] those of
+  z_i.  One reader, table(kind, i, key), reads both kinds.
   Up to y-degree BLOCK_DEGREE a block is built whole, above it one tableau
   at a time.  y kills degree 0, and one relation step, raised_table, writes
   y_i x_j as x_j y_i + [y_i, x_j] on tableaux of one exponent; a y-block
@@ -48,14 +50,17 @@ from .combinatorics import (
     enumerate_syt,
     perm_inverse,
     reduced_word,
-    sorting_data,
+    sorting_permutation,
 )
 
 # the point-free rows certify keys up to degree POINT_FREE_DEGREE, and the
 # relations row reads y one degree up: up to this y-degree the y- and z-tables
-# are built a whole block (every tableau of one exponent) at a time
+# are built a whole block (every tableau of one exponent) at a time; the rows
+# at the point (form, triangularity, eigenvector norms) read keys up to
+# degree POINT_DEGREE
 POINT_FREE_DEGREE = 3
 BLOCK_DEGREE = POINT_FREE_DEGREE + 1
+POINT_DEGREE = 2
 
 # a matrix is its tuple of columns: mat[b] = {a: coefficient of a in the image
 # of b}, nonzero entries only, in increasing a: Fractions in the seminormal
@@ -123,9 +128,10 @@ def _swapped(nu: tuple[int, ...], i: int, k: int) -> tuple[int, ...]:
 
 
 def _per_irrep(build):
-    """Keep an IrrepModel method's results in its store of that kind,
+    """Keep an IrrepModel method's results in the store named after it,
     _tables[name], keyed by the argument tuple: built once per irrep, and
-    read through the method."""
+    read through the method.  A kind names a store, not a method: the y- and
+    z-stores have no method of their name, and are read through table."""
     name = build.__name__
 
     @functools.wraps(build)
@@ -193,7 +199,7 @@ class IrrepModel:
     @_per_irrep
     def twist(self, nu: tuple[int, ...]) -> tuple:
         """(w_nu, w_nu^{-1}) as perm_numerators, w_nu the sorting permutation of nu."""
-        w = sorting_data(nu)[2]
+        w = sorting_permutation(nu)
         return self.perm_numerators(w), self.perm_numerators(perm_inverse(w))
 
     @_per_irrep
@@ -309,24 +315,19 @@ class IrrepModel:
                 block[t] = table
         return block if len(ts) == len(block) else [block[t] for t in ts]
 
-    def y_table(self, i: int, key: tuple) -> Table:
-        """y_i on the basis term key = (nu, t), for every point, from its block."""
-        block = self._tables["y_table"].get((i, key[0]))
+    def table(self, kind: str, i: int, key: tuple) -> Table:
+        """y_i or z_i (kind "y_table" or "z_table") on the basis term key =
+        (nu, t), for every point: one read of its block, built on a miss."""
+        block = self._tables[kind].get((i, key[0]))
         table = None if block is None else block[key[1]]
-        return self._block("y_table", i, key[0], key[1:])[0] if table is None else table
-
-    def z_table(self, i: int, key: tuple) -> Table:
-        """z_i on the basis term key = (nu, t), for every point, from its block."""
-        block = self._tables["z_table"].get((i, key[0]))
-        table = None if block is None else block[key[1]]
-        return self._block("z_table", i, key[0], key[1:])[0] if table is None else table
+        return self._block(kind, i, key[0], key[1:])[0] if table is None else table
 
     @_per_irrep
     def twisted_table(self, nu: tuple[int, ...], s: int) -> list[Table]:
         """The z_1..z_n-images of x^nu (tensor) w_nu^{-1} v_s, whose keys lie in
         one residue block, as tables over denominator * den of w_nu^{-1}."""
         column = self.twist(nu)[1][0][s]
-        return [_combination([(c, self.z_table(i, (nu, a))) for a, c in column.items()])
+        return [_combination([(c, self.table("z_table", i, (nu, a))) for a, c in column.items()])
                 for i in range(1, self.n + 1)]
 
     @_per_irrep
@@ -362,19 +363,20 @@ def _combination(pairs: list) -> Table:
     return out
 
 
-def _commutator_vanishes(op, i: int, j: int, key: tuple) -> bool:
-    """Whether op(i, .) op(j, .) - op(j, .) op(i, .) kills the basis term key at
-    every point, op(i, key) being a table read through its kept method.  A
+def _commutator_vanishes(irrep: IrrepModel, kind: str, i: int, j: int, key: tuple) -> bool:
+    """Whether the commutator of the i-th and j-th operators of a kind (y or
+    z), read through irrep.table, kills the basis term key at every point.  A
     composite is quadratic in (1, c0, d_0, ..): its entries are outer
     products of numerators, M with p^T M p at the point p, so only
     M_pq + M_qp (p < q) and M_pp count, summed here per basis term into a
     flat w x w list (w the vectors' width) at p * w + q, p <= q."""
     out: dict = {}
+    read = irrep.table
     for a, b, sign in ((i, j, 1), (j, i, -1)):
-        for mid, u in op(b, key).items():
+        for mid, u in read(kind, b, key).items():
             w = len(u)
             u = [(p, sign * x) for p, x in enumerate(u) if x]
-            for end, v in op(a, mid).items():
+            for end, v in read(kind, a, mid).items():
                 acc = out.get(end)
                 if acc is None:
                     acc = out[end] = [0] * (w * w)

@@ -3,7 +3,7 @@
 Builds the standard module of a specialized rational Cherednik algebra of
 type G(r,1,n) degree by degree, straight from the defining relations, on the
 irreducible representation and the point-free y- and z-tables that irrep.py
-builds and keeps:
+builds and keeps, both read through IrrepModel.table(kind, i, key):
 
 - joint eigenvectors of the z_i are solved by back-substitution down their
   triangular order on the twisted basis x^nu (tensor) w_nu^{-1} v_S, with
@@ -28,12 +28,13 @@ oracle path builds a CycNumber; only _kernel, kept for the tests and the
 benchmark, takes them.  verify_report runs shape by shape, one
 module alive at a time.  It certifies the defining relations and the y/z
 commutativity on the irrep's point-free tables, for every parameter at once,
-and runs its other checks at the point: each draws from its own named
-stream, the form check from the report's.  It shares no
-code with the closed norm formulas: only its triangularity check reads the
-closed spectrum, to compare it with the z-diagonal, in integers.  The
-intertwiner check reports how many identities it skipped at a pole or an
-eigenvalue collision.
+on keys up to POINT_FREE_DEGREE, and runs its other checks at the point, on
+keys up to POINT_DEGREE: each draws from its own named stream, the form
+check from the report's.  Every check returns (count, skipped); only the
+intertwiner check skips identities, at a pole or an eigenvalue collision,
+and the report says how many.  It shares no code with the closed norm
+formulas: only its triangularity check reads the closed spectrum, to compare
+it with the z-diagonal, in integers.
 """
 from __future__ import annotations
 
@@ -59,8 +60,8 @@ from .combinatorics import (
     simple_transposition,
 )
 from .cyclotomic import CycNumber, CyclotomicField
-from .irrep import (POINT_FREE_DEGREE, IrrepModel, Table, _apply, _bump, _commutator_vanishes,
-                    _descent, build_irrep)
+from .irrep import (POINT_DEGREE, POINT_FREE_DEGREE, IrrepModel, Table, _bump,
+                    _commutator_vanishes, _descent, build_irrep)
 from .scalars import ParameterPoint, random_point
 
 
@@ -179,16 +180,10 @@ class StandardModule:
     def basis_vector(self, t_idx: int, nu: tuple[int, ...] | None = None) -> ModuleElement:
         return ModuleElement(self, {((0,) * self.n if nu is None else tuple(nu), t_idx): 1})
 
-    def tableau_vector(self, T: StandardTableau) -> ModuleElement:
-        return self.basis_vector(self.irrep.index[T])
-
     def gram_weight(self, T: StandardTableau) -> Fraction:
         return self.irrep.gram[self.irrep.index[T]]
 
     # -- group and multiplication actions ------------------------------------
-
-    def x_mul(self, i: int, elt: ModuleElement) -> ModuleElement:
-        return self.x_power(_bump((0,) * self.n, i - 1), elt)
 
     def apply_perm(self, w: tuple[int, ...], elt: ModuleElement) -> ModuleElement:
         cols, den = self.irrep.perm_numerators(w)
@@ -227,8 +222,7 @@ class StandardModule:
         for key, c in nums.items():
             image = cache.get(key)
             if image is None:
-                table = getattr(self.irrep, kind)(i, key)
-                image = cache[key] = self._specialize(table)
+                image = cache[key] = self._specialize(self.irrep.table(kind, i, key))
             _accumulate(out, image, c)
         return _reduce(out, den * self._den)
 
@@ -434,18 +428,6 @@ class StandardModule:
             v = total
         return v
 
-    def twisted_coordinates(self, elt: ModuleElement) -> dict:
-        """Coordinates of elt in the basis x^nu (tensor) w_nu^{-1} v_S, as Fractions."""
-        by_exp: dict[tuple, dict[int, int]] = {}
-        for (nu, t), c in elt.nums.items():
-            by_exp.setdefault(nu, {})[t] = c
-        out = {}
-        for nu, nums in by_exp.items():
-            twist, den = self.irrep.twist(nu)[0]
-            for t, c in _apply(twist, nums).items():
-                out[nu, t] = Fraction(c, elt.den * den)
-        return out
-
 
 def _kernel(rows: list[list[CycNumber]], width: int, f: CyclotomicField) -> list[list[CycNumber]]:
     """Kernel basis of the matrix given by rows, by exact Gauss-Jordan
@@ -483,37 +465,40 @@ def _kernel(rows: list[list[CycNumber]], width: int, f: CyclotomicField) -> list
     return basis
 
 
-def _basis(mod: StandardModule, degree: int, cap: int):
+def _exponents(mod: StandardModule, degree: int, cap: int) -> list[tuple[int, ...]]:
+    """Each exponent up to degree min(degree, cap), degree by degree."""
+    return [nu for deg in range(min(degree, cap) + 1) for nu in mod.monomials(deg)]
+
+
+def _basis(mod: StandardModule, degree: int, cap: int) -> list[tuple]:
     """(nu, t) for each basis term x^nu v_t up to degree min(degree, cap)."""
-    return [(nu, t) for deg in range(min(degree, cap) + 1) for nu in mod.monomials(deg)
-            for t in range(mod.irrep.dim)]
+    return [(nu, t) for nu in _exponents(mod, degree, cap) for t in range(mod.irrep.dim)]
 
 
-def _check_relations(mod: StandardModule, degree: int, rng: random.Random) -> int:
+def _check_relations(mod: StandardModule, degree: int, rng: random.Random) -> tuple[int, int]:
     # y_i (nu + e_j) against the relation step for every j, a whole block of
     # tableaux at a time.  For j at or before nu's first nonzero entry that is
     # the step the y-block was built by; those identities are kept, so the
     # check does not depend on which j the builder picks
     irrep, ts = mod.irrep, range(mod.irrep.dim)
-    exponents = [nu for deg in range(min(degree, POINT_FREE_DEGREE) + 1)
-                 for nu in mod.monomials(deg)]
+    exponents = _exponents(mod, degree, POINT_FREE_DEGREE)
     for nu in exponents:
         ups = [_bump(nu, j) for j in range(mod.n)]
         for i, j in itertools.product(range(1, mod.n + 1), repeat=2):
             if irrep._block("y_table", i, ups[j - 1], ts) != irrep.raised_table(
                     i, j, nu, ts, irrep._block("y_table", i, nu, ts)):
                 raise AssertionError(f"relation y_{i} x_{j} at {nu}")
-    return len(exponents) * irrep.dim * mod.n ** 2
+    return len(exponents) * irrep.dim * mod.n ** 2, 0
 
 
-def _check_commutation(mod: StandardModule, degree: int, rng: random.Random) -> int:
+def _check_commutation(mod: StandardModule, degree: int, rng: random.Random) -> tuple[int, int]:
     irrep, basis = mod.irrep, _basis(mod, degree, POINT_FREE_DEGREE)
     for key in basis:
         for i, j in itertools.combinations(range(1, mod.n + 1), 2):
-            for letter, op in (("y", irrep.y_table), ("z", irrep.z_table)):
-                if not _commutator_vanishes(op, i, j, key):
-                    raise AssertionError(f"[{letter}_{i}, {letter}_{j}] != 0")
-    return len(basis) * math.comb(mod.n, 2)
+            for kind in ("y_table", "z_table"):
+                if not _commutator_vanishes(irrep, kind, i, j, key):
+                    raise AssertionError(f"[{kind[0]}_{i}, {kind[0]}_{j}] != 0")
+    return len(basis) * math.comb(mod.n, 2), 0
 
 
 def _random_element(mod: StandardModule, deg: int, rng: random.Random) -> ModuleElement:
@@ -529,7 +514,7 @@ def _by_residue(elt: ModuleElement, keep) -> ModuleElement:
     return ModuleElement._reduced(elt.module, nums, elt.den)
 
 
-def _check_form(mod: StandardModule, degree: int, rng: random.Random) -> int:
+def _check_form(mod: StandardModule, degree: int, rng: random.Random) -> tuple[int, int]:
     # W-invariance on the generators s_1..s_{n-1} and zeta_1 of W: for a
     # sesquilinear form that is invariance under every element.  zeta_1 is
     # diagonal and unitary, so the form is invariant under it exactly when
@@ -537,7 +522,7 @@ def _check_form(mod: StandardModule, degree: int, rng: random.Random) -> int:
     generators = [functools.partial(mod.apply_perm, simple_transposition(mod.n, i))
                   for i in range(1, mod.n)]
     for _ in range(2):
-        u, v = _random_element(mod, min(degree, 2), rng), _random_element(mod, min(degree, 2), rng)
+        u, v = (_random_element(mod, min(degree, POINT_DEGREE), rng) for _ in range(2))
         form = mod.pairing(u, v)
         if form != mod.pairing(v, u):
             raise AssertionError("pairing not conjugate-symmetric")
@@ -550,10 +535,10 @@ def _check_form(mod: StandardModule, degree: int, rng: random.Random) -> int:
         for g in generators:
             if mod.pairing(g(u), g(v)) != form:
                 raise AssertionError("pairing not W-invariant")
-    return 2
+    return 2, 0
 
 
-def _check_triangular(mod: StandardModule, degree: int, rng: random.Random) -> int:
+def _check_triangular(mod: StandardModule, degree: int, rng: random.Random) -> tuple[int, int]:
     # in integers: an image's twisted coordinates at nu are those of w_nu
     # applied to its nu-slice, all over diag_den, so the diagonal is an integer
     # to compare with diag and, by one cross-product, with the closed
@@ -561,7 +546,7 @@ def _check_triangular(mod: StandardModule, degree: int, rng: random.Random) -> i
     # exactly where the slice is, so each exponent reached is compared once
     from .norms import spectrum
     count = 0
-    for nu, t in _basis(mod, degree, 2):
+    for nu, t in _basis(mod, degree, POINT_DEGREE):
         T = mod.irrep.tableaux[t]
         den, vec, images, diag, diag_den = mod.twisted_column(nu, t)
         twist = mod.irrep.twist(nu)[0][0]
@@ -587,22 +572,23 @@ def _check_triangular(mod: StandardModule, degree: int, rng: random.Random) -> i
         for kappa in reached:
             if composition_compare(nu, kappa) is not Comparison.GREATER:
                 raise AssertionError(f"non-triangular entry at {kappa} from {(nu, t)}")
-    return count
+    return count, 0
 
 
-def _check_eigen_norms(mod: StandardModule, degree: int, rng: random.Random) -> int:
+def _check_eigen_norms(mod: StandardModule, degree: int, rng: random.Random) -> tuple[int, int]:
     from .norms import nonsymmetric_norm
-    mus = sorted(nu for total in range(min(degree, 2) + 1) for nu in mod.monomials(total))
+    mus = sorted(_exponents(mod, degree, POINT_DEGREE))
     for T in mod.irrep.tableaux:
         gam = mod.gram_weight(T)
         for mu in mus:
             m2, f = mod.eigenvector_generic(mu, T, rng)
             if m2.norm(f) != gam * nonsymmetric_norm(mu, T).evaluate(m2.point):
                 raise AssertionError(f"norm mismatch at mu={mu}, T={T.as_text()}")
-    return len(mod.irrep.tableaux) * len(mus)
+    return len(mod.irrep.tableaux) * len(mus), 0
 
 
-def _check_minimal_norms(mod: StandardModule, degree: int, rng: random.Random) -> int:
+def _check_minimal_norms(mod: StandardModule, degree: int,
+                         rng: random.Random) -> tuple[int, int]:
     from .norms import minimal_assignment, minimal_norm, symmetric_norm, symmetrization_block_factor
     S = minimal_assignment(mod.shape)
     mu, T = assignment_pair(S)
@@ -616,7 +602,7 @@ def _check_minimal_norms(mod: StandardModule, degree: int, rng: random.Random) -
         raise AssertionError(f"minimal norm mismatch for {mod.shape.as_text()}")
     if symmetric_norm(S) != closed:
         raise AssertionError("product formula disagrees with n! H E")
-    return 1
+    return 1, 0
 
 
 def _check_intertwiners(mod: StandardModule, degree: int,
@@ -663,10 +649,10 @@ def _check_intertwiners(mod: StandardModule, degree: int,
 
 
 # The checks verify_report runs on each shape's module, in order: a check
-# takes (mod, degree, rng), draws only from rng, and returns a count, or, for
-# the intertwiner check, (count, skipped); its row's details are the format
-# string applied to the sum of the counts over the shapes, and then the number
-# of identities skipped, if any.
+# takes (mod, degree, rng), draws only from rng, and returns (count, skipped),
+# the identities it certified and those it skipped (only the intertwiner
+# check skips any); its row's details are the format string applied to the
+# sum of the counts over the shapes, and then the number skipped, if any.
 _CHECKS = (
     ("defining relations up to degree cap", _check_relations, "{} operator identities"),
     ("y- and z-family commutativity", _check_commutation, "{} commutators"),
@@ -760,8 +746,7 @@ def verify_report(r: int, n: int, degree: int = 2, seed: int = 0,
         for row, (name, check, _) in zip(per_shape, _CHECKS):
             if row["status"] == "pass":
                 stream = rng if check is _check_form else random.Random(f"{seed}/{name}/{shape}")
-                done = _record(row, check, mod, degree, stream) or 0
-                count, skipped = done if isinstance(done, tuple) else (done, 0)
+                count, skipped = _record(row, check, mod, degree, stream) or (0, 0)
                 row["count"] += count
                 row["skipped"] += skipped
         del mod   # before the next shape's module is built

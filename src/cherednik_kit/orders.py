@@ -264,9 +264,9 @@ def disassemble(lam: Partition, r: int) -> tuple[tuple[int, ...], MultiPartition
                                          for xs, a_i in zip(runners, charges)])
 
 
-def geq_c_quotient(lam: MultiPartition, chi: MultiPartition, ctx: OrderContext) -> bool:
-    """The order >='_c for integer charges: dominance of the assembled
-    partitions."""
+def quotient_compare(lam: MultiPartition, chi: MultiPartition, ctx: OrderContext) -> Comparison:
+    """lam against chi in the order >='_c, for integer charges summing to
+    zero: the dominance comparison of the assembled partitions."""
     if lam.size != chi.size:
         raise ValueError("shapes must have equal size")
     a = ctx.integer_charges()
@@ -275,9 +275,12 @@ def geq_c_quotient(lam: MultiPartition, chi: MultiPartition, ctx: OrderContext) 
     if sum(a) != 0:
         raise ValueError("charges must lie in the root lattice (sum zero); "
                          "normalize d to sum to zero")
-    left = assemble(a, lam)
-    right = assemble(a, chi)
-    return dominance_compare(left, right) in (Comparison.GREATER, Comparison.EQUAL)
+    return dominance_compare(assemble(a, lam), assemble(a, chi))
+
+
+def geq_c_quotient(lam: MultiPartition, chi: MultiPartition, ctx: OrderContext) -> bool:
+    """The order >='_c for integer charges: lam >='_c chi (quotient_compare)."""
+    return quotient_compare(lam, chi, ctx) in (Comparison.GREATER, Comparison.EQUAL)
 
 
 # ---------------------------------------------------------------------------

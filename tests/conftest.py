@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cherednik_kit.combinatorics import BoxRef, MultiPartition, ShapeAssignment
+from cherednik_kit.irrep import _apply
 from cherednik_kit.scalars import ParameterPoint
 
 # hypothesis imports this module when it reports a failing property; under
@@ -27,6 +28,30 @@ def small_point(r: int, rng: random.Random, span: int = 30) -> ParameterPoint:
         Fraction(rng.randint(1, span), rng.randint(1, span)),
         [Fraction(rng.randint(-span, span), rng.randint(1, span)) for _ in range(r)],
     )
+
+
+def tableau_vector(mod, T):
+    """The basis vector v_T = x^0 v_T of the module."""
+    return mod.basis_vector(mod.irrep.index[T])
+
+
+def x_mul(mod, i: int, elt):
+    """x_i elt: x_power of the unit exponent e_i."""
+    return mod.x_power(tuple(int(k == i) for k in range(1, mod.n + 1)), elt)
+
+
+def twisted_coordinates(mod, elt) -> dict:
+    """Coordinates of elt in the basis x^nu (tensor) w_nu^{-1} v_S, as
+    Fractions: w_nu applied to each exponent's slice of elt."""
+    by_exp: dict = {}
+    for (nu, t), c in elt.nums.items():
+        by_exp.setdefault(nu, {})[t] = c
+    out = {}
+    for nu, nums in by_exp.items():
+        twist, den = mod.irrep.twist(nu)[0]
+        for t, c in _apply(twist, nums).items():
+            out[nu, t] = Fraction(c, elt.den * den)
+    return out
 
 
 def compositions(n: int, max_total: int):

@@ -56,7 +56,8 @@ from cherednik_kit.orders import (
 )
 from cherednik_kit.scalars import FactoredScalar, ParameterPoint, PoleError, proportional
 
-from conftest import compositions, enumerate_assignments, small_point
+from conftest import (compositions, enumerate_assignments, small_point, tableau_vector,
+                      twisted_coordinates)
 
 ORACLE_RANGE = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)]
 
@@ -283,10 +284,10 @@ def test_criterion_7_structural_suite(rng):
                                 assert mod.z_act(i, mod.z_act(j, e)) == mod.z_act(
                                     j, mod.z_act(i, e))
                         twisted_elt = mod.x_power(nu, mod.apply_perm(
-                            perm_inverse(sorting_data(nu)[2]), mod.tableau_vector(T)))
+                            perm_inverse(sorting_data(nu)[2]), tableau_vector(mod, T)))
                         data = spectrum(nu, T)
                         for i in range(1, n + 1):
-                            tw = mod.twisted_coordinates(mod.z_act(i, twisted_elt))
+                            tw = twisted_coordinates(mod, mod.z_act(i, twisted_elt))
                             diag = tw.pop((nu, t), 0)
                             assert diag == data[i - 1].z_eigenvalue.evaluate(point)
                             for (kappa, _u), _c in tw.items():

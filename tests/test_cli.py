@@ -82,6 +82,13 @@ class TestGoldenOutputs:
         (("order", "compare", "--r", "2", "--c0", "1", "--d", "4,-4",
           "--a", "2,1|1,1", "--b", "1|3,1"),
          ">=_c\nequiv: no\nquotient order: >='_c\n"),
+        # each verdict of the quotient order (integer charges summing to zero)
+        *((("order", "compare", "--r", "2", "--c0", "1", "--d=2,-2", f"--a={a}", f"--b={b}"),
+           expected) for a, b, expected in [
+            ("3|", "3|", "=\nequiv: yes\nquotient order: =\n"),
+            ("3|", "2,1|", ">=_c\nequiv: yes\nquotient order: >='_c\n"),
+            ("2,1|", "3|", "<=_c\nequiv: yes\nquotient order: <='_c\n"),
+            ("1,1,1|", "2|1", "incomparable\nequiv: no\nquotient order: incomparable\n")]),
     ])
     def test_orders_pinned_text(self, argv, expected):
         assert run_cli(*argv) == (0, expected)
@@ -488,10 +495,11 @@ class TestErrorHandling:
         assert flags <= set(re.findall(r"--[a-z-]+", captured.err))
 
     def test_aspherical_list_json_agrees_with_format_json(self):
-        code, out = run_cli("aspherical", "list", "--r", "2", "--n", "1", "--json",
-                            "--format", "json")
-        assert code == 0 and out == run_cli("aspherical", "list", "--r", "2", "--n", "1",
-                                            "--json")[1]
+        # --json, --format json and both together emit the same bare array
+        bare = run_cli("aspherical", "list", "--r", "2", "--n", "1", "--json")
+        assert bare[0] == 0 and json.loads(bare[1])[0]["kind"] == "d"
+        for flags in (("--json", "--format", "json"), ("--format", "json")):
+            assert run_cli("aspherical", "list", "--r", "2", "--n", "1", *flags) == bare
 
     def test_aspherical_test_negative_c0(self):
         code, out = run_cli("aspherical", "test", "--r", "1", "--n", "2",

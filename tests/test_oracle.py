@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 import tracemalloc
+import types
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,8 @@ from cherednik_kit.norms import (
     symmetric_norm,
     symmetrization_block_factor,
 )
-from cherednik_kit.irrep import BLOCK_DEGREE, _add_coeffs, _descent, _mat_mul, _swapped, validate_irrep
+from cherednik_kit.irrep import (BLOCK_DEGREE, _add_coeffs, _apply, _descent, _mat_mul, _swapped,
+                                 validate_irrep)
 from cherednik_kit.oracle import (
     EigenvalueCollision,
     ModuleElement,
@@ -49,7 +51,8 @@ from cherednik_kit.oracle import (
 )
 from cherednik_kit.scalars import ParameterPoint, random_point
 
-from conftest import compositions, enumerate_assignments, small_point
+from conftest import (compositions, enumerate_assignments, small_point, tableau_vector,
+                      twisted_coordinates, x_mul)
 from test_acceptance import ORACLE_RANGE
 
 
@@ -223,7 +226,7 @@ def test_integer_validation_matches_the_literal_products(r, n):
     assert rejected > 0 or n == 1   # at n = 1 no relation reads a residue
 
 
-# the module's own y_act, z_act and x_mul at a point, beside verify_report's
+# the module's own y_act, z_act and x_power at a point, beside verify_report's
 # checks on the point-free tables: over Q at r = 2, and over the degree-2
 # fields Q(zeta_3) and Q(zeta_4)
 POINT_LEVEL_SHAPES = ("1|1", "1|1|1", "1||1|")
@@ -239,7 +242,7 @@ class TestYAction:
     def test_rank_one_weyl_relation(self):
         mod = StandardModule(parse_multipartition("1"), ParameterPoint(1, Fraction(2, 3), [0]))
         v = mod.basis_vector(0)
-        assert mod.y_act(1, mod.x_mul(1, v)) == v
+        assert mod.y_act(1, x_mul(mod, 1, v)) == v
 
     def test_y_commutation_2_2(self, rng):
         for shape in map(parse_multipartition, POINT_LEVEL_SHAPES):
@@ -261,8 +264,8 @@ class TestYAction:
                         e = mod.basis_vector(t, nu)
                         for i in range(1, n + 1):
                             for j in range(1, n + 1):
-                                lhs = (mod.y_act(i, mod.x_mul(j, e))
-                                       - mod.x_mul(j, mod.y_act(i, e)))
+                                lhs = (mod.y_act(i, x_mul(mod, j, e))
+                                       - x_mul(mod, j, mod.y_act(i, e)))
                                 assert lhs == _bracket_at(mod, i, j, nu, t)
 
 
@@ -275,7 +278,7 @@ class TestZAction:
             n = shape.size
             mu0 = (0,) * n
             for T in mod.irrep.tableaux:
-                elt = mod.apply_perm(perm_inverse(sorting_data(mu0)[2]), mod.tableau_vector(T))
+                elt = mod.apply_perm(perm_inverse(sorting_data(mu0)[2]), tableau_vector(mod, T))
                 data = spectrum(mu0, T)
                 for i in range(1, n + 1):
                     lam = mod.eigenvalue_of(i, elt)
@@ -300,10 +303,10 @@ class TestZAction:
             for nu in mod.monomials(deg):
                 for t, T in enumerate(mod.irrep.tableaux):
                     elt = mod.x_power(nu, mod.apply_perm(
-                        perm_inverse(sorting_data(nu)[2]), mod.tableau_vector(T)))
+                        perm_inverse(sorting_data(nu)[2]), tableau_vector(mod, T)))
                     data = spectrum(nu, T)
                     for i in (1, 2):
-                        tw = mod.twisted_coordinates(mod.z_act(i, elt))
+                        tw = twisted_coordinates(mod, mod.z_act(i, elt))
                         diag = tw.pop((nu, t), 0)
                         assert diag == data[i - 1].z_eigenvalue.evaluate(point)
                         for (kappa, _), _c in tw.items():
@@ -430,7 +433,7 @@ class TestEigenvectors:
         n = shape.size
         for T in mod.irrep.tableaux:
             f = mod.eigenvector((0,) * n, T)
-            expect = mod.apply_perm(perm_longest(n), mod.tableau_vector(T))
+            expect = mod.apply_perm(perm_longest(n), tableau_vector(mod, T))
             assert f == expect
 
     def test_collision_detection_and_retry(self, rng):
@@ -544,7 +547,7 @@ class TestTwistedTable:
                         image = ModuleElement._reduced(mod, images[i - 1], den)
                         assert image == mod.z_act(i, elt)
                         assert (Fraction(diag[i - 1], diag_den)
-                                == mod.twisted_coordinates(image).get((nu, s), 0))
+                                == twisted_coordinates(mod, image).get((nu, s), 0))
 
     def test_eigenvector_leaves_no_reference_cycle(self, rng):
         # the table holds term dicts, not elements, so nothing it keeps
@@ -692,7 +695,7 @@ class TestSymmetrize:
         mu_plus = tuple(sorted(mu, reverse=True))
         from collections import Counter
         n_mu = math.prod(math.factorial(c) for c in Counter(mu).values())
-        lead = mod.apply_perm(perm_longest(n), mod.tableau_vector(T)).scale(n_mu)
+        lead = mod.apply_perm(perm_longest(n), tableau_vector(mod, T)).scale(n_mu)
         got = {t: c for (nu, t), c in results[0].terms.items() if nu == mu_plus}
         want = {t: c for (nu, t), c in lead.terms.items()}
         assert got == want
@@ -722,7 +725,7 @@ class TestOracleNorm:
     def test_tableau_vector_norm_is_gram(self, rng):
         mod = StandardModule(parse_multipartition("2,1|"), small_point(2, rng))
         for t, T in enumerate(mod.irrep.tableaux):
-            assert mod.norm(mod.tableau_vector(T)) == mod.irrep.gram[t]
+            assert mod.norm(tableau_vector(mod, T)) == mod.irrep.gram[t]
 
     def test_symmetrized_matches_closed_formula(self, rng):
         shape = parse_multipartition("1|1")
@@ -837,7 +840,7 @@ class TestTableCertificates:
             # one entry of the table moved in its d_0 coefficient only, in
             # the store of its exponent's block
             irrep = build_irrep(shape)
-            clean = getattr(irrep, kind)(*args)
+            clean = irrep.table(kind, *args)
             i, (nu, t) = args
             block = irrep._tables[kind][i, nu]
             assert None not in block   # built whole
@@ -926,7 +929,7 @@ class TestCanonicalTables:
             irrep = build_irrep(shape)
             for key in itertools.product(compositions(n, 2), range(irrep.dim)):
                 for i in range(1, n + 1):
-                    irrep.z_table(i, key)   # and the y-tables below it
+                    irrep.table("z_table", i, key)   # and the y-tables below it
                     for j in range(1, n + 1):
                         bracket, = irrep.bracket_table(i, j, key[0], [key[1]])
                         assert all(map(any, bracket.values()))
@@ -1024,7 +1027,8 @@ class TestBlockLayout:
             last, exponents = irrep.dim - 1, sorted(compositions(n, 6), key=sum)
             top = [nu for nu in exponents if sum(nu) == 6]
             for nu, i in itertools.product(top, range(1, n + 1)):
-                assert irrep.z_table(i, (nu, last)) == _reference_z(irrep, i, nu, last, cache)
+                assert irrep.table("z_table", i, (nu, last)) == _reference_z(irrep, i, nu, last,
+                                                                              cache)
                 up = nu[:i - 1] + (nu[i - 1] + 1,) + nu[i:]
                 for kind, exponent in (("z_table", nu), ("y_table", up)):
                     block = irrep._tables[kind][i, exponent]
@@ -1045,7 +1049,7 @@ class TestBlockLayout:
         irrep, cache = build_irrep(shape), {}
         reference = {"y_table": _reference_y, "z_table": _reference_z}
         for kind, i, nu, t in reads:
-            assert getattr(irrep, kind)(i, (nu, t)) == reference[kind](irrep, i, nu, t, cache)
+            assert irrep.table(kind, i, (nu, t)) == reference[kind](irrep, i, nu, t, cache)
         for kind, i, nu, _ in reads:
             assert irrep._block(kind, i, nu, range(irrep.dim)) == [
                 reference[kind](irrep, i, nu, t, cache) for t in range(irrep.dim)]
@@ -1062,7 +1066,7 @@ class TestBlockLayout:
                    for (j, _), prev in zip(steps, [nu] + [kappa for _, kappa in steps]))
         irrep, cache = build_irrep(parse_multipartition(text)), {}
         last = irrep.dim - 1
-        assert irrep.y_table(i, (nu, last)) == _reference_y(irrep, i, nu, last, cache)
+        assert irrep.table("y_table", i, (nu, last)) == _reference_y(irrep, i, nu, last, cache)
         for _, kappa in steps:
             block = irrep._tables["y_table"][i, kappa]
             if sum(kappa) <= BLOCK_DEGREE:
@@ -1123,6 +1127,11 @@ def _outer_product_commutator_vanishes(op, i, j, key):
                    for w in [math.isqrt(len(vec))] for p in range(w) for q in range(p, w))
 
 
+def _stub_irrep(op):
+    """An irrep whose table(kind, i, key) is op(i, key), for every kind."""
+    return types.SimpleNamespace(table=lambda kind, i, key: op(i, key))
+
+
 @st.composite
 def _commutator_tables(draw):
     """(kind, tables): op(i, key) = tables.get((i, key), {}) for i = 1, 2 on
@@ -1154,7 +1163,7 @@ def test_commutator_kernel_matches_the_outer_products(case):
     def op(i, key):
         return tables.get((i, key), {})
 
-    got = oracle._commutator_vanishes(op, 1, 2, 0)
+    got = oracle._commutator_vanishes(_stub_irrep(op), "y_table", 1, 2, 0)
     assert got == _outer_product_commutator_vanishes(op, 1, 2, 0)
     if kind in ("equal", "antisymmetric"):
         assert got
@@ -1168,7 +1177,7 @@ def test_commutator_kernel_sees_a_symmetric_defect():
     def op(i, key):
         return tables.get((i, key), {})
 
-    assert not oracle._commutator_vanishes(op, 1, 2, 0)
+    assert not oracle._commutator_vanishes(_stub_irrep(op), "z_table", 1, 2, 0)
     assert not _outer_product_commutator_vanishes(op, 1, 2, 0)
 
 
@@ -1189,7 +1198,7 @@ def _perm_column(irrep, w, t):
     if (w, t) not in columns:
         col = {t: Fraction(1)}
         for i in reversed(reduced_word(w)):
-            col = oracle._apply(irrep.s_mats[i - 1], col)
+            col = _apply(irrep.s_mats[i - 1], col)
         columns[w, t] = col
     return columns[w, t]
 
@@ -1214,7 +1223,7 @@ def test_perm_numerators_multiply(case):
     shape, v, w = case
     irrep = _cached_irrep(shape)
     (a, a_den), (b, b_den) = irrep.perm_numerators(v), irrep.perm_numerators(w)
-    product = [oracle._apply(a, col) for col in b]
+    product = [_apply(a, col) for col in b]
     g = math.gcd(a_den * b_den, *(x for col in product for x in col.values()))
     cols, den = irrep.perm_numerators(perm_mul(v, w))
     assert (cols, den) == (tuple({k: x // g for k, x in col.items()} for col in product),
@@ -1243,7 +1252,7 @@ def test_kept_tables_hold_only_integers(text, rng):
     mod = StandardModule(irrep.shape, small_point(irrep.shape.r, rng), irrep=irrep)
     for T in irrep.tableaux:
         f = mod.eigenvector_generic((1,) + (0,) * (mod.n - 1), T, rng)[1]
-        mod.twisted_coordinates(mod.symmetrize(f))
+        twisted_coordinates(mod, mod.symmetrize(f))
     assert {type(x) for x in _leaves(irrep._tables)} == {int, str}
 
 
@@ -1358,7 +1367,7 @@ def _point_valued_y(mod, i, nu, t, cache):
             cache[i, nu, t] = mod.zero()
         else:
             low = nu[:j - 1] + (nu[j - 1] - 1,) + nu[j:]
-            cache[i, nu, t] = (mod.x_mul(j, _point_valued_y(mod, i, low, t, cache))
+            cache[i, nu, t] = (x_mul(mod, j, _point_valued_y(mod, i, low, t, cache))
                                + _literal_bracket(mod, i, j, low, t))
     return cache[i, nu, t]
 
@@ -1532,7 +1541,7 @@ def _kernel_eigenvector(mod, mu, T):
     if len(kernel) != 1:
         raise EigenvalueCollision(f"kernel dimension {len(kernel)}")
     lead = mod.x_power(mu, mod.apply_perm(perm_inverse(sorting_data(mu)[2]),
-                                          mod.tableau_vector(T)))
+                                          tableau_vector(mod, T)))
     den, vec = mod.twisted_column(mu, mod.irrep.index[T])[:2]
     assert lead == ModuleElement._reduced(mod, vec, den)
     anchor, want = min(lead.terms.items())
@@ -1801,18 +1810,18 @@ def test_eigenvector_rejects_a_z_action_that_is_not_triangular(corruption, rng):
                  if nu != mu)
     mod = StandardModule(shape, point)
     irrep = mod.irrep
-    honest = irrep.z_table
+    honest = irrep.table
 
-    def corrupted(i, key):
+    def corrupted(kind, i, key):
         # add the basis term at `to` with coefficient 1, over the tables' denominator
-        table = dict(honest(i, key))
+        table = dict(honest(kind, i, key))
         to = {("cycle", 1, lower): mu, ("off-diagonal", 3, mu): lower}.get((corruption, i, key[0]))
-        if to is not None:
+        if kind == "z_table" and to is not None:
             const, *rest = table.get((to, key[1]), (0, 0, 0))
             table[to, key[1]] = (const + irrep.denominator, *rest)
         return table
 
-    irrep.z_table = corrupted
+    irrep.table = corrupted
     with pytest.raises(AssertionError, match="not triangular"):
         mod.eigenvector(mu, T)
 
@@ -1830,7 +1839,7 @@ def _fraction_triangular(mod, degree, rng):
             image = ModuleElement._reduced(mod, images[i], den)
             if image != mod.z_act(i + 1, elt):
                 raise AssertionError(f"twisted table image z_{i + 1} at {nu}, {T.as_text()}")
-            image = mod.twisted_coordinates(image)
+            image = twisted_coordinates(mod, image)
             expect = data.z_eigenvalue.evaluate(mod.point)
             if not image.pop((nu, t), 0) == Fraction(diag[i], diag_den) == expect:
                 raise AssertionError(f"diagonal at {nu}, {T.as_text()}")
@@ -1838,7 +1847,7 @@ def _fraction_triangular(mod, degree, rng):
                 if composition_compare(nu, kappa) is not Comparison.GREATER:
                     raise AssertionError(f"non-triangular entry {(kappa, u)} from {(nu, t)}")
             count += 1
-    return count
+    return count, 0
 
 
 class TestIntegerTriangularity:
@@ -1867,7 +1876,7 @@ class TestIntegerTriangularity:
         "diag", on the diagonal, into diag."""
         shape = parse_multipartition(text)
         mod = StandardModule(shape, small_point(shape.r, random.Random(2801)))
-        assert oracle._check_triangular(mod, 2, None)
+        assert oracle._check_triangular(mod, 2, None)[0]
         den, vec, images, diag, diag_den = mod.twisted_column(nu, t)
         ((_, a), c), = vec.items()
         swap = {a: t, t: a}   # w_nu, a permutation matrix
@@ -1931,7 +1940,7 @@ def test_module_operators_build_no_cyclotomic_number(r, n, monkeypatch):
                 lam = mod2.eigenvalue_of(i, f)
                 assert mod2.z_act(i, f) == f.scale(lam)
                 assert mod2.pairing(mod2.z_act(i, f), f) == lam * expect
-                xf = mod2.x_mul(i, f)
+                xf = x_mul(mod2, i, f)
                 assert mod2.pairing(xf, xf) == mod2.pairing(f, mod2.y_act(i, xf))
             s1f = mod2.apply_perm(simple_transposition(n, 1), f)
             assert mod2.symmetrize(s1f) == mod2.symmetrize(f)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -27,6 +28,7 @@ from cherednik_kit.orders import (
     geq_c,
     geq_c_quotient,
     linkage_matching,
+    quotient_compare,
 )
 from cherednik_kit.scalars import ParameterPoint
 
@@ -376,6 +378,20 @@ class TestQuotientOrder:
                     expect = dominance_compare(a.components[0], b.components[0]) in (
                         Comparison.GREATER, Comparison.EQUAL)
                     assert geq_c_quotient(a, b, ctx) == expect
+
+    def test_geq_is_the_comparison_at_least_equal(self, rng):
+        # geq_c_quotient reads quotient_compare, and swapping the shapes
+        # reverses the comparison
+        flip = {Comparison.GREATER: Comparison.LESS, Comparison.LESS: Comparison.GREATER}
+        for r, n in ((1, 4), (2, 3), (3, 2)):
+            ctx = lattice_context(r, rng)
+            shapes = enumerate_multipartitions(r, n)
+            for a, b in itertools.product(shapes, repeat=2):
+                verdict = quotient_compare(a, b, ctx)
+                assert geq_c_quotient(a, b, ctx) == (verdict in (Comparison.GREATER,
+                                                                 Comparison.EQUAL))
+                assert quotient_compare(b, a, ctx) is flip.get(verdict, verdict)
+                assert (verdict is Comparison.EQUAL) == (a == b)
 
     def test_requires_integer_charges(self):
         ctx = ctx_of(2, 1, [1, -1])
