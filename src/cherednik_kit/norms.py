@@ -21,16 +21,21 @@ with k = hi - lo mod r.  `_count` is the one place that writes this k-range:
 it adds each form's power at its integer key (k, hi mod r, lo mod r, ct) in
 one dict of net counts, and `_from_keys` turns each nonzero net key straight
 into primitive integer numerators, so an AffineForm is built only for each
-factor of the canonical FactoredScalar.  A box's own factors are one count
-per residue lo.  nonsymmetric_norm counts each box pair's ratio
-X(ct - 1) X(ct + 1) / X(ct)^2 in one call, X(ct) being the pair's residue
-forms.  symmetric_norm's ratios over box pairs (b, b2) telescope along each
-run of equal S-values in a row, to two calls per run, so it counts
-O(n * runs) ranges, not O(n^2).  hook_product, extra_product and
-minimal_norm count the minimal assignment's closed-form hook and extra
-terms (top, hi, lo, ct), one call per term.  pochhammer_products, the
-independent reference, lists the forms of its Pochhammer symbols as integer
-numerators over r.  Empty products are 1.
+factor of the canonical FactoredScalar.  A range's length follows from its
+ends, so `_count` keeps the running number of forms a product lists and
+refuses, before counting them, a range that takes it past MAX_FORMS.  The
+minimal-assignment products hand `_count` no empty range.  A box's own
+factors are one count per residue lo that its range reaches.  nonsymmetric_norm
+counts each box pair's ratio X(ct - 1) X(ct + 1) / X(ct)^2 in one call,
+X(ct) being the pair's residue forms.  symmetric_norm's ratios over box
+pairs (b, b2) telescope along each run of equal S-values in a row, to at
+most two calls per run and none for a run whose value is at least S(b), so
+it counts O(n * runs) ranges, not O(n^2).  `_hook_terms` and `_extra_terms`
+list the minimal assignment's closed-form hook and extra terms
+(top, hi, lo, ct) with top >= 1, one call per term: hook_product and
+extra_product each build their own list, and minimal_norm both.
+pochhammer_products, the independent reference, lists the forms of
+its Pochhammer symbols as integer numerators over r.  Empty products are 1.
 """
 from __future__ import annotations
 
@@ -52,6 +57,10 @@ from .combinatorics import (
 from .scalars import AffineForm, FactoredScalar
 
 Term = tuple[int, int, int, int]  # (top, hi, lo, ct), see the module doc
+
+# The most forms a product may list: counting takes about 0.4 us a form (a
+# 192-box column lists 4.7 million), and the tests list at most about 23,000
+MAX_FORMS = 10**7
 
 
 @dataclass(frozen=True)
@@ -91,22 +100,32 @@ def spectrum(mu: Sequence[int], T: StandardTableau) -> list[SpectralDatum]:
     ) for i, (m, b) in enumerate(_indexed_boxes(mu, T), start=1)]
 
 
-def _count(net: dict, r: int, top: int, hi: int, lo: int, cts) -> None:
+def _count(net: dict, r: int, top: int, hi: int, lo: int, cts, listed: int) -> int:
     """Add m at the key (k, hi mod r, lo mod r, ct) of the form
     _eig_form(r, k, hi, lo, ct) in net, for each (ct, m) of cts and each
-    1 <= k <= top with k = hi - lo mod r."""
+    1 <= k <= top with k = hi - lo mod r, and return listed plus the number
+    of forms added.  The range's ends give that number, so a product that
+    would list more than MAX_FORMS forms is refused before they are counted."""
     hi, lo = hi % r, lo % r
-    for k in range((hi - lo - 1) % r + 1, top + 1, r):
+    first = (hi - lo - 1) % r + 1
+    if top >= first:
+        listed += ((top - first) // r + 1) * len(cts)
+        if listed > MAX_FORMS:
+            raise ValueError(f"the product would list more than {MAX_FORMS} forms")
+    for k in range(first, top + 1, r):
         for ct, m in cts:
             key = k, hi, lo, ct
             net[key] = net.get(key, 0) + m
+    return listed
 
 
-def _count_own(net: dict, r: int, top: int, beta: int, ct: int) -> None:
+def _count_own(net: dict, r: int, top: int, beta: int, ct: int, listed: int) -> int:
     """A box's own factors _eig_form(r, k, beta, beta - k, ct), 1 <= k <= top,
-    counted once each: one residue lo at a time."""
+    counted once each: one residue lo at a time, where its range holds a k."""
     for lo in range(r):
-        _count(net, r, top, beta, lo, ((ct, 1),))
+        if (beta - lo - 1) % r < top:
+            listed = _count(net, r, top, beta, lo, ((ct, 1),), listed)
+    return listed
 
 
 def _from_keys(r: int, coefficient, net: dict) -> FactoredScalar:
@@ -144,16 +163,17 @@ def nonsymmetric_norm(mu: Sequence[int], T: StandardTableau) -> FactoredScalar:
     at (i, j) and mu_j - mu_i - 1 at (j, i), all counted in one dict."""
     r = T.shape.r
     walk = [(m, b.component, b.content) for m, b in _indexed_boxes(mu, T)]
-    net: dict = {}
+    net, listed = {}, 0
     for m, beta, ct in walk:
         if m > 0:
-            _count_own(net, r, m, beta, ct)
+            listed = _count_own(net, r, m, beta, ct, listed)
     for i, (m_i, beta_i, a_i) in enumerate(walk):
         for m_j, beta_j, a_j in walk[i + 1:]:
             for top, hi, lo, ct in ((m_i - m_j, beta_i, beta_j, a_i - a_j),
                                     (m_j - m_i - 1, beta_j, beta_i, a_j - a_i)):
                 if top > 0:
-                    _count(net, r, top, hi, lo, ((ct - 1, 1), (ct + 1, 1), (ct, -2)))
+                    listed = _count(net, r, top, hi, lo,
+                                    ((ct - 1, 1), (ct + 1, 1), (ct, -2)), listed)
     return _from_keys(r, 1, net)
 
 
@@ -173,15 +193,21 @@ def _box_product(S: ShapeAssignment, boxes, coefficient) -> FactoredScalar:
     X(t + 1)/X(t) for k <= S(b) - S(b2) - r, with X(t) the residue forms of
     (beta(b), beta(b2)) at t = ct(b) - ct(b2).  Over a run of b2 both tops
     are fixed, so its ratios telescope to
-    X(t_lo - 1) X(t_hi + 1) / (X(t_hi) X(t_lo))."""
-    r, runs, net = S.shape.r, _runs(S), {}
+    X(t_lo - 1) X(t_hi + 1) / (X(t_hi) X(t_lo)); S being residue-compatible,
+    the first range is empty exactly when S(b2) >= S(b), and the second
+    when S(b2) >= S(b) - r."""
+    r, runs, net, listed = S.shape.r, _runs(S), {}, 0
     for b in boxes:
         sb, beta, ct = S.value(b), b.component, b.content
-        _count_own(net, r, sb, beta, ct)
+        listed = _count_own(net, r, sb, beta, ct, listed)
         for v, l, c_first, c_last in runs:
+            if v >= sb:             # both ranges are empty
+                continue
             t_lo, t_hi = ct - c_last, ct - c_first
-            _count(net, r, sb - v, beta, l, ((t_lo - 1, 1), (t_hi, -1)))
-            _count(net, r, sb - v - r, beta, l, ((t_hi + 1, 1), (t_lo, -1)))
+            listed = _count(net, r, sb - v, beta, l, ((t_lo - 1, 1), (t_hi, -1)), listed)
+            if sb - v > r:
+                listed = _count(net, r, sb - v - r, beta, l, ((t_hi + 1, 1), (t_lo, -1)),
+                                listed)
     return _from_keys(r, coefficient, net)
 
 
@@ -230,27 +256,35 @@ def minimal_assignment(shape: MultiPartition) -> ShapeAssignment:
     return ShapeAssignment(shape, values)
 
 
-def _minimal_terms(shape: MultiPartition) -> tuple[list[Term], list[Term]]:
-    """The hook and extra terms under the minimal assignment, where a box b
-    of component l in row i has S(b) = l + (i-1)*r and ct(b) = j - i."""
+def _hook_terms(shape: MultiPartition) -> list[Term]:
+    """The hook terms under the minimal assignment, where a box b of
+    component l in row i has S(b) = l + (i-1)*r and ct(b) = j - i: each box
+    not directly above a box of its component, against the last box of each
+    row, where S(b) exceeds that box's value."""
     r, comps = shape.r, shape.components
-    boxes = [(l, i, j) for l, comp in enumerate(comps)
-             for i, row in enumerate(comp, start=1) for j in range(1, row + 1)]
-    # b not directly above a box of its component, against the last box b2 of each row
-    lower = [(l, i, j) for l, i, j in boxes if i == len(comps[l]) or j > comps[l][i]]
+    lower = [(l, i, j) for l, comp in enumerate(comps) for i, row in enumerate(comp, start=1)
+             for j in range((comp[i] if i < len(comp) else 0) + 1, row + 1)]
     right = [(l, i, row) for l, comp in enumerate(comps) for i, row in enumerate(comp, start=1)]
-    hook = [((i - i2) * r + l - l2, l, l2, (j - i) - (j2 - i2) - 1)
-            for l, i, j in lower for l2, i2, j2 in right]
-    extra = [((i - 1 - len(comp)) * r + l - l2, l, l2, j - i + len(comp))
-             for l, i, j in boxes for l2, comp in enumerate(comps)]
-    return hook, extra
+    return [(top, l, l2, (j - i) - (j2 - i2) - 1)
+            for l, i, j in lower for l2, i2, j2 in right
+            if (top := (i - i2) * r + l - l2) > 0]
+
+
+def _extra_terms(shape: MultiPartition) -> list[Term]:
+    """The extra terms under the minimal assignment: each box against each
+    component l2, with h rows, where S(b) exceeds l2 + h*r."""
+    r, comps = shape.r, shape.components
+    return [(top, l, l2, j - i + len(comp))
+            for l, rows in enumerate(comps) for i, row in enumerate(rows, start=1)
+            for j in range(1, row + 1) for l2, comp in enumerate(comps)
+            if (top := (i - 1 - len(comp)) * r + l - l2) > 0]
 
 
 def _terms_product(r: int, coefficient, terms: list[Term]) -> FactoredScalar:
     """coefficient times the forms of each term (top, hi, lo, ct)."""
-    net: dict = {}
+    net, listed = {}, 0
     for top, hi, lo, ct in terms:
-        _count(net, r, top, hi, lo, ((ct, 1),))
+        listed = _count(net, r, top, hi, lo, ((ct, 1),), listed)
     return _from_keys(r, coefficient, net)
 
 
@@ -259,7 +293,7 @@ def hook_product(shape: MultiPartition) -> FactoredScalar:
     box of a row) and 1 <= k <= S(b)-S(b'), k = beta(b)-beta(b') mod r, of
     k - (d_beta(b) - d_beta(b')) - r(ct(b) - ct(b') - 1)c0,
     with S the minimal assignment."""
-    return _terms_product(shape.r, 1, _minimal_terms(shape)[0])
+    return _terms_product(shape.r, 1, _hook_terms(shape))
 
 
 def extra_product(shape: MultiPartition) -> FactoredScalar:
@@ -269,14 +303,14 @@ def extra_product(shape: MultiPartition) -> FactoredScalar:
     assignment.  This is the corner convention S_l = l + (h_l - 1)r,
     c_l = 1 - h_l for the lower-left box of each component, uniform over
     empty components: h_l = 0 puts their corner in row 0, column 1."""
-    return _terms_product(shape.r, 1, _minimal_terms(shape)[1])
+    return _terms_product(shape.r, 1, _extra_terms(shape))
 
 
 def minimal_norm(shape: MultiPartition) -> FactoredScalar:
     """n! * hook_product * extra_product, the norm of the minimal-degree
     invariant, as one product over both term lists."""
-    hook, extra = _minimal_terms(shape)
-    return _terms_product(shape.r, factorial(shape.size), hook + extra)
+    return _terms_product(shape.r, factorial(shape.size),
+                          _hook_terms(shape) + _extra_terms(shape))
 
 
 def removal_correction(shape: MultiPartition, b: BoxRef) -> FactoredScalar:

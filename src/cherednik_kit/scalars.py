@@ -98,9 +98,10 @@ def random_point(r: int, rng: random.Random, bound: int = 10**6) -> ParameterPoi
 class AffineForm:
     """k + a*c0 + sum_l b_l * d_l with rational coefficients, d-index mod r,
     kept as `numerators` (k, a, b_0, ..., b_{r-1}) over a positive
-    `denominator`, reduced by their gcd; `const`, `c0`, `d` are Fraction views."""
+    `denominator`, reduced by their gcd; `const`, `c0`, `d` are Fraction views.
+    Its hash and its text are kept once computed."""
 
-    __slots__ = ("r", "numerators", "denominator", "_hash")
+    __slots__ = ("r", "numerators", "denominator", "_hash", "_text")
 
     def __init__(self, r: int, const=0, c0=0, d: Mapping[int, object] | Sequence | None = None):
         if r < 1:
@@ -127,7 +128,7 @@ class AffineForm:
         if g != 1:
             numerators, denominator = [x // g for x in numerators], denominator // g
         self.r, self.numerators, self.denominator = r, tuple(numerators), denominator
-        self._hash = None
+        self._hash = self._text = None
         return self
 
     @staticmethod
@@ -212,7 +213,9 @@ class AffineForm:
         return self._hash
 
     def __str__(self):
-        return render_affine(self)
+        if self._text is None:
+            self._text = render_affine(self)
+        return self._text
 
     __repr__ = __str__
 
@@ -382,14 +385,13 @@ class FactoredScalar:
         return hash((self.coefficient, frozenset(self.factors.items())))
 
     def __str__(self):
-        texts = [(f"({f})", m) for f, m in self._sorted()]
         q = self.coefficient
         head = _decimal(q.numerator) + ("" if q.denominator == 1 else f"/{_decimal(q.denominator)}")
-        out = " * ".join([head] + [t for t, m in texts for _ in range(m)])
-        den = [t for t, m in texts for _ in range(-m)]
-        if den:
-            out += " / " + " * ".join(den)
-        return out
+        num, den = [head], []
+        for f, m in self._sorted():
+            (num if m > 0 else den).extend([f"({f})"] * abs(m))
+        out = " * ".join(num)
+        return out + " / " + " * ".join(den) if den else out
 
     __repr__ = __str__
 

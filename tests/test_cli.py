@@ -14,6 +14,7 @@ import pytest
 import cherednik_kit
 from cherednik_kit.cli import build_parser, main
 from cherednik_kit.combinatorics import enumerate_multipartitions
+from cherednik_kit.norms import MAX_FORMS
 
 
 def run_cli(*argv):
@@ -660,3 +661,21 @@ def test_a_closed_pipe_ends_with_one_error_line():
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 1
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm-f", "--r", "1", "--shape", "2", "--mu", "1,99999999999"],
+    ["norm-g", "--r", "1", "--shape", "1,1", "--values", "0/99999999999"],
+])
+def test_a_product_past_the_cap_ends_with_one_error_line(argv):
+    # each product lists about 10^11 forms; were they counted, the child
+    # would exhaust its 200,000 KB address space instead of exhausting the host
+    src = pathlib.Path(cherednik_kit.__file__).parents[1]
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (200_000 * 1024,) * 2)\n"
+             "from cherednik_kit.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: the product would list more than {MAX_FORMS} forms\n"

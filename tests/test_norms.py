@@ -18,6 +18,7 @@ from cherednik_kit.combinatorics import (
     parse_tableau,
     sorting_data,
 )
+from cherednik_kit import norms
 from cherednik_kit.norms import (
     _from_keys,
     extra_product,
@@ -524,6 +525,75 @@ class TestMinimalNorm:
         for outside in (BoxRef(0, 0, 1), BoxRef(0, 3, 1)):
             with pytest.raises(ValueError):
                 removal_correction(shape, outside)
+
+    def test_printed_factors_render_the_product_text(self):
+        # the hook command prints hook and extra, then n! * hook * extra,
+        # whose factors are those same forms with their texts kept
+        for r, top_n in ((1, 7), (2, 6), (3, 5)):
+            for n in range(top_n + 1):
+                for shape in enumerate_multipartitions(r, n):
+                    hook, extra = hook_product(shape), extra_product(shape)
+                    texts = str(hook), str(extra)
+                    product = math.factorial(n) * hook * extra
+                    assert str(product) == str(minimal_norm(shape)) == str(product)
+                    assert (str(hook), str(extra)) == texts
+
+
+def _wrap_count(monkeypatch, each):
+    """Replace norms._count by one that first calls each(keys) with the keys
+    one call writes, counted on their own, then counts as before."""
+    real = norms._count
+
+    def count(net, r, top, hi, lo, cts, listed):
+        probe: dict = {}
+        real(probe, r, top, hi, lo, cts, 0)
+        each(probe)
+        return real(net, r, top, hi, lo, cts, listed)
+
+    monkeypatch.setattr(norms, "_count", count)
+
+
+class TestCountedRanges:
+    """What the closed products hand to `_count`."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_minimal_assignment_products_count_no_empty_range(self, r, monkeypatch):
+        calls = []
+        _wrap_count(monkeypatch, lambda keys: calls.append(len(keys)))
+        for n in range(8):
+            for shape in enumerate_multipartitions(r, n):
+                S = minimal_assignment(shape)
+                top = max((S.value(b) for b in shape.boxes()), default=None)
+                products = {"hook_product": lambda: hook_product(shape),
+                            "extra_product": lambda: extra_product(shape),
+                            "minimal_norm": lambda: minimal_norm(shape),
+                            "symmetric_norm": lambda: symmetric_norm(S)}
+                products.update({f"removal_correction {b}": functools.partial(
+                    removal_correction, shape, b) for b in shape.boxes() if S.value(b) == top})
+                for name, product in products.items():
+                    calls.clear()
+                    product()
+                    assert all(calls), (name, shape.as_text(), calls)
+
+    def test_the_cap_counts_each_listed_form(self, monkeypatch):
+        shape = parse_multipartition("2,1|2,1", 2)
+        T = enumerate_syt(parse_multipartition("2|1", 2))[1]
+        products = [lambda: nonsymmetric_norm((5, 0, 3), T),
+                    lambda: symmetric_norm(parse_assignment("0,2/2|1,3/5", shape)),
+                    lambda: minimal_norm(shape),
+                    lambda: removal_correction(shape, BoxRef(1, 2, 1))]
+        for product in products:
+            listed = []
+            with monkeypatch.context() as m:
+                _wrap_count(m, lambda keys: listed.append(len(keys)))
+                expect = product()
+            with monkeypatch.context() as m:
+                m.setattr(norms, "MAX_FORMS", sum(listed))
+                assert product() == expect
+                m.setattr(norms, "MAX_FORMS", sum(listed) - 1)
+                with pytest.raises(ValueError, match=f"^the product would list more "
+                                                     f"than {sum(listed) - 1} forms$"):
+                    product()
 
 
 class TestPochhammerProducts:

@@ -6,9 +6,12 @@ as integer numerators over r.  The references below are the earlier code,
 kept literally: the fold of `FactoredScalar.from_counts` over `_eig_form`
 forms, and the Pochhammer forms built by Fraction-valued AffineForm sums.
 The sha256 pins were computed with that code, over every r-partition with
-r <= 4 and n <= 6, 6, 5, 4.
+r <= 4 and n <= 6, 6, 5, 4.  The large-shape pins of the `hook`, `norm-min`
+and `norm-g` commands were computed before the products dropped their empty
+ranges and forms kept their text.
 """
 import hashlib
+import io
 import math
 from collections import Counter
 from fractions import Fraction
@@ -16,11 +19,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cherednik_kit.cli import build_parser
 from cherednik_kit.combinatorics import (
     MultiPartition,
     conjugate,
     enumerate_multipartitions,
     enumerate_syt,
+    parse_multipartition,
 )
 from cherednik_kit.norms import (
     _count,
@@ -139,7 +144,7 @@ def counted_product(r, coefficient, parts):
     for num, den in parts:
         for terms, m in ((num, 1), (den, -1)):
             for top, hi, lo, ct in terms:
-                _count(net, r, top, hi, lo, ((ct, m),))
+                _count(net, r, top, hi, lo, ((ct, m),), 0)
     return _from_keys(r, coefficient, net)
 
 
@@ -243,3 +248,32 @@ def test_products_are_pinned(name):
                     digest.update(f"{p}\n".encode())
                     count += 1
     assert (count, digest.hexdigest()) == PINS[name]
+
+
+# -- sha256 of the command-line text at n = 17, 27 and 48 ---------------------
+
+LARGE_SHAPES = [(1, "7,5,4,1"), (2, "7,5,2,1|2"), (3, "1|7,4,3|2"),
+                (1, "15,6,4,2"), (2, "17,4,4,2|"), (3, "19,1,1|2,1,1,1|1"),
+                (1, "27,18,2,1"), (2, "1|29,16,1,1"), (3, "27,12,1|5,2|1")]
+
+LARGE_PINS = {
+    "hook": (13982, "5d30c6817ddc65394d13a51864854fa1ccbe1b2dc3151c36deefac0e40419740"),
+    "norm-min": (7016, "3631a9fc80b692877bccba6e568747e72f101b0813e2e2b68504a398c9d28d83"),
+    # the minimal assignment's symmetric norm is the minimal norm, text and all
+    "norm-g": (7016, "3631a9fc80b692877bccba6e568747e72f101b0813e2e2b68504a398c9d28d83"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(LARGE_PINS))
+def test_large_shape_outputs_are_pinned(command):
+    digest, size = hashlib.sha256(), 0
+    for r, text in LARGE_SHAPES:
+        argv = [command, "--r", str(r), "--shape", text]
+        if command == "norm-g":
+            argv += ["--values", minimal_assignment(parse_multipartition(text, r)).as_text()]
+        out = io.StringIO()
+        args = build_parser().parse_args(argv)
+        assert args.func(args, out) == 0
+        digest.update(out.getvalue().encode())
+        size += len(out.getvalue())
+    assert (size, digest.hexdigest()) == LARGE_PINS[command]

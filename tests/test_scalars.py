@@ -325,6 +325,20 @@ class TestAffineFormProperties:
         prim, _ = f.primitive()
         assert render_affine(prim) == reference_render(prim)
 
+    @PROPERTY
+    @given(_coefficients(), _COEFFS.filter(bool))
+    def test_kept_text_is_the_rendered_text(self, data, q):
+        r, const, c0, d = data
+        f = AffineForm(r, const, c0, d)
+        built = [f, AffineForm(r, const, c0, dict(enumerate(d))),
+                 AffineForm(r, *f.numerators[:2], list(f.numerators[2:])),
+                 AffineForm.from_numerators(r, f.numerators, f.denominator),
+                 f + AffineForm(r, c0=q), f - q, f.scale(q), f.primitive()[0]]
+        for g in built:
+            text = render_affine(g)
+            assert str(g) == text       # the first str keeps it
+            assert str(g) == repr(g) == f"{g}" == render_affine(g) == text
+
 
 def _fraction_value(f: AffineForm, p: ParameterPoint) -> Fraction:
     """Reference: k + a c0 + sum_l b_l d_l, summed as Fractions."""
