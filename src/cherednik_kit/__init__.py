@@ -11,7 +11,6 @@ from .combinatorics import (
     StandardTableau,
     as_partition,
     assignment_pair,
-    box_stats,
     composition_compare,
     conjugate,
     dominance_compare,

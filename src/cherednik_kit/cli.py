@@ -253,8 +253,8 @@ def cmd_order_compare(args, out) -> int:
 
 
 def _gordon_text(shape: MultiPartition) -> str:
-    comps = [quotient_component(shape, i) for i in range(1, shape.r + 1)]
-    return "|".join(",".join(str(x) for x in c) for c in comps)
+    return MultiPartition(shape.r, tuple(
+        quotient_component(shape, i) for i in range(1, shape.r + 1))).as_text()
 
 
 def _shape_from_gordon(text: str, r: int) -> MultiPartition:

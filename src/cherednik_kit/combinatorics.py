@@ -72,18 +72,6 @@ def partitions_of(n: int) -> list[Partition]:
     return list(_partitions(n, n))
 
 
-def multipartition_count(r: int, n: int) -> int:
-    """Number of r-partitions of n, via the generating function
-    prod_k (1-q^k)^(-r) expanded to degree n."""
-    coeffs = [0] * (n + 1)
-    coeffs[0] = 1
-    for _ in range(r):
-        for k in range(1, n + 1):
-            for m in range(k, n + 1):
-                coeffs[m] += coeffs[m - k]
-    return coeffs[n]
-
-
 # ---------------------------------------------------------------------------
 # multipartitions and boxes
 
@@ -154,13 +142,6 @@ def _partition_text(part: Partition) -> str:
     """A partition as its comma list, rendered once per distinct partition
     (of the last 4,096): an r-partition's text joins r of them."""
     return ",".join(map(str, part))
-
-
-def box_stats(shape: MultiPartition, b: BoxRef) -> tuple[int, int]:
-    """(content, component residue mod r) of a box; the box must be valid."""
-    if not shape.contains(b):
-        raise ValueError(f"box {b} not in shape {shape}")
-    return (b.content, b.component % shape.r)
 
 
 def parse_int_list(text: str, name: str, form: str = "a comma list of integers",
@@ -238,36 +219,11 @@ def enumerate_multipartitions(r: int, n: int) -> list[MultiPartition]:
 # permutations (one-line notation on {1..n})
 
 
-def perm_identity(n: int) -> Permutation:
-    return tuple(range(1, n + 1))
-
-
-def perm_longest(n: int) -> Permutation:
-    return tuple(range(n, 0, -1))
-
-
 def perm_inverse(w: Permutation) -> Permutation:
     inv = [0] * len(w)
     for i, wi in enumerate(w, start=1):
         inv[wi - 1] = i
     return tuple(inv)
-
-
-def perm_mul(v: Permutation, w: Permutation) -> Permutation:
-    """(v*w)(i) = v(w(i))."""
-    return tuple(v[w[i] - 1] for i in range(len(w)))
-
-
-def perm_length(w: Permutation) -> int:
-    """Coxeter length = inversion count."""
-    n = len(w)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
-
-
-def perm_act(w: Permutation, mu: Sequence[int]) -> tuple[int, ...]:
-    """The left action (w.mu)_i = mu_{w^{-1}(i)}."""
-    inv = perm_inverse(w)
-    return tuple(mu[inv[i] - 1] for i in range(len(mu)))
 
 
 def bruhat_leq(u: Permutation, w: Permutation) -> bool:
@@ -281,17 +237,6 @@ def bruhat_leq(u: Permutation, w: Permutation) -> bool:
             if a > b:
                 return False
     return True
-
-
-def bruhat_interval_elements(w: Permutation) -> set[Permutation]:
-    """Brute-force {u : u <= w}: closure of subwords of one reduced word."""
-    word = reduced_word(w)
-    n = len(w)
-    elems = {perm_identity(n)}
-    for i in word:
-        s = simple_transposition(n, i)
-        elems |= {perm_mul(u, s) for u in elems}
-    return elems
 
 
 def simple_transposition(n: int, i: int) -> Permutation:
@@ -414,14 +359,7 @@ def composition_compare(mu: Sequence[int], nu: Sequence[int]) -> Comparison:
     if sum(mu) != sum(nu):
         raise ValueError("compositions must have equal size")
     if mu_plus != nu_plus:
-        cmp = dominance_compare(mu_plus, nu_plus)
-        if cmp is Comparison.GREATER:
-            return Comparison.GREATER
-        if cmp is Comparison.LESS:
-            return Comparison.LESS
-        return Comparison.INCOMPARABLE
-    if w_mu == w_nu:
-        return Comparison.EQUAL
+        return dominance_compare(mu_plus, nu_plus)
     if bruhat_leq(w_nu, w_mu):
         return Comparison.GREATER
     if bruhat_leq(w_mu, w_nu):
@@ -462,9 +400,6 @@ class StandardTableau:
                         raise ValueError("rows must increase")
                     if i > 0 and j < len(rows[i - 1]) and rows[i - 1][j] >= v:
                         raise ValueError("columns must increase")
-
-    def entry(self, b: BoxRef) -> int:
-        return self.entries[b.component][b.row - 1][b.column - 1]
 
     @functools.cached_property
     def _boxes(self) -> tuple[BoxRef, ...]:
@@ -585,9 +520,6 @@ class ShapeAssignment:
         """S(b) = beta(b) mod r for every box."""
         r = self.shape.r
         return all(self.value(b) % r == b.component % r for b in self.shape.boxes())
-
-    def sorted_values(self) -> tuple[int, ...]:
-        return tuple(sorted(self.value(b) for b in self.shape.boxes()))
 
     def as_text(self) -> str:
         return _filling_text(self.values)

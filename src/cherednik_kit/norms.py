@@ -133,15 +133,16 @@ def _from_keys(r: int, coefficient, net: dict) -> FactoredScalar:
     net counts key -> m.  Each nonzero net key becomes primitive integer
     numerators directly: as k >= 1, the form is primitive when hi != lo; when
     hi = lo it is g * (k/g - (r*ct/g)*c0) with g = gcd(k, r*ct), a constant
-    when ct = 0, and g^m joins the coefficient.  Keys with equal numerators
-    merge, and only a surviving factor becomes a form."""
-    zeros, prims, num, den = [0] * r, {}, coefficient, 1
+    when ct = 0, and g^m joins the coefficient: the net power of each g is
+    summed first, and the powers are multiplied by `_product`.  Keys with
+    equal numerators merge, and only a surviving factor becomes a form."""
+    zeros, prims, powers = [0] * r, {}, {}
     for (k, hi, lo, ct), m in net.items():
         if not m:
             continue
         if hi == lo:
             g = gcd(k, r * ct)
-            num, den = (num * g ** m, den) if m > 0 else (num, den * g ** -m)
+            powers[g] = powers.get(g, 0) + m
             if not ct:
                 continue
             key = (k // g, -r * ct // g, *zeros)
@@ -150,8 +151,20 @@ def _from_keys(r: int, coefficient, net: dict) -> FactoredScalar:
             d[hi], d[lo] = -1, 1
             key = (k, -r * ct, *d)
         prims[key] = prims.get(key, 0) + m
-    return FactoredScalar._canonical(r, Fraction(num, den), {
+    num = _product([g ** m for g, m in powers.items() if m > 0])
+    den = _product([g ** -m for g, m in powers.items() if m < 0])
+    return FactoredScalar._canonical(r, Fraction(coefficient * num, den), {
         AffineForm.from_numerators(r, key): m for key, m in prims.items() if m})
+
+
+def _product(values: list[int]) -> int:
+    """The product of values, multiplied pairwise in a balanced tree: each
+    level's operands have about equal size, so a product of many small
+    integers costs about a few multiplications of the result's size, not one
+    per value."""
+    while len(values) > 1:
+        values = [a * b for a, b in zip(values[::2], values[1::2])] + values[len(values) & ~1:]
+    return values[0] if values else 1
 
 
 def nonsymmetric_norm(mu: Sequence[int], T: StandardTableau) -> FactoredScalar:

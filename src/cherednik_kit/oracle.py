@@ -24,8 +24,9 @@ builds and keeps, both read through IrrepModel.table(kind, i, key):
 The module is the standard module over Q(zeta_r), but every structure
 constant it reads at a rational ParameterPoint is rational: a ModuleElement
 holds integer numerators over one denominator, as the irrep's tables do.  No
-oracle path builds a CycNumber; only _kernel, kept for the tests and the
-benchmark, takes them.  verify_report runs shape by shape, one
+oracle path builds a CycNumber, and no library module imports `cyclotomic`:
+_kernel, kept for the tests and the benchmark, takes the elements of the
+field it is given.  verify_report runs shape by shape, one
 module alive at a time.  It certifies the defining relations and the y/z
 commutativity on the irrep's point-free tables, for every parameter at once,
 on keys up to POINT_FREE_DEGREE, and runs its other checks at the point, on
@@ -59,7 +60,6 @@ from .combinatorics import (
     perm_inverse,
     simple_transposition,
 )
-from .cyclotomic import CycNumber, CyclotomicField
 from .irrep import (POINT_DEGREE, POINT_FREE_DEGREE, IrrepModel, Table, _bump,
                     _commutator_vanishes, _descent, build_irrep)
 from .scalars import ParameterPoint, random_point
@@ -171,14 +171,6 @@ class StandardModule:
         # dicts over _den: _images[kind][i - 1][key]; no cycle through self
         self._images = {kind: [{} for _ in range(self.n)] for kind in ("y_table", "z_table")}
         self._twisted: dict = {}   # (nu, s) -> twisted_column(nu, s)
-
-    # -- constructors --------------------------------------------------------
-
-    def zero(self) -> ModuleElement:
-        return ModuleElement(self, {})
-
-    def basis_vector(self, t_idx: int, nu: tuple[int, ...] | None = None) -> ModuleElement:
-        return ModuleElement(self, {((0,) * self.n if nu is None else tuple(nu), t_idx): 1})
 
     def gram_weight(self, T: StandardTableau) -> Fraction:
         return self.irrep.gram[self.irrep.index[T]]
@@ -359,10 +351,6 @@ class StandardModule:
                 diag, den * twist_den)
         return column
 
-    def x_power(self, nu: Sequence[int], elt: ModuleElement) -> ModuleElement:
-        out = {(tuple(map(operator.add, kappa, nu)), t): c for (kappa, t), c in elt.nums.items()}
-        return ModuleElement._reduced(self, out, elt.den)
-
     def eigenvector_generic(self, mu: Sequence[int], T: StandardTableau,
                             rng: random.Random) -> tuple["StandardModule", ModuleElement]:
         """Retry wrapper: on collision, rebuild at a fresh random point."""
@@ -429,8 +417,9 @@ class StandardModule:
         return v
 
 
-def _kernel(rows: list[list[CycNumber]], width: int, f: CyclotomicField) -> list[list[CycNumber]]:
-    """Kernel basis of the matrix given by rows, by exact Gauss-Jordan
+def _kernel(rows: list[list], width: int, f) -> list[list]:
+    """Kernel basis of the matrix given by rows of elements of the field f
+    (its `zero`, `one`, and each element's `inverse`), by exact Gauss-Jordan
     elimination.  No oracle path calls it: the tests keep it as the reference
     that `StandardModule.eigenvector` is checked against, and the benchmark's
     tracer wraps it by name."""

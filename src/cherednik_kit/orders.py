@@ -71,11 +71,6 @@ class OrderContext:
     def c0(self) -> Fraction:
         return self.point.c0
 
-    def charge(self, b: BoxRef) -> Fraction:
-        """d_beta(b)/(r c0) + ct(b)."""
-        p = self.point
-        return p.d[b.component % p.r] / (p.r * p.c0) + b.content
-
     def integer_charges(self) -> Optional[tuple[int, ...]]:
         """(a_1, ..., a_r) with a_i = d_{r-i}/(r c0), when all are integers."""
         m, theta, _ = self.charges
@@ -199,7 +194,8 @@ class BetaSet:
         return self.shift + lam_j - j + 1
 
     def members_down_to(self, floor: Fraction) -> list[Fraction]:
-        """All members >= floor (finitely many)."""
+        """All members >= floor (finitely many).  No library path calls it;
+        it is public for readers of a beta set, as demo 03 is."""
         out = []
         j = 1
         while True:

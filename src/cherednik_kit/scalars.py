@@ -302,18 +302,6 @@ class FactoredScalar:
         dict is stored, not copied."""
         return object.__new__(FactoredScalar)._set(r, coefficient, factors)
 
-    @staticmethod
-    def one(r: int) -> "FactoredScalar":
-        return FactoredScalar(r)
-
-    @staticmethod
-    def from_rational(r: int, q) -> "FactoredScalar":
-        return FactoredScalar(r, q)
-
-    @staticmethod
-    def from_affine(f: AffineForm) -> "FactoredScalar":
-        return FactoredScalar(f.r, 1, (f,))
-
     def _sorted(self) -> list:
         """(factor, multiplicity) pairs in `AffineForm.key` order, which for
         primitive forms of one r is the order of their numerators."""

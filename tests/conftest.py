@@ -1,11 +1,14 @@
+import operator
 import random
 import warnings
 from fractions import Fraction
 
 import pytest
 
-from cherednik_kit.combinatorics import BoxRef, MultiPartition, ShapeAssignment
+from cherednik_kit.combinatorics import (BoxRef, MultiPartition, ShapeAssignment, perm_inverse,
+                                         reduced_word, simple_transposition)
 from cherednik_kit.irrep import _apply
+from cherednik_kit.oracle import ModuleElement
 from cherednik_kit.scalars import ParameterPoint
 
 # hypothesis imports this module when it reports a failing property; under
@@ -30,14 +33,30 @@ def small_point(r: int, rng: random.Random, span: int = 30) -> ParameterPoint:
     )
 
 
+def zero(mod):
+    """The zero vector of the module."""
+    return ModuleElement(mod, {})
+
+
+def basis_vector(mod, t_idx: int, nu=None):
+    """The basis vector x^nu v_t (x^0 v_t when nu is None)."""
+    return ModuleElement(mod, {((0,) * mod.n if nu is None else tuple(nu), t_idx): 1})
+
+
 def tableau_vector(mod, T):
     """The basis vector v_T = x^0 v_T of the module."""
-    return mod.basis_vector(mod.irrep.index[T])
+    return basis_vector(mod, mod.irrep.index[T])
+
+
+def x_power(mod, nu, elt):
+    """x^nu elt: each exponent of elt raised by nu."""
+    out = {(tuple(map(operator.add, kappa, nu)), t): c for (kappa, t), c in elt.nums.items()}
+    return ModuleElement._reduced(mod, out, elt.den)
 
 
 def x_mul(mod, i: int, elt):
     """x_i elt: x_power of the unit exponent e_i."""
-    return mod.x_power(tuple(int(k == i) for k in range(1, mod.n + 1)), elt)
+    return x_power(mod, tuple(int(k == i) for k in range(1, mod.n + 1)), elt)
 
 
 def twisted_coordinates(mod, elt) -> dict:
@@ -52,6 +71,44 @@ def twisted_coordinates(mod, elt) -> dict:
         for t, c in _apply(twist, nums).items():
             out[nu, t] = Fraction(c, elt.den * den)
     return out
+
+
+# -- permutations of {1..n} in one-line notation, as the tests read them --
+
+def perm_identity(n: int):
+    return tuple(range(1, n + 1))
+
+
+def perm_longest(n: int):
+    return tuple(range(n, 0, -1))
+
+
+def perm_mul(v, w):
+    """(v*w)(i) = v(w(i))."""
+    return tuple(v[w[i] - 1] for i in range(len(w)))
+
+
+def perm_length(w) -> int:
+    """Coxeter length = inversion count."""
+    n = len(w)
+    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+
+
+def perm_act(w, mu):
+    """The left action (w.mu)_i = mu_{w^{-1}(i)}."""
+    inv = perm_inverse(w)
+    return tuple(mu[inv[i] - 1] for i in range(len(mu)))
+
+
+def bruhat_interval_elements(w) -> set:
+    """Brute-force {u : u <= w}: closure of subwords of one reduced word."""
+    word = reduced_word(w)
+    n = len(w)
+    elems = {perm_identity(n)}
+    for i in word:
+        s = simple_transposition(n, i)
+        elems |= {perm_mul(u, s) for u in elems}
+    return elems
 
 
 def compositions(n: int, max_total: int):

@@ -56,8 +56,8 @@ from cherednik_kit.orders import (
 )
 from cherednik_kit.scalars import FactoredScalar, ParameterPoint, PoleError, proportional
 
-from conftest import (compositions, enumerate_assignments, small_point, tableau_vector,
-                      twisted_coordinates)
+from conftest import (basis_vector, compositions, enumerate_assignments, small_point,
+                      tableau_vector, twisted_coordinates, x_power)
 
 ORACLE_RANGE = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)]
 
@@ -278,12 +278,12 @@ def test_criterion_7_structural_suite(rng):
             for deg in range(3):
                 for nu in mod.monomials(deg):
                     for t, T in enumerate(mod.irrep.tableaux):
-                        e = mod.basis_vector(t, nu)
+                        e = basis_vector(mod, t, nu)
                         for i in range(1, n + 1):
                             for j in range(i + 1, n + 1):
                                 assert mod.z_act(i, mod.z_act(j, e)) == mod.z_act(
                                     j, mod.z_act(i, e))
-                        twisted_elt = mod.x_power(nu, mod.apply_perm(
+                        twisted_elt = x_power(mod, nu, mod.apply_perm(
                             perm_inverse(sorting_data(nu)[2]), tableau_vector(mod, T)))
                         data = spectrum(nu, T)
                         for i in range(1, n + 1):

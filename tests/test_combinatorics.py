@@ -14,8 +14,6 @@ from cherednik_kit.combinatorics import (
     StandardTableau,
     as_partition,
     assignment_pair,
-    box_stats,
-    bruhat_interval_elements,
     bruhat_leq,
     composition_compare,
     conjugate,
@@ -23,19 +21,16 @@ from cherednik_kit.combinatorics import (
     dominance_via_contents,
     enumerate_multipartitions,
     enumerate_syt,
-    multipartition_count,
     parse_assignment,
     parse_multipartition,
     parse_tableau,
     partitions_of,
-    perm_act,
-    perm_identity,
-    perm_length,
-    perm_longest,
-    perm_mul,
     shape_assignment,
     sorting_data,
 )
+
+from conftest import (bruhat_interval_elements, perm_act, perm_identity, perm_length,
+                      perm_longest, perm_mul)
 
 PAPER_SHAPE = parse_multipartition("3,2|2,2")
 PAPER_T = parse_tableau("1,3,4/8,9|2,6/5,7", PAPER_SHAPE)
@@ -53,6 +48,13 @@ class TestConjugate:
         for n in range(9):
             for lam in partitions_of(n):
                 assert conjugate(conjugate(lam)) == lam
+
+
+def box_stats(shape: MultiPartition, b: BoxRef) -> tuple[int, int]:
+    """(content, component residue mod r) of a box; the box must be valid."""
+    if not shape.contains(b):
+        raise ValueError(f"box {b} not in shape {shape}")
+    return (b.content, b.component % shape.r)
 
 
 class TestBoxStats:
@@ -151,6 +153,35 @@ class TestDominance:
                     assert dominance_via_contents(lam, chi) == expect
 
 
+def _longest_sorting(mu):
+    """The longest w with w.mu non-decreasing, by search over all w."""
+    minus = tuple(sorted(mu))
+    return max((p for p in itertools.permutations(range(1, len(mu) + 1))
+                if perm_act(p, mu) == minus), key=perm_length)
+
+
+def _reference_compare(mu, nu):
+    """The composition order from its definition: dominance of the sorted
+    parts by partial sums, and for equal sorted parts the Bruhat order of the
+    longest sorting permutations, read from the subword closure."""
+    if mu == nu:
+        return Comparison.EQUAL
+    plus_mu, plus_nu = sorted(mu, reverse=True), sorted(nu, reverse=True)
+    if plus_mu != plus_nu:
+        sums = list(zip(itertools.accumulate(plus_mu), itertools.accumulate(plus_nu)))
+        if all(a >= b for a, b in sums):
+            return Comparison.GREATER
+        if all(a <= b for a, b in sums):
+            return Comparison.LESS
+        return Comparison.INCOMPARABLE
+    w_mu, w_nu = _longest_sorting(mu), _longest_sorting(nu)
+    if w_nu in bruhat_interval_elements(w_mu):
+        return Comparison.GREATER
+    if w_mu in bruhat_interval_elements(w_nu):
+        return Comparison.LESS
+    return Comparison.INCOMPARABLE
+
+
 class TestCompositionOrder:
     def test_examples(self):
         assert composition_compare((2, 0), (2, 0)) is Comparison.EQUAL
@@ -177,6 +208,31 @@ class TestCompositionOrder:
                             for c in comps:
                                 if rel[(b, c)] is Comparison.GREATER:
                                     assert rel[(a, c)] is Comparison.GREATER
+
+    def test_matches_the_reference_on_every_small_pair(self):
+        # every ordered pair of compositions of one length n <= 4 and one
+        # total <= 5: 5,787 pairs
+        pairs = 0
+        for n in range(1, 5):
+            for total in range(6):
+                comps = [c for c in itertools.product(range(total + 1), repeat=n)
+                         if sum(c) == total]
+                for a, b in itertools.product(comps, repeat=2):
+                    assert composition_compare(a, b) is _reference_compare(a, b), (a, b)
+                    pairs += 1
+        assert pairs == 5787
+
+
+def multipartition_count(r: int, n: int) -> int:
+    """Number of r-partitions of n, via the generating function
+    prod_k (1-q^k)^(-r) expanded to degree n."""
+    coeffs = [0] * (n + 1)
+    coeffs[0] = 1
+    for _ in range(r):
+        for k in range(1, n + 1):
+            for m in range(k, n + 1):
+                coeffs[m] += coeffs[m - k]
+    return coeffs[n]
 
 
 class TestEnumeration:

@@ -1,3 +1,4 @@
+import ast
 import collections
 import dataclasses
 import functools
@@ -5,6 +6,7 @@ import gc
 import graphlib
 import itertools
 import math
+import pathlib
 import random
 import tracemalloc
 import types
@@ -21,8 +23,6 @@ from cherednik_kit.combinatorics import (
     enumerate_multipartitions,
     enumerate_syt,
     parse_multipartition,
-    perm_longest,
-    perm_mul,
     reduced_word,
     shape_assignment,
     simple_transposition,
@@ -51,8 +51,8 @@ from cherednik_kit.oracle import (
 )
 from cherednik_kit.scalars import ParameterPoint, random_point
 
-from conftest import (compositions, enumerate_assignments, small_point, tableau_vector,
-                      twisted_coordinates, x_mul)
+from conftest import (basis_vector, compositions, enumerate_assignments, perm_longest, perm_mul,
+                      small_point, tableau_vector, twisted_coordinates, x_mul, x_power, zero)
 from test_acceptance import ORACLE_RANGE
 
 
@@ -226,7 +226,7 @@ def test_integer_validation_matches_the_literal_products(r, n):
     assert rejected > 0 or n == 1   # at n = 1 no relation reads a residue
 
 
-# the module's own y_act, z_act and x_power at a point, beside verify_report's
+# the module's own y_act and z_act at a point, beside verify_report's
 # checks on the point-free tables: over Q at r = 2, and over the degree-2
 # fields Q(zeta_3) and Q(zeta_4)
 POINT_LEVEL_SHAPES = ("1|1", "1|1|1", "1||1|")
@@ -237,11 +237,11 @@ class TestYAction:
         mod = StandardModule(parse_multipartition("1,1|1"), small_point(2, rng))
         for t in range(mod.irrep.dim):
             for i in (1, 2, 3):
-                assert mod.y_act(i, mod.basis_vector(t)).is_zero()
+                assert mod.y_act(i, basis_vector(mod, t)).is_zero()
 
     def test_rank_one_weyl_relation(self):
         mod = StandardModule(parse_multipartition("1"), ParameterPoint(1, Fraction(2, 3), [0]))
-        v = mod.basis_vector(0)
+        v = basis_vector(mod, 0)
         assert mod.y_act(1, x_mul(mod, 1, v)) == v
 
     def test_y_commutation_2_2(self, rng):
@@ -250,7 +250,7 @@ class TestYAction:
             for deg in range(4):
                 for nu in mod.monomials(deg):
                     for t in range(mod.irrep.dim):
-                        e = mod.basis_vector(t, nu)
+                        e = basis_vector(mod, t, nu)
                         for i, j in itertools.combinations(range(1, mod.n + 1), 2):
                             assert mod.y_act(i, mod.y_act(j, e)) == mod.y_act(j, mod.y_act(i, e))
 
@@ -261,7 +261,7 @@ class TestYAction:
             for deg in range(3):
                 for nu in mod.monomials(deg):
                     for t in range(mod.irrep.dim):
-                        e = mod.basis_vector(t, nu)
+                        e = basis_vector(mod, t, nu)
                         for i in range(1, n + 1):
                             for j in range(1, n + 1):
                                 lhs = (mod.y_act(i, x_mul(mod, j, e))
@@ -290,7 +290,7 @@ class TestZAction:
             for deg in range(4):
                 for nu in mod.monomials(deg):
                     for t in range(mod.irrep.dim):
-                        e = mod.basis_vector(t, nu)
+                        e = basis_vector(mod, t, nu)
                         for i, j in itertools.combinations(range(1, mod.n + 1), 2):
                             assert mod.z_act(i, mod.z_act(j, e)) == mod.z_act(j, mod.z_act(i, e))
 
@@ -302,7 +302,7 @@ class TestZAction:
         for deg in range(3):
             for nu in mod.monomials(deg):
                 for t, T in enumerate(mod.irrep.tableaux):
-                    elt = mod.x_power(nu, mod.apply_perm(
+                    elt = x_power(mod, nu, mod.apply_perm(
                         perm_inverse(sorting_data(nu)[2]), tableau_vector(mod, T)))
                     data = spectrum(nu, T)
                     for i in (1, 2):
@@ -318,7 +318,7 @@ class TestPairing:
         mod = StandardModule(parse_multipartition("2,1|"), small_point(2, rng))
         for s in range(mod.irrep.dim):
             for t in range(mod.irrep.dim):
-                val = mod.pairing(mod.basis_vector(s), mod.basis_vector(t))
+                val = mod.pairing(basis_vector(mod, s), basis_vector(mod, t))
                 if s == t:
                     assert val == mod.irrep.gram[t]
                 else:
@@ -327,7 +327,7 @@ class TestPairing:
     def test_rank_one_factorial(self):
         mod = StandardModule(parse_multipartition("1"), ParameterPoint(1, Fraction(1, 5), [0]))
         for m in range(5):
-            v = mod.x_power((m,), mod.basis_vector(0))
+            v = x_power(mod, (m,), basis_vector(mod, 0))
             assert mod.norm(v) == math.factorial(m)
 
     def test_self_adjointness_random(self, rng):
@@ -350,7 +350,7 @@ class TestPairing:
         # its lowered-vector cache must die with the call, not wait for the
         # cyclic collector (that wait set the oracle's peak memory)
         mod = StandardModule(parse_multipartition("2|1"), small_point(2, rng))
-        v = mod.x_power((2, 1, 1), mod.basis_vector(0))
+        v = x_power(mod, (2, 1, 1), basis_vector(mod, 0))
         gc.collect()
         gc.disable()
         try:
@@ -363,7 +363,7 @@ class TestPairing:
         # y kills degree 0; test_pairing_matches_lowering_term_by_term checks
         # that every other y- and z-image is canonical
         mod = StandardModule(parse_multipartition("1|1,1", 2), small_point(2, rng))
-        zero = mod.y_act(2, mod.basis_vector(1).scale(Fraction(3, 4)))
+        zero = mod.y_act(2, basis_vector(mod, 1).scale(Fraction(3, 4)))
         assert (zero.nums, zero.den) == ({}, 1)
 
 
@@ -541,8 +541,8 @@ class TestTwistedTable:
                 for nu, s in itertools.product(compositions(n, 2), range(irrep.dim)):
                     den, vec, images, diag, diag_den = mod.twisted_column(nu, s)
                     elt = ModuleElement._reduced(mod, vec, den)
-                    assert elt == mod.x_power(nu, mod.apply_perm(
-                        perm_inverse(sorting_data(nu)[2]), mod.basis_vector(s)))
+                    assert elt == x_power(mod, nu, mod.apply_perm(
+                        perm_inverse(sorting_data(nu)[2]), basis_vector(mod, s)))
                     for i in range(1, n + 1):
                         image = ModuleElement._reduced(mod, images[i - 1], den)
                         assert image == mod.z_act(i, elt)
@@ -570,9 +570,9 @@ class TestIntertwiners:
         mod = StandardModule(parse_multipartition("1|1"), small_point(2, rng))
         for read in (mod.eigenvalue_of, mod.zeta_residue):
             with pytest.raises(ValueError, match="zero vector"):
-                read(1, mod.zero())
+                read(1, zero(mod))
         # x_1 v and v have zeta_1-residues one apart mod 2
-        mixed = mod.basis_vector(0) + mod.basis_vector(0, (1, 0))
+        mixed = basis_vector(mod, 0) + basis_vector(mod, 0, (1, 0))
         with pytest.raises(ValueError, match="not a zeta_1 eigenvector"):
             mod.zeta_residue(1, mixed)
 
@@ -632,7 +632,7 @@ class TestSymmetrize:
     def test_trivial_shape(self, rng):
         shape = parse_multipartition("3|")
         mod = StandardModule(shape, small_point(2, rng))
-        v = mod.basis_vector(0)
+        v = basis_vector(mod, 0)
         assert mod.symmetrize(v) == v.scale(6)
 
     def test_non_column_strict_assignments_die(self, rng):
@@ -703,7 +703,7 @@ class TestSymmetrize:
 
 def _permutation_sum(mod, v):
     """Reference: the symmetrizer as the sum of all n! permutations."""
-    out = mod.zero()
+    out = zero(mod)
     for w in itertools.permutations(range(1, mod.n + 1)):
         out = out + mod.apply_perm(tuple(w), v)
     return out
@@ -1079,8 +1079,8 @@ class TestBlockLayout:
         # y_1 at degree 700 and the pairing's lowering read the first-nonzero
         # chain down to degree 0; each raise finds the exponent below it built
         mod = StandardModule(parse_multipartition("1"), ParameterPoint(1, Fraction(1, 5), [0]))
-        v = mod.x_power((700,), mod.basis_vector(0))
-        assert mod.y_act(1, v) == mod.x_power((699,), mod.basis_vector(0)).scale(700)
+        v = x_power(mod, (700,), basis_vector(mod, 0))
+        assert mod.y_act(1, v) == x_power(mod, (699,), basis_vector(mod, 0)).scale(700)
         assert mod.norm(v) == math.factorial(700)
 
     def test_a_minimal_norm_far_above_the_block_degree(self):
@@ -1364,7 +1364,7 @@ def _point_valued_y(mod, i, nu, t, cache):
     if (i, nu, t) not in cache:
         j = next((k + 1 for k, e in enumerate(nu) if e), None)
         if j is None:
-            cache[i, nu, t] = mod.zero()
+            cache[i, nu, t] = zero(mod)
         else:
             low = nu[:j - 1] + (nu[j - 1] - 1,) + nu[j:]
             cache[i, nu, t] = (x_mul(mod, j, _point_valued_y(mod, i, low, t, cache))
@@ -1393,7 +1393,7 @@ def test_tables_specialize_to_the_point_valued_recursion(r, n):
             keys = [(nu, t) for deg in range(4) for nu in mod.monomials(deg)
                     for t in range(irrep.dim)]
             for (nu, t), i in itertools.product(keys, range(1, n + 1)):
-                e = mod.basis_vector(t, nu)
+                e = basis_vector(mod, t, nu)
                 assert mod.y_act(i, e) == _point_valued_y(mod, i, nu, t, cache)
                 assert mod.z_act(i, e) == _point_valued_z(mod, i, nu, t, cache)
                 for j in range(1, n + 1):
@@ -1540,7 +1540,7 @@ def _kernel_eigenvector(mod, mu, T):
     kernel = _kernel(stacked, len(block), f)
     if len(kernel) != 1:
         raise EigenvalueCollision(f"kernel dimension {len(kernel)}")
-    lead = mod.x_power(mu, mod.apply_perm(perm_inverse(sorting_data(mu)[2]),
+    lead = x_power(mod, mu, mod.apply_perm(perm_inverse(sorting_data(mu)[2]),
                                           tableau_vector(mod, T)))
     den, vec = mod.twisted_column(mu, mod.irrep.index[T])[:2]
     assert lead == ModuleElement._reduced(mod, vec, den)
@@ -1883,7 +1883,7 @@ class TestIntegerTriangularity:
         assert c == den == diag_den == mod._den and mod.irrep.twist(nu)[0] == (
             tuple({swap.get(b, b): 1} for b in range(mod.irrep.dim)), 1)
         term = (nu, a) if to is None else (to, 1 - a if to == nu else 0)
-        mod.z_act(i + 1, mod.basis_vector(a, nu))
+        mod.z_act(i + 1, basis_vector(mod, a, nu))
         if "image" in into:
             for table in (images[i], mod._images["z_table"][i][nu, a]):
                 table[term] = table.get(term, 0) + 1
@@ -1978,3 +1978,23 @@ def test_oracle_holds_nothing_from_the_closed_formulas():
     from cherednik_kit import norms
     assert not [name for name, value in vars(oracle).items()
                 if value is norms or getattr(value, "__module__", None) == norms.__name__]
+
+
+def test_no_library_module_imports_cyclotomic():
+    # Q(zeta_r) is the tests' reference field and the benchmark's probe
+    # target: the library computes over Q and imports it nowhere
+    src = pathlib.Path(oracle.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "cyclotomic.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            if any("cyclotomic" in name.split(".") for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert len(list(src.glob("*.py"))) > 2 and found == []

@@ -47,8 +47,14 @@ def lattice_context(r, rng, span=2):
     return OrderContext(ParameterPoint(r, c0, d))
 
 
+def charge(ctx, b):
+    """theta(b) = d_beta(b)/(r c0) + ct(b)."""
+    p = ctx.point
+    return p.d[b.component % p.r] / (p.r * p.c0) + b.content
+
+
 def _charges(shape, ctx):
-    return [(ctx.charge(b), b.component) for b in shape.boxes()]
+    return [(charge(ctx, b), b.component) for b in shape.boxes()]
 
 
 def _count(charges, j, l):
@@ -108,7 +114,7 @@ class TestGeqC:
             b = shapes[rng.randrange(len(shapes))]
             ctx = ctx_of(r, Fraction(rng.randint(1, 4), rng.randint(1, 3)),
                          [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(r)])
-            thresholds = sorted({ctx.charge(x) for s in (a, b) for x in s.boxes()})
+            thresholds = sorted({charge(ctx, x) for s in (a, b) for x in s.boxes()})
             dense = thresholds + [t + Fraction(1, 7) for t in thresholds]
             dense += [thresholds[0] - 1] if thresholds else [Fraction(0)]
             ca, cb = _charges(a, ctx), _charges(b, ctx)

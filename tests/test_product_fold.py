@@ -19,6 +19,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cherednik_kit import norms
 from cherednik_kit.cli import build_parser
 from cherednik_kit.combinatorics import (
     MultiPartition,
@@ -277,3 +278,48 @@ def test_large_shape_outputs_are_pinned(command):
         digest.update(out.getvalue().encode())
         size += len(out.getvalue())
     assert (size, digest.hexdigest()) == LARGE_PINS[command]
+
+
+# -- the constants of a long product -------------------------------------------
+
+# `norm-f --r 1 --shape 2 --mu 1,25000`, taken before the constants were
+# multiplied in a balanced tree: (bytes, sha256)
+LONG_NORM_PIN = (497292, "f94ea6bc2398505238f87c91447b02d95b3a56f75b60062e11727e25ca87693b")
+
+
+def test_long_product_output_is_pinned():
+    out = io.StringIO()
+    args = build_parser().parse_args(["norm-f", "--r", "1", "--shape", "2", "--mu", "1,25000"])
+    assert args.func(args, out) == 0
+    text = out.getvalue()
+    assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == LONG_NORM_PIN
+
+
+def test_constants_multiply_in_a_balanced_tree(monkeypatch):
+    # At r = 1 every key of nonsymmetric_norm((1, N), T) is a constant g
+    # times a form: about 3N constants, whose product has ~44,000 bits at
+    # N = 4000.  Multiplied one at a time, each product past the first B bits
+    # has an operand above B bits (about 7,700 of them at B = 1024); in a
+    # balanced tree, about bits / B do.
+    T, = enumerate_syt(parse_multipartition("2", 1))
+    expect = nonsymmetric_norm((1, 4000), T)
+    sizes = []
+
+    class Counted(int):
+        """An int whose products and powers stay Counted; each product
+        records the bit length of its larger operand."""
+
+        def __mul__(self, other):
+            sizes.append(max(self.bit_length(), other.bit_length()))
+            return Counted(int(self) * int(other))
+
+        __rmul__ = __mul__
+
+        def __pow__(self, e):
+            return Counted(int(self) ** e)
+
+    monkeypatch.setattr(norms, "gcd", lambda a, b: Counted(math.gcd(a, b)))
+    got = nonsymmetric_norm((1, 4000), T)
+    assert got == expect
+    bits, large = got.coefficient.numerator.bit_length(), sum(s > 1024 for s in sizes)
+    assert bits > 40000 and 0 < large <= 2 * bits // 1024

@@ -117,7 +117,7 @@ class TestFactoredScalar:
         x = form(1, c0=1)
         s = FactoredScalar(1, 1, (x, form(1, const=1, c0=1)), (x,))
         assert s.evaluate(ParameterPoint(1, 0, [0])) == 1
-        assert (FactoredScalar.from_affine(x) / x).evaluate(ParameterPoint(1, 0, [0])) == 1
+        assert (FactoredScalar(1, 1, (x,)) / x).evaluate(ParameterPoint(1, 0, [0])) == 1
 
     def test_evaluate_distributes(self, rng):
         r = 2
@@ -158,7 +158,7 @@ def _scalar_ops(draw, r):
 
 
 def _stepwise(r, coef, ops):
-    s = FactoredScalar.from_rational(r, coef)
+    s = FactoredScalar(r, coef)
     for f, sign in ops:
         s = s * f if sign > 0 else s / f
     return s
@@ -443,8 +443,8 @@ class TestProportional:
         assert proportional(a, b) == 2
 
     def test_not_proportional(self):
-        a = FactoredScalar.from_affine(form(1, const=1, c0=1))
-        b = FactoredScalar.from_affine(form(1, const=1, c0=2))
+        a = FactoredScalar(1, 1, (form(1, const=1, c0=1),))
+        b = FactoredScalar(1, 1, (form(1, const=1, c0=2),))
         assert proportional(a, b) is None
 
     def test_scaled_factors(self):
