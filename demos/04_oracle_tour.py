@@ -6,7 +6,6 @@ eigenvector, and certifies the closed norm formulas against the
 relation-driven contravariant pairing -- the independent check behind the
 whole library.
 """
-import random
 from fractions import Fraction
 
 from cherednik_kit.combinatorics import assignment_pair, parse_multipartition

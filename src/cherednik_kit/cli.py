@@ -17,13 +17,12 @@ Conventions shared by all subcommands:
 - output is byte-deterministic for fixed flags and seed (oracle verify
   timings can be suppressed with --no-timings for golden files).
 
-Every subcommand but `aspherical list` and `oracle verify` writes through one
-output path, `_emit`: with `--format json` the envelope {"schema":
-"cherednik-kit/1", "command": <subcommand and action, e.g. "order compare">,
-"result": ...}, otherwise its text lines.  `aspherical list --json` and
-`aspherical list --format json` both emit the documented bare array of
-hyperplane objects, and `oracle verify`'s report (which carries the schema)
-is its JSON.
+Every subcommand writes through one output path, `_emit`: with `--format
+json` the envelope {"schema": "cherednik-kit/1", "command": <subcommand and
+action, e.g. "order compare">, "result": ...}, otherwise its text (or TSV)
+lines.  Two commands emit their JSON bare: `aspherical list` the documented
+array of hyperplane objects, and `oracle verify` its report, which carries
+the schema.
 """
 from __future__ import annotations
 
@@ -98,18 +97,16 @@ def _point(args) -> ParameterPoint:
     return ParameterPoint(args.r, parse_rational(args.c0), _parse_d(args.d, args.r))
 
 
-def _emit_json(payload, out) -> None:
-    json.dump(payload, out, sort_keys=True, indent=2)
-    out.write("\n")
-
-
-def _emit(args, out, result, lines) -> int:
-    """The one output path of the enveloped commands: for --format json the
-    envelope naming the parsed subcommand (with its action, if any), else the
-    text lines."""
+def _emit(args, out, result, lines, *, bare=False) -> int:
+    """The one output path: for --format json the result, in the envelope
+    naming the parsed subcommand (with its action, if any) unless `bare`,
+    else the text lines."""
     if args.format == "json":
-        command = " ".join(filter(None, (args.command, getattr(args, "action", None))))
-        _emit_json({"schema": SCHEMA, "command": command, "result": result}, out)
+        if not bare:
+            command = " ".join(filter(None, (args.command, getattr(args, "action", None))))
+            result = {"schema": SCHEMA, "command": command, "result": result}
+        json.dump(result, out, sort_keys=True, indent=2)
+        out.write("\n")
     else:
         for line in lines:
             out.write(line + "\n")
@@ -193,8 +190,6 @@ def cmd_hook(args, out) -> int:
 
 
 def cmd_aspherical_list(args, out) -> int:
-    if args.json and args.format not in (None, "json"):
-        raise UsageError(f"--json and --format {args.format} are mutually exclusive")
     if args.p is not None and args.xi is not None:
         raise UsageError("--p and --xi are mutually exclusive")
     if args.p is not None:
@@ -207,19 +202,13 @@ def cmd_aspherical_list(args, out) -> int:
         planes = hyperplanes_twisted(args.r, args.n, LinearCharacter(i, j))
     else:
         planes = hyperplanes_rectangle(args.r, args.n)
-    objs = [h.as_json_obj() for h in planes]
-    if args.json or args.format == "json":
-        _emit_json(objs, out)
-    elif args.format == "tsv":
-        out.write("kind\tk\tl\tm\tform\n")
-        for h in planes:
-            l = "" if h.l is None else h.l
-            out.write(f"{h.kind}\t{h.k}\t{l}\t{h.m}\t{h.form}\n")
+    if args.format == "tsv":
+        lines = ["kind\tk\tl\tm\tform"] + [
+            f"{h.kind}\t{h.k}\t{'' if h.l is None else h.l}\t{h.m}\t{h.form}" for h in planes]
     else:
-        for h in planes:
-            l = "-" if h.l is None else h.l
-            out.write(f"{h.form} = 0    [kind={h.kind} k={h.k} l={l} m={h.m}]\n")
-    return 0
+        lines = [f"{h.form} = 0    [kind={h.kind} k={h.k} "
+                 f"l={'-' if h.l is None else h.l} m={h.m}]" for h in planes]
+    return _emit(args, out, [h.as_json_obj() for h in planes], lines, bare=True)
 
 
 def cmd_aspherical_test(args, out) -> int:
@@ -286,15 +275,8 @@ def cmd_core_quotient(args, out) -> int:
 
 
 def cmd_oracle_verify(args, out) -> int:
-    seed = args.seed
-    if seed is None:
-        text = os.environ.get("CHEREDNIK_SEED", "0")
-        try:
-            seed = int(text)
-        except ValueError:
-            raise UsageError(f"CHEREDNIK_SEED must be an integer, not {text!r}") from None
     try:
-        report = verify_report(args.r, args.n, degree=args.degree, seed=seed,
+        report = verify_report(args.r, args.n, degree=args.degree, seed=args.seed,
                                shape_text=args.shape)
     except ValueError as exc:   # the checks catch their own errors: a bad flag
         raise UsageError(str(exc)) from None
@@ -302,13 +284,12 @@ def cmd_oracle_verify(args, out) -> int:
     if not args.timings:
         for c in report["checks"]:
             c.pop("seconds", None)
-    if args.format == "text":
-        for c in report["checks"]:
-            stamp = f' ({c["seconds"]}s)' if args.timings else ""
-            out.write(f'{c["status"]:4s} {c["name"]}{stamp}: {c["details"]}\n')
-        out.write(("ok" if report["ok"] else "FAILED") + "\n")
-    else:
-        _emit_json(report, out)
+    lines = []
+    for c in report["checks"]:
+        stamp = f' ({c["seconds"]}s)' if args.timings else ""
+        lines.append(f'{c["status"]:4s} {c["name"]}{stamp}: {c["details"]}')
+    lines.append("ok" if report["ok"] else "FAILED")
+    _emit(args, out, report, lines, bare=True)
     return 0 if report["ok"] else 1
 
 
@@ -334,8 +315,7 @@ def _non_negative_int(text: str) -> int:
 def _leaf(sub, name, func, help, *flags, formats=("text", "json"), default="text", actions=None):
     """Add a leaf subcommand: its positional action if `actions` are given,
     --r, the (flag, add_argument kwargs) pairs in order, --format, and the
-    handler `func`.  A `default` of None means text, with an explicit
-    --format still visible to the handler."""
+    handler `func`."""
     p = sub.add_parser(name, help=help)
     if actions:
         p.add_argument("action", choices=actions)
@@ -343,7 +323,7 @@ def _leaf(sub, name, func, help, *flags, formats=("text", "json"), default="text
     for flag, kwargs in flags:
         p.add_argument(flag, **kwargs)
     p.add_argument("--format", choices=formats, default=default,
-                   help=f"output format (default {default or 'text'})")
+                   help=f"output format (default {default})")
     p.set_defaults(func=func)
 
 
@@ -389,8 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       "parameters (p | r, n >= 3), forms then over "
                                       "d_0..d_{r/p-1}; not yet the G(r,p,n) aspherical "
                                       "set")),
-          ("--json", dict(action="store_true", help="emit the bare JSON array")),
-          formats=("text", "json", "tsv"), default=None)
+          formats=("text", "json", "tsv"))
     _leaf(asub, "test", cmd_aspherical_test, "membership test for a parameter point", n, c0, d)
 
     p = sub.add_parser("order", help="orderings on r-partitions")
@@ -412,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     osub = p.add_subparsers(dest="action", required=True)
     _leaf(osub, "verify", cmd_oracle_verify, "run the identity suite and report", n,
           ("--degree", dict(type=_non_negative_int, default=2, help="degree cap (default 2)")),
-          ("--seed", dict(type=int, default=None, help="RNG seed (default: CHEREDNIK_SEED or 0)")),
+          ("--seed", dict(type=int, default=0, help="RNG seed (default 0)")),
           ("--shape", dict(help="restrict to one shape")),
           ("--timings", dict(action=argparse.BooleanOptionalAction, default=True,
                              help="include wall times (disable for golden files)")),

@@ -17,6 +17,7 @@ Coefficients and values are fractions.Fraction; no floating point anywhere.
 """
 from __future__ import annotations
 
+import decimal
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -245,12 +246,40 @@ def render_affine(f: AffineForm) -> str:
 
 def _decimal(x: int) -> str:
     """str(x), also past the interpreter's int-to-str digit limit (640 at
-    the least): over 2,000 bits, x is split at a power of ten in halves."""
+    the least), in time below quadratic in its digits: over 2,000 bits, x is
+    split in halves at powers of two and rebuilt as a Decimal by the exact
+    methods of a private context (as CPython 3.12's
+    _pylong.int_to_decimal_string does), whose text is linear to write."""
     if x.bit_length() <= 2000:
         return str(x)
-    k = x.bit_length() * 3 // 20            # about half its digits
-    high, low = divmod(abs(x), 10 ** k)
-    return ("-" if x < 0 else "") + _decimal(high) + _decimal(low).zfill(k)
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                          traps=[decimal.Inexact])
+    return ("-" if x < 0 else "") + ctx.to_sci_string(
+        _from_halves(abs(x), x.bit_length(), ctx, {}))
+
+
+def _from_halves(n: int, w: int, ctx: decimal.Context, powers: dict) -> decimal.Decimal:
+    """n < 2**w as a Decimal: its low and high halves joined by 2**(w // 2)."""
+    if w <= 128:
+        return decimal.Decimal(n)
+    half = w >> 1
+    high = n >> half
+    return ctx.add(_from_halves(n - (high << half), half, ctx, powers),
+                   ctx.multiply(_from_halves(high, w - half, ctx, powers),
+                                _power_of_two(half, ctx, powers)))
+
+
+def _power_of_two(w: int, ctx: decimal.Context, powers: dict) -> decimal.Decimal:
+    """2**w as a Decimal, kept in `powers`, which the halves of each level share."""
+    if w not in powers:
+        if w <= 128:
+            powers[w] = decimal.Decimal(1 << w)
+        elif w - 1 in powers:
+            powers[w] = ctx.add(powers[w - 1], powers[w - 1])
+        else:   # the smaller half first, so that the larger may be its double
+            powers[w] = ctx.multiply(_power_of_two(w >> 1, ctx, powers),
+                                     _power_of_two(w - (w >> 1), ctx, powers))
+    return powers[w]
 
 
 class FactoredScalar:

@@ -3,9 +3,7 @@
 Each test prints a single `[acceptance] criterion N: PASS` line on success
 (run with -s or look at captured output); any failure is a hard assert.
 """
-import itertools
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -22,7 +20,6 @@ from cherednik_kit.combinatorics import (
     dominance_compare,
     dominance_via_contents,
     enumerate_multipartitions,
-    enumerate_syt,
     partitions_of,
     shape_assignment,
 )
@@ -54,7 +51,7 @@ from cherednik_kit.orders import (
     geq_c_quotient,
     linkage_matching,
 )
-from cherednik_kit.scalars import FactoredScalar, ParameterPoint, PoleError, proportional
+from cherednik_kit.scalars import ParameterPoint, PoleError, proportional
 
 from conftest import (basis_vector, compositions, enumerate_assignments, small_point,
                       tableau_vector, twisted_coordinates, x_power)

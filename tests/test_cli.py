@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import cherednik_kit
+from cherednik_kit import oracle
 from cherednik_kit.cli import build_parser, main
 from cherednik_kit.combinatorics import enumerate_multipartitions
 from cherednik_kit.norms import MAX_FORMS
@@ -55,13 +56,46 @@ class TestGoldenOutputs:
         assert code == 0 and out == "6\n"
 
     def test_aspherical_list_json(self):
-        code, out = run_cli("aspherical", "list", "--r", "2", "--n", "1", "--json")
+        code, out = run_cli("aspherical", "list", "--r", "2", "--n", "1", "--format", "json")
         assert code == 0
         data = json.loads(out)
         assert data == [{
             "form": ["1", "0", "1", "-1"],
             "k": 1, "kind": "d", "l": 1, "m": 0,
         }]
+
+    @pytest.mark.parametrize("flags, expected", [
+        (("--r", "2", "--n", "2"), """\
+1 + 2*c0 = 0    [kind=c0 k=1 l=- m=2]
+1 + 2*c0 - d0 + d1 = 0    [kind=d k=1 l=0 m=-1]
+1 + 2*c0 + d0 - d1 = 0    [kind=d k=1 l=1 m=-1]
+1 + d0 - d1 = 0    [kind=d k=1 l=1 m=0]
+1 - 2*c0 + d0 - d1 = 0    [kind=d k=1 l=1 m=1]
+3 + 2*c0 + d0 - d1 = 0    [kind=d k=3 l=1 m=-1]
+"""),
+        (("--r", "2", "--n", "2", "--xi", "1,0"), """\
+1 - 2*c0 = 0    [kind=c0 k=1 l=- m=-2]
+1 - 2*c0 - d0 + d1 = 0    [kind=d k=1 l=0 m=1]
+1 + 2*c0 + d0 - d1 = 0    [kind=d k=1 l=1 m=-1]
+1 + d0 - d1 = 0    [kind=d k=1 l=1 m=0]
+1 - 2*c0 + d0 - d1 = 0    [kind=d k=1 l=1 m=1]
+3 - 2*c0 + d0 - d1 = 0    [kind=d k=3 l=1 m=1]
+"""),
+        (("--r", "2", "--n", "3", "--p", "2"), """\
+1 + 2*c0 = 0    [kind=c0 k=1 l=- m=2]
+1 + 3*c0 = 0    [kind=c0 k=1 l=- m=3]
+2 + 3*c0 = 0    [kind=c0 k=2 l=- m=3]
+1 + 4*c0 = 0    [kind=d k=1 l=0 m=-2]
+1 - 2*c0 = 0    [kind=d k=1 l=1 m=1]
+1 - 4*c0 = 0    [kind=d k=1 l=1 m=2]
+3 + 4*c0 = 0    [kind=d k=3 l=0 m=-2]
+3 + 2*c0 = 0    [kind=d k=3 l=1 m=-1]
+5 + 4*c0 = 0    [kind=d k=5 l=1 m=-2]
+"""),
+    ])
+    def test_aspherical_list_text_is_pinned(self, flags, expected):
+        # the default format, plain, twisted and restricted to G(r,p,n)
+        assert run_cli("aspherical", "list", *flags) == (0, expected)
 
     def test_core_quotient_decode(self):
         code, out = run_cli("core-quotient", "decode", "--r", "2", "--shape", "1,1")
@@ -305,8 +339,8 @@ ok
 
 class TestDeterminism:
     def test_byte_identical_runs(self):
-        a = run_cli("aspherical", "list", "--r", "3", "--n", "3", "--json")[1]
-        b = run_cli("aspherical", "list", "--r", "3", "--n", "3", "--json")[1]
+        a = run_cli("aspherical", "list", "--r", "3", "--n", "3", "--format", "json")[1]
+        b = run_cli("aspherical", "list", "--r", "3", "--n", "3", "--format", "json")[1]
         assert a == b
 
     def test_oracle_verify_deterministic_without_timings(self):
@@ -343,19 +377,36 @@ class TestDeterminism:
         assert code == 0 and len(out) == size
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    def test_oracle_verify_env_seed(self, monkeypatch):
+    @pytest.mark.parametrize("fmt, size, digest", [
+        ("text", 659, "dda81b35596082b4bd770a970be96c021ecdf3c068152ed1207f9a6edf8fdbc9"),
+        ("json", 1474, "bef88e157c4e7b71ee2761178943b5628ef45a7108b78f5688e633225792ce0f"),
+    ])
+    def test_oracle_verify_failing_check(self, monkeypatch, fmt, size, digest):
+        # a check that raises fails its row and the report, and the command exits 1
+        def refuse(*args):
+            raise AssertionError("patched")
+
+        monkeypatch.setattr(oracle, "_check_symmetrizer", refuse)
+        code, out = run_cli("oracle", "verify", "--r", "1", "--n", "2", "--degree", "1",
+                            "--seed", "7", "--no-timings", "--format", fmt)
+        assert code == 1 and len(out) == size
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        failed = "fail symmetrizer rational-function identity: AssertionError: patched"
+        if fmt == "text":
+            assert out.splitlines()[-2:] == [failed, "FAILED"]
+        else:
+            report = json.loads(out)
+            assert report["ok"] is False
+            assert report["checks"][-1]["status"] == "fail"
+
+    def test_oracle_verify_seed_ignores_the_environment(self, monkeypatch):
+        # the report is a function of its flags: without --seed it is seed 0
         monkeypatch.setenv("CHEREDNIK_SEED", "9")
         a = run_cli("oracle", "verify", "--r", "1", "--n", "2", "--degree", "1",
                     "--no-timings")
         b = run_cli("oracle", "verify", "--r", "1", "--n", "2", "--degree", "1",
-                    "--seed", "9", "--no-timings")
-        assert a == b
-
-    def test_oracle_verify_env_seed_not_an_integer(self, monkeypatch, capsys):
-        # a usage error naming the variable, the exit code of `--seed abc`
-        monkeypatch.setenv("CHEREDNIK_SEED", "abc")
-        assert main(["oracle", "verify", "--r", "1", "--n", "2"]) == 2
-        assert capsys.readouterr().err == "error: CHEREDNIK_SEED must be an integer, not 'abc'\n"
+                    "--seed", "0", "--no-timings")
+        assert a == b and json.loads(a[1])["seed"] == 0
 
 
 class TestErrorHandling:
@@ -463,10 +514,6 @@ class TestErrorHandling:
           "--tableau-index", "1"], {"--tableau", "--tableau-index"}),
         (["norm-f", "--r", "1", "--shape", "2,1", "--mu", "0,1,0", "--tableau", "1,2/3",
           "--tableau-index", "0"], {"--tableau", "--tableau-index"}),
-        (["aspherical", "list", "--r", "2", "--n", "1", "--json", "--format", "tsv"],
-         {"--json", "--format"}),
-        (["aspherical", "list", "--r", "2", "--n", "1", "--json", "--format", "text"],
-         {"--json", "--format"}),
         (["aspherical", "list", "--r", "2", "--n", "3", "--p", "2", "--xi", "1,0"],
          {"--p", "--xi"}),
         (["core-quotient", "decode", "--r", "2", "--shape", "1,1", "--a", "5"],
@@ -495,12 +542,13 @@ class TestErrorHandling:
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
         assert flags <= set(re.findall(r"--[a-z-]+", captured.err))
 
-    def test_aspherical_list_json_agrees_with_format_json(self):
-        # --json, --format json and both together emit the same bare array
-        bare = run_cli("aspherical", "list", "--r", "2", "--n", "1", "--json")
-        assert bare[0] == 0 and json.loads(bare[1])[0]["kind"] == "d"
-        for flags in (("--json", "--format", "json"), ("--format", "json")):
-            assert run_cli("aspherical", "list", "--r", "2", "--n", "1", *flags) == bare
+    def test_json_flag_is_not_an_option(self, capsys):
+        # --format json is the one spelling of JSON output
+        with pytest.raises(SystemExit) as exc:
+            main(["aspherical", "list", "--r", "2", "--n", "1", "--json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --json" in captured.err
 
     def test_aspherical_test_negative_c0(self):
         code, out = run_cli("aspherical", "test", "--r", "1", "--n", "2",

@@ -1,6 +1,5 @@
 import itertools
 import math
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st

@@ -16,7 +16,7 @@ from cherednik_kit.combinatorics import (
 )
 from cherednik_kit.oracle import build_irrep, verify_report
 from cherednik_kit.orders import OrderContext, linkage_matching
-from cherednik_kit.scalars import ParameterPoint
+from cherednik_kit.scalars import ParameterPoint, _decimal
 
 SHAPE = parse_multipartition("2,1|1")
 CONTEXT = OrderContext(ParameterPoint(2, Fraction(1, 2), (0, 1)))
@@ -29,6 +29,7 @@ CALLS = {
     "linkage_matching": lambda: linkage_matching(
         parse_multipartition("2|1"), parse_multipartition("1|2"), CONTEXT),
     "verify_report": lambda: verify_report(2, 3, degree=3, seed=5),
+    "_decimal": lambda: _decimal(7 ** 5000),
 }
 
 

@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings, strategies as st
 from cherednik_kit.combinatorics import (
     BoxRef,
     MultiPartition,
-    assignment_pair,
     enumerate_multipartitions,
     enumerate_syt,
     parse_assignment,

@@ -1,5 +1,4 @@
 import itertools
-import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -21,7 +20,6 @@ from cherednik_kit.orders import (
     assemble,
     beta_numbers,
     charge_offset,
-    counting_combination,
     counting_identity_check,
     disassemble,
     equiv_c,

@@ -1,5 +1,6 @@
+import decimal
 import math
-import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from cherednik_kit.scalars import (
     FactoredScalar,
     ParameterPoint,
     PoleError,
+    _decimal,
     convert_parameters,
     parse_rational,
     pochhammer,
@@ -197,6 +199,40 @@ class TestFactoredScalarProperties:
         assert (a * b).evaluate(p) == va * vb
         if vb != 0:
             assert (a / b).evaluate(p) == va / vb
+
+
+# the thresholds of scalars._decimal: str() up to 2,000 bits, halves down to
+# leaves of 128 bits (2,048 = 16 * 128 bits), and str()'s own default limit
+# of 4,300 digits (10**4300 < 2**14285)
+_THRESHOLD_BITS = (2000, 2048, 14285)
+
+
+@st.composite
+def _signed_ints(draw):
+    """A signed integer of a bit length at or next to a threshold, of any
+    length up to 20,000 bits, or a power of ten or its neighbour."""
+    near = st.sampled_from([t + step for t in _THRESHOLD_BITS for step in (-1, 0, 1)])
+    bits = draw(st.one_of(near, st.integers(1, 20_000)))
+    magnitude = draw(st.one_of(
+        st.integers(1 << (bits - 1), (1 << bits) - 1),
+        st.integers(-1, 1).map(lambda step: 10 ** (bits * 3 // 10) + step)))
+    return draw(st.sampled_from((1, -1))) * magnitude
+
+
+class TestDecimalText:
+    @PROPERTY
+    @given(_signed_ints())
+    def test_equals_str_without_a_digit_limit(self, x):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = str(x)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        context = decimal.getcontext()
+        before = (context.prec, context.Emax, context.Emin, dict(context.flags))
+        assert _decimal(x) == expected
+        assert (context.prec, context.Emax, context.Emin, dict(context.flags)) == before
 
 
 def _rational_forms(r):
