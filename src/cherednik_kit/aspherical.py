@@ -141,10 +141,8 @@ def hyperplanes_sqrt(r: int, n: int) -> list[Hyperplane]:
     if r < 1 or n < 1:
         raise ValueError("need r >= 1, n >= 1")
     cands = _c0_candidates(r, n, 1)
-    for m in range(-(n - 1), n):
+    for m in range(-(n - 1), n):   # |m| < n: max_rectangle_rows is an int
         x = max_rectangle_rows(n, m)
-        if x is None:
-            continue
         for l in range(r):
             for k in range(1, l + (x - 1) * r + 1):
                 if k % r == 0:

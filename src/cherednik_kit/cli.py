@@ -11,9 +11,9 @@ Conventions shared by all subcommands:
 - tableaux / value fillings additionally join rows with '/'
   (e.g. '1,3,4/8,9|2,6/5,7');
 - rationals are 'p/q' or integers; d-vectors are comma lists of rationals;
-- exit code 0 = success, 1 = domain error (message on stderr), 2 = usage
-  error, including a flag that the chosen path would ignore (no flag is
-  silently dropped);
+- exit code 0 = success, 1 = domain error, 2 = usage error, including a
+  flag that the chosen path would ignore (no flag is silently dropped); an
+  error of either kind is one 'error: ...' line on stderr;
 - output is byte-deterministic for fixed flags and seed (oracle verify
   timings can be suppressed with --no-timings for golden files).
 
@@ -327,9 +327,18 @@ def _leaf(sub, name, func, help, *flags, formats=("text", "json"), default="text
     p.set_defaults(func=func)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise UsageError, which main prints
+    as one line (argparse would print its usage block first); its
+    subcommands' parsers are of the same class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="cherednik-kit",
         description="Exact combinatorics of G(r,1,n) Cherednik algebras: Jack "
                     "polynomial norms, aspherical hyperplanes, orderings on "
@@ -406,9 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args, sys.stdout)
         sys.stdout.flush()   # so that a closed pipe raises here, not at exit
         return code

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
@@ -371,6 +372,27 @@ def composition_compare(mu: Sequence[int], nu: Sequence[int]) -> Comparison:
 # tableaux
 
 
+_INCREASE = {operator.lt: "increase", operator.le: "weakly increase"}
+
+
+def _check_filling(shape: MultiPartition, filling: tuple[tuple[tuple[int, ...], ...], ...],
+                   name: str, along, down) -> None:
+    """Raise ValueError unless filling[comp][row][col] has the components and
+    row lengths of shape, and each entry stands in relation `along` to the
+    next in its row and `down` to the one below it: operator.lt for strict
+    increase, operator.le for weak.  `name` is the entries' name in the
+    message on the shape."""
+    if len(filling) != shape.r:
+        raise ValueError(f"expected {shape.r} components, got {len(filling)}")
+    if any(tuple(map(len, rows)) != comp for comp, rows in zip(shape.components, filling)):
+        raise ValueError(f"{name} do not match shape")
+    if not all(all(map(along, row, row[1:])) for rows in filling for row in rows):
+        raise ValueError(f"rows must {_INCREASE[along]}")
+    if not all(all(map(down, upper, lower))
+               for rows in filling for upper, lower in zip(rows, rows[1:])):
+        raise ValueError(f"columns must {_INCREASE[down]}")
+
+
 @dataclass(frozen=True)
 class StandardTableau:
     """A bijective filling of an r-partition with 1..n, increasing along rows
@@ -380,26 +402,10 @@ class StandardTableau:
     entries: tuple[tuple[tuple[int, ...], ...], ...]  # entries[comp][row][col]
 
     def __post_init__(self):
-        if len(self.entries) != self.shape.r:
-            raise ValueError(f"expected {self.shape.r} components, got {len(self.entries)}")
-        seen = set()
-        n = self.shape.size
-        for l, comp in enumerate(self.shape.components):
-            rows = self.entries[l]
-            if len(rows) != len(comp):
-                raise ValueError("entry rows do not match shape")
-            for i, row_len in enumerate(comp):
-                if len(rows[i]) != row_len:
-                    raise ValueError("entry row length mismatch")
-                for j in range(row_len):
-                    v = rows[i][j]
-                    if not (1 <= v <= n) or v in seen:
-                        raise ValueError("entries must biject onto 1..n")
-                    seen.add(v)
-                    if j > 0 and rows[i][j - 1] >= v:
-                        raise ValueError("rows must increase")
-                    if i > 0 and j < len(rows[i - 1]) and rows[i - 1][j] >= v:
-                        raise ValueError("columns must increase")
+        _check_filling(self.shape, self.entries, "entries", operator.lt, operator.lt)
+        values = {v for rows in self.entries for row in rows for v in row}
+        if values != set(range(1, self.shape.size + 1)):
+            raise ValueError("entries must biject onto 1..n")
 
     @functools.cached_property
     def _boxes(self) -> tuple[BoxRef, ...]:
@@ -489,37 +495,25 @@ class ShapeAssignment:
     values: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self):
-        if len(self.values) != self.shape.r:
-            raise ValueError(f"expected {self.shape.r} components, got {len(self.values)}")
-        for l, comp in enumerate(self.shape.components):
-            rows = self.values[l]
-            if len(rows) != len(comp) or any(len(rows[i]) != comp[i] for i in range(len(comp))):
-                raise ValueError("values do not match shape")
-            for i, row in enumerate(rows):
-                for j, v in enumerate(row):
-                    if v < 0:
-                        raise ValueError("values must be >= 0")
-                    if j > 0 and row[j - 1] > v:
-                        raise ValueError("rows must weakly increase")
-                    if i > 0 and rows[i - 1][j] > v:
-                        raise ValueError("columns must weakly increase")
+        _check_filling(self.shape, self.values, "values", operator.le, operator.le)
+        if any(v < 0 for rows in self.values for row in rows for v in row):
+            raise ValueError("values must be >= 0")
 
     def value(self, b: BoxRef) -> int:
         return self.values[b.component][b.row - 1][b.column - 1]
 
     def is_column_strict(self) -> bool:
         """Strictly increasing down columns (rows stay weakly increasing)."""
-        for rows in self.values:
-            for i in range(1, len(rows)):
-                for j in range(len(rows[i])):
-                    if rows[i - 1][j] >= rows[i][j]:
-                        return False
+        try:
+            _check_filling(self.shape, self.values, "values", operator.le, operator.lt)
+        except ValueError:
+            return False
         return True
 
     def satisfies_residues(self) -> bool:
         """S(b) = beta(b) mod r for every box."""
         r = self.shape.r
-        return all(self.value(b) % r == b.component % r for b in self.shape.boxes())
+        return all(v % r == l for l, rows in enumerate(self.values) for row in rows for v in row)
 
     def as_text(self) -> str:
         return _filling_text(self.values)
@@ -533,39 +527,30 @@ def parse_assignment(text: str, shape: MultiPartition, name: str = "filling") ->
 
 
 def shape_assignment(mu: Sequence[int], T: StandardTableau) -> ShapeAssignment:
-    """S(b) = mu_{w_mu^{-1}(T(b))}."""
+    """S(b) = mu_{w_mu^{-1}(T(b))}, that is mu-_{T(b)}: w_mu^{-1} lists the
+    indices of mu in the order that sorts mu to mu-."""
     mu = tuple(mu)
     if len(mu) != T.shape.size:
         raise ValueError("composition length must equal shape size")
-    _, _, w_mu, _ = sorting_data(mu)
-    w_inv = perm_inverse(w_mu)
-    values = tuple(
-        tuple(
-            tuple(mu[w_inv[T.entries[l][i][j] - 1] - 1] for j in range(len(T.entries[l][i])))
-            for i in range(len(T.entries[l]))
-        )
-        for l in range(T.shape.r)
-    )
-    return ShapeAssignment(T.shape, values)
+    if any(x < 0 for x in mu):
+        raise ValueError("composition entries must be >= 0")
+    mu_minus = sorted(mu)
+    return ShapeAssignment(T.shape, tuple(
+        tuple(tuple(mu_minus[v - 1] for v in row) for row in rows) for rows in T.entries))
 
 
 def assignment_pair(S: ShapeAssignment) -> tuple[Composition, StandardTableau]:
     """A non-decreasing composition mu and standard tableau T with
     shape_assignment(mu, T) = S.
 
-    w_mu reverses each constant block of the non-decreasing mu, so boxes
-    sharing an S-value are walked in reverse lex order; the resulting tableau
-    entries then increase along rows, and the assignment round-trips.
+    mu lists the S-values in order, and T numbers the boxes 1..n in order of
+    (S-value, lex box order): then mu-_{T(b)} = S(b), and T increases along
+    rows and down columns as S weakly does and the lex order strictly does.
     """
-    boxes = sorted(
-        S.shape.boxes(),
-        key=lambda b: (S.value(b),) + tuple(-c for c in b.sort_key()),
-    )
-    mu = tuple(S.value(b) for b in boxes)
-    _, _, w_mu, _ = sorting_data(mu)
-    entries = [[[0] * row for row in comp] for comp in S.shape.components]
-    for pos, b in enumerate(boxes, start=1):
-        entries[b.component][b.row - 1][b.column - 1] = w_mu[pos - 1]
-    T = StandardTableau(S.shape, tuple(
-        tuple(tuple(row) for row in comp) for comp in entries))
-    return mu, T
+    cells = sorted((v, l, i, j) for l, rows in enumerate(S.values)
+                   for i, row in enumerate(rows) for j, v in enumerate(row))
+    entries = [[list(row) for row in rows] for rows in S.values]
+    for k, (_, l, i, j) in enumerate(cells, start=1):
+        entries[l][i][j] = k
+    T = StandardTableau(S.shape, tuple(tuple(map(tuple, rows)) for rows in entries))
+    return tuple(v for v, *_ in cells), T

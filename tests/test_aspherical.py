@@ -54,6 +54,9 @@ class TestFamilies:
         assert max_rectangle_rows(4, 0) == 2
         assert max_rectangle_rows(3, -2) == 3
         assert max_rectangle_rows(1, 0) == 1
+        # hyperplanes_sqrt reads it for every corner content |m| < n
+        assert all(isinstance(max_rectangle_rows(n, m), int)
+                   for n in range(1, 13) for m in range(1 - n, n))
 
     def test_dedup(self):
         planes = hyperplanes_rectangle(1, 4)

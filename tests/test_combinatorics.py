@@ -376,6 +376,52 @@ class TestTextFormats:
         assert as_partition((3, 1, 0, 0)) == (3, 1)
 
 
+class TestFillingChecks:
+    """Each input check of a filling of the shape 2,1|1, by its message,
+    on a filling that breaks that check alone."""
+
+    SHAPE = parse_multipartition("2,1|1")
+
+    @pytest.mark.parametrize("entries, message", [
+        ((((1, 2), (3,)),), "expected 2 components, got 1"),
+        ((((1, 2),), ((3,),)), "entries do not match shape"),
+        ((((1,), (3,)), ((2, 4),)), "entries do not match shape"),
+        ((((1, 2), (5,)), ((3,),)), "entries must biject onto 1..n"),
+        ((((0, 2), (3,)), ((4,),)), "entries must biject onto 1..n"),
+        ((((1, 2), (3,)), ((3,),)), "entries must biject onto 1..n"),
+        ((((2, 1), (3,)), ((4,),)), "rows must increase"),
+        ((((2, 3), (1,)), ((4,),)), "columns must increase"),
+    ])
+    def test_tableau(self, entries, message):
+        with pytest.raises(ValueError) as exc:
+            StandardTableau(self.SHAPE, entries)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("values, message", [
+        ((((0, 0), (0,)),), "expected 2 components, got 1"),
+        ((((0, 0),), ((0,),)), "values do not match shape"),
+        ((((0,), (0,)), ((0,),)), "values do not match shape"),
+        ((((-1, 0), (0,)), ((0,),)), "values must be >= 0"),
+        ((((1, 0), (1,)), ((0,),)), "rows must weakly increase"),
+        ((((1, 1), (0,)), ((0,),)), "columns must weakly increase"),
+    ])
+    def test_assignment(self, values, message):
+        with pytest.raises(ValueError) as exc:
+            ShapeAssignment(self.SHAPE, values)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("mu, message", [
+        ((0, 0, 0), "composition length must equal shape size"),
+        ((0, 0, 0, 0, 0), "composition length must equal shape size"),
+        ((0, -1, 0, 0), "composition entries must be >= 0"),
+    ])
+    def test_shape_assignment(self, mu, message):
+        T = enumerate_syt(self.SHAPE)[0]
+        with pytest.raises(ValueError) as exc:
+            shape_assignment(mu, T)
+        assert str(exc.value) == message
+
+
 # -- bijections and minimality as properties -----------------------------------
 
 PROPERTY = settings(deadline=None, database=None, derandomize=True)

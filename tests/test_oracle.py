@@ -908,6 +908,150 @@ class TestBracketFaults:
         assert not report["ok"] and status[row] == "fail"
 
 
+def _double_theta(monkeypatch):
+    # each s_i's off-diagonal entries doubled: s_i^2 = 1 fails where dim > 1,
+    # so (1, 3) fails at its second shape, 2,1, and builds no third
+    from cherednik_kit import irrep
+    honest_rule, honest_build, built = irrep._swap_rule, oracle.build_irrep, []
+
+    def swap_rule(T, i):
+        rho, theta = honest_rule(T, i)
+        return rho, 2 * theta
+
+    def build(shape):
+        built.append(shape.as_text())
+        return honest_build(shape)
+
+    monkeypatch.setattr(irrep, "_swap_rule", swap_rule)
+    monkeypatch.setattr(oracle, "build_irrep", build)
+    return lambda: built == ["3", "2,1"]
+
+
+def _mu_twice(monkeypatch):
+    # mu listed again second in each eigen plan: the eigenvector comes out
+    # doubled, still a joint eigenvector, but its leading slice is twice x^mu v_T
+    honest = oracle.IrrepModel.eigen_plan
+    monkeypatch.setattr(oracle.IrrepModel, "eigen_plan",
+                        lambda self, mu, residues: (lambda plan: [plan[0], *plan])(
+                            honest(self, mu, residues)))
+
+
+def _scalar_plus_one(monkeypatch):
+    # sigma_i f = s_i f + (f_i + 1) f is no eigenvector, so the scalar of
+    # sigma_i on it finds z_1 not acting by a scalar
+    honest = StandardModule.intertwiner_scalar
+    monkeypatch.setattr(StandardModule, "intertwiner_scalar",
+                        lambda self, i, v: honest(self, i, v) + 1)
+
+
+def _perm_doubled(monkeypatch):
+    # each s_i acting as twice itself: the pairing is symmetric and z
+    # self-adjoint, but <s_i u, s_i v> = 4 <u, v>
+    honest = StandardModule.apply_perm
+    monkeypatch.setattr(StandardModule, "apply_perm",
+                        lambda self, w, elt: honest(self, w, elt).scale(2))
+
+
+def _twisted_doubled(monkeypatch):
+    # every coefficient of the twisted z-images doubled
+    honest = oracle.IrrepModel.twisted_table
+    monkeypatch.setattr(oracle.IrrepModel, "twisted_table", lambda self, nu, s: [
+        {key: tuple(2 * x for x in vec) for key, vec in table.items()}
+        for table in honest(self, nu, s)])
+
+
+def _product_doubled(monkeypatch):
+    # the product formula's n! doubled, leaving n! H E as it is
+    from cherednik_kit import norms
+    honest = norms._box_product
+    monkeypatch.setattr(norms, "_box_product",
+                        lambda S, boxes, coefficient: honest(S, boxes, 2 * coefficient))
+
+
+def _sigma_doubled(monkeypatch):
+    # 2 sigma_i squares to 4 (1 - f_i^2)
+    honest = StandardModule.intertwiner
+    monkeypatch.setattr(StandardModule, "intertwiner",
+                        lambda self, i, v: honest(self, i, v).scale(2))
+
+
+def _sigma_vanishes(monkeypatch):
+    # sigma_i sends f to 0, and the 0 it made to (1 - f_i^2) f: the square
+    # holds although sigma_i vanished
+    honest, last = StandardModule.intertwiner_scalar, []
+
+    def intertwiner(self, i, v):
+        if not v.is_zero():
+            last.append(v)
+            return v.scale(0)
+        f = last[-1]
+        return f.scale(1 - honest(self, i, f) ** 2)
+
+    monkeypatch.setattr(StandardModule, "intertwiner", intertwiner)
+
+
+def _norm_plus_one(monkeypatch):
+    monkeypatch.setattr(StandardModule, "norm", lambda self, v: self.pairing(v, v) + 1)
+
+
+def _sigma_2_negated(monkeypatch):
+    # -sigma_2 keeps every square and norm, and turns the braid's sides
+    # into each other's negatives
+    honest = StandardModule.intertwiner
+    monkeypatch.setattr(StandardModule, "intertwiner",
+                        lambda self, i, v: honest(self, i, v).scale(-1 if i == 2 else 1))
+
+
+def _first_shape_dropped(monkeypatch):
+    # the report runs without the shape 3, whose dim^2 is 1
+    honest = oracle.enumerate_multipartitions
+    monkeypatch.setattr(oracle, "enumerate_multipartitions", lambda r, n: honest(r, n)[1:])
+
+
+def _identity_fails(monkeypatch):
+    monkeypatch.setattr(oracle, "symmetrizer_identity_check", lambda n, z, c0, r: False)
+
+
+class TestFailureBranches:
+    """Each check's failure branch, reached by breaking one input at (1, 3):
+    its row reads fail with the branch's message, and the report is not ok.
+    A fault may return a check of its own, to hold after the report."""
+
+    IRREP, EIGEN, MINIMAL, FORM, TRIANGULAR, SIGMA, SYMMETRIZER = (
+        "irrep relations and dimension count", "eigenvector norms vs closed formula",
+        "symmetrized minimal norms vs closed formula", "contravariant form properties",
+        "z-matrix triangularity and diagonal", "intertwiner square, norm scaling, braid",
+        "symmetrizer rational-function identity")
+
+    BRANCHES = [
+        (_double_theta, IRREP, "AssertionError: irrep validation failed: braid s_1 s_2 s_1; "
+         "s_2 gram self-adjointness; s_2 zeta_2 s_2 = zeta_3; s_2^2 = 1"),
+        (_mu_twice, EIGEN, "AssertionError: leading slice is not x^mu w_mu^{-1} v_T"),
+        (_scalar_plus_one, SIGMA, "ValueError: not a z_1 eigenvector"),
+        (_perm_doubled, FORM, "AssertionError: pairing not W-invariant"),
+        (_twisted_doubled, TRIANGULAR,
+         "AssertionError: twisted table image z_1 at (0, 0, 0), 1,2,3"),
+        (_product_doubled, MINIMAL, "AssertionError: product formula disagrees with n! H E"),
+        (_sigma_doubled, SIGMA, "AssertionError: sigma_1^2 != 1 - f^2"),
+        (_sigma_vanishes, SIGMA, "AssertionError: sigma_1 vanished away from g = +-1"),
+        (_norm_plus_one, SIGMA, "AssertionError: sigma_1 norm scaling"),
+        (_sigma_2_negated, SIGMA, "AssertionError: braid relation"),
+        (_first_shape_dropped, IRREP, "AssertionError: sum of dim^2 = 5, expected 6"),
+        (_identity_fails, SYMMETRIZER, "AssertionError: identity failed at z=[Fraction(-8, 3), "
+         "Fraction(11, 1), Fraction(8, 1)], c0=-4"),
+    ]
+
+    @pytest.mark.parametrize("fault, row, message", BRANCHES,
+                             ids=[fault.__name__[1:] for fault, _, _ in BRANCHES])
+    def test_the_row_fails_with_its_message(self, monkeypatch, fault, row, message):
+        after = fault(monkeypatch)
+        report = verify_report(1, 3, degree=2, seed=7)
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks[row]["status"] == "fail" and not report["ok"]
+        assert checks[row]["details"] == message
+        assert after is None or after()
+
+
 class TestCanonicalTables:
     """The irrep's tables are canonical as they are built: a key whose
     coefficients cancel is dropped, so no table holds a zero vector."""
