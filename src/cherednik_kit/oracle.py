@@ -26,16 +26,16 @@ constant it reads at a rational ParameterPoint is rational: a ModuleElement
 holds integer numerators over one denominator, as the irrep's tables do.  No
 oracle path builds a CycNumber, and no library module imports `cyclotomic`:
 _kernel, kept for the tests and the benchmark, takes the elements of the
-field it is given.  verify_report runs shape by shape, one
-module alive at a time.  It certifies the defining relations and the y/z
-commutativity on the irrep's point-free tables, for every parameter at once,
-on keys up to POINT_FREE_DEGREE, and runs its other checks at the point, on
-keys up to POINT_DEGREE: each draws from its own named stream, the form
-check from the report's.  Every check returns (count, skipped); only the
-intertwiner check skips identities, at a pole or an eigenvalue collision,
-and the report says how many.  It shares no code with the closed norm
-formulas: only its triangularity check reads the closed spectrum, to compare
-it with the z-diagonal, in integers.
+field it is given.  verify_report runs shape by shape, one module alive at a
+time.  It certifies the defining relations and the y/z commutativity on the
+irrep's point-free tables, for every parameter at once, on keys up to
+POINT_FREE_DEGREE, and runs its other checks at the point, on keys up to
+POINT_DEGREE: each draws from its own named stream, so a shape's results
+depend only on the shape, the point, the degree and the seed.  Every check
+returns (count, skipped); only the intertwiner check skips identities, at a
+pole or an eigenvalue collision, and the report says how many.  It shares no
+code with the closed norm formulas: only its triangularity check reads the
+closed spectrum, to compare it with the z-diagonal, in integers.
 """
 from __future__ import annotations
 
@@ -707,9 +707,9 @@ def verify_report(r: int, n: int, degree: int = 2, seed: int = 0,
     The report runs shape by shape: it builds a shape's module (the irrep
     check), runs each check of _CHECKS on it and drops it, so only one module
     is alive at a time.  A failed check keeps its first message and skips
-    later shapes.  The point and the form check draw from random.Random(seed);
-    each other check from its own stream, random.Random(f"{seed}/{name}/{shape}")
-    (the symmetrizer's without the shape)."""
+    later shapes.  Only the point draws from random.Random(seed); each check
+    draws from its own stream, random.Random(f"{seed}/{name}/{shape}") (the
+    symmetrizer's without the shape)."""
     rng = random.Random(seed)
     point = ParameterPoint(r, Fraction(rng.randint(1, 40), rng.randint(1, 40)),
                            [Fraction(rng.randint(-40, 40), rng.randint(1, 40)) for _ in range(r)])
@@ -734,7 +734,7 @@ def verify_report(r: int, n: int, degree: int = 2, seed: int = 0,
         irreps["count"] += mod.irrep.dim ** 2
         for row, (name, check, _) in zip(per_shape, _CHECKS):
             if row["status"] == "pass":
-                stream = rng if check is _check_form else random.Random(f"{seed}/{name}/{shape}")
+                stream = random.Random(f"{seed}/{name}/{shape}")
                 count, skipped = _record(row, check, mod, degree, stream) or (0, 0)
                 row["count"] += count
                 row["skipped"] += skipped

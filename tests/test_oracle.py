@@ -2115,6 +2115,31 @@ def test_form_check_sees_a_cross_residue_term(r, monkeypatch):
     assert (form["status"], form["details"]) == ("fail", "AssertionError: pairing not W-invariant")
 
 
+def test_each_check_draws_from_a_stream_of_its_own_shape(monkeypatch):
+    # every per-shape check, the form check included, starts from the same
+    # random state whether its shape runs alone or after other shapes
+    seen = {}
+
+    def recording(name, check):
+        def wrapped(mod, degree, rng):
+            seen[name, mod.shape.as_text()] = hash(rng.getstate())
+            return check(mod, degree, rng)
+        return wrapped
+
+    checks = tuple((name, recording(name, check), details)
+                   for name, check, details in oracle._CHECKS)
+    monkeypatch.setattr(oracle, "_CHECKS", checks)
+    monkeypatch.setattr(oracle, "_check_form",
+                        next(check for name, check, _ in checks if name == "contravariant form properties"))
+    report = verify_report(2, 2, degree=2, seed=7)
+    assert report["ok"] and len(report["shapes"]) == 5
+    together, seen = seen, {}
+    for shape in report["shapes"]:
+        assert verify_report(2, 2, degree=2, seed=7, shape_text=shape)["ok"]
+    assert len(together) == 5 * len(checks)
+    assert seen == together
+
+
 def test_oracle_holds_nothing_from_the_closed_formulas():
     # the oracle certifies the closed formulas without sharing their code: no
     # module-level name of the oracle is defined in norms (verify_report
